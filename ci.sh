@@ -43,6 +43,11 @@ done
 echo "== kernels bench smoke run (schema check)"
 cargo run -q --release -p cscnn-bench --bin kernels -- --smoke
 
+echo "== benchmark package: build and tests"
+# benchmark/ is its own workspace; its tests re-drive the simulator's layer
+# loop and compare it bit for bit with Runner::run_model and run_batch.
+cargo test --release --offline --manifest-path benchmark/Cargo.toml
+
 echo "== cargo doc (warnings are errors)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q
 

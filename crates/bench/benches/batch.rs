@@ -9,7 +9,7 @@
 use std::hint::black_box;
 use std::time::{Duration, Instant};
 
-use cscnn::ir::{ModelIr, SparsityAnnotation};
+use cscnn::ir::ModelIr;
 use cscnn::models::{catalog, lower, ModelCompression, ModelDesc};
 use cscnn::sim::{Accelerator, BatchRunner, CartesianAccelerator, Runner};
 
@@ -29,14 +29,9 @@ fn bench(name: &str, mut f: impl FnMut()) {
 }
 
 fn calibrated_ir(model: &ModelDesc, acc: &dyn Accelerator) -> ModelIr {
-    let mc = ModelCompression::new(model.clone(), acc.scheme());
     let mut ir = lower::to_ir(model);
-    for (i, node) in ir.weight_nodes_mut().enumerate() {
-        node.set_sparsity(SparsityAnnotation {
-            weight_density: mc.profile.weight_density[i],
-            activation_density: mc.profile.activation_density[i],
-        });
-    }
+    let mc = ModelCompression::new(model.clone(), acc.scheme());
+    assert!(mc.profile.annotate(&mut ir));
     ir
 }
 

@@ -5,12 +5,12 @@
 //! phrased as explicit IR lowering passes: a trained [`Network`] lowers to
 //! typed [`ModelIr`] (`Network → Ir`, via each layer's `Layer::describe`),
 //! measured per-layer densities are attached as
-//! [`SparsityAnnotation`]s, and the annotated IR drives the simulator
+//! [`SparsityAnnotation`](cscnn_ir::SparsityAnnotation)s, and the annotated IR drives the simulator
 //! (`Ir → LayerWorkload`, via `Runner::run_ir`) — closing the
 //! algorithm→hardware loop without any calibrated profile (or `Any`
 //! downcast) in between.
 
-use cscnn_ir::{IrError, ModelIr, SparsityAnnotation};
+use cscnn_ir::{IrError, ModelIr};
 use cscnn_models::{lower, ModelDesc, SparsityProfile};
 use cscnn_nn::datasets::SyntheticImages;
 use cscnn_nn::Network;
@@ -113,13 +113,11 @@ pub fn annotated_ir(
     data: &SyntheticImages,
 ) -> Result<ModelIr, IrError> {
     let mut ir = net.to_ir(name, input)?;
-    let profile = measure_profile(net, data, 16);
-    for (i, node) in ir.weight_nodes_mut().enumerate() {
-        node.set_sparsity(SparsityAnnotation {
-            weight_density: profile.weight_density[i],
-            activation_density: profile.activation_density[i],
-        });
-    }
+    // One measured entry per weight-bearing layer, so the counts agree; a
+    // mismatch would leave the IR unannotated and `run_ir` would name the
+    // first bare layer.
+    let annotated = measure_profile(net, data, 16).annotate(&mut ir);
+    debug_assert!(annotated, "measured profile covers every weight layer");
     Ok(ir)
 }
 

@@ -8,6 +8,8 @@
 //! observation) whose global scale is solved by bisection so the model-level
 //! reduction matches the paper's reported factor. See DESIGN.md §2.
 
+use cscnn_ir::{ModelIr, SparsityAnnotation};
+
 use crate::{LayerKind, ModelDesc};
 
 /// Per-layer density assignments for one model under one compression scheme.
@@ -68,6 +70,28 @@ impl SparsityProfile {
             weight_density: keep,
             activation_density: activation_profile(model),
         }
+    }
+
+    /// Attaches entry `i` of this profile to the `i`-th weight-bearing node
+    /// of `ir`, as a [`SparsityAnnotation`] — what `Runner::run_ir` needs
+    /// to simulate the IR with these densities.
+    ///
+    /// Returns `false` and leaves `ir` untouched when the profile does not
+    /// hold exactly one entry per weight-bearing node.
+    #[must_use]
+    pub fn annotate(&self, ir: &mut ModelIr) -> bool {
+        let n = ir.num_weight_nodes();
+        if self.weight_density.len() != n || self.activation_density.len() != n {
+            return false;
+        }
+        let densities = self.weight_density.iter().zip(&self.activation_density);
+        for (node, (&weight_density, &activation_density)) in ir.weight_nodes_mut().zip(densities) {
+            node.set_sparsity(SparsityAnnotation {
+                weight_density,
+                activation_density,
+            });
+        }
+        true
     }
 }
 
@@ -256,6 +280,27 @@ mod tests {
         for (a, b) in p1.weight_density.iter().zip(&p2.weight_density) {
             assert!(a >= b, "higher target must prune at least as much");
         }
+    }
+
+    #[test]
+    fn annotate_fills_weight_nodes_in_order_and_rejects_bad_lengths() {
+        let model = catalog::lenet5();
+        let p = SparsityProfile::deep_compression(&model, 3.0);
+        let mut ir = crate::lower::to_ir(&model);
+        assert!(p.annotate(&mut ir));
+        for (i, node) in ir.weight_nodes().enumerate() {
+            let ann = node.sparsity().expect("annotated");
+            assert_eq!(ann.weight_density, p.weight_density[i]);
+            assert_eq!(ann.activation_density, p.activation_density[i]);
+        }
+        let mut bare = crate::lower::to_ir(&model);
+        let mut short = p.clone();
+        short.weight_density.pop();
+        assert!(!short.annotate(&mut bare), "one density short");
+        let mut long = p;
+        long.activation_density.push(0.5);
+        assert!(!long.annotate(&mut bare), "one density over");
+        assert!(bare.weight_nodes().all(|n| n.sparsity().is_none()));
     }
 
     #[test]

@@ -11,10 +11,13 @@
 //! [`Runner::run_ir`] calls, independent of worker count and scheduling
 //! order, because the cache key is exact (hash probe + full `==`
 //! confirmation) and each request is simulated from the same shared
-//! workloads in isolation.
+//! workloads in isolation. [`Runner::run_suite`] runs on the same pool and
+//! cache.
 
+use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 use cscnn_ir::{ModelIr, SparsityAnnotation};
 
@@ -25,62 +28,136 @@ use crate::runner::Runner;
 use crate::util::{count_from_f64, det_sum, to_count, to_index};
 use crate::workload::LayerWorkload;
 
-/// Per-batch workload cache: annotated IR → synthesized workloads.
-///
-/// Keys are probed by [`ModelIr::annotated_hash`] and confirmed with full
-/// `ModelIr` equality, so a hash collision can never alias two requests.
-/// Synthesis happens under the cache lock, which is what makes the
-/// exactly-once guarantee hold even when every worker requests the same
-/// structure simultaneously; the (much heavier) per-layer simulation runs
-/// outside the lock.
-#[derive(Default)]
-struct WorkloadCache {
-    entries: Mutex<CacheState>,
+/// One simulation job: an accelerator and the annotated IR it runs.
+pub(crate) type Job<'a> = (&'a dyn Accelerator, &'a ModelIr);
+
+type Workloads = Arc<Vec<Option<LayerWorkload>>>;
+
+/// One workload-cache entry: a unique `(annotated IR, centro)` pair of a
+/// job list, how many of its jobs are not yet done, and its workloads
+/// while some job holds them.
+struct CacheEntry<'a> {
+    ir: &'a ModelIr,
+    centro: bool,
+    users: AtomicUsize,
+    workloads: Mutex<Option<Workloads>>,
 }
 
-#[derive(Default)]
-struct CacheState {
-    entries: Vec<CacheEntry>,
-    hits: usize,
-    misses: usize,
-}
-
-struct CacheEntry {
-    hash: u64,
-    ir: ModelIr,
-    workloads: Arc<Vec<Option<LayerWorkload>>>,
-}
-
-impl WorkloadCache {
-    /// Returns the shared workloads for `ir`, synthesizing on first sight.
-    fn get_or_synthesize(
-        &self,
-        runner: &Runner,
-        ir: &ModelIr,
-        centro: bool,
-    ) -> Result<Arc<Vec<Option<LayerWorkload>>>, SimError> {
-        let hash = ir.annotated_hash();
-        // A worker that panicked inside an accelerator model may have
-        // poisoned the lock; the critical section only ever pushes fully
-        // constructed entries, so the state is safe to adopt.
-        let mut state = self.entries.lock().unwrap_or_else(PoisonError::into_inner);
-        if let Some(pos) = state
-            .entries
-            .iter()
-            .position(|e| e.hash == hash && e.ir == *ir)
-        {
-            state.hits += 1;
-            return Ok(state.entries[pos].workloads.clone());
+impl CacheEntry<'_> {
+    /// Returns the entry's workloads, validating and synthesizing them on
+    /// first use. Synthesis runs under the entry's own lock, so it happens
+    /// exactly once per entry while other entries synthesize concurrently.
+    fn acquire(&self, runner: &Runner) -> Result<Workloads, SimError> {
+        // A job that panicked mid-synthesis may have poisoned the lock; the
+        // slot is only ever assigned whole, so it is safe to adopt.
+        let mut slot = self
+            .workloads
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        if let Some(workloads) = &*slot {
+            return Ok(workloads.clone());
         }
-        let workloads = Arc::new(runner.ir_workloads(ir, centro)?);
-        state.misses += 1;
-        state.entries.push(CacheEntry {
-            hash,
-            ir: ir.clone(),
-            workloads: workloads.clone(),
-        });
+        crate::runner::validate_ir(self.ir)?;
+        let workloads = Arc::new(runner.ir_workloads(self.ir, self.centro)?);
+        *slot = Some(workloads.clone());
         Ok(workloads)
     }
+
+    /// Marks one job done with the entry; the last one frees the workloads,
+    /// so a long job list holds only the entries still in use.
+    fn release(&self) {
+        if self.users.fetch_sub(1, Ordering::AcqRel) == 1 {
+            *self
+                .workloads
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner) = None;
+        }
+    }
+}
+
+/// Runs `jobs` on up to `workers` scoped threads sharing one workload
+/// cache — the pool behind both [`BatchRunner::run_batch`] and
+/// [`Runner::run_suite`].
+///
+/// Synthesized workloads depend on the annotated IR, the runner seed and
+/// the scheme's centrosymmetric flag, never on the accelerator, so the
+/// cache key is `(annotated_hash, centro)`. Before any thread starts, jobs
+/// are grouped by that key in a hash map, each match confirmed with full
+/// `ModelIr` equality so a hash collision can never alias two IRs. Workers
+/// then claim jobs in order from a shared counter. `results[i]` is
+/// bit-identical to `runner.run_ir(jobs[i].0, jobs[i].1)` whatever the
+/// worker count or claim order; a panicking accelerator fails only its own
+/// job, as [`SimError::WorkerPanicked`] naming the job's model. Also
+/// returns the number of cache entries (unique annotated IRs).
+pub(crate) fn run_jobs(
+    runner: &Runner,
+    jobs: &[Job<'_>],
+    workers: usize,
+) -> (Vec<Result<RunStats, SimError>>, usize) {
+    let mut index: HashMap<(u64, bool), Vec<usize>> = HashMap::new();
+    let mut entries: Vec<CacheEntry<'_>> = Vec::new();
+    let entry_of: Vec<usize> = jobs
+        .iter()
+        .map(|&(acc, ir)| {
+            let centro = acc.scheme().uses_centrosymmetric();
+            let bucket = index.entry((ir.annotated_hash(), centro)).or_default();
+            let e = match bucket.iter().copied().find(|&e| *entries[e].ir == *ir) {
+                Some(e) => e,
+                None => {
+                    bucket.push(entries.len());
+                    entries.push(CacheEntry {
+                        ir,
+                        centro,
+                        users: AtomicUsize::new(0),
+                        workloads: Mutex::new(None),
+                    });
+                    entries.len() - 1
+                }
+            };
+            *entries[e].users.get_mut() += 1;
+            e
+        })
+        .collect();
+
+    let next = AtomicUsize::new(0);
+    // `None` once set: the job panicked; reported with lost jobs below.
+    let slots: Vec<OnceLock<Option<Result<RunStats, SimError>>>> =
+        jobs.iter().map(|_| OnceLock::new()).collect();
+    let worker = || loop {
+        let i = next.fetch_add(1, Ordering::Relaxed);
+        let Some(&(acc, ir)) = jobs.get(i) else {
+            break;
+        };
+        let entry = &entries[entry_of[i]];
+        let result = catch_unwind(AssertUnwindSafe(|| {
+            let workloads = entry.acquire(runner)?;
+            Ok(runner.simulate_prepared(acc, ir, &workloads))
+        }));
+        entry.release();
+        let _ = slots[i].set(result.ok());
+    };
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers.min(jobs.len()))
+            .map(|_| scope.spawn(&worker))
+            .collect();
+        for handle in handles {
+            // catch_unwind makes a failed join unreachable in practice; the
+            // jobs such a worker lost are reported below.
+            let _ = handle.join();
+        }
+    });
+    let results = slots
+        .into_iter()
+        .zip(jobs)
+        .map(|(slot, (_, ir))| {
+            slot.into_inner().flatten().unwrap_or_else(|| {
+                Err(SimError::WorkerPanicked {
+                    model: ir.name.clone(),
+                })
+            })
+        })
+        .collect();
+    (results, entries.len())
 }
 
 /// Results of one batch: per-request stats in request order, plus the
@@ -151,14 +228,19 @@ impl BatchStats {
         self.requests() as f64 / makespan
     }
 
-    /// Nearest-rank percentile of per-request simulated latency.
-    /// `p` is in `[0, 100]`; returns 0 for an empty batch.
+    /// Nearest-rank percentile of per-request simulated latency. `p` is
+    /// clamped to `[0, 100]` (below 0 gives the fastest request, above 100
+    /// the slowest); a NaN `p` gives NaN. Returns 0 for an empty batch.
     pub fn latency_percentile_s(&self, p: f64) -> f64 {
         if self.runs.is_empty() {
             return 0.0;
         }
+        if p.is_nan() {
+            return f64::NAN;
+        }
         let mut latencies: Vec<f64> = self.runs.iter().map(RunStats::total_time_s).collect();
         latencies.sort_by(f64::total_cmp);
+        let p = p.clamp(0.0, 100.0);
         let rank = to_index(count_from_f64(
             ((p / 100.0) * latencies.len() as f64).ceil(),
         ));
@@ -219,14 +301,8 @@ impl BatchStats {
 /// // One annotated structure, many requests.
 /// let model = catalog::lenet5();
 /// let acc = CartesianAccelerator::cscnn();
-/// let mc = ModelCompression::new(model.clone(), acc.scheme());
 /// let mut ir = lower::to_ir(&model);
-/// for (i, node) in ir.weight_nodes_mut().enumerate() {
-///     node.set_sparsity(cscnn_ir::SparsityAnnotation {
-///         weight_density: mc.profile.weight_density[i],
-///         activation_density: mc.profile.activation_density[i],
-///     });
-/// }
+/// assert!(ModelCompression::new(model, acc.scheme()).profile.annotate(&mut ir));
 /// let batch = BatchRunner::new(Runner::new(42)).with_workers(2);
 /// let stats = batch.run_batch(&acc, &vec![ir; 4]).unwrap();
 /// assert_eq!(stats.requests(), 4);
@@ -291,9 +367,9 @@ impl BatchRunner {
 
     /// Simulates every request of a batch on one accelerator.
     ///
-    /// Requests are scheduled across the worker pool with a strided
-    /// assignment; structurally identical requests (same annotated IR)
-    /// share one workload synthesis through the cache. `stats.runs[i]` is
+    /// Requests run on the worker pool, each worker claiming the next
+    /// unclaimed request; identical requests (same annotated IR) share one
+    /// workload synthesis through the cache. `stats.runs[i]` is
     /// bit-identical to `runner.run_ir(acc, &requests[i])`.
     ///
     /// # Errors
@@ -308,98 +384,25 @@ impl BatchRunner {
         acc: &dyn Accelerator,
         requests: &[ModelIr],
     ) -> Result<BatchStats, SimError> {
-        let centro = acc.scheme().uses_centrosymmetric();
-        let cache = WorkloadCache::default();
-        let workers = self.planned_workers(requests.len());
-        if workers == 0 {
-            return Ok(BatchStats::default());
-        }
-        type Slot = Result<(RunStats, Option<f64>), SimError>;
-        let mut slots: Vec<Option<Slot>> = Vec::new();
-        slots.resize_with(requests.len(), || None);
-
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|w| {
-                    let cache = &cache;
-                    scope.spawn(move || {
-                        let mut done: Vec<(usize, Slot)> = Vec::new();
-                        for (i, ir) in requests.iter().enumerate().skip(w).step_by(workers) {
-                            // A panicking accelerator model must fail only
-                            // this request (typed, naming its model), not
-                            // take the worker's whole stride down.
-                            let result = catch_unwind(AssertUnwindSafe(|| {
-                                crate::runner::validate_ir(ir)?;
-                                let workloads =
-                                    cache.get_or_synthesize(&self.runner, ir, centro)?;
-                                let run = self.runner.simulate_prepared(acc, ir, &workloads);
-                                if self.sub_arrays > 1 {
-                                    let sched = crate::schedule::overlap(ir, run, self.sub_arrays);
-                                    Ok((sched.run, Some(sched.makespan_s)))
-                                } else {
-                                    Ok((run, None))
-                                }
-                            }))
-                            .unwrap_or_else(|_| {
-                                Err(SimError::WorkerPanicked {
-                                    model: ir.name.clone(),
-                                })
-                            });
-                            done.push((i, result));
-                        }
-                        done
-                    })
+        let jobs: Vec<Job<'_>> = requests.iter().map(|ir| (acc, ir)).collect();
+        let (results, unique) = run_jobs(&self.runner, &jobs, self.workers);
+        let runs = results.into_iter().collect::<Result<Vec<_>, _>>()?;
+        let (runs, overlapped_latency_s) = if self.sub_arrays > 1 {
+            requests
+                .iter()
+                .zip(runs)
+                .map(|(ir, run)| {
+                    let sched = crate::schedule::overlap(ir, run, self.sub_arrays);
+                    (sched.run, sched.makespan_s)
                 })
-                .collect();
-            for (w, handle) in handles.into_iter().enumerate() {
-                match handle.join() {
-                    Ok(done) => {
-                        for (i, result) in done {
-                            slots[i] = Some(result);
-                        }
-                    }
-                    // catch_unwind above makes this unreachable in practice;
-                    // keep the run_suite-style fallback so a pathological
-                    // panic still surfaces as a typed error.
-                    Err(_) => {
-                        if let Some(ir) = requests.iter().skip(w).step_by(workers).next() {
-                            slots[w] = Some(Err(SimError::WorkerPanicked {
-                                model: ir.name.clone(),
-                            }));
-                        }
-                    }
-                }
-            }
-        });
-
-        let mut runs = Vec::with_capacity(requests.len());
-        let mut overlapped_latency_s = Vec::new();
-        for (i, slot) in slots.into_iter().enumerate() {
-            match slot {
-                Some(Ok((stats, makespan))) => {
-                    runs.push(stats);
-                    if let Some(m) = makespan {
-                        overlapped_latency_s.push(m);
-                    }
-                }
-                Some(Err(err)) => return Err(err),
-                None => {
-                    // A lost slot means its worker died without reporting;
-                    // name the request so the failure is actionable.
-                    return Err(SimError::WorkerPanicked {
-                        model: requests[i].name.clone(),
-                    });
-                }
-            }
-        }
-        let state = cache
-            .entries
-            .into_inner()
-            .unwrap_or_else(PoisonError::into_inner);
+                .unzip()
+        } else {
+            (runs, Vec::new())
+        };
         Ok(BatchStats {
+            cache_hits: runs.len() - unique,
+            cache_misses: unique,
             runs,
-            cache_hits: state.hits,
-            cache_misses: state.misses,
             overlapped_latency_s,
         })
     }
@@ -452,14 +455,9 @@ mod tests {
     use cscnn_models::{catalog, lower, ModelCompression};
 
     fn annotated_ir(model: &cscnn_models::ModelDesc, acc: &dyn Accelerator) -> ModelIr {
-        let mc = ModelCompression::new(model.clone(), acc.scheme());
         let mut ir = lower::to_ir(model);
-        for (i, node) in ir.weight_nodes_mut().enumerate() {
-            node.set_sparsity(SparsityAnnotation {
-                weight_density: mc.profile.weight_density[i],
-                activation_density: mc.profile.activation_density[i],
-            });
-        }
+        let mc = ModelCompression::new(model.clone(), acc.scheme());
+        assert!(mc.profile.annotate(&mut ir));
         ir
     }
 
@@ -479,6 +477,31 @@ mod tests {
             assert_eq!(run.total_cycles(), sequential.total_cycles());
             assert_eq!(run.total_on_chip_pj(), sequential.total_on_chip_pj());
             assert_eq!(run.model, sequential.model);
+        }
+    }
+
+    #[test]
+    fn cache_key_separates_centro_for_one_ir() {
+        // SCNN and CSCNN differ in `centro` only, so the same annotated IR
+        // must map to two cache entries, each matching its own run_ir.
+        let scnn = CartesianAccelerator::scnn();
+        let cscnn = CartesianAccelerator::cscnn();
+        let ir = annotated_ir(&catalog::alexnet(), &cscnn);
+        let jobs: Vec<Job<'_>> = vec![(&scnn, &ir), (&cscnn, &ir), (&scnn, &ir), (&cscnn, &ir)];
+        let runner = Runner::new(42);
+        for workers in [1, 3] {
+            let (results, unique) = run_jobs(&runner, &jobs, workers);
+            assert_eq!(unique, 2, "one entry per centro value");
+            for (&(acc, ir), result) in jobs.iter().zip(results) {
+                let run = result.expect("annotated IR");
+                let alone = runner.run_ir(acc, ir).expect("annotated IR");
+                assert_eq!(run.accelerator, acc.name());
+                assert_eq!(run.total_cycles(), alone.total_cycles());
+                assert_eq!(
+                    run.total_on_chip_pj().to_bits(),
+                    alone.total_on_chip_pj().to_bits()
+                );
+            }
         }
     }
 
@@ -618,6 +641,12 @@ mod tests {
         assert_eq!(stats.p95_latency_s(), 19.0);
         assert_eq!(stats.latency_percentile_s(100.0), 20.0);
         assert_eq!(stats.latency_percentile_s(0.0), 1.0);
+        // Out-of-range ranks clamp to the extremes; NaN has no rank.
+        assert_eq!(stats.latency_percentile_s(-10.0), 1.0);
+        assert_eq!(stats.latency_percentile_s(f64::NEG_INFINITY), 1.0);
+        assert_eq!(stats.latency_percentile_s(150.0), 20.0);
+        assert_eq!(stats.latency_percentile_s(f64::INFINITY), 20.0);
+        assert!(stats.latency_percentile_s(f64::NAN).is_nan());
         assert!((stats.makespan_s() - 210.0).abs() < 1e-12);
         assert!((stats.throughput_rps() - 20.0 / 210.0).abs() < 1e-12);
     }

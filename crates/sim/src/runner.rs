@@ -1,8 +1,9 @@
 //! Whole-network and suite simulation driver.
 
 use cscnn_ir::ModelIr;
-use cscnn_models::{ModelCompression, ModelDesc};
+use cscnn_models::{lower, CompressionScheme, ModelCompression, ModelDesc};
 
+use crate::batch::{run_jobs, Job};
 use crate::dram::DramConfig;
 use crate::energy::EnergyTable;
 use crate::error::SimError;
@@ -51,74 +52,26 @@ impl Runner {
     ///
     /// Workload synthesis uses the accelerator's compression scheme
     /// (Table IV): CSCNN runs the CSCNN+Pruning model, sparse baselines run
-    /// the Deep-Compression model, DCNN runs the dense model. Layer inputs
-    /// are considered on-chip when the previous layer's output fit in the
-    /// global buffer.
+    /// the Deep-Compression model, DCNN runs the dense model. The model is
+    /// lowered to IR, annotated with the scheme's calibrated
+    /// [`cscnn_models::SparsityProfile`] and simulated by
+    /// [`Runner::run_ir`]; for an IR annotated with a *measured* profile,
+    /// call `run_ir` directly. Layer inputs are considered on-chip when the
+    /// previous layer's output fit in the global buffer.
     pub fn run_model(&self, acc: &dyn Accelerator, model: &ModelDesc) -> RunStats {
-        let mc = ModelCompression::new(model.clone(), acc.scheme());
-        self.run_model_with_profile(acc, model, &mc.profile)
-    }
-
-    /// Like [`Runner::run_model`], but with an explicit sparsity profile —
-    /// e.g. one *measured* from a trained network's activations rather
-    /// than calibrated from published targets.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the profile's length disagrees with the model's.
-    pub fn run_model_with_profile(
-        &self,
-        acc: &dyn Accelerator,
-        model: &ModelDesc,
-        profile: &cscnn_models::SparsityProfile,
-    ) -> RunStats {
-        assert_eq!(
-            profile.weight_density.len(),
-            model.layers.len(),
-            "profile/model length mismatch"
-        );
-        let cfg = acc.config();
-        let centro = acc.scheme().uses_centrosymmetric();
-        let mut stats = RunStats {
-            accelerator: acc.name().to_string(),
-            model: model.name.clone(),
-            ..Default::default()
-        };
-        let mut input_on_chip = false;
-        for (i, layer) in model.layers.iter().enumerate() {
-            let wl = LayerWorkload::synthesize(
-                layer,
-                profile.weight_density[i],
-                profile.activation_density[i],
-                centro,
-                workload_seed(self.seed, &model.name, &layer.name),
-            );
-            let out_bytes = util::to_index(layer.output_activations()) * cfg.word_bits / 8;
-            let output_fits = out_bytes <= cfg.glb_bytes;
-            let ctx = LayerContext {
-                cfg: &cfg,
-                dram: &self.dram,
-                energy: &self.energy,
-                workload: &wl,
-                input_on_chip,
-                output_fits_on_chip: output_fits,
-            };
-            stats.layers.push(acc.simulate_layer(&ctx));
-            input_on_chip = output_fits;
-        }
-        stats
+        self.run_ir(acc, &calibrated_ir(model, acc.scheme()))
+            .expect("a lowered catalog model is a valid, fully annotated chain")
     }
 
     /// Simulates an annotated typed IR model (`Ir → LayerWorkload`
     /// lowering). Weight-bearing nodes must carry measured
     /// [`cscnn_ir::SparsityAnnotation`]s (see
     /// `cscnn::bridge::simulate_trained`); the other node kinds — including
-    /// the `Add`/`Concat` joins of DAG-shaped IRs — are untimed, exactly as
-    /// [`Runner::run_model`] never sees them in a `ModelDesc`. Workload
-    /// seeding is keyed by layer *name* (not list position), so an IR
-    /// lowered from a `ModelDesc` simulates bit-identically to the
-    /// original, and any valid topological reordering of a DAG's node list
-    /// produces identical per-node results.
+    /// the `Add`/`Concat` joins of DAG-shaped IRs — are untimed. This is
+    /// the one simulation path: [`Runner::run_model`] and
+    /// [`Runner::run_suite`] lower to it. Workload seeding is keyed by
+    /// layer *name* (not list position), so any valid topological
+    /// reordering of a DAG's node list produces identical per-node results.
     ///
     /// # Errors
     ///
@@ -189,8 +142,7 @@ impl Runner {
     /// the reported layer list; a layer's input counts as on-chip when
     /// *every* graph predecessor produced an output that fit in the global
     /// buffer (untimed nodes pass their predecessors' status through). For
-    /// an implicit linear chain this reduces exactly to
-    /// [`Runner::run_model`]'s previous-layer chaining.
+    /// an implicit linear chain this is previous-layer chaining.
     pub(crate) fn simulate_prepared(
         &self,
         acc: &dyn Accelerator,
@@ -234,52 +186,55 @@ impl Runner {
         stats
     }
 
-    /// Simulates every (accelerator, model) pair, parallelized across
-    /// models with OS threads. Results are ordered `[model][accelerator]`.
+    /// Simulates every (accelerator, model) pair, exactly as
+    /// [`Runner::run_model`] would, on the worker pool behind
+    /// [`crate::BatchRunner`] (sized by [`util::configured_workers`]).
+    /// One workload cache spans the whole call, so a layer is synthesized
+    /// once per compression scheme, not once per accelerator. Results are
+    /// ordered `[model][accelerator]`.
     ///
     /// # Errors
     ///
-    /// [`SimError::WorkerPanicked`] naming the first model whose worker
-    /// thread panicked. Every worker is joined before returning, so one
+    /// The first failing (model, accelerator) pair in that order:
+    /// [`SimError::WorkerPanicked`] naming the model when an accelerator
+    /// model panics. Every worker is joined before returning, so one
     /// poisoned model cannot abort the others mid-simulation.
     pub fn run_suite(
         &self,
         accelerators: &[Box<dyn Accelerator>],
         models: &[ModelDesc],
     ) -> Result<Vec<Vec<RunStats>>, SimError> {
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = models
-                .iter()
-                .map(|model| {
-                    let handle = scope.spawn(move || {
-                        accelerators
-                            .iter()
-                            .map(|acc| self.run_model(acc.as_ref(), model))
-                            .collect::<Vec<_>>()
-                    });
-                    (model, handle)
-                })
-                .collect();
-            // Join *every* handle (an unjoined panicked handle would
-            // re-panic at scope exit), remembering the first failure.
-            let mut results = Vec::with_capacity(models.len());
-            let mut first_panic: Option<SimError> = None;
-            for (model, handle) in handles {
-                match handle.join() {
-                    Ok(row) => results.push(row),
-                    Err(_) => {
-                        first_panic.get_or_insert(SimError::WorkerPanicked {
-                            model: model.name.clone(),
-                        });
-                    }
-                }
-            }
-            match first_panic {
-                Some(err) => Err(err),
-                None => Ok(results),
-            }
-        })
+        let irs: Vec<ModelIr> = models
+            .iter()
+            .flat_map(|model| {
+                accelerators
+                    .iter()
+                    .map(|acc| calibrated_ir(model, acc.scheme()))
+            })
+            .collect();
+        let jobs: Vec<Job<'_>> = irs
+            .iter()
+            .zip(accelerators.iter().cycle())
+            .map(|(ir, acc)| (acc.as_ref(), ir))
+            .collect();
+        let (results, _) = run_jobs(self, &jobs, util::configured_workers());
+        let mut runs = results.into_iter();
+        models
+            .iter()
+            .map(|_| runs.by_ref().take(accelerators.len()).collect())
+            .collect()
     }
+}
+
+/// Lowers `model` to IR annotated with `scheme`'s calibrated profile — the
+/// input [`Runner::run_model`] and [`Runner::run_suite`] simulate.
+fn calibrated_ir(model: &ModelDesc, scheme: CompressionScheme) -> ModelIr {
+    let mut ir = lower::to_ir(model);
+    let annotated = ModelCompression::new(model.clone(), scheme)
+        .profile
+        .annotate(&mut ir);
+    debug_assert!(annotated, "a calibrated profile has one entry per layer");
+    ir
 }
 
 /// Validates an IR's graph topology, wrapping failures in
@@ -336,6 +291,94 @@ mod tests {
         let cscnn = runner.run_model(&CartesianAccelerator::cscnn(), &model);
         assert!(cscnn.speedup_over(&dcnn) > 1.0, "vs DCNN");
         assert!(cscnn.speedup_over(&scnn) > 1.0, "vs SCNN");
+    }
+
+    /// `(total_cycles, total_on_chip_pj bits)` at seed 42 for each model ×
+    /// `evaluation_accelerators()`, recorded from the per-layer `ModelDesc`
+    /// loop that `benchmark/src/redrive.rs` keeps as its reference.
+    const GOLDEN: [(&str, [(u64, u64); 9]); 4] = [
+        (
+            "LeNet-5",
+            [
+                (8561, 0x41261768b7c0ad6a),
+                (10146, 0x4128393b97e988cf),
+                (4346, 0x411df973204da39d),
+                (7845, 0x412fe91b281bfab4),
+                (7409, 0x411a02bde34d489e),
+                (4386, 0x4118506209ef5d73),
+                (3844, 0x412443ec7ad2ce5a),
+                (4165, 0x411ef7e18fbdf6cf),
+                (2870, 0x411d281f8393319a),
+            ],
+        ),
+        (
+            "ConvNet",
+            [
+                (209812, 0x4173a23038a7cd7c),
+                (176879, 0x417464c74089ae7a),
+                (64844, 0x4164bf42a70b55bd),
+                (103021, 0x416b555b9961b586),
+                (48383, 0x4160ad4a37855b17),
+                (56591, 0x415f0ccfc5381d05),
+                (49610, 0x416a88dad22a2124),
+                (53744, 0x41640aec6b080f30),
+                (28451, 0x4152e115be45ca1d),
+            ],
+        ),
+        (
+            "AlexNet",
+            [
+                (13313674, 0x41d1e95008c5bd5f),
+                (10319446, 0x41d270c325a84d72),
+                (6596169, 0x41d02dcda33a9463),
+                (8143369, 0x41d121a718eddf4e),
+                (4918126, 0x41c9dfd9ca6a6de4),
+                (5754095, 0x41c80b50c966adb7),
+                (5044133, 0x41d4c4cdb05aa535),
+                (5464479, 0x41cf38eb52e7336c),
+                (4635061, 0x41c537d203728c5a),
+            ],
+        ),
+        (
+            "ShuffleNet-V2",
+            [
+                (3011919, 0x41add214804c1094),
+                (1934505, 0x41aa5ca90586f202),
+                (1445784, 0x41ab0c55a847a300),
+                (989013, 0x41a12afe465aadaa),
+                (955300, 0x41a31c533ae2492d),
+                (1107314, 0x41a1d76cc4832763),
+                (970696, 0x41adf8d7a1e4a30a),
+                (1051578, 0x41a6d1b079a317c8),
+                (691973, 0x41987dcc47ae6225),
+            ],
+        ),
+    ];
+
+    #[test]
+    fn run_model_and_run_suite_match_golden_figures() {
+        let runner = Runner::new(42);
+        let accs = baselines::evaluation_accelerators();
+        let models = vec![
+            catalog::lenet5(),
+            catalog::convnet(),
+            catalog::alexnet(),
+            catalog::shufflenet_v2(),
+        ];
+        let suite = runner.run_suite(&accs, &models).expect("no worker panics");
+        for ((model, row), (name, golden)) in models.iter().zip(&suite).zip(GOLDEN) {
+            assert_eq!(model.name, name);
+            for ((acc, run), (cycles, pj_bits)) in accs.iter().zip(row).zip(golden) {
+                let single = runner.run_model(acc.as_ref(), model);
+                for stats in [run, &single] {
+                    let at = format!("{name} on {}", acc.name());
+                    assert_eq!(stats.model, name, "{at}");
+                    assert_eq!(stats.accelerator, acc.name(), "{at}");
+                    assert_eq!(stats.total_cycles(), cycles, "{at}");
+                    assert_eq!(stats.total_on_chip_pj().to_bits(), pj_bits, "{at}");
+                }
+            }
+        }
     }
 
     #[test]
@@ -395,17 +438,8 @@ mod tests {
 
     #[test]
     fn overlapping_a_linear_chain_changes_nothing_but_reporting() {
-        use cscnn_ir::SparsityAnnotation;
-        let model = catalog::lenet5();
         let acc = CartesianAccelerator::cscnn();
-        let mc = cscnn_models::ModelCompression::new(model.clone(), acc.scheme());
-        let mut ir = cscnn_models::lower::to_ir(&model);
-        for (i, node) in ir.weight_nodes_mut().enumerate() {
-            node.set_sparsity(SparsityAnnotation {
-                weight_density: mc.profile.weight_density[i],
-                activation_density: mc.profile.activation_density[i],
-            });
-        }
+        let ir = calibrated_ir(&catalog::lenet5(), acc.scheme());
         let runner = Runner::new(42);
         let sequential = runner.run_ir(&acc, &ir).expect("annotated IR");
         let sched = runner
@@ -497,5 +531,18 @@ mod tests {
         assert_eq!(results[0].len(), accs.len());
         assert_eq!(results[0][0].accelerator, "DCNN");
         assert_eq!(results[1][8].accelerator, "CSCNN");
+    }
+
+    #[test]
+    fn suite_edge_shapes() {
+        let runner = Runner::new(3);
+        let models = vec![catalog::lenet5(), catalog::convnet()];
+        let rows = runner.run_suite(&[], &models).expect("no accelerators");
+        assert_eq!(rows.len(), models.len());
+        assert!(rows.iter().all(Vec::is_empty));
+        let none = runner
+            .run_suite(&baselines::evaluation_accelerators(), &[])
+            .expect("no models");
+        assert!(none.is_empty());
     }
 }

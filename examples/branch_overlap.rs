@@ -8,7 +8,7 @@
 //! cargo run --release --example branch_overlap
 //! ```
 
-use cscnn::ir::{ModelIr, SparsityAnnotation};
+use cscnn::ir::ModelIr;
 use cscnn::models::{catalog, ModelCompression, ModelDesc};
 use cscnn::sim::{Accelerator, CartesianAccelerator, Runner};
 
@@ -16,12 +16,7 @@ use cscnn::sim::{Accelerator, CartesianAccelerator, Runner};
 /// calibrated densities for the accelerator's scheme.
 fn annotate(ir: &mut ModelIr, model: &ModelDesc, acc: &dyn Accelerator) {
     let mc = ModelCompression::new(model.clone(), acc.scheme());
-    for (i, node) in ir.weight_nodes_mut().enumerate() {
-        node.set_sparsity(SparsityAnnotation {
-            weight_density: mc.profile.weight_density[i],
-            activation_density: mc.profile.activation_density[i],
-        });
-    }
+    assert!(mc.profile.annotate(ir));
 }
 
 fn main() {

@@ -11,21 +11,16 @@
 
 use std::path::{Path, PathBuf};
 
-use cscnn::ir::{ModelIr, SparsityAnnotation};
+use cscnn::ir::ModelIr;
 use cscnn::models::{catalog, lower, ModelCompression};
 use cscnn::sim::{Accelerator, BatchRunner, CartesianAccelerator, Runner};
 
 /// Annotates a catalog model's IR with the densities the compression
 /// pipeline calibrates for the accelerator's scheme.
 fn calibrated_ir(model: &cscnn::models::ModelDesc, acc: &dyn Accelerator) -> ModelIr {
-    let mc = ModelCompression::new(model.clone(), acc.scheme());
     let mut ir = lower::to_ir(model);
-    for (i, node) in ir.weight_nodes_mut().enumerate() {
-        node.set_sparsity(SparsityAnnotation {
-            weight_density: mc.profile.weight_density[i],
-            activation_density: mc.profile.activation_density[i],
-        });
-    }
+    let mc = ModelCompression::new(model.clone(), acc.scheme());
+    assert!(mc.profile.annotate(&mut ir));
     ir
 }
 

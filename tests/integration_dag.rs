@@ -5,7 +5,7 @@
 //! batch workload cache must never conflate the wired graph with its
 //! flattened (linear) variant.
 
-use cscnn::ir::{ModelIr, SparsityAnnotation};
+use cscnn::ir::ModelIr;
 use cscnn::models::{catalog, lower, ModelCompression};
 use cscnn::sim::{Accelerator, BatchRunner, CartesianAccelerator, Runner};
 
@@ -14,12 +14,7 @@ use cscnn::sim::{Accelerator, BatchRunner, CartesianAccelerator, Runner};
 /// one profile fits both.
 fn annotate_resnet18(ir: &mut ModelIr, acc: &dyn Accelerator) {
     let mc = ModelCompression::new(catalog::resnet18(), acc.scheme());
-    for (i, node) in ir.weight_nodes_mut().enumerate() {
-        node.set_sparsity(SparsityAnnotation {
-            weight_density: mc.profile.weight_density[i],
-            activation_density: mc.profile.activation_density[i],
-        });
-    }
+    assert!(mc.profile.annotate(ir));
 }
 
 #[test]
@@ -118,12 +113,7 @@ fn googlenet_inception_branches_overlap_too() {
     let mut ir = catalog::googlenet_ir();
     assert!(!ir.is_linear());
     let mc = ModelCompression::new(catalog::googlenet(), acc.scheme());
-    for (i, node) in ir.weight_nodes_mut().enumerate() {
-        node.set_sparsity(SparsityAnnotation {
-            weight_density: mc.profile.weight_density[i],
-            activation_density: mc.profile.activation_density[i],
-        });
-    }
+    assert!(mc.profile.annotate(&mut ir));
     let sched = Runner::new(13)
         .run_ir_overlapped(&acc, &ir, 4)
         .expect("annotated IR overlaps");

@@ -187,8 +187,8 @@ fn pe_cycles_bound_products() {
 /// from seeded `cscnn-rng` streams; worker counts vary per case.
 #[test]
 fn workload_cache_hits_never_change_run_stats() {
-    use cscnn::ir::{ModelIr, SparsityAnnotation};
-    use cscnn::models::{catalog, lower};
+    use cscnn::ir::ModelIr;
+    use cscnn::models::{catalog, lower, SparsityProfile};
     use cscnn::sim::{BatchRunner, Runner};
     use cscnn_rng::rngs::StdRng;
     use cscnn_rng::{Rng, SeedableRng};
@@ -207,13 +207,20 @@ fn workload_cache_hits_never_change_run_stats() {
         // A few unique annotation vectors over one structure...
         let uniques: Vec<ModelIr> = (0..rng.gen_range(1usize..=3))
             .map(|_| {
+                let (weight_density, activation_density) = model
+                    .layers
+                    .iter()
+                    .map(|_| {
+                        let w = rng.gen_range(0.1..=0.9f64);
+                        (w, rng.gen_range(0.2..=1.0f64))
+                    })
+                    .unzip();
                 let mut ir = lower::to_ir(&model);
-                for node in ir.weight_nodes_mut() {
-                    node.set_sparsity(SparsityAnnotation {
-                        weight_density: rng.gen_range(0.1..=0.9f64),
-                        activation_density: rng.gen_range(0.2..=1.0f64),
-                    });
-                }
+                let profile = SparsityProfile {
+                    weight_density,
+                    activation_density,
+                };
+                assert!(profile.annotate(&mut ir));
                 ir
             })
             .collect();
