@@ -19,6 +19,9 @@ cargo run -q -p cscnn-lint -- --format json
 
 echo "== cargo build --release"
 cargo build --workspace --release
+# The harness = false bench targets are built by neither the line above
+# nor `cargo test`; build them so an API change cannot break them unseen.
+cargo build --workspace --release --benches
 
 echo "== cargo test"
 cargo test --workspace -q

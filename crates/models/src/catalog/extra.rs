@@ -5,7 +5,7 @@
 //! Authored as typed IR (`*_ir`); the `ModelDesc` variants lower via
 //! `Ir → ModelDesc`. GoogLeNet carries its real Inception topology: the
 //! four branches of every module fan out from the module input and merge
-//! in a `Concat` join, so the simulator can overlap them.
+//! in a `Concat` join.
 
 use crate::lower::to_model_desc;
 use crate::{IrBuilder, LayerNode, ModelDesc, ModelIr};

@@ -3,7 +3,7 @@
 //! Authored as typed IR (`*_ir`) with *real skip topology*: each residual
 //! block's shortcut is an explicit edge into an `Add` join, so the
 //! downsample projection (or identity skip) is a genuine parallel branch
-//! the simulator can overlap with the main path. The `ModelDesc` variants
+//! beside the main path. The `ModelDesc` variants
 //! lower via `Ir → ModelDesc`, which flattens the DAG in list order — the
 //! weight-bearing layer sequence (and thus every MAC/weight count) is
 //! identical to the historical linear authoring.

@@ -172,12 +172,6 @@ pub struct BatchStats {
     /// Requests that synthesized a new cache entry — equivalently, the
     /// number of unique annotated IRs in the batch.
     pub cache_misses: usize,
-    /// Per-request branch-overlapped makespans in request order, populated
-    /// when the batch ran with [`BatchRunner::with_sub_arrays`] > 1 (empty
-    /// otherwise). Each entry is [`crate::ScheduleStats::makespan_s`] for
-    /// that request; per-node numbers in [`BatchStats::runs`] are
-    /// unaffected by overlap.
-    pub overlapped_latency_s: Vec<f64>,
 }
 
 impl BatchStats {
@@ -206,16 +200,6 @@ impl BatchStats {
     /// one accelerator (sum of per-request latencies, in request order).
     pub fn makespan_s(&self) -> f64 {
         det_sum(self.runs.iter().map(RunStats::total_time_s))
-    }
-
-    /// Simulated makespan with branch overlap: the sum of per-request
-    /// overlapped makespans. `None` when the batch ran sequentially
-    /// (`sub_arrays == 1`), where [`BatchStats::makespan_s`] is the answer.
-    pub fn overlapped_makespan_s(&self) -> Option<f64> {
-        if self.overlapped_latency_s.is_empty() {
-            return None;
-        }
-        Some(det_sum(self.overlapped_latency_s.iter().copied()))
     }
 
     /// Aggregate throughput in requests per simulated second
@@ -262,7 +246,7 @@ impl BatchStats {
     /// latency) — what `sim_batch` prints.
     pub fn summary(&self) -> cscnn_json::Value {
         use cscnn_json::Value;
-        let mut doc = Value::Obj(vec![
+        Value::Obj(vec![
             ("requests".into(), Value::U64(to_count(self.requests()))),
             (
                 "unique_structures".into(),
@@ -282,11 +266,7 @@ impl BatchStats {
             ("throughput_rps".into(), Value::F64(self.throughput_rps())),
             ("p50_latency_s".into(), Value::F64(self.p50_latency_s())),
             ("p95_latency_s".into(), Value::F64(self.p95_latency_s())),
-        ]);
-        if let (Value::Obj(pairs), Some(overlapped)) = (&mut doc, self.overlapped_makespan_s()) {
-            pairs.push(("overlapped_makespan_s".into(), Value::F64(overlapped)));
-        }
-        doc
+        ])
     }
 }
 
@@ -312,43 +292,29 @@ impl BatchStats {
 pub struct BatchRunner {
     runner: Runner,
     workers: usize,
-    sub_arrays: usize,
 }
 
 impl BatchRunner {
     /// Creates a batched intake over `runner`, sized by
     /// [`crate::util::configured_workers`]: the validated
-    /// `CSCNN_NUM_THREADS` environment variable when set (one knob for
-    /// both the tensor kernels and the simulation pool), else one worker
-    /// per available CPU (falling back to 4 when parallelism cannot be
-    /// queried). Results never depend on the worker count.
+    /// `CSCNN_NUM_THREADS` environment variable when set (the variable
+    /// also sizes the tensor kernels; `cscnn_tensor::set_num_threads` does
+    /// not reach this pool), else one worker per available CPU (falling
+    /// back to 4 when parallelism cannot be queried). Results never depend
+    /// on the worker count.
     ///
     /// # Panics
     ///
     /// Panics if `CSCNN_NUM_THREADS` is set but invalid.
     pub fn new(runner: Runner) -> Self {
         let workers = crate::util::configured_workers();
-        BatchRunner {
-            runner,
-            workers,
-            sub_arrays: 1,
-        }
+        BatchRunner { runner, workers }
     }
 
     /// Overrides the worker-pool size (clamped to ≥ 1).
     #[must_use]
     pub fn with_workers(mut self, workers: usize) -> Self {
         self.workers = workers.max(1);
-        self
-    }
-
-    /// Schedules each request's independent branches over `sub_arrays` PE
-    /// sub-arrays (clamped to ≥ 1; default 1 = sequential). With more than
-    /// one, [`BatchStats::overlapped_latency_s`] carries each request's
-    /// overlapped makespan; per-node results stay bit-identical.
-    #[must_use]
-    pub fn with_sub_arrays(mut self, sub_arrays: usize) -> Self {
-        self.sub_arrays = sub_arrays.max(1);
         self
     }
 
@@ -376,9 +342,10 @@ impl BatchRunner {
     ///
     /// The first failing request *by request index* (deterministic, not
     /// discovery order): [`SimError::MissingSparsity`] for unannotated
-    /// weight nodes, [`SimError::WorkerPanicked`] naming the request's
-    /// model when an accelerator model panics mid-simulation. Every worker
-    /// is joined before returning.
+    /// weight nodes, [`SimError::DensityOutOfRange`] for a density that is
+    /// NaN or outside `[0, 1]`, [`SimError::WorkerPanicked`] naming the
+    /// request's model when an accelerator model panics mid-simulation.
+    /// Every worker is joined before returning.
     pub fn run_batch(
         &self,
         acc: &dyn Accelerator,
@@ -387,23 +354,10 @@ impl BatchRunner {
         let jobs: Vec<Job<'_>> = requests.iter().map(|ir| (acc, ir)).collect();
         let (results, unique) = run_jobs(&self.runner, &jobs, self.workers);
         let runs = results.into_iter().collect::<Result<Vec<_>, _>>()?;
-        let (runs, overlapped_latency_s) = if self.sub_arrays > 1 {
-            requests
-                .iter()
-                .zip(runs)
-                .map(|(ir, run)| {
-                    let sched = crate::schedule::overlap(ir, run, self.sub_arrays);
-                    (sched.run, sched.makespan_s)
-                })
-                .unzip()
-        } else {
-            (runs, Vec::new())
-        };
         Ok(BatchStats {
             cache_hits: runs.len() - unique,
             cache_misses: unique,
             runs,
-            overlapped_latency_s,
         })
     }
 
@@ -573,7 +527,6 @@ mod tests {
         assert_eq!(stats.throughput_rps(), 0.0);
         assert_eq!(stats.p95_latency_s(), 0.0);
         assert_eq!(stats.summary()["requests"], 0u64);
-        assert_eq!(stats.overlapped_makespan_s(), None);
     }
 
     #[test]
@@ -592,6 +545,53 @@ mod tests {
     }
 
     #[test]
+    fn out_of_range_density_is_a_typed_error_in_run_ir_and_run_batch() {
+        // `set_sparsity` bypasses the artifact parser's range check, so the
+        // simulator must reject the density itself rather than panic in
+        // synthesis (which `run_batch` would report as `WorkerPanicked`).
+        let acc = CartesianAccelerator::cscnn();
+        let runner = Runner::new(42);
+        let batch = BatchRunner::new(runner.clone()).with_workers(2);
+        let good = annotated_ir(&catalog::lenet5(), &acc);
+        let cases = [
+            ("weight_density", 1.5),
+            ("weight_density", f64::NAN),
+            ("weight_density", -0.1),
+            ("activation_density", 2.0),
+        ];
+        for (field, value) in cases {
+            let mut bad = good.clone();
+            let node = bad.weight_nodes_mut().nth(1).expect("two weight nodes");
+            let mut ann = node.sparsity().expect("annotated");
+            match field {
+                "weight_density" => ann.weight_density = value,
+                _ => ann.activation_density = value,
+            }
+            node.set_sparsity(ann);
+            let layer = node.name().expect("named").to_string();
+
+            let from_run_ir = runner.run_ir(&acc, &bad).expect_err("bad density");
+            let from_batch = batch
+                .run_batch(&acc, &[good.clone(), bad])
+                .expect_err("bad density");
+            for err in [&from_run_ir, &from_batch] {
+                let SimError::DensityOutOfRange {
+                    layer: got_layer,
+                    field: got_field,
+                    value: got_value,
+                } = err
+                else {
+                    panic!("expected DensityOutOfRange, got {err}");
+                };
+                assert_eq!(*got_layer, layer);
+                assert_eq!(*got_field, field);
+                assert_eq!(got_value.to_bits(), value.to_bits());
+            }
+            assert_eq!(from_run_ir.to_string(), from_batch.to_string());
+        }
+    }
+
+    #[test]
     fn batch_validates_topology_like_run_ir() {
         use cscnn_ir::IrEdge;
         let acc = CartesianAccelerator::cscnn();
@@ -601,25 +601,6 @@ mod tests {
             .run_batch(&acc, &[bad])
             .expect_err("dangling edge");
         assert!(matches!(err, SimError::BadTopology { .. }), "{err}");
-    }
-
-    #[test]
-    fn sub_arrays_surface_overlapped_makespans() {
-        let acc = CartesianAccelerator::cscnn();
-        // LeNet-5 is a linear chain: overlap must change nothing but still
-        // report per-request makespans equal to the sequential sums.
-        let ir = annotated_ir(&catalog::lenet5(), &acc);
-        let stats = BatchRunner::new(Runner::new(6))
-            .with_workers(2)
-            .with_sub_arrays(4)
-            .run_batch(&acc, &[ir.clone(), ir])
-            .expect("annotated batch");
-        assert_eq!(stats.overlapped_latency_s.len(), 2);
-        for (run, &overlapped) in stats.runs.iter().zip(&stats.overlapped_latency_s) {
-            assert!((overlapped - run.total_time_s()).abs() <= 1e-12 * run.total_time_s());
-        }
-        let summary = stats.summary();
-        assert!(summary.get("overlapped_makespan_s").is_some());
     }
 
     #[test]

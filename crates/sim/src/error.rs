@@ -9,7 +9,7 @@
 use std::fmt;
 
 /// A simulation input the model cannot process.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum SimError {
     /// A compressed-fiber coordinate lies outside the PE geometry.
     FiberOutOfRange {
@@ -37,6 +37,16 @@ pub enum SimError {
     MissingSparsity {
         /// The offending layer's name.
         layer: String,
+    },
+    /// An IR node's [`cscnn_ir::SparsityAnnotation`] carries a density
+    /// that is NaN or outside `[0, 1]`.
+    DensityOutOfRange {
+        /// The offending layer's name.
+        layer: String,
+        /// Which density (`"weight_density"` or `"activation_density"`).
+        field: &'static str,
+        /// The rejected value.
+        value: f64,
     },
     /// An IR reached the simulator with a malformed graph topology
     /// (dangling or backward edge, cycle, bad join arity).
@@ -79,6 +89,13 @@ impl fmt::Display for SimError {
                     "layer `{layer}` has no sparsity annotation; annotate the IR \
                      before simulating"
                 )
+            }
+            SimError::DensityOutOfRange {
+                layer,
+                field,
+                value,
+            } => {
+                write!(f, "layer `{layer}` has {field} {value} outside [0, 1]")
             }
             SimError::BadTopology { model, error } => {
                 write!(f, "model `{model}` has an invalid graph topology: {error}")

@@ -62,7 +62,6 @@ pub mod pe_detailed;
 pub mod report;
 pub mod roofline;
 mod runner;
-pub mod schedule;
 pub mod tiling;
 pub mod trace;
 pub mod util;
@@ -76,4 +75,3 @@ pub use error::SimError;
 pub use interface::{Accelerator, Characteristics, LayerContext};
 pub use report::{geomean, LayerStats, RunStats};
 pub use runner::Runner;
-pub use schedule::{Placement, ScheduleStats};

@@ -9,7 +9,6 @@ use crate::energy::EnergyTable;
 use crate::error::SimError;
 use crate::interface::{Accelerator, LayerContext};
 use crate::report::RunStats;
-use crate::schedule::ScheduleStats;
 use crate::util;
 use crate::workload::LayerWorkload;
 
@@ -77,39 +76,14 @@ impl Runner {
     ///
     /// [`SimError::BadTopology`] if the IR's graph fails
     /// [`ModelIr::validate`]; [`SimError::MissingSparsity`] naming the
-    /// first unannotated weight-bearing node.
+    /// first unannotated weight-bearing node;
+    /// [`SimError::DensityOutOfRange`] naming the first node whose
+    /// annotated density is NaN or outside `[0, 1]`.
     pub fn run_ir(&self, acc: &dyn Accelerator, ir: &ModelIr) -> Result<RunStats, SimError> {
         validate_ir(ir)?;
         let centro = acc.scheme().uses_centrosymmetric();
         let workloads = self.ir_workloads(ir, centro)?;
         Ok(self.simulate_prepared(acc, ir, &workloads))
-    }
-
-    /// Like [`Runner::run_ir`], but additionally schedules independent
-    /// branches concurrently across `sub_arrays` PE sub-arrays. Per-node
-    /// cycle/energy results are **bit-identical** to `run_ir` — overlap is
-    /// a scheduling property, not a change to any layer's simulation — and
-    /// the returned [`ScheduleStats`] reports the overlapped makespan
-    /// alongside the sequential sum (see `docs/simulator.md`).
-    ///
-    /// # Errors
-    ///
-    /// Everything [`Runner::run_ir`] returns, plus
-    /// [`SimError::InvalidConfig`] when `sub_arrays` is zero.
-    pub fn run_ir_overlapped(
-        &self,
-        acc: &dyn Accelerator,
-        ir: &ModelIr,
-        sub_arrays: usize,
-    ) -> Result<ScheduleStats, SimError> {
-        if sub_arrays == 0 {
-            return Err(SimError::InvalidConfig {
-                field: "sub_arrays",
-                reason: "must be non-zero",
-            });
-        }
-        let run = self.run_ir(acc, ir)?;
-        Ok(crate::schedule::overlap(ir, run, sub_arrays))
     }
 
     /// Lowers every node of an annotated IR to its workload (`None` for the
@@ -122,8 +96,8 @@ impl Runner {
     ///
     /// # Errors
     ///
-    /// [`SimError::MissingSparsity`] naming the first unannotated
-    /// weight-bearing node.
+    /// [`SimError::MissingSparsity`] or [`SimError::DensityOutOfRange`]
+    /// naming the first weight-bearing node without a valid annotation.
     pub(crate) fn ir_workloads(
         &self,
         ir: &ModelIr,
@@ -434,28 +408,6 @@ mod tests {
             .expect_err("dangling edge");
         assert!(matches!(err, SimError::BadTopology { .. }), "{err}");
         assert!(err.to_string().contains("LeNet-5"));
-    }
-
-    #[test]
-    fn overlapping_a_linear_chain_changes_nothing_but_reporting() {
-        let acc = CartesianAccelerator::cscnn();
-        let ir = calibrated_ir(&catalog::lenet5(), acc.scheme());
-        let runner = Runner::new(42);
-        let sequential = runner.run_ir(&acc, &ir).expect("annotated IR");
-        let sched = runner
-            .run_ir_overlapped(&acc, &ir, 4)
-            .expect("annotated IR overlaps");
-        assert_eq!(sched.run.total_cycles(), sequential.total_cycles());
-        assert_eq!(sched.run.total_on_chip_pj(), sequential.total_on_chip_pj());
-        let seq = sched.sequential_time_s();
-        assert!(
-            (sched.makespan_s - seq).abs() <= 1e-12 * seq,
-            "no branches to overlap"
-        );
-        let err = runner
-            .run_ir_overlapped(&acc, &ir, 0)
-            .expect_err("zero sub-arrays");
-        assert!(matches!(err, SimError::InvalidConfig { .. }));
     }
 
     #[test]

@@ -155,10 +155,11 @@ fn u64_from_f64(x: f64, what: &str) -> u64 {
 }
 
 /// Default worker-pool size for batched simulation: the validated
-/// `CSCNN_NUM_THREADS` environment variable when set (the same knob that
-/// sizes the tensor-kernel thread pool in `cscnn-tensor`, so one setting
-/// covers both halves of the system), else the machine's available
-/// parallelism, else 4. Worker counts never affect results — batching is
+/// `CSCNN_NUM_THREADS` environment variable when set (the same variable
+/// sizes the tensor kernels in `cscnn-tensor`), else the machine's
+/// available parallelism, else 4. The in-process kernel override
+/// `cscnn_tensor::set_num_threads` (and `TrainConfig::num_threads`) is not
+/// consulted: it sizes the kernels only. Worker counts never affect results — batching is
 /// bit-identical to sequential simulation by construction.
 ///
 /// # Panics

@@ -95,7 +95,9 @@ impl LayerWorkload {
     /// # Errors
     ///
     /// [`crate::SimError::MissingSparsity`] naming the layer when a
-    /// weight-bearing node has no annotation.
+    /// weight-bearing node has no annotation;
+    /// [`crate::SimError::DensityOutOfRange`] when an annotated density is
+    /// NaN or outside `[0, 1]`.
     pub fn from_node(
         node: &cscnn_ir::LayerNode,
         centro: bool,
@@ -104,11 +106,22 @@ impl LayerWorkload {
         let Some(desc) = cscnn_models::lower::layer_desc(node) else {
             return Ok(None);
         };
+        let layer = || node.name().unwrap_or("<unnamed>").to_string();
         let Some(ann) = node.sparsity() else {
-            return Err(crate::SimError::MissingSparsity {
-                layer: node.name().unwrap_or("<unnamed>").to_string(),
-            });
+            return Err(crate::SimError::MissingSparsity { layer: layer() });
         };
+        for (field, value) in [
+            ("weight_density", ann.weight_density),
+            ("activation_density", ann.activation_density),
+        ] {
+            if !(0.0..=1.0).contains(&value) {
+                return Err(crate::SimError::DensityOutOfRange {
+                    layer: layer(),
+                    field,
+                    value,
+                });
+            }
+        }
         Ok(Some(Self::synthesize(
             &desc,
             ann.weight_density,

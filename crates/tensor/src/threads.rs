@@ -14,8 +14,11 @@
 //!    message rather than being silently ignored),
 //! 3. [`std::thread::available_parallelism`] (falling back to 1).
 //!
-//! `cscnn-sim`'s `BatchRunner` reads the same environment variable for its
-//! simulation worker pool, so one knob sizes both halves of the system.
+//! `cscnn-sim`'s simulation worker pool (`BatchRunner`, `Runner::run_suite`)
+//! reads the same environment variable, so `CSCNN_NUM_THREADS` sizes both
+//! halves of the system. [`set_num_threads`] (and `TrainConfig::num_threads`,
+//! which calls it) sizes the kernels only: it never reaches the
+//! simulation pool.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;

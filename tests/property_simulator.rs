@@ -133,6 +133,14 @@ fn energy_is_well_formed() {
                 "case {case}: {}: component sum mismatch",
                 acc.name()
             );
+            // No dataflow may issue more multiplications per cycle than
+            // the configured PE array has multipliers.
+            let util = stats.multiplier_utilization(acc.config().total_multipliers());
+            assert!(
+                util <= 1.0,
+                "case {case}: {}: utilization {util}",
+                acc.name()
+            );
         }
     }
 }
