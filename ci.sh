@@ -46,6 +46,11 @@ done
 echo "== kernels bench smoke run (schema check)"
 cargo run -q --release -p cscnn-bench --bin kernels -- --smoke
 
+echo "== simulator bench smoke run (schema and baseline merge check)"
+cargo run -q --release -p cscnn-bench --bin sim_perf -- --smoke
+cargo run -q --release -p cscnn-bench --bin sim_perf -- --smoke --label rerun \
+    --baseline target/BENCH_sim_smoke.json
+
 echo "== benchmark package: build and tests"
 # benchmark/ is its own workspace; its tests re-drive the simulator's layer
 # loop and compare it bit for bit with Runner::run_model and run_batch.

@@ -10,6 +10,7 @@ use crate::pe::{CartesianPe, PeResult};
 use crate::report::LayerStats;
 use crate::tiling::{self, TilingStrategy};
 use crate::util::{count_from_f64, to_count};
+use crate::workload::LayerWorkload;
 use crate::ArchConfig;
 
 /// A configurable Cartesian-product accelerator.
@@ -106,64 +107,107 @@ impl CartesianAccelerator {
 }
 
 impl CartesianAccelerator {
-    /// Executes a conv-layer plan on the fast PE model, including the
-    /// stride phase decomposition and halo exchange.
+    /// The fast PE model for one layer: crossbar stalls and dual
+    /// accumulation depend on whether this layer's weights are stored
+    /// centrosymmetric.
+    fn pe(&self, cfg: &ArchConfig, wl: &LayerWorkload) -> CartesianPe {
+        let dual_here = self.dual && wl.centro;
+        let buffers = if dual_here { 2 } else { 1 };
+        let self_dual_frac = if dual_here && (wl.layer.r * wl.layer.s) % 2 == 1 {
+            1.0 / wl.stored_per_slice as f64
+        } else {
+            0.0
+        };
+        CartesianPe {
+            px: cfg.mult_px,
+            py: cfg.mult_py,
+            stall_factor: crossbar::stall_factor(cfg.mult_px, cfg.mult_py, buffers),
+            dual: dual_here,
+            self_dual_frac,
+        }
+    }
+
+    /// Executes a conv-layer plan on the fast PE model.
+    ///
+    /// Each PE needs, per input channel, the stored-weight non-zeros of
+    /// its filters in that channel. Filter `k` of conv group `g` meets
+    /// channels `g·c_per_group ..` only, so one pass over the `k_set`'s
+    /// slices fills the whole per-channel vector. Adjacent assignments
+    /// often share a `k_set` (every PE under planar tiling, every PE of a
+    /// sub-array under mixed tiling's planar inner split), so the vector
+    /// is rebuilt only when the `k_set` changes: a layer costs
+    /// O(K·C/groups + C·PEs), not O(PEs·K·C).
     fn run_conv_plan(
         &self,
         pe: &CartesianPe,
-        wl: &crate::workload::LayerWorkload,
+        wl: &LayerWorkload,
         plan: &[tiling::PeAssignment],
     ) -> Vec<PeResult> {
-        let layer = &wl.layer;
         let c_per_group = wl.c_per_group();
-        let k_per_group = layer.k / layer.groups;
-        // Strided convolutions break the Cartesian product's premise that
-        // every weight meets every activation of a channel. The dataflow
-        // decomposes them into stride² phase sub-convolutions (weights and
-        // activations partitioned by coordinate parity); the ragged phase
-        // sub-kernels (an 11x11 at stride 4 shatters into 2x2/3x3
-        // fragments) leave roughly half the fetched operand pairs useless —
-        // the "unnecessary computations" the paper blames for SCNN/CSCNN
-        // falling behind DCNN on AlexNet C1 (Fig. 8).
-        let phases = to_count(layer.stride * layer.stride);
-        const STRIDE_WASTE: f64 = 2.0;
+        let k_per_group = wl.layer.k / wl.layer.groups;
+        let mut weights = vec![0u64; wl.layer.c];
+        let mut weights_of: Option<&[usize]> = None;
         let mut results = Vec::with_capacity(plan.len());
         for assign in plan {
-            let mut channels = Vec::with_capacity(layer.c * layer.stride * layer.stride);
-            for c in 0..layer.c {
-                let conv_group = c / c_per_group;
-                let c_local = c % c_per_group;
-                let w: u64 = assign
-                    .k_set
-                    .iter()
-                    .filter(|&&k| k / k_per_group == conv_group)
-                    .map(|&k| u64::from(wl.weight_nnz(k, c_local)))
-                    .sum();
-                if w == 0 {
-                    continue;
-                }
-                let a = u64::from(wl.act_tile_nnz(c, assign.tile_id, assign.tile_pixels));
-                if phases == 1 {
-                    channels.push((w, a));
-                } else {
-                    let w_p = count_from_f64(((w as f64 * STRIDE_WASTE) / phases as f64).ceil());
-                    let a_p = a.div_ceil(phases);
-                    for _ in 0..phases {
-                        channels.push((w_p, a_p));
+            if weights_of != Some(assign.k_set.as_slice()) {
+                weights.fill(0);
+                for &k in &assign.k_set {
+                    let base = (k / k_per_group) * c_per_group;
+                    for (c_local, w) in weights[base..base + c_per_group].iter_mut().enumerate() {
+                        *w += u64::from(wl.weight_nnz(k, c_local));
                     }
                 }
+                weights_of = Some(&assign.k_set);
             }
-            let outputs = to_count(assign.k_set.len() * assign.out_pixels);
-            let mut result = pe.run_conv(&channels, outputs);
-            // Halo value exchange with neighbour PEs (§III-A).
-            let halo = to_count(assign.k_set.len() * assign.halo_out_pixels);
-            let exchange = pe.halo_exchange(halo);
-            result.cycles += exchange.cycles;
-            result.counters.merge(&exchange.counters);
-            results.push(result);
+            results.push(run_assignment(pe, wl, assign, &weights));
         }
         results
     }
+}
+
+/// Runs one PE assignment given its per-input-channel stored-weight
+/// non-zeros, including the stride phase decomposition and halo exchange.
+fn run_assignment(
+    pe: &CartesianPe,
+    wl: &LayerWorkload,
+    assign: &tiling::PeAssignment,
+    weights: &[u64],
+) -> PeResult {
+    let layer = &wl.layer;
+    // Strided convolutions break the Cartesian product's premise that
+    // every weight meets every activation of a channel. The dataflow
+    // decomposes them into stride² phase sub-convolutions (weights and
+    // activations partitioned by coordinate parity); the ragged phase
+    // sub-kernels (an 11x11 at stride 4 shatters into 2x2/3x3
+    // fragments) leave roughly half the fetched operand pairs useless —
+    // the "unnecessary computations" the paper blames for SCNN/CSCNN
+    // falling behind DCNN on AlexNet C1 (Fig. 8).
+    let phases = to_count(layer.stride * layer.stride);
+    const STRIDE_WASTE: f64 = 2.0;
+    let mut channels = Vec::with_capacity(layer.c * layer.stride * layer.stride);
+    for (c, &w) in weights.iter().enumerate() {
+        if w == 0 {
+            continue;
+        }
+        let a = u64::from(wl.act_tile_nnz(c, assign.tile_id, assign.tile_pixels));
+        if phases == 1 {
+            channels.push((w, a));
+        } else {
+            let w_p = count_from_f64(((w as f64 * STRIDE_WASTE) / phases as f64).ceil());
+            let a_p = a.div_ceil(phases);
+            for _ in 0..phases {
+                channels.push((w_p, a_p));
+            }
+        }
+    }
+    let outputs = to_count(assign.k_set.len() * assign.out_pixels);
+    let mut result = pe.run_conv(&channels, outputs);
+    // Halo value exchange with neighbour PEs (§III-A).
+    let halo = to_count(assign.k_set.len() * assign.halo_out_pixels);
+    let exchange = pe.halo_exchange(halo);
+    result.cycles += exchange.cycles;
+    result.counters.merge(&exchange.counters);
+    result
 }
 
 impl Accelerator for CartesianAccelerator {
@@ -199,21 +243,7 @@ impl Accelerator for CartesianAccelerator {
         let cfg = ctx.cfg;
         let wl = ctx.workload;
         let layer = &wl.layer;
-        let buffers = if self.dual && wl.centro { 2 } else { 1 };
-        let stall = crossbar::stall_factor(cfg.mult_px, cfg.mult_py, buffers);
-        let dual_here = self.dual && wl.centro;
-        let self_dual_frac = if dual_here && (layer.r * layer.s) % 2 == 1 {
-            1.0 / wl.stored_per_slice as f64
-        } else {
-            0.0
-        };
-        let pe = CartesianPe {
-            px: cfg.mult_px,
-            py: cfg.mult_py,
-            stall_factor: stall,
-            dual: dual_here,
-            self_dual_frac,
-        };
+        let pe = self.pe(cfg, wl);
         let mut results: Vec<PeResult> = Vec::new();
         if layer.kind == LayerKind::FullyConnected {
             // Distribute output neurons across PEs (density-balanced).
@@ -285,8 +315,9 @@ mod tests {
     use super::*;
     use crate::dram::DramConfig;
     use crate::energy::EnergyTable;
-    use crate::workload::LayerWorkload;
     use cscnn_models::LayerDesc;
+    use cscnn_rng::rngs::StdRng;
+    use cscnn_rng::{Rng, SeedableRng};
 
     fn context<'a>(
         cfg: &'a ArchConfig,
@@ -408,5 +439,125 @@ mod tests {
         // re-process halo activations: expect dense MACs inflated by the
         // boundary products plus the ~(10·10)/(8·8) halo factor.
         assert!((0.9..=1.7).contains(&ratio), "ratio={ratio}");
+    }
+
+    /// The per-channel scan `run_conv_plan` replaced: for every input
+    /// channel, filter the whole `k_set` down to the channel's conv group —
+    /// O(C·|k_set|) per assignment. Kept as the oracle for the bucketed
+    /// sums.
+    fn reference_channels(wl: &LayerWorkload, assign: &tiling::PeAssignment) -> Vec<u64> {
+        let c_per_group = wl.c_per_group();
+        let k_per_group = wl.layer.k / wl.layer.groups;
+        (0..wl.layer.c)
+            .map(|c| {
+                let conv_group = c / c_per_group;
+                let c_local = c % c_per_group;
+                assign
+                    .k_set
+                    .iter()
+                    .filter(|&&k| k / k_per_group == conv_group)
+                    .map(|&k| u64::from(wl.weight_nnz(k, c_local)))
+                    .sum()
+            })
+            .collect()
+    }
+
+    fn reference_plan(
+        pe: &CartesianPe,
+        wl: &LayerWorkload,
+        plan: &[tiling::PeAssignment],
+    ) -> Vec<PeResult> {
+        plan.iter()
+            .map(|assign| run_assignment(pe, wl, assign, &reference_channels(wl, assign)))
+            .collect()
+    }
+
+    /// Seeded dense, grouped (2–8 groups) and depthwise layers at stride 1
+    /// and 2.
+    fn random_layer(rng: &mut StdRng, case: usize) -> LayerDesc {
+        let stride = 1 + (case / 3) % 2;
+        let kernel = if rng.gen_bool(0.5) { 1 } else { 3 };
+        let hw = rng.gen_range(6usize..=20);
+        let (c, k, groups) = match case % 3 {
+            0 => (rng.gen_range(1usize..=24), rng.gen_range(1usize..=24), 1),
+            1 => {
+                let g = rng.gen_range(2usize..=8);
+                (
+                    g * rng.gen_range(1usize..=4),
+                    g * rng.gen_range(1usize..=4),
+                    g,
+                )
+            }
+            _ => {
+                let g = rng.gen_range(2usize..=24);
+                (g, g, g)
+            }
+        };
+        LayerDesc::grouped(
+            "p",
+            c,
+            k,
+            kernel,
+            kernel,
+            hw,
+            hw,
+            stride,
+            kernel / 2,
+            groups,
+        )
+    }
+
+    #[test]
+    fn bucketed_channel_weights_match_the_per_channel_scan() {
+        const STRATEGIES: [TilingStrategy; 3] = [
+            TilingStrategy::Planar,
+            TilingStrategy::OutputChannel,
+            TilingStrategy::Mixed,
+        ];
+        let dram = DramConfig::default();
+        let energy = EnergyTable::default();
+        let mut rng = StdRng::seed_from_u64(0xc5c0);
+        for case in 0..36 {
+            let layer = random_layer(&mut rng, case);
+            let (wd, ad) = (rng.gen_range(0.1..=1.0), rng.gen_range(0.1..=1.0));
+            let seed = rng.gen_range(0u64..1000);
+            for base in [CartesianAccelerator::scnn(), CartesianAccelerator::cscnn()] {
+                let centro = base.scheme().uses_centrosymmetric();
+                let wl = LayerWorkload::synthesize(&layer, wd, ad, centro, seed);
+                let cfg = base.config();
+                let pe = base.pe(&cfg, &wl);
+                let at = format!("case {case}: {} {layer:?}", base.name());
+                for balanced in [false, true] {
+                    let acc = base.clone().with_balancing(balanced);
+                    let mut best: Option<Vec<PeResult>> = None;
+                    for strategy in STRATEGIES {
+                        let plan = tiling::plan(&cfg, &wl, strategy, balanced);
+                        let expected = reference_plan(&pe, &wl, &plan);
+                        assert_eq!(
+                            acc.run_conv_plan(&pe, &wl, &plan),
+                            expected,
+                            "{at}: {strategy:?}, balanced {balanced}"
+                        );
+                        let cycles = |r: &[PeResult]| r.iter().map(|r| r.cycles).max();
+                        if best.as_ref().is_none_or(|b| cycles(&expected) < cycles(b)) {
+                            best = Some(expected);
+                        }
+                    }
+                    // The mapper keeps the first fastest plan.
+                    let best = best.unwrap_or_default();
+                    let stats = acc
+                        .with_mapper(true)
+                        .simulate_layer(&context(&cfg, &dram, &energy, &wl));
+                    let mut counters = crate::energy::EnergyCounters::default();
+                    for r in &best {
+                        counters.merge(&r.counters);
+                    }
+                    counters.dram_bits = stats.counters.dram_bits;
+                    let cycles = best.iter().map(|r| r.cycles).max().unwrap_or(0);
+                    assert_eq!(stats.compute_cycles, cycles, "{at}: mapper");
+                    assert_eq!(stats.counters, counters, "{at}: mapper");
+                }
+            }
+        }
     }
 }

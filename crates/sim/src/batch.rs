@@ -343,7 +343,8 @@ impl BatchRunner {
     /// The first failing request *by request index* (deterministic, not
     /// discovery order): [`SimError::MissingSparsity`] for unannotated
     /// weight nodes, [`SimError::DensityOutOfRange`] for a density that is
-    /// NaN or outside `[0, 1]`, [`SimError::WorkerPanicked`] naming the
+    /// NaN or outside `[0, 1]`, [`SimError::KernelTooLarge`] for a kernel of
+    /// more than `u16::MAX` positions, [`SimError::WorkerPanicked`] naming the
     /// request's model when an accelerator model panics mid-simulation.
     /// Every worker is joined before returning.
     pub fn run_batch(

@@ -48,6 +48,14 @@ pub enum SimError {
         /// The rejected value.
         value: f64,
     },
+    /// A conv node's kernel has more positions (`R·S`) than the
+    /// workload's `u16` per-slice non-zero counts can hold.
+    KernelTooLarge {
+        /// The offending layer's name.
+        layer: String,
+        /// Its kernel positions `R·S`.
+        positions: usize,
+    },
     /// An IR reached the simulator with a malformed graph topology
     /// (dangling or backward edge, cycle, bad join arity).
     BadTopology {
@@ -96,6 +104,14 @@ impl fmt::Display for SimError {
                 value,
             } => {
                 write!(f, "layer `{layer}` has {field} {value} outside [0, 1]")
+            }
+            SimError::KernelTooLarge { layer, positions } => {
+                write!(
+                    f,
+                    "layer `{layer}` has {positions} kernel positions; at most {} \
+                     are supported",
+                    u16::MAX
+                )
             }
             SimError::BadTopology { model, error } => {
                 write!(f, "model `{model}` has an invalid graph topology: {error}")

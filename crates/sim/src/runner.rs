@@ -78,7 +78,9 @@ impl Runner {
     /// [`ModelIr::validate`]; [`SimError::MissingSparsity`] naming the
     /// first unannotated weight-bearing node;
     /// [`SimError::DensityOutOfRange`] naming the first node whose
-    /// annotated density is NaN or outside `[0, 1]`.
+    /// annotated density is NaN or outside `[0, 1]`;
+    /// [`SimError::KernelTooLarge`] for a kernel of more than `u16::MAX`
+    /// positions.
     pub fn run_ir(&self, acc: &dyn Accelerator, ir: &ModelIr) -> Result<RunStats, SimError> {
         validate_ir(ir)?;
         let centro = acc.scheme().uses_centrosymmetric();
@@ -96,8 +98,9 @@ impl Runner {
     ///
     /// # Errors
     ///
-    /// [`SimError::MissingSparsity`] or [`SimError::DensityOutOfRange`]
-    /// naming the first weight-bearing node without a valid annotation.
+    /// [`SimError::MissingSparsity`], [`SimError::DensityOutOfRange`] or
+    /// [`SimError::KernelTooLarge`] naming the first weight-bearing node
+    /// that cannot be synthesized.
     pub(crate) fn ir_workloads(
         &self,
         ir: &ModelIr,
@@ -329,6 +332,15 @@ mod tests {
         ),
     ];
 
+    /// `(total_cycles, total_on_chip_pj bits)` at seed 42 for MobileNetV1
+    /// (13 depthwise layers up to 1024 channels wide) on SCNN, CSCNN and
+    /// CSCNN with the per-layer mapping search.
+    const GOLDEN_MOBILENET_V1: [(u64, u64); 3] = [
+        (2956881, 0x41ba5ef333bcfe17),
+        (2414725, 0x41b5140251050deb),
+        (2332864, 0x41b4a519db64522b),
+    ];
+
     #[test]
     fn run_model_and_run_suite_match_golden_figures() {
         let runner = Runner::new(42);
@@ -351,6 +363,23 @@ mod tests {
                     assert_eq!(stats.total_cycles(), cycles, "{at}");
                     assert_eq!(stats.total_on_chip_pj().to_bits(), pj_bits, "{at}");
                 }
+            }
+        }
+
+        let accs: Vec<Box<dyn Accelerator>> = vec![
+            Box::new(CartesianAccelerator::scnn()),
+            Box::new(CartesianAccelerator::cscnn()),
+            Box::new(CartesianAccelerator::cscnn().with_mapper(true)),
+        ];
+        let models = vec![catalog::mobilenet_v1()];
+        let suite = runner.run_suite(&accs, &models).expect("no worker panics");
+        for (i, (acc, run)) in accs.iter().zip(&suite[0]).enumerate() {
+            let (cycles, pj_bits) = GOLDEN_MOBILENET_V1[i];
+            let single = runner.run_model(acc.as_ref(), &models[0]);
+            for stats in [run, &single] {
+                let at = format!("MobileNetV1 on accelerator {i} ({})", acc.name());
+                assert_eq!(stats.total_cycles(), cycles, "{at}");
+                assert_eq!(stats.total_on_chip_pj().to_bits(), pj_bits, "{at}");
             }
         }
     }

@@ -83,6 +83,19 @@ pub fn to_nnz<T: TryInto<u32>>(x: T) -> u32 {
     }
 }
 
+/// Narrows a per-slice non-zero count to the `u16` width the workload
+/// cache stores. A slice holds at most `R·S` weights, so an out-of-range
+/// count means a kernel the cache cannot represent: unlike the saturating
+/// helpers above, this panics in release builds too rather than truncate.
+#[inline]
+pub fn to_slice_nnz(x: u32) -> u16 {
+    assert!(
+        x <= u32::from(u16::MAX),
+        "per-slice nnz count {x} out of u16 range"
+    );
+    u16::try_from(x).unwrap_or(u16::MAX)
+}
+
 #[inline]
 fn narrow_u64<T: TryInto<u64>>(x: T, what: &str) -> u64 {
     match x.try_into() {
@@ -226,6 +239,13 @@ mod tests {
         assert_eq!(to_lane(65_535usize), 65_535);
         assert_eq!(to_coord(255usize), 255);
         assert_eq!(to_nnz(123usize), 123);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of u16 range")]
+    fn slice_counts_narrow_exactly_or_panic() {
+        assert_eq!(to_slice_nnz(65535), u16::MAX);
+        let _ = to_slice_nnz(65536);
     }
 
     #[test]

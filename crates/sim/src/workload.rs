@@ -12,7 +12,7 @@ use cscnn_models::LayerDesc;
 use cscnn_rng::rngs::StdRng;
 use cscnn_rng::{Rng, SeedableRng};
 
-use crate::util::{count_from_f64, nnz_from_f64, to_count, to_nnz};
+use crate::util::{count_from_f64, nnz_from_f64, to_count, to_nnz, to_slice_nnz};
 
 /// Synthesized sparse structure of one layer under one compression scheme.
 #[derive(Clone, Debug)]
@@ -29,9 +29,11 @@ pub struct LayerWorkload {
     /// centrosymmetric-eligible and `centro`, else `R·S`).
     pub stored_per_slice: usize,
     /// Non-zero stored weights per `(k, c_local)` slice, row-major
-    /// `k * c_per_group + c_local`. Empty for FC layers (see
+    /// `k * c_per_group + c_local`. A slice holds at most
+    /// `stored_per_slice ≤ R·S` weights, so `u16` suffices and halves the
+    /// shared workload cache. Empty for FC layers (see
     /// [`LayerWorkload::fc_weight_nnz`]).
-    weight_nnz: Vec<u32>,
+    weight_nnz: Vec<u16>,
     /// For FC layers: non-zero weights per output neuron `k`.
     fc_nnz: Vec<u32>,
     seed: u64,
@@ -43,6 +45,12 @@ impl LayerWorkload {
     /// `centro` should be `true` only for CSCNN schemes; it takes effect on
     /// centrosymmetric-eligible layers (unit-stride convs), where the
     /// stored positions per slice drop to `⌈R·S/2⌉`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a density lies outside `[0, 1]`, or if a conv kernel
+    /// stores more than `u16::MAX` positions per slice
+    /// ([`LayerWorkload::from_node`] reports both as typed errors).
     pub fn synthesize(
         layer: &LayerDesc,
         weight_density: f64,
@@ -67,8 +75,13 @@ impl LayerWorkload {
         } else {
             let c_local = layer.c / layer.groups;
             let slices = layer.k * c_local;
-            let w: Vec<u32> = (0..slices)
-                .map(|_| binomial(&mut rng, stored_per_slice, weight_density))
+            assert!(
+                stored_per_slice <= usize::from(u16::MAX),
+                "{}: {stored_per_slice} stored weights per slice exceed the u16 slice counts",
+                layer.name
+            );
+            let w: Vec<u16> = (0..slices)
+                .map(|_| to_slice_nnz(binomial(&mut rng, stored_per_slice, weight_density)))
                 .collect();
             (w, Vec::new())
         };
@@ -97,7 +110,8 @@ impl LayerWorkload {
     /// [`crate::SimError::MissingSparsity`] naming the layer when a
     /// weight-bearing node has no annotation;
     /// [`crate::SimError::DensityOutOfRange`] when an annotated density is
-    /// NaN or outside `[0, 1]`.
+    /// NaN or outside `[0, 1]`; [`crate::SimError::KernelTooLarge`] when the
+    /// kernel has more than `u16::MAX` positions.
     pub fn from_node(
         node: &cscnn_ir::LayerNode,
         centro: bool,
@@ -122,6 +136,13 @@ impl LayerWorkload {
                 });
             }
         }
+        let positions = desc.r * desc.s;
+        if positions > usize::from(u16::MAX) {
+            return Err(crate::SimError::KernelTooLarge {
+                layer: layer(),
+                positions,
+            });
+        }
         Ok(Some(Self::synthesize(
             &desc,
             ann.weight_density,
@@ -142,7 +163,7 @@ impl LayerWorkload {
     ///
     /// Panics for FC layers or out-of-range indices.
     pub fn weight_nnz(&self, k: usize, c_local: usize) -> u32 {
-        self.weight_nnz[k * self.c_per_group() + c_local]
+        u32::from(self.weight_nnz[k * self.c_per_group() + c_local])
     }
 
     /// Non-zero stored weights feeding output neuron `k` of an FC layer.
@@ -310,6 +331,36 @@ mod tests {
         assert!(LayerWorkload::from_node(&LayerNode::Flatten, true, 1)
             .expect("flatten is fine")
             .is_none());
+    }
+
+    #[test]
+    fn kernels_beyond_u16_slice_counts_are_refused() {
+        use cscnn_ir::{LayerNode, SparsityAnnotation};
+        // 256·256 = 65536 positions: one more than a u16 slice count holds.
+        let mut node = LayerNode::conv("huge", 1, 1, 256, 256, 256, 256, 1, 0);
+        node.set_sparsity(SparsityAnnotation {
+            weight_density: 1.0,
+            activation_density: 1.0,
+        });
+        let err = LayerWorkload::from_node(&node, false, 1).expect_err("too large");
+        assert_eq!(
+            err,
+            crate::SimError::KernelTooLarge {
+                layer: "huge".into(),
+                positions: 65536,
+            }
+        );
+        // 255·257 = 65535 still fits, and full density fills it exactly.
+        let widest = LayerDesc::conv("widest", 1, 1, 255, 257, 255, 257, 1, 0);
+        let w = LayerWorkload::synthesize(&widest, 1.0, 1.0, false, 1);
+        assert_eq!(w.weight_nnz(0, 0), 65535);
+    }
+
+    #[test]
+    #[should_panic(expected = "exceed the u16 slice counts")]
+    fn synthesize_panics_instead_of_truncating_slice_counts() {
+        let huge = LayerDesc::conv("huge", 1, 1, 256, 256, 256, 256, 1, 0);
+        let _ = LayerWorkload::synthesize(&huge, 1.0, 1.0, false, 1);
     }
 
     #[test]

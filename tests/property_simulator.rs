@@ -4,7 +4,8 @@
 //!
 //! Originally `proptest` properties; the workspace is std-only, so each
 //! property now loops over deterministic seeds with shapes derived from the
-//! seed — same invariants, reproducible from the loop index.
+//! seed — same invariants, reproducible from the loop index and the base
+//! seed `CSCNN_PROP_SEED` (default 1), which `ci.sh` sweeps.
 
 use cscnn::models::LayerDesc;
 use cscnn::sim::dram::DramConfig;
@@ -13,12 +14,20 @@ use cscnn::sim::pe::CartesianPe;
 use cscnn::sim::workload::LayerWorkload;
 use cscnn::sim::{baselines, Accelerator, CartesianAccelerator, LayerContext};
 
+/// Base seed for the run: `CSCNN_PROP_SEED`, defaulting to 1.
+fn prop_seed() -> u64 {
+    std::env::var("CSCNN_PROP_SEED")
+        .ok()
+        .and_then(|s| s.parse().ok())
+        .unwrap_or(1)
+}
+
 /// Small deterministic generator for layer shapes.
 struct Gen(u64);
 
 impl Gen {
-    fn new(seed: u64) -> Self {
-        Gen(seed
+    fn new(case: u64) -> Self {
+        Gen((case ^ prop_seed().rotate_left(32))
             .wrapping_mul(0x9e37_79b9_7f4a_7c15)
             .wrapping_add(0x1234_5678))
     }
@@ -35,16 +44,38 @@ impl Gen {
     }
 }
 
-/// Produces small but varied conv layer shapes (mirrors the old strategy:
-/// c,k in 1..=16, 1x1 or 3x3 kernels, 6..=20 spatial, stride 1..=2).
+/// Produces small but varied conv layer shapes: dense (c,k in 1..=16),
+/// grouped (2..=8 groups of 1..=2 channels each way) or depthwise
+/// (c == k == groups in 2..=16), 1x1 or 3x3 kernels, 6..=20 spatial,
+/// stride 1..=2.
 fn random_layer(g: &mut Gen) -> LayerDesc {
-    let c = g.range(1, 16) as usize;
-    let k = g.range(1, 16) as usize;
+    let (c, k, groups) = match g.range(0, 2) {
+        0 => (g.range(1, 16), g.range(1, 16), 1),
+        1 => {
+            let groups = g.range(2, 8);
+            (groups * g.range(1, 2), groups * g.range(1, 2), groups)
+        }
+        _ => {
+            let groups = g.range(2, 16);
+            (groups, groups, groups)
+        }
+    };
     let kernel = if g.range(1, 2) == 1 { 1 } else { 3 };
     let hw = g.range(6, 20) as usize;
     let stride = g.range(1, 2) as usize;
     let padding = if kernel == 3 { 1 } else { 0 };
-    LayerDesc::conv("p", c, k, kernel, kernel, hw, hw, stride, padding)
+    LayerDesc::grouped(
+        "p",
+        c as usize,
+        k as usize,
+        kernel,
+        kernel,
+        hw,
+        hw,
+        stride,
+        padding,
+        groups as usize,
+    )
 }
 
 fn simulate(
