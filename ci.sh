@@ -43,6 +43,15 @@ for threads in 1 4; do
         --test property_kernels
 done
 
+echo "== simulator job pool across worker counts"
+# run_suite sizes its pool from CSCNN_NUM_THREADS: 1 runs every group
+# serially, 4 exceeds the groups of the small suites the tests run.
+for threads in 1 4; do
+    echo "-- CSCNN_NUM_THREADS=$threads"
+    CSCNN_NUM_THREADS="$threads" cargo test -q -p cscnn-sim
+    CSCNN_NUM_THREADS="$threads" cargo test -q -p cscnn --test integration_batch
+done
+
 echo "== kernels bench smoke run (schema check)"
 cargo run -q --release -p cscnn-bench --bin kernels -- --smoke
 

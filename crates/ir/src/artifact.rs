@@ -382,27 +382,8 @@ impl NodeCx<'_> {
             padding: self.usize_field("padding")?,
             groups: self.positive_field("groups")?,
         };
-        if geom.c % geom.groups != 0 || geom.k % geom.groups != 0 {
-            return Err(self.err(
-                "groups",
-                format!(
-                    "groups {} must divide channels (c={}, k={})",
-                    geom.groups, geom.c, geom.k
-                ),
-            ));
-        }
-        if geom.h + 2 * geom.padding < geom.r || geom.w + 2 * geom.padding < geom.s {
-            return Err(self.err(
-                "r",
-                format!(
-                    "kernel {}x{} larger than padded input {}x{}",
-                    geom.r,
-                    geom.s,
-                    geom.h + 2 * geom.padding,
-                    geom.w + 2 * geom.padding
-                ),
-            ));
-        }
+        geom.check()
+            .map_err(|(field, reason)| self.err(field, reason))?;
         Ok(geom)
     }
 }
@@ -816,5 +797,53 @@ mod tests {
         );
         let err = ModelIr::from_json_str(&text).expect_err("conv declared depthwise");
         assert!(err.to_string().contains("groups == c == k"), "{err}");
+    }
+
+    #[test]
+    fn geometry_errors_name_their_field_and_reason() {
+        let base = ConvGeom {
+            c: 6,
+            k: 16,
+            r: 5,
+            s: 5,
+            h: 14,
+            w: 14,
+            stride: 1,
+            padding: 0,
+            groups: 1,
+        };
+        let cases = [
+            (ConvGeom { stride: 0, ..base }, "stride", "must be non-zero"),
+            (
+                ConvGeom { groups: 4, ..base },
+                "groups",
+                "groups 4 must divide channels (c=6, k=16)",
+            ),
+            (
+                ConvGeom { s: 15, ..base },
+                "r",
+                "kernel 5x15 larger than padded input 14x14",
+            ),
+        ];
+        for (geom, field, reason) in cases {
+            assert_eq!(geom.check(), Err((field, reason.to_string())));
+            let node = LayerNode::Conv {
+                name: "G".into(),
+                geom,
+                centrosymmetric: false,
+                sparsity: None,
+            };
+            let text = ModelIr::new("m", vec![node]).to_json_string();
+            assert_eq!(
+                ModelIr::from_json_str(&text),
+                Err(ArtifactError::Node {
+                    index: 0,
+                    layer: Some("G".into()),
+                    field,
+                    reason: reason.into(),
+                })
+            );
+        }
+        assert_eq!(base.check(), Ok(()));
     }
 }

@@ -29,8 +29,8 @@
 //! the versioned JSON schema (serialize / parse / validate with typed
 //! [`ArtifactError`]s naming the offending node and field) that ships
 //! trained + annotated models to the simulator, and
-//! [`ModelIr::structural_hash`] is the dedup key batched simulation uses to
-//! synthesize workloads once per unique network structure
+//! [`ModelIr::annotated_hash`] is the grouping key batched simulation uses
+//! to synthesize workloads once per unique annotated network
 //! (`docs/batching.md`).
 //!
 //! This crate depends only on the std-only `cscnn-json` document model, so
@@ -68,6 +68,51 @@ pub struct ConvGeom {
 }
 
 impl ConvGeom {
+    /// Checks that the geometry describes a convolution that can run: every
+    /// extent but `padding` non-zero, `groups` dividing both `c` and `k`,
+    /// and the kernel fitting the padded input. The artifact parser and the
+    /// simulator's workload lowering both reject through this one check.
+    ///
+    /// # Errors
+    ///
+    /// The first offending field and why it is rejected.
+    pub fn check(&self) -> Result<(), (&'static str, String)> {
+        for (field, value) in [
+            ("c", self.c),
+            ("k", self.k),
+            ("r", self.r),
+            ("s", self.s),
+            ("h", self.h),
+            ("w", self.w),
+            ("stride", self.stride),
+            ("groups", self.groups),
+        ] {
+            if value == 0 {
+                return Err((field, "must be non-zero".into()));
+            }
+        }
+        if self.c % self.groups != 0 || self.k % self.groups != 0 {
+            return Err((
+                "groups",
+                format!(
+                    "groups {} must divide channels (c={}, k={})",
+                    self.groups, self.c, self.k
+                ),
+            ));
+        }
+        let (ph, pw) = (self.h + 2 * self.padding, self.w + 2 * self.padding);
+        if ph < self.r || pw < self.s {
+            return Err((
+                "r",
+                format!(
+                    "kernel {}x{} larger than padded input {ph}x{pw}",
+                    self.r, self.s
+                ),
+            ));
+        }
+        Ok(())
+    }
+
     /// Output spatial extent `(H', W')`.
     pub fn output_dim(&self) -> (usize, usize) {
         let ph = self.h + 2 * self.padding;
@@ -657,9 +702,9 @@ impl ModelIr {
     /// FNV-1a hash of the *annotated* model: the structural hash extended
     /// with the model name and the exact bits of every
     /// [`SparsityAnnotation`]. Equal annotated IRs hash equally; batched
-    /// simulation uses this as the fast probe of its workload cache (with
-    /// full `==` confirmation, so a collision can never alias two
-    /// requests).
+    /// simulation uses this as the fast probe when it groups requests that
+    /// share workloads (with full `==` confirmation, so a collision can
+    /// never alias two requests).
     pub fn annotated_hash(&self) -> u64 {
         let mut h = Fnv::new();
         h.write_str(&self.name);

@@ -1,23 +1,21 @@
-//! Batched simulation intake: many annotated IR requests, one workload
-//! cache, a bounded worker pool (see `docs/batching.md`).
+//! Batched simulation intake: many annotated IR requests, one bounded
+//! worker pool (see `docs/batching.md`).
 //!
 //! Serving-style traffic sends thousands of requests that share a handful
 //! of network structures; re-synthesizing `LayerWorkload`s per request
-//! would dominate the run. [`BatchRunner`] deduplicates requests behind a
-//! workload cache: workloads are synthesized **exactly once** per unique
-//! annotated IR (identical structure *and* identical annotations — the
-//! synthesized sparse structure depends on both) and shared by reference
-//! across the pool. Per-request results are bit-identical to sequential
-//! [`Runner::run_ir`] calls, independent of worker count and scheduling
-//! order, because the cache key is exact (hash probe + full `==`
-//! confirmation) and each request is simulated from the same shared
-//! workloads in isolation. [`Runner::run_suite`] runs on the same pool and
-//! cache.
+//! would dominate the run. [`BatchRunner`] groups requests by annotated IR
+//! (identical structure *and* identical annotations — the synthesized
+//! sparse structure depends on both) and runs each group as one task:
+//! every layer is synthesized **exactly once** per group, simulated for all
+//! of the group's requests, and dropped. Per-request results are
+//! bit-identical to sequential [`Runner::run_ir`] calls, independent of
+//! worker count and scheduling order, because the grouping key is exact
+//! (hash probe + full `==` confirmation) and `run_ir` is the same routine
+//! run for a group of one. [`Runner::run_suite`] runs on the same pool.
 
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 use cscnn_ir::{ModelIr, SparsityAnnotation};
 
@@ -26,138 +24,111 @@ use crate::interface::Accelerator;
 use crate::report::RunStats;
 use crate::runner::Runner;
 use crate::util::{count_from_f64, det_sum, to_count, to_index};
-use crate::workload::LayerWorkload;
 
 /// One simulation job: an accelerator and the annotated IR it runs.
 pub(crate) type Job<'a> = (&'a dyn Accelerator, &'a ModelIr);
 
-type Workloads = Arc<Vec<Option<LayerWorkload>>>;
-
-/// One workload-cache entry: a unique `(annotated IR, centro)` pair of a
-/// job list, how many of its jobs are not yet done, and its workloads
-/// while some job holds them.
-struct CacheEntry<'a> {
+/// One task of the pool: a unique `(annotated IR, centro)` pair of a job
+/// list, the distinct accelerators that run it, and each of its jobs as
+/// `(job index, index into accs)`.
+struct Group<'a> {
     ir: &'a ModelIr,
     centro: bool,
-    users: AtomicUsize,
-    workloads: Mutex<Option<Workloads>>,
+    accs: Vec<&'a dyn Accelerator>,
+    jobs: Vec<(usize, usize)>,
 }
 
-impl CacheEntry<'_> {
-    /// Returns the entry's workloads, validating and synthesizing them on
-    /// first use. Synthesis runs under the entry's own lock, so it happens
-    /// exactly once per entry while other entries synthesize concurrently.
-    fn acquire(&self, runner: &Runner) -> Result<Workloads, SimError> {
-        // A job that panicked mid-synthesis may have poisoned the lock; the
-        // slot is only ever assigned whole, so it is safe to adopt.
-        let mut slot = self
-            .workloads
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        if let Some(workloads) = &*slot {
-            return Ok(workloads.clone());
-        }
-        crate::runner::validate_ir(self.ir)?;
-        let workloads = Arc::new(runner.ir_workloads(self.ir, self.centro)?);
-        *slot = Some(workloads.clone());
-        Ok(workloads)
-    }
-
-    /// Marks one job done with the entry; the last one frees the workloads,
-    /// so a long job list holds only the entries still in use.
-    fn release(&self) {
-        if self.users.fetch_sub(1, Ordering::AcqRel) == 1 {
-            *self
-                .workloads
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner) = None;
-        }
-    }
-}
-
-/// Runs `jobs` on up to `workers` scoped threads sharing one workload
-/// cache — the pool behind both [`BatchRunner::run_batch`] and
-/// [`Runner::run_suite`].
+/// Runs `jobs` on up to `workers` scoped threads — the pool behind both
+/// [`BatchRunner::run_batch`] and [`Runner::run_suite`].
 ///
 /// Synthesized workloads depend on the annotated IR, the runner seed and
-/// the scheme's centrosymmetric flag, never on the accelerator, so the
-/// cache key is `(annotated_hash, centro)`. Before any thread starts, jobs
-/// are grouped by that key in a hash map, each match confirmed with full
-/// `ModelIr` equality so a hash collision can never alias two IRs. Workers
-/// then claim jobs in order from a shared counter. `results[i]` is
+/// the scheme's centrosymmetric flag, never on the accelerator, so jobs
+/// sharing `(annotated_hash, centro)` share their workloads. Before any
+/// thread starts, jobs are grouped by that key in a hash map, each match
+/// confirmed with full `ModelIr` equality so a hash collision can never
+/// alias two IRs. Workers then claim groups in order from a shared counter
+/// and run each with [`Runner::run_shared`], which synthesizes one layer at
+/// a time for all of the group's distinct accelerators; jobs repeating an
+/// accelerator object within a group get copies of its stats. `results[i]` is
 /// bit-identical to `runner.run_ir(jobs[i].0, jobs[i].1)` whatever the
-/// worker count or claim order; a panicking accelerator fails only its own
-/// job, as [`SimError::WorkerPanicked`] naming the job's model. Also
-/// returns the number of cache entries (unique annotated IRs).
+/// worker count or claim order; a panicking accelerator fails every job of
+/// its group, as [`SimError::WorkerPanicked`] naming the model. Also
+/// returns the number of groups (unique annotated IRs).
 pub(crate) fn run_jobs(
     runner: &Runner,
     jobs: &[Job<'_>],
     workers: usize,
 ) -> (Vec<Result<RunStats, SimError>>, usize) {
     let mut index: HashMap<(u64, bool), Vec<usize>> = HashMap::new();
-    let mut entries: Vec<CacheEntry<'_>> = Vec::new();
-    let entry_of: Vec<usize> = jobs
-        .iter()
-        .map(|&(acc, ir)| {
-            let centro = acc.scheme().uses_centrosymmetric();
-            let bucket = index.entry((ir.annotated_hash(), centro)).or_default();
-            let e = match bucket.iter().copied().find(|&e| *entries[e].ir == *ir) {
-                Some(e) => e,
-                None => {
-                    bucket.push(entries.len());
-                    entries.push(CacheEntry {
-                        ir,
-                        centro,
-                        users: AtomicUsize::new(0),
-                        workloads: Mutex::new(None),
-                    });
-                    entries.len() - 1
-                }
-            };
-            *entries[e].users.get_mut() += 1;
-            e
-        })
-        .collect();
+    let mut groups: Vec<Group<'_>> = Vec::new();
+    for (i, &(acc, ir)) in jobs.iter().enumerate() {
+        let centro = acc.scheme().uses_centrosymmetric();
+        let bucket = index.entry((ir.annotated_hash(), centro)).or_default();
+        let g = match bucket.iter().copied().find(|&g| *groups[g].ir == *ir) {
+            Some(g) => g,
+            None => {
+                bucket.push(groups.len());
+                groups.push(Group {
+                    ir,
+                    centro,
+                    accs: Vec::new(),
+                    jobs: Vec::new(),
+                });
+                groups.len() - 1
+            }
+        };
+        // Jobs repeating an accelerator object share its one (deterministic) run.
+        let group = &mut groups[g];
+        let slot = group.accs.iter().position(|&a| std::ptr::eq(a, acc));
+        let slot = slot.unwrap_or_else(|| {
+            group.accs.push(acc);
+            group.accs.len() - 1
+        });
+        group.jobs.push((i, slot));
+    }
 
     let next = AtomicUsize::new(0);
-    // `None` once set: the job panicked; reported with lost jobs below.
-    let slots: Vec<OnceLock<Option<Result<RunStats, SimError>>>> =
-        jobs.iter().map(|_| OnceLock::new()).collect();
-    let worker = || loop {
-        let i = next.fetch_add(1, Ordering::Relaxed);
-        let Some(&(acc, ir)) = jobs.get(i) else {
-            break;
-        };
-        let entry = &entries[entry_of[i]];
-        let result = catch_unwind(AssertUnwindSafe(|| {
-            let workloads = entry.acquire(runner)?;
-            Ok(runner.simulate_prepared(acc, ir, &workloads))
-        }));
-        entry.release();
-        let _ = slots[i].set(result.ok());
+    let worker = || {
+        let mut done = Vec::new();
+        while let Some(group) = groups.get(next.fetch_add(1, Ordering::Relaxed)) {
+            // `None`: the group panicked; reported with lost groups below.
+            let runs = catch_unwind(AssertUnwindSafe(|| {
+                runner.run_shared(group.ir, group.centro, &group.accs)
+            }))
+            .ok();
+            done.push((group, runs));
+        }
+        done
     };
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers.min(jobs.len()))
+    let done: Vec<_> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers.min(groups.len()))
             .map(|_| scope.spawn(&worker))
             .collect();
-        for handle in handles {
-            // catch_unwind makes a failed join unreachable in practice; the
-            // jobs such a worker lost are reported below.
-            let _ = handle.join();
-        }
+        // catch_unwind makes a failed join unreachable in practice; the
+        // groups such a worker lost are reported below.
+        handles
+            .into_iter()
+            .flat_map(|handle| handle.join().unwrap_or_default())
+            .collect()
     });
-    let results = slots
-        .into_iter()
-        .zip(jobs)
-        .map(|(slot, (_, ir))| {
-            slot.into_inner().flatten().unwrap_or_else(|| {
-                Err(SimError::WorkerPanicked {
-                    model: ir.name.clone(),
-                })
+    let mut results: Vec<Result<RunStats, SimError>> = jobs
+        .iter()
+        .map(|(_, ir)| {
+            Err(SimError::WorkerPanicked {
+                model: ir.name.clone(),
             })
         })
         .collect();
-    (results, entries.len())
+    for (group, runs) in done {
+        let Some(runs) = runs else { continue };
+        for &(i, slot) in &group.jobs {
+            results[i] = match &runs {
+                Ok(runs) => Ok(runs[slot].clone()),
+                Err(e) => Err(e.clone()),
+            };
+        }
+    }
+    (results, groups.len())
 }
 
 /// Results of one batch: per-request stats in request order, plus the
@@ -167,10 +138,11 @@ pub struct BatchStats {
     /// Per-request results, in request order (request `i` of the input
     /// slice is `runs[i]`, exactly as [`Runner::run_ir`] would produce it).
     pub runs: Vec<RunStats>,
-    /// Requests served from the workload cache.
+    /// Requests that shared the workloads of an earlier request with the
+    /// same annotated IR (requests minus groups).
     pub cache_hits: usize,
-    /// Requests that synthesized a new cache entry — equivalently, the
-    /// number of unique annotated IRs in the batch.
+    /// Requests that started a new group — equivalently, the number of
+    /// unique annotated IRs in the batch, each synthesized once.
     pub cache_misses: usize,
 }
 
@@ -245,27 +217,19 @@ impl BatchStats {
     /// cache counters, cycles, energy, makespan, throughput, p50/p95
     /// latency) — what `sim_batch` prints.
     pub fn summary(&self) -> cscnn_json::Value {
-        use cscnn_json::Value;
+        use cscnn_json::Value::{self, F64, U64};
+        let count = |n| U64(to_count(n));
         Value::Obj(vec![
-            ("requests".into(), Value::U64(to_count(self.requests()))),
-            (
-                "unique_structures".into(),
-                Value::U64(to_count(self.unique_structures())),
-            ),
-            ("cache_hits".into(), Value::U64(to_count(self.cache_hits))),
-            (
-                "cache_misses".into(),
-                Value::U64(to_count(self.cache_misses)),
-            ),
-            ("total_cycles".into(), Value::U64(self.total_cycles())),
-            (
-                "total_on_chip_pj".into(),
-                Value::F64(self.total_on_chip_pj()),
-            ),
-            ("makespan_s".into(), Value::F64(self.makespan_s())),
-            ("throughput_rps".into(), Value::F64(self.throughput_rps())),
-            ("p50_latency_s".into(), Value::F64(self.p50_latency_s())),
-            ("p95_latency_s".into(), Value::F64(self.p95_latency_s())),
+            ("requests".into(), count(self.requests())),
+            ("unique_structures".into(), count(self.unique_structures())),
+            ("cache_hits".into(), count(self.cache_hits)),
+            ("cache_misses".into(), count(self.cache_misses)),
+            ("total_cycles".into(), U64(self.total_cycles())),
+            ("total_on_chip_pj".into(), F64(self.total_on_chip_pj())),
+            ("makespan_s".into(), F64(self.makespan_s())),
+            ("throughput_rps".into(), F64(self.throughput_rps())),
+            ("p50_latency_s".into(), F64(self.p50_latency_s())),
+            ("p95_latency_s".into(), F64(self.p95_latency_s())),
         ])
     }
 }
@@ -323,30 +287,35 @@ impl BatchRunner {
         &self.runner
     }
 
-    /// How many scoped worker threads [`BatchRunner::run_batch`] will spawn
-    /// for a batch of `requests` entries — never more than the batch has
-    /// requests, so small batches (or an empty one) cannot create idle
-    /// threads.
+    /// An upper bound on the scoped worker threads [`BatchRunner::run_batch`]
+    /// spawns for a batch of `requests` entries: `min(workers, requests)`,
+    /// so small batches (or an empty one) cannot create idle threads. The
+    /// pool runs one task per unique annotated IR, so it spawns
+    /// `min(workers, unique IRs)`, which a batch of repeats keeps lower.
     pub fn planned_workers(&self, requests: usize) -> usize {
         self.workers.min(requests)
     }
 
     /// Simulates every request of a batch on one accelerator.
     ///
-    /// Requests run on the worker pool, each worker claiming the next
-    /// unclaimed request; identical requests (same annotated IR) share one
-    /// workload synthesis through the cache. `stats.runs[i]` is
-    /// bit-identical to `runner.run_ir(acc, &requests[i])`.
+    /// Identical requests (same annotated IR) form one group, and each
+    /// worker claims the next unclaimed group, simulating it once, one
+    /// layer at a time, and giving every request of the group a copy of
+    /// the stats. `stats.runs[i]` is bit-identical to
+    /// `runner.run_ir(acc, &requests[i])`.
     ///
     /// # Errors
     ///
     /// The first failing request *by request index* (deterministic, not
-    /// discovery order): [`SimError::MissingSparsity`] for unannotated
+    /// discovery order). Every node of a request is checked before any of
+    /// its layers is simulated: [`SimError::MissingSparsity`] for unannotated
     /// weight nodes, [`SimError::DensityOutOfRange`] for a density that is
     /// NaN or outside `[0, 1]`, [`SimError::KernelTooLarge`] for a kernel of
-    /// more than `u16::MAX` positions, [`SimError::WorkerPanicked`] naming the
-    /// request's model when an accelerator model panics mid-simulation.
-    /// Every worker is joined before returning.
+    /// more than `u16::MAX` positions, [`SimError::BadGeometry`] for a layer
+    /// whose geometry cannot run, [`SimError::WorkerPanicked`] naming the
+    /// request's model when an accelerator model panics mid-simulation (a
+    /// panic fails every request of its group). Every worker is joined
+    /// before returning.
     pub fn run_batch(
         &self,
         acc: &dyn Accelerator,
@@ -589,6 +558,172 @@ mod tests {
                 assert_eq!(got_value.to_bits(), value.to_bits());
             }
             assert_eq!(from_run_ir.to_string(), from_batch.to_string());
+        }
+    }
+
+    #[test]
+    fn group_keeps_chaining_state_per_accelerator() {
+        // Three Deep-Compression accelerators share one group on a DAG with
+        // skip edges; the 128 KiB global buffer changes which outputs stay
+        // on chip, so the group must chain each accelerator on its own.
+        let model = catalog::resnet18();
+        let mut ir = catalog::resnet18_ir();
+        assert!(!ir.edges.is_empty(), "ResNet-18 carries skip edges");
+        let mc = ModelCompression::new(model, cscnn_models::CompressionScheme::DeepCompression);
+        assert!(mc.profile.annotate(&mut ir));
+        let scnn = CartesianAccelerator::scnn();
+        let small_glb = CartesianAccelerator::scnn()
+            .with_config(crate::ArchConfig {
+                glb_bytes: 128 * 1024,
+                ..crate::ArchConfig::paper_scnn()
+            })
+            .with_name("SCNN-128K");
+        let sparten = crate::baselines::sparten();
+        let jobs: Vec<Job<'_>> = vec![(&scnn, &ir), (&small_glb, &ir), (&sparten, &ir)];
+        let runner = Runner::new(42);
+        let (results, groups) = run_jobs(&runner, &jobs, 2);
+        assert_eq!(groups, 1, "one annotated IR under one scheme");
+        let runs: Vec<RunStats> = results
+            .into_iter()
+            .map(|r| r.expect("annotated IR"))
+            .collect();
+        for (&(acc, ir), run) in jobs.iter().zip(&runs) {
+            let alone = runner.run_ir(acc, ir).expect("annotated IR");
+            assert_eq!(format!("{run:?}"), format!("{alone:?}"), "{}", acc.name());
+        }
+        assert_ne!(
+            format!("{:?}", runs[0].layers),
+            format!("{:?}", runs[1].layers),
+            "the small buffer changes on-chip chaining"
+        );
+    }
+
+    #[test]
+    fn repeated_accelerator_is_simulated_once_and_bad_nodes_fail_first() {
+        use crate::interface::{Characteristics, LayerContext};
+        use crate::report::LayerStats;
+        /// CSCNN, counting its `simulate_layer` calls.
+        struct Counting(CartesianAccelerator, AtomicUsize);
+        impl Accelerator for Counting {
+            fn name(&self) -> &'static str {
+                self.0.name()
+            }
+            fn scheme(&self) -> cscnn_models::CompressionScheme {
+                self.0.scheme()
+            }
+            fn config(&self) -> crate::ArchConfig {
+                self.0.config()
+            }
+            fn characteristics(&self) -> Characteristics {
+                self.0.characteristics()
+            }
+            fn simulate_layer(&self, ctx: &LayerContext<'_>) -> LayerStats {
+                self.1.fetch_add(1, Ordering::Relaxed);
+                self.0.simulate_layer(ctx)
+            }
+        }
+        let counting = || Counting(CartesianAccelerator::cscnn(), AtomicUsize::new(0));
+        let (acc, twin) = (counting(), counting());
+        let calls = |acc: &Counting| acc.1.swap(0, Ordering::Relaxed);
+        let ir = annotated_ir(&catalog::lenet5(), &acc.0);
+        let runner = Runner::new(42);
+        let alone = format!("{:?}", runner.run_ir(&acc, &ir).expect("annotated IR"));
+        let layers = calls(&acc);
+        assert!(layers > 0);
+
+        // Eight requests on one accelerator object: one group, one run.
+        let stats = BatchRunner::new(runner.clone())
+            .with_workers(4)
+            .run_batch(&acc, &vec![ir.clone(); 8])
+            .expect("annotated batch");
+        assert_eq!(calls(&acc), layers, "repeats are copied, not re-run");
+        for run in &stats.runs {
+            assert_eq!(format!("{run:?}"), alone);
+        }
+
+        // Two objects of one group are each simulated once.
+        let jobs: Vec<Job<'_>> = vec![(&acc, &ir), (&twin, &ir), (&acc, &ir)];
+        let (results, groups) = run_jobs(&runner, &jobs, 2);
+        assert_eq!(groups, 1);
+        assert_eq!((calls(&acc), calls(&twin)), (layers, layers));
+        for result in results {
+            assert_eq!(format!("{:?}", result.expect("annotated IR")), alone);
+        }
+
+        // A bad last node is reported before any layer is simulated.
+        let mut bad = ir.clone();
+        match bad.nodes.iter_mut().rev().find(|n| n.sparsity().is_some()) {
+            Some(cscnn_ir::LayerNode::FullyConnected { outputs, .. }) => *outputs = 0,
+            other => panic!("LeNet-5 ends in an FC layer, got {other:?}"),
+        }
+        let err = runner.run_ir(&acc, &bad).expect_err("zero outputs");
+        assert!(matches!(err, SimError::BadGeometry { .. }), "{err:?}");
+        let err = BatchRunner::new(runner.clone())
+            .with_workers(2)
+            .run_batch(&acc, &[ir.clone(), bad])
+            .expect_err("zero outputs");
+        assert!(matches!(err, SimError::BadGeometry { .. }), "{err:?}");
+        assert_eq!(calls(&acc), layers, "only the good request ran");
+    }
+
+    #[test]
+    fn impossible_geometry_is_a_typed_error_in_run_ir_and_run_batch() {
+        // A node built by struct literal bypasses the artifact parser's
+        // geometry check; synthesis must reject it rather than panic (which
+        // `run_batch` would report as `WorkerPanicked`). LeNet-5's C3 is
+        // 6→16 channels, 5×5 on an unpadded 14×14 input.
+        use cscnn_ir::{ConvGeom, LayerNode};
+        fn conv(node: &mut LayerNode) -> &mut ConvGeom {
+            match node {
+                LayerNode::Conv { geom, .. } => geom,
+                other => panic!("expected a conv node, got {other:?}"),
+            }
+        }
+        fn fc(node: &mut LayerNode) -> (&mut usize, &mut usize) {
+            match node {
+                LayerNode::FullyConnected {
+                    inputs, outputs, ..
+                } => (inputs, outputs),
+                other => panic!("expected an FC node, got {other:?}"),
+            }
+        }
+        let cases: [(&str, fn(&mut LayerNode), &str); 8] = [
+            ("C3", |n| conv(n).r = 15, "r"),
+            ("C3", |n| conv(n).s = 15, "r"),
+            ("C3", |n| conv(n).stride = 0, "stride"),
+            ("C3", |n| conv(n).groups = 0, "groups"),
+            ("C3", |n| conv(n).groups = 4, "groups"), // divides k, not c
+            ("C3", |n| conv(n).groups = 3, "groups"), // divides c, not k
+            ("F5", |n| *fc(n).0 = 0, "inputs"),
+            ("F6", |n| *fc(n).1 = 0, "outputs"),
+        ];
+        let acc = CartesianAccelerator::cscnn();
+        let runner = Runner::new(42);
+        let batch = BatchRunner::new(runner.clone()).with_workers(2);
+        let good = annotated_ir(&catalog::lenet5(), &acc);
+        for (layer, edit, field) in cases {
+            let mut bad = good.clone();
+            let node = bad
+                .nodes
+                .iter_mut()
+                .find(|n| n.name() == Some(layer))
+                .expect("LeNet-5 layer");
+            edit(node);
+            let from_run_ir = runner.run_ir(&acc, &bad).expect_err("bad geometry");
+            let from_batch = batch
+                .run_batch(&acc, &[good.clone(), bad])
+                .expect_err("bad geometry");
+            assert_eq!(from_run_ir, from_batch);
+            let SimError::BadGeometry {
+                layer: got_layer,
+                field: got_field,
+                ..
+            } = &from_run_ir
+            else {
+                panic!("expected BadGeometry, got {from_run_ir}");
+            };
+            assert_eq!((got_layer.as_str(), *got_field), (layer, field));
+            assert!(from_run_ir.to_string().contains(layer), "{from_run_ir}");
         }
     }
 

@@ -56,6 +56,17 @@ pub enum SimError {
         /// Its kernel positions `R·S`.
         positions: usize,
     },
+    /// A weight-bearing IR node's geometry cannot describe a layer: a zero
+    /// extent, `groups` not dividing the channels, or a kernel larger than
+    /// its padded input (see [`cscnn_ir::ConvGeom::check`]).
+    BadGeometry {
+        /// The offending layer's name.
+        layer: String,
+        /// The offending field (`"groups"`, `"r"`, `"inputs"`, …).
+        field: &'static str,
+        /// Why it is rejected.
+        reason: String,
+    },
     /// An IR reached the simulator with a malformed graph topology
     /// (dangling or backward edge, cycle, bad join arity).
     BadTopology {
@@ -112,6 +123,13 @@ impl fmt::Display for SimError {
                      are supported",
                     u16::MAX
                 )
+            }
+            SimError::BadGeometry {
+                layer,
+                field,
+                reason,
+            } => {
+                write!(f, "layer `{layer}` has invalid geometry: {field} {reason}")
             }
             SimError::BadTopology { model, error } => {
                 write!(f, "model `{model}` has an invalid graph topology: {error}")

@@ -66,7 +66,9 @@ pub trait Accelerator: Send + Sync {
     /// Table IV characteristics.
     fn characteristics(&self) -> Characteristics;
 
-    /// Simulates one layer.
+    /// Simulates one layer. Must be a deterministic function of `self` and
+    /// `ctx`: the batch pool simulates an accelerator once per shared
+    /// workload and copies the result to every job that repeats it.
     fn simulate_layer(&self, ctx: &LayerContext<'_>) -> LayerStats;
 }
 

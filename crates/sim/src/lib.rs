@@ -29,8 +29,9 @@
 //! - [`baselines`] — DCNN, Cnvlutin, Cambricon-X/S, SparTen, SIGMA, SpArch.
 //! - [`energy`] / [`area`] / [`dram`] — the cost models.
 //! - [`Runner`] — whole-network and suite simulation.
-//! - [`BatchRunner`] — batched intake of annotated IR requests with a
-//!   workload cache and a worker pool (see `docs/batching.md`).
+//! - [`BatchRunner`] — batched intake of annotated IR requests: identical
+//!   requests share one workload synthesis on a worker pool (see
+//!   `docs/batching.md`).
 //!
 //! # Example
 //!

@@ -80,102 +80,100 @@ impl Runner {
     /// [`SimError::DensityOutOfRange`] naming the first node whose
     /// annotated density is NaN or outside `[0, 1]`;
     /// [`SimError::KernelTooLarge`] for a kernel of more than `u16::MAX`
-    /// positions.
+    /// positions; [`SimError::BadGeometry`] naming the first layer whose
+    /// geometry cannot run. All are checked before any layer is simulated.
     pub fn run_ir(&self, acc: &dyn Accelerator, ir: &ModelIr) -> Result<RunStats, SimError> {
-        validate_ir(ir)?;
         let centro = acc.scheme().uses_centrosymmetric();
-        let workloads = self.ir_workloads(ir, centro)?;
-        Ok(self.simulate_prepared(acc, ir, &workloads))
+        Ok(self.run_shared(ir, centro, &[acc])?.remove(0))
     }
 
-    /// Lowers every node of an annotated IR to its workload (`None` for the
-    /// nodes the simulator does not time), using exactly the per-layer
-    /// seeding of [`Runner::run_ir`] — this is the synthesis half of
-    /// `run_ir`, split out so [`crate::BatchRunner`]'s workload cache can
-    /// share the result across requests (`docs/batching.md`). Seeds are
-    /// keyed by the node's name (weightless nodes never consume a seed), so
-    /// workloads are invariant under topological reordering of the list.
+    /// Simulates one annotated IR on each of `accs` (`result[j]` belongs to
+    /// `accs[j]`), all sharing the workloads synthesized for `centro`: the
+    /// routine behind [`Runner::run_ir`] and each task of the job pool
+    /// (`docs/batching.md`). After checking the topology and every node
+    /// (so errors come before any simulation) it walks the IR layer-major:
+    /// each node's workload is synthesized (seeded by name), simulated on
+    /// every accelerator, and dropped before the next node.
+    /// Untimed nodes are left out of the layer list. A layer's input is
+    /// on-chip when *every* graph predecessor's output fit in the global
+    /// buffer (untimed nodes pass their status through; for a linear chain
+    /// this is previous-layer chaining), tracked per accelerator because
+    /// configurations differ.
     ///
     /// # Errors
     ///
-    /// [`SimError::MissingSparsity`], [`SimError::DensityOutOfRange`] or
-    /// [`SimError::KernelTooLarge`] naming the first weight-bearing node
-    /// that cannot be synthesized.
-    pub(crate) fn ir_workloads(
+    /// Everything [`Runner::run_ir`] can return, for every accelerator.
+    pub(crate) fn run_shared(
         &self,
         ir: &ModelIr,
         centro: bool,
-    ) -> Result<Vec<Option<LayerWorkload>>, SimError> {
-        let mut workloads = Vec::with_capacity(ir.nodes.len());
-        for node in &ir.nodes {
-            let seed = workload_seed(self.seed, &ir.name, node.name().unwrap_or(""));
-            workloads.push(LayerWorkload::from_node(node, centro, seed)?);
-        }
-        Ok(workloads)
-    }
-
-    /// Simulates pre-synthesized workloads node by node — the timing half
-    /// of [`Runner::run_ir`]. `None` entries (untimed nodes) are skipped in
-    /// the reported layer list; a layer's input counts as on-chip when
-    /// *every* graph predecessor produced an output that fit in the global
-    /// buffer (untimed nodes pass their predecessors' status through). For
-    /// an implicit linear chain this is previous-layer chaining.
-    pub(crate) fn simulate_prepared(
-        &self,
-        acc: &dyn Accelerator,
-        ir: &ModelIr,
-        workloads: &[Option<LayerWorkload>],
-    ) -> RunStats {
-        debug_assert_eq!(ir.nodes.len(), workloads.len());
-        let cfg = acc.config();
-        let mut stats = RunStats {
-            accelerator: acc.name().to_string(),
+        accs: &[&dyn Accelerator],
+    ) -> Result<Vec<RunStats>, SimError> {
+        ir.validate().map_err(|error| SimError::BadTopology {
             model: ir.name.clone(),
-            ..Default::default()
-        };
-        // on_chip[i]: whether node i's output is resident in the global
-        // buffer for its consumers. Untimed nodes forward their input
-        // status (false at a graph source — the model input streams from
-        // DRAM).
-        let mut on_chip = vec![false; workloads.len()];
-        for (i, slot) in workloads.iter().enumerate() {
+            error,
+        })?;
+        for node in &ir.nodes {
+            LayerWorkload::check_node(node)?;
+        }
+        let mut runs: Vec<_> = accs
+            .iter()
+            .map(|acc| {
+                let stats = RunStats {
+                    accelerator: acc.name().to_string(),
+                    model: ir.name.clone(),
+                    ..Default::default()
+                };
+                // on_chip[i]: whether node i's output is resident in the
+                // global buffer for its consumers (false at a graph source
+                // — the model input streams from DRAM).
+                (acc.config(), stats, vec![false; ir.nodes.len()])
+            })
+            .collect();
+        for (i, node) in ir.nodes.iter().enumerate() {
+            let seed = workload_seed(self.seed, &ir.name, node.name().unwrap_or(""));
+            let workload = LayerWorkload::from_node(node, centro, seed)?;
             let preds = ir.predecessors(i);
-            let input_on_chip = !preds.is_empty() && preds.iter().all(|&p| on_chip[p]);
-            match slot {
-                Some(wl) => {
-                    let out_bytes =
-                        util::to_index(wl.layer.output_activations()) * cfg.word_bits / 8;
-                    let output_fits = out_bytes <= cfg.glb_bytes;
-                    let ctx = LayerContext {
-                        cfg: &cfg,
-                        dram: &self.dram,
-                        energy: &self.energy,
-                        workload: wl,
-                        input_on_chip,
-                        output_fits_on_chip: output_fits,
-                    };
-                    stats.layers.push(acc.simulate_layer(&ctx));
-                    on_chip[i] = output_fits;
-                }
-                None => on_chip[i] = input_on_chip,
+            for (acc, (cfg, stats, on_chip)) in accs.iter().zip(&mut runs) {
+                let input_on_chip = !preds.is_empty() && preds.iter().all(|&p| on_chip[p]);
+                on_chip[i] = match &workload {
+                    Some(wl) => {
+                        let out_bytes =
+                            util::to_index(wl.layer.output_activations()) * cfg.word_bits / 8;
+                        let output_fits = out_bytes <= cfg.glb_bytes;
+                        let ctx = LayerContext {
+                            cfg,
+                            dram: &self.dram,
+                            energy: &self.energy,
+                            workload: wl,
+                            input_on_chip,
+                            output_fits_on_chip: output_fits,
+                        };
+                        stats.layers.push(acc.simulate_layer(&ctx));
+                        output_fits
+                    }
+                    None => input_on_chip,
+                };
             }
         }
-        stats
+        Ok(runs.into_iter().map(|(_, stats, _)| stats).collect())
     }
 
     /// Simulates every (accelerator, model) pair, exactly as
     /// [`Runner::run_model`] would, on the worker pool behind
     /// [`crate::BatchRunner`] (sized by [`util::configured_workers`]).
-    /// One workload cache spans the whole call, so a layer is synthesized
-    /// once per compression scheme, not once per accelerator. Results are
-    /// ordered `[model][accelerator]`.
+    /// The accelerators that run one model under one compression scheme
+    /// form one task, simulated layer by layer, so a layer is synthesized
+    /// once per scheme, not once per accelerator, and freed before the
+    /// next. Results are ordered `[model][accelerator]`.
     ///
     /// # Errors
     ///
     /// The first failing (model, accelerator) pair in that order:
     /// [`SimError::WorkerPanicked`] naming the model when an accelerator
-    /// model panics. Every worker is joined before returning, so one
-    /// poisoned model cannot abort the others mid-simulation.
+    /// model panics (failing every accelerator that shares its task). Every
+    /// worker is joined before returning, so one poisoned model cannot
+    /// abort the others mid-simulation.
     pub fn run_suite(
         &self,
         accelerators: &[Box<dyn Accelerator>],
@@ -212,17 +210,6 @@ fn calibrated_ir(model: &ModelDesc, scheme: CompressionScheme) -> ModelIr {
         .annotate(&mut ir);
     debug_assert!(annotated, "a calibrated profile has one entry per layer");
     ir
-}
-
-/// Validates an IR's graph topology, wrapping failures in
-/// [`SimError::BadTopology`]. Shared by [`Runner::run_ir`] and the batch
-/// worker path so batched and sequential simulation reject exactly the
-/// same inputs.
-pub(crate) fn validate_ir(ir: &ModelIr) -> Result<(), SimError> {
-    ir.validate().map_err(|error| SimError::BadTopology {
-        model: ir.name.clone(),
-        error,
-    })
 }
 
 /// Derives a layer's workload seed from the runner seed and the *names* of

@@ -83,9 +83,9 @@ pub fn to_nnz<T: TryInto<u32>>(x: T) -> u32 {
     }
 }
 
-/// Narrows a per-slice non-zero count to the `u16` width the workload
-/// cache stores. A slice holds at most `R·S` weights, so an out-of-range
-/// count means a kernel the cache cannot represent: unlike the saturating
+/// Narrows a per-slice non-zero count to the `u16` width a workload
+/// stores. A slice holds at most `R·S` weights, so an out-of-range
+/// count means a kernel the workload cannot represent: unlike the saturating
 /// helpers above, this panics in release builds too rather than truncate.
 #[inline]
 pub fn to_slice_nnz(x: u32) -> u16 {

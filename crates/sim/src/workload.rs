@@ -8,6 +8,7 @@
 //! counts are derived on demand from a counter-based hash so any tiling can
 //! query them without pre-materialization.
 
+use cscnn_ir::{LayerNode, SparsityAnnotation};
 use cscnn_models::LayerDesc;
 use cscnn_rng::rngs::StdRng;
 use cscnn_rng::{Rng, SeedableRng};
@@ -31,7 +32,7 @@ pub struct LayerWorkload {
     /// Non-zero stored weights per `(k, c_local)` slice, row-major
     /// `k * c_per_group + c_local`. A slice holds at most
     /// `stored_per_slice ≤ R·S` weights, so `u16` suffices and halves the
-    /// shared workload cache. Empty for FC layers (see
+    /// workload. Empty for FC layers (see
     /// [`LayerWorkload::fc_weight_nnz`]).
     weight_nnz: Vec<u16>,
     /// For FC layers: non-zero weights per output neuron `k`.
@@ -107,20 +108,46 @@ impl LayerWorkload {
     ///
     /// # Errors
     ///
+    /// [`crate::SimError::BadGeometry`] naming the layer and field when
+    /// the node's geometry fails [`cscnn_ir::ConvGeom::check`] (or an FC
+    /// node has zero inputs or outputs);
     /// [`crate::SimError::MissingSparsity`] naming the layer when a
     /// weight-bearing node has no annotation;
     /// [`crate::SimError::DensityOutOfRange`] when an annotated density is
     /// NaN or outside `[0, 1]`; [`crate::SimError::KernelTooLarge`] when the
     /// kernel has more than `u16::MAX` positions.
     pub fn from_node(
-        node: &cscnn_ir::LayerNode,
+        node: &LayerNode,
         centro: bool,
         seed: u64,
     ) -> Result<Option<Self>, crate::SimError> {
+        Ok(Self::check_node(node)?.map(|(desc, ann)| {
+            let (w, a) = (ann.weight_density, ann.activation_density);
+            Self::synthesize(&desc, w, a, centro, seed)
+        }))
+    }
+
+    /// Every check of [`LayerWorkload::from_node`], without the synthesis:
+    /// the lowered layer and its annotation, or `None` for an untimed node.
+    pub(crate) fn check_node(
+        node: &LayerNode,
+    ) -> Result<Option<(LayerDesc, SparsityAnnotation)>, crate::SimError> {
+        let layer = || node.name().unwrap_or("<unnamed>").to_string();
+        let non_zero = |field| Err((field, "must be non-zero".to_string()));
+        match node {
+            LayerNode::Conv { geom, .. } | LayerNode::Depthwise { geom, .. } => geom.check(),
+            LayerNode::FullyConnected { inputs: 0, .. } => non_zero("inputs"),
+            LayerNode::FullyConnected { outputs: 0, .. } => non_zero("outputs"),
+            _ => Ok(()),
+        }
+        .map_err(|(field, reason)| crate::SimError::BadGeometry {
+            layer: layer(),
+            field,
+            reason,
+        })?;
         let Some(desc) = cscnn_models::lower::layer_desc(node) else {
             return Ok(None);
         };
-        let layer = || node.name().unwrap_or("<unnamed>").to_string();
         let Some(ann) = node.sparsity() else {
             return Err(crate::SimError::MissingSparsity { layer: layer() });
         };
@@ -143,13 +170,7 @@ impl LayerWorkload {
                 positions,
             });
         }
-        Ok(Some(Self::synthesize(
-            &desc,
-            ann.weight_density,
-            ann.activation_density,
-            centro,
-            seed,
-        )))
+        Ok(Some((desc, ann)))
     }
 
     /// Input channels per convolution group.
