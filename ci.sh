@@ -26,6 +26,17 @@ cargo build --workspace --release --benches
 echo "== cargo test"
 cargo test --workspace -q
 
+echo "== paper harness stdout against committed snapshots"
+# Simulated results must stay bit-identical: each harness's stdout at the
+# fixed seed is committed under crates/bench/snapshots/. A declared fidelity
+# fix re-records them in the same change:
+#   cargo run -q --release -p cscnn-bench --bin figN > crates/bench/snapshots/figN.txt
+for fig in fig7 fig8 fig9 fig10 fig11; do
+    echo "-- $fig"
+    cargo run -q --release -p cscnn-bench --bin "$fig" > "target/snapshot_$fig.txt"
+    diff -u "crates/bench/snapshots/$fig.txt" "target/snapshot_$fig.txt"
+done
+
 echo "== property suites across fixed seeds"
 for seed in 1 17 4242; do
     echo "-- CSCNN_PROP_SEED=$seed"

@@ -69,9 +69,7 @@ impl LayerWorkload {
         let stored_per_slice = if effective_centro { rs.div_ceil(2) } else { rs };
         let mut rng = StdRng::seed_from_u64(seed ^ 0x5eed_cafe);
         let (weight_nnz, fc_nnz) = if layer.kind == cscnn_models::LayerKind::FullyConnected {
-            let fc: Vec<u32> = (0..layer.k)
-                .map(|_| binomial(&mut rng, layer.c, weight_density))
-                .collect();
+            let fc = Binomial::new(layer.c, weight_density).samples(&mut rng, layer.k, |x| x);
             (Vec::new(), fc)
         } else {
             let c_local = layer.c / layer.groups;
@@ -81,9 +79,11 @@ impl LayerWorkload {
                 "{}: {stored_per_slice} stored weights per slice exceed the u16 slice counts",
                 layer.name
             );
-            let w: Vec<u16> = (0..slices)
-                .map(|_| to_slice_nnz(binomial(&mut rng, stored_per_slice, weight_density)))
-                .collect();
+            let w = Binomial::new(stored_per_slice, weight_density).samples(
+                &mut rng,
+                slices,
+                to_slice_nnz,
+            );
             (w, Vec::new())
         };
         LayerWorkload {
@@ -232,7 +232,7 @@ impl LayerWorkload {
         let z = (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos();
         let factor = (1.0 + sigma * z).clamp(0.3, 1.7);
         let density = (self.act_density * factor).clamp(0.0, 1.0);
-        binomial(&mut rng, tile_len, density)
+        Binomial::new(tile_len, density).sample(&mut rng)
     }
 
     /// Total non-zero input activations (expected value, used for traffic).
@@ -253,24 +253,98 @@ impl LayerWorkload {
     }
 }
 
-/// Fast binomial sampler: exact for small `n`, normal approximation above.
-fn binomial<R: Rng>(rng: &mut R, n: usize, p: f64) -> u32 {
-    if p <= 0.0 {
-        return 0;
+/// Binomial `(n, p)` sampler whose path is chosen once, at construction:
+/// exact for small `n`, normal approximation above.
+///
+/// A workload draws one count per slice of a layer, with `n` and `p` the
+/// same for every slice, so the range and path tests run once per layer,
+/// not once per slice. Counts and the random stream are bit-identical to
+/// drawing each slice's count with `gen_bool` trials (the `binomial` test
+/// oracle): the exact path draws `n` numbers, the normal path two and a
+/// constant path none.
+#[derive(Clone, Copy, Debug)]
+enum Binomial {
+    /// `p ≤ 0` or `p ≥ 1`: the count is certain.
+    Const(u32),
+    /// `n` Bernoulli trials, each `(x >> 11) < threshold` with
+    /// `threshold = ⌈p·2^53⌉`. That is `gen_bool(p)`'s test
+    /// `(x >> 11)·2^-53 < p` with both sides scaled by `2^53`, which is
+    /// exact for a power of two, so every trial agrees with `gen_bool`.
+    Exact { n: usize, threshold: u64 },
+    /// Box–Muller normal draw with mean `np` and deviation `sigma`, rounded
+    /// and clamped to `[0, n]`.
+    Normal { n: f64, np: f64, sigma: f64 },
+}
+
+impl Binomial {
+    fn new(n: usize, p: f64) -> Self {
+        debug_assert!((0.0..=1.0).contains(&p), "binomial p={p} out of [0,1]");
+        if p <= 0.0 {
+            return Self::Const(0);
+        }
+        if p >= 1.0 {
+            return Self::Const(to_nnz(n));
+        }
+        let np = n as f64 * p;
+        if n <= 64 || np < 10.0 || (n as f64 * (1.0 - p)) < 10.0 {
+            const SCALE: f64 = (1u64 << 53) as f64;
+            let threshold = count_from_f64((p * SCALE).ceil());
+            Self::Exact { n, threshold }
+        } else {
+            let sigma = (np * (1.0 - p)).sqrt();
+            Self::Normal {
+                n: n as f64,
+                np,
+                sigma,
+            }
+        }
     }
-    if p >= 1.0 {
-        return to_nnz(n);
+
+    /// One count.
+    #[inline]
+    fn sample<R: Rng>(&self, rng: &mut R) -> u32 {
+        match *self {
+            Self::Const(count) => count,
+            Self::Exact { n, threshold } => exact_count(rng, n, threshold),
+            Self::Normal { n, np, sigma } => normal_count(rng, n, np, sigma),
+        }
     }
-    let np = n as f64 * p;
-    if n <= 64 || np < 10.0 || (n as f64 * (1.0 - p)) < 10.0 {
-        to_nnz((0..n).filter(|_| rng.gen_bool(p)).count())
-    } else {
-        let sigma = (np * (1.0 - p)).sqrt();
-        let u1: f64 = rng.gen_range(f64::EPSILON..1.0);
-        let u2: f64 = rng.gen_range(0.0..1.0);
-        let z = (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos();
-        nnz_from_f64((np + sigma * z).round().clamp(0.0, n as f64))
+
+    /// `count` counts, each passed through `convert`, with the path matched
+    /// once outside the loop.
+    fn samples<R: Rng, T: Clone>(
+        &self,
+        rng: &mut R,
+        count: usize,
+        convert: impl Fn(u32) -> T,
+    ) -> Vec<T> {
+        match *self {
+            Self::Const(c) => vec![convert(c); count],
+            Self::Exact { n, threshold } => (0..count)
+                .map(|_| convert(exact_count(rng, n, threshold)))
+                .collect(),
+            Self::Normal { n, np, sigma } => (0..count)
+                .map(|_| convert(normal_count(rng, n, np, sigma)))
+                .collect(),
+        }
     }
+}
+
+#[inline]
+fn exact_count<R: Rng>(rng: &mut R, n: usize, threshold: u64) -> u32 {
+    to_nnz(
+        (0..n)
+            .filter(|_| (rng.next_u64() >> 11) < threshold)
+            .count(),
+    )
+}
+
+#[inline]
+fn normal_count<R: Rng>(rng: &mut R, n: f64, np: f64, sigma: f64) -> u32 {
+    let u1: f64 = rng.gen_range(f64::EPSILON..1.0);
+    let u2: f64 = rng.gen_range(0.0..1.0);
+    let z = (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos();
+    nnz_from_f64((np + sigma * z).round().clamp(0.0, n))
 }
 
 /// SplitMix64 hash step for deterministic derived seeds.
@@ -405,8 +479,176 @@ mod tests {
     #[test]
     fn binomial_normal_approx_matches_mean() {
         let mut rng = StdRng::seed_from_u64(7);
-        let samples: Vec<u32> = (0..500).map(|_| binomial(&mut rng, 10_000, 0.3)).collect();
-        let mean = samples.iter().map(|&x| x as f64).sum::<f64>() / samples.len() as f64;
+        let b = Binomial::new(10_000, 0.3);
+        assert!(matches!(b, Binomial::Normal { .. }));
+        let samples = b.samples(&mut rng, 500, f64::from);
+        let mean = samples.iter().sum::<f64>() / samples.len() as f64;
         assert!((mean - 3000.0).abs() < 30.0, "mean={mean}");
+    }
+
+    /// The per-draw sampler `Binomial` replaces: every call repeats the
+    /// path choice and draws each exact trial through `gen_bool`.
+    fn binomial<R: Rng>(rng: &mut R, n: usize, p: f64) -> u32 {
+        if p <= 0.0 {
+            return 0;
+        }
+        if p >= 1.0 {
+            return to_nnz(n);
+        }
+        let np = n as f64 * p;
+        if n <= 64 || np < 10.0 || (n as f64 * (1.0 - p)) < 10.0 {
+            to_nnz((0..n).filter(|_| rng.gen_bool(p)).count())
+        } else {
+            let sigma = (np * (1.0 - p)).sqrt();
+            let u1: f64 = rng.gen_range(f64::EPSILON..1.0);
+            let u2: f64 = rng.gen_range(0.0..1.0);
+            let z = (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos();
+            nnz_from_f64((np + sigma * z).round().clamp(0.0, n as f64))
+        }
+    }
+
+    fn path_name(b: &Binomial) -> &'static str {
+        match b {
+            Binomial::Const(_) => "const",
+            Binomial::Exact { .. } => "exact",
+            Binomial::Normal { .. } => "normal",
+        }
+    }
+
+    #[test]
+    fn binomial_matches_the_per_draw_oracle_count_for_count() {
+        // (n, p, expected path): exact with n ≤ 64, exact with n > 64 on
+        // either tail, normal, both constants, n = 0 and 1, tiny p and the
+        // largest p below 1.
+        let cases: [(usize, f64, &str); 16] = [
+            (9, 0.35, "exact"),
+            (5, 0.4, "exact"),
+            (64, 0.5, "exact"),
+            (1000, 0.005, "exact"),
+            (1000, 0.995, "exact"),
+            (4096, 0.1, "normal"),
+            (10_000, 0.3, "normal"),
+            (65, 0.5, "normal"),
+            (9, 0.0, "const"),
+            (9, 1.0, "const"),
+            (10_000, 1.0, "const"),
+            (0, 0.5, "exact"),
+            (1, 0.5, "exact"),
+            (9, 1e-300, "exact"),
+            (9, f64::from_bits(1), "exact"),
+            (9, 1.0 - 1e-16, "exact"),
+        ];
+        for (n, p, path) in cases {
+            let b = Binomial::new(n, p);
+            assert_eq!(path_name(&b), path, "n={n} p={p}");
+            for seed in 0..64 {
+                let mut oracle = StdRng::seed_from_u64(seed);
+                let mut single = oracle.clone();
+                let mut batch = oracle.clone();
+                let want: Vec<u32> = (0..40).map(|_| binomial(&mut oracle, n, p)).collect();
+                let one_by_one: Vec<u32> = (0..40).map(|_| b.sample(&mut single)).collect();
+                let at_once = b.samples(&mut batch, 40, |x| x);
+                assert_eq!(one_by_one, want, "sample: n={n} p={p} seed={seed}");
+                assert_eq!(at_once, want, "samples: n={n} p={p} seed={seed}");
+                assert_eq!(single, oracle, "stream position: n={n} p={p}");
+                assert_eq!(batch, oracle, "stream position: n={n} p={p}");
+            }
+        }
+    }
+
+    #[test]
+    fn exact_threshold_agrees_with_gen_bool_at_its_boundary() {
+        /// A generator that returns one raw value forever.
+        struct Fixed(u64);
+        impl Rng for Fixed {
+            fn next_u64(&mut self) -> u64 {
+                self.0
+            }
+        }
+        // One draw on either side of the threshold: a threshold off by one
+        // would almost never show in sampled counts.
+        for p in [0.3, 0.5, 0.1 + 0.2, 1.0 - 1e-16, 1e-300, f64::from_bits(1)] {
+            let Binomial::Exact { threshold, .. } = Binomial::new(9, p) else {
+                panic!("p={p} takes the exact path");
+            };
+            for m in [threshold - 1, threshold] {
+                let x = m << 11;
+                let want = Fixed(x).gen_bool(p);
+                assert_eq!(
+                    exact_count(&mut Fixed(x), 1, threshold),
+                    u32::from(want),
+                    "p={p} m={m}"
+                );
+            }
+        }
+    }
+
+    /// FNV-1a over a workload's per-slice and per-neuron counts.
+    fn counts_hash(w: &LayerWorkload) -> u64 {
+        let counts = w
+            .weight_nnz
+            .iter()
+            .map(|&x| u32::from(x))
+            .chain(w.fc_nnz.iter().copied());
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for byte in counts.flat_map(u32::to_le_bytes) {
+            h = (h ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3);
+        }
+        h
+    }
+
+    #[test]
+    fn synthesized_counts_match_the_pinned_hashes() {
+        // Seed 42, the harness seed. `GOLDEN` pins cycle and energy totals;
+        // these pin the counts themselves, one layer per sampling path.
+        let conv3 = LayerDesc::conv("conv3", 128, 256, 3, 3, 28, 28, 1, 1);
+        let pointwise = LayerDesc::conv("pw", 256, 512, 1, 1, 14, 14, 1, 0);
+        let fc = LayerDesc::fc("fc6", 9216, 4096);
+        let cases = [
+            (
+                "dense 3x3",
+                &conv3,
+                1.0,
+                false,
+                "const",
+                0xf0af_9dee_a746_2325u64,
+            ),
+            (
+                "deep compression 3x3",
+                &conv3,
+                0.35,
+                false,
+                "exact",
+                0xb019_baee_e106_fffc,
+            ),
+            (
+                "centrosymmetric 3x3",
+                &conv3,
+                0.35,
+                true,
+                "exact",
+                0x51cd_a5cb_cedd_2755,
+            ),
+            (
+                "pointwise 1x1",
+                &pointwise,
+                0.3,
+                false,
+                "exact",
+                0x36a3_349b_187a_e3d4,
+            ),
+            ("wide fc", &fc, 0.09, false, "normal", 0x0133_c7aa_d269_0a30),
+        ];
+        for (name, layer, density, centro, path, want) in cases {
+            let w = LayerWorkload::synthesize(layer, density, 0.5, centro, 42);
+            let n = if w.fc_nnz.is_empty() {
+                w.stored_per_slice
+            } else {
+                layer.c
+            };
+            assert_eq!(path_name(&Binomial::new(n, density)), path, "{name}");
+            let got = counts_hash(&w);
+            assert_eq!(got, want, "{name}: counts hash {got:#018x}");
+        }
     }
 }

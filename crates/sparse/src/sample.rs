@@ -92,15 +92,6 @@ pub fn centro_slice<R: Rng>(rng: &mut R, rows: usize, cols: usize, density: f64)
     SparseSlice::from_dense(&dense, rows, cols)
 }
 
-/// Samples `count` non-zero counts for slices of `len` elements at the given
-/// density (binomial). Used when only the *counts* matter (activation tiles
-/// of large layers) and materializing coordinates would be wasteful.
-pub fn binomial_counts<R: Rng>(rng: &mut R, count: usize, len: usize, density: f64) -> Vec<usize> {
-    (0..count)
-        .map(|_| (0..len).filter(|_| rng.gen_bool(density)).count())
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -135,12 +126,5 @@ mod tests {
         let a = bernoulli_slice(&mut rng(42), 10, 10, 0.5);
         let b = bernoulli_slice(&mut rng(42), 10, 10, 0.5);
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn binomial_counts_have_right_mean() {
-        let counts = binomial_counts(&mut rng(4), 200, 100, 0.4);
-        let mean = counts.iter().sum::<usize>() as f64 / counts.len() as f64;
-        assert!((mean - 40.0).abs() < 2.0, "mean={mean}");
     }
 }
