@@ -63,8 +63,10 @@ for threads in 1 4; do
     CSCNN_NUM_THREADS="$threads" cargo test -q -p cscnn --test integration_batch
 done
 
-echo "== kernels bench smoke run (schema check)"
+echo "== kernels bench smoke run (schema and baseline merge check)"
 cargo run -q --release -p cscnn-bench --bin kernels -- --smoke
+cargo run -q --release -p cscnn-bench --bin kernels -- --smoke --label rerun \
+    --baseline target/BENCH_kernels_smoke.json
 
 echo "== simulator bench smoke run (schema and baseline merge check)"
 cargo run -q --release -p cscnn-bench --bin sim_perf -- --smoke

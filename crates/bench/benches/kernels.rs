@@ -11,7 +11,7 @@ use std::time::{Duration, Instant};
 use cscnn::nn::codebook;
 use cscnn::sparse::formats::{BitmaskVector, CscVector};
 use cscnn::sparse::{centro, RleVector, SparseSlice};
-use cscnn::tensor::{conv2d, matmul, winograd_conv2d, ConvSpec, Tensor};
+use cscnn::tensor::{conv2d, matmul, ConvSpec, Tensor};
 
 fn bench(name: &str, mut f: impl FnMut()) {
     for _ in 0..3 {
@@ -68,15 +68,6 @@ fn main() {
         .collect();
     bench("sparse_slice_from_dense_28x28", || {
         black_box(SparseSlice::from_dense(black_box(&half), 28, 28));
-    });
-
-    bench("winograd_16x32x32_to_32", || {
-        black_box(winograd_conv2d(
-            black_box(&input),
-            black_box(&weight),
-            &bias,
-            1,
-        ));
     });
 
     bench("bitmask_encode_4096", || {

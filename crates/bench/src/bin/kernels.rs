@@ -1,31 +1,44 @@
 //! Kernel timing sweep: naive reference vs blocked/threaded kernels.
 //!
 //! Times `matmul`/`conv2d`/`conv2d_grouped` at paper-relevant layer shapes
-//! (AlexNet conv2, VGG conv3-scale, MobileNet depthwise + pointwise) plus a
-//! full `mobile_cnn` training step, each in three configurations:
+//! (AlexNet conv2, VGG conv3-scale, MobileNet depthwise + pointwise) plus
+//! full `mobile_cnn` training steps (one at the `compress_pipeline`
+//! benchmark workload's `[32, 3, 16, 16]` batch), each in three
+//! configurations:
 //!
 //! * `naive` — the frozen reference kernels, selected through
-//!   [`cscnn::tensor::kernels::set_reference_mode`] (the seed
-//!   implementation this PR replaces);
+//!   [`cscnn::tensor::kernels::set_reference_mode`];
 //! * `blocked_1t` — the cache-blocked, register-tiled kernels pinned to a
 //!   single thread;
 //! * `blocked_mt` — the same kernels at the default thread count.
 //!
 //! All three configurations compute bit-identical results; only wall-clock
-//! time differs. Plain timing (warm-up + wall-clock budget), no external
-//! benchmark harness — consistent with `benches/*.rs`.
+//! time differs. Plain timing (a warm-up call, then the median of five
+//! batch means within a wall-clock budget), no external benchmark harness
+//! — consistent with `benches/*.rs`.
+//!
+//! ```sh
+//! cargo run --release -p cscnn-bench --bin kernels -- \
+//!     [--smoke] [--label NAME] [--baseline FILE]
+//! ```
 //!
 //! Output: a human-readable table on stdout and a machine-readable
-//! `BENCH_kernels.json` (schema `cscnn-bench-kernels-v1`). `--smoke` runs
-//! tiny shapes with a tiny time budget and writes to
-//! `target/BENCH_kernels_smoke.json` instead, so CI can exercise the
-//! binary and the JSON schema without clobbering the committed full-run
-//! numbers.
+//! `BENCH_kernels.json` (schema `cscnn-bench-kernels-v2`). One report holds
+//! one or more *columns*, each a full sweep on one build together with the
+//! machine's `available_parallelism`: `--label` names the new column
+//! (default `current`), and `--baseline FILE` copies the last column of an
+//! earlier report (for instance one written by this binary built at the
+//! parent commit, on the same machine) in front of it and adds the new
+//! column's per-entry speedups over it. `--smoke` runs tiny shapes with a
+//! tiny time budget and writes to `target/BENCH_kernels_smoke.json`
+//! instead, so CI can exercise the binary and the JSON schema without
+//! clobbering the committed full-run numbers.
 
 use std::hint::black_box;
+use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
-use cscnn::json::{from_str, to_string_pretty, Value};
+use cscnn::json::Value;
 use cscnn::nn::datasets::SyntheticImages;
 use cscnn::nn::metrics::softmax_cross_entropy;
 use cscnn::nn::models;
@@ -35,6 +48,9 @@ use cscnn::tensor::{
     conv2d_grouped, matmul, matmul_at, matmul_bt, num_threads, reset_num_threads, set_num_threads,
     ConvScratch, ConvSpec, Tensor,
 };
+use cscnn_bench::report::{self, obj, Options};
+
+const SCHEMA: &str = "cscnn-bench-kernels-v2";
 
 /// One measured workload: the same closure timed under all three kernel
 /// configurations.
@@ -57,20 +73,33 @@ impl Sample {
     }
 }
 
-/// Mean wall-clock milliseconds per call: one warm-up call, then repeats
-/// until `budget` elapses (always at least one timed call).
+/// Batches [`time_ms`] splits its budget into.
+const BATCHES: u32 = 5;
+
+/// Wall-clock milliseconds per call: one warm-up call, then [`BATCHES`]
+/// batches that each repeat the call until their share of `budget`
+/// elapses (at least once); returns the median of the batch means, so a
+/// burst of load from other processes on a shared machine moves one
+/// batch, not the result.
 fn time_ms(budget: Duration, f: &mut dyn FnMut()) -> f64 {
     f();
-    let start = Instant::now();
-    let mut iters = 0u32;
-    loop {
-        f();
-        iters += 1;
-        if start.elapsed() >= budget {
-            break;
-        }
-    }
-    start.elapsed().as_secs_f64() * 1_000.0 / f64::from(iters)
+    let share = budget / BATCHES;
+    let mut means: Vec<f64> = (0..BATCHES)
+        .map(|_| {
+            let start = Instant::now();
+            let mut iters = 0u32;
+            loop {
+                f();
+                iters += 1;
+                if start.elapsed() >= share {
+                    break;
+                }
+            }
+            start.elapsed().as_secs_f64() * 1_000.0 / f64::from(iters)
+        })
+        .collect();
+    means.sort_by(f64::total_cmp);
+    means[means.len() / 2]
 }
 
 /// Times `f` under naive / blocked-1-thread / blocked-multithread kernels.
@@ -319,74 +348,106 @@ fn conv_entries(smoke: bool, budget: Duration, mt: usize, out: &mut Vec<Sample>)
     }
 }
 
-fn train_step_entry(smoke: bool, budget: Duration, mt: usize, out: &mut Vec<Sample>) {
-    let (channels, h, w, classes, batch) = if smoke {
-        (1, 8, 8, 2, 4)
+fn train_step_entries(smoke: bool, budget: Duration, mt: usize, out: &mut Vec<Sample>) {
+    // (name, channels, height, width, classes, batch)
+    let shapes: &[(&str, usize, usize, usize, usize, usize)] = if smoke {
+        &[("mobile_cnn_train_step", 1, 8, 8, 2, 4)]
     } else {
-        (3, 32, 32, 5, 8)
+        &[
+            ("mobile_cnn_train_step", 3, 32, 32, 5, 8),
+            // The `compress_pipeline` benchmark workload's training batch.
+            ("mobile_cnn_train_step_16", 3, 16, 16, 10, 32),
+        ]
     };
-    let data = SyntheticImages::generate(channels, h, w, classes, batch, 0.12, cscnn_bench::SEED);
-    let indices: Vec<usize> = (0..batch).collect();
-    let (x, labels) = data.batch(&indices);
-    let mut net = models::mobile_cnn(channels, h, w, classes, cscnn_bench::SEED);
-    let mut opt = Sgd::new(0.9, 1e-4);
-    out.push(measure(
-        "mobile_cnn_train_step",
-        "train_step",
-        format!("mobile_cnn batch [{batch},{channels},{h},{w}]"),
-        budget,
-        mt,
-        &mut || {
-            let logits = net.forward(black_box(&x));
-            let (_, grad) = softmax_cross_entropy(&logits, &labels);
-            net.backward(&grad);
-            let mut params = net.params_mut();
-            opt.step(&mut params, 1e-3);
-        },
-    ));
+    for &(name, channels, h, w, classes, batch) in shapes {
+        let data =
+            SyntheticImages::generate(channels, h, w, classes, batch, 0.12, cscnn_bench::SEED);
+        let indices: Vec<usize> = (0..batch).collect();
+        let (x, labels) = data.batch(&indices);
+        let mut net = models::mobile_cnn(channels, h, w, classes, cscnn_bench::SEED);
+        let mut opt = Sgd::new(0.9, 1e-4);
+        out.push(measure(
+            name,
+            "train_step",
+            format!("mobile_cnn batch [{batch},{channels},{h},{w}]"),
+            budget,
+            mt,
+            &mut || {
+                let logits = net.forward(black_box(&x));
+                let (_, grad) = softmax_cross_entropy(&logits, &labels);
+                net.backward(&grad);
+                let mut params = net.params_mut();
+                opt.step(&mut params, 1e-3);
+            },
+        ));
+    }
 }
 
-fn report(samples: &[Sample], smoke: bool, mt: usize) -> Value {
+/// One column: every sample of this build, with the machine's core count.
+fn column(samples: &[Sample], label: &str, mt: usize) -> Value {
     let entries = samples
         .iter()
         .map(|s| {
-            Value::Obj(vec![
-                ("name".to_string(), Value::Str(s.name.clone())),
-                ("kind".to_string(), Value::Str(s.kind.to_string())),
-                ("shape".to_string(), Value::Str(s.shape.clone())),
-                ("naive_ms".to_string(), Value::F64(s.naive_ms)),
-                ("blocked_1t_ms".to_string(), Value::F64(s.blocked_1t_ms)),
-                ("blocked_mt_ms".to_string(), Value::F64(s.blocked_mt_ms)),
+            obj(vec![
+                ("name", Value::Str(s.name.clone())),
+                ("kind", Value::Str(s.kind.to_string())),
+                ("shape", Value::Str(s.shape.clone())),
+                ("naive_ms", Value::F64(s.naive_ms)),
+                ("blocked_1t_ms", Value::F64(s.blocked_1t_ms)),
+                ("blocked_mt_ms", Value::F64(s.blocked_mt_ms)),
+                ("speedup_blocked_1t_vs_naive", Value::F64(s.speedup_1t())),
+                ("speedup_blocked_mt_vs_naive", Value::F64(s.speedup_mt())),
+            ])
+        })
+        .collect();
+    let parallelism = std::thread::available_parallelism().map_or(1, usize::from);
+    obj(vec![
+        ("label", Value::Str(label.to_string())),
+        ("available_parallelism", Value::U64(parallelism as u64)),
+        ("threads", obj(vec![("blocked_mt", Value::U64(mt as u64))])),
+        ("entries", Value::Arr(entries)),
+    ])
+}
+
+/// Per-entry speedups of column `new` over column `old` (old time / new
+/// time) for both blocked configurations.
+fn speedups(old: &Value, new: &Value) -> Value {
+    fn entries(column: &Value) -> &[Value] {
+        let list = column.get("entries").and_then(Value::as_array);
+        list.expect("column has entries")
+    }
+    let ms = |e: &Value, key: &str| e.get(key).and_then(Value::as_f64).expect("entry has times");
+    let (old, new) = (entries(old), entries(new));
+    assert_eq!(old.len(), new.len(), "baseline lists different entries");
+    let per_entry = old
+        .iter()
+        .zip(new)
+        .map(|(o, n)| {
+            let name = o.get("name").cloned().unwrap_or(Value::Null);
+            assert!(
+                n.get("name") == Some(&name),
+                "baseline lists different entries"
+            );
+            obj(vec![
+                ("name", name),
                 (
-                    "speedup_blocked_1t_vs_naive".to_string(),
-                    Value::F64(s.speedup_1t()),
+                    "blocked_1t",
+                    Value::F64(ms(o, "blocked_1t_ms") / ms(n, "blocked_1t_ms")),
                 ),
                 (
-                    "speedup_blocked_mt_vs_naive".to_string(),
-                    Value::F64(s.speedup_mt()),
+                    "blocked_mt",
+                    Value::F64(ms(o, "blocked_mt_ms") / ms(n, "blocked_mt_ms")),
                 ),
             ])
         })
         .collect();
-    Value::Obj(vec![
-        (
-            "schema".to_string(),
-            Value::Str("cscnn-bench-kernels-v1".to_string()),
-        ),
-        (
-            "mode".to_string(),
-            Value::Str(if smoke { "smoke" } else { "full" }.to_string()),
-        ),
-        (
-            "threads".to_string(),
-            Value::Obj(vec![("blocked_mt".to_string(), Value::U64(mt as u64))]),
-        ),
-        ("entries".to_string(), Value::Arr(entries)),
-    ])
+    Value::Arr(per_entry)
 }
 
 fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
+    let opts = Options::from_args();
+    let smoke = opts.smoke;
+    let mut columns: Vec<Value> = opts.baseline_column(SCHEMA).into_iter().collect();
     let budget = if smoke {
         Duration::from_millis(5)
     } else {
@@ -397,8 +458,9 @@ fn main() {
     reset_num_threads();
     let mt = num_threads();
     println!(
-        "kernel sweep ({}), blocked_mt = {mt} thread(s)",
-        if smoke { "smoke" } else { "full" }
+        "[{}] kernel sweep ({}), blocked_mt = {mt} thread(s)",
+        opts.label,
+        opts.mode()
     );
     println!(
         "{:<28} {:>10} {:>12} {:>12} {:>9} {:>9}",
@@ -407,26 +469,24 @@ fn main() {
     let mut samples = Vec::new();
     matmul_entries(smoke, budget, mt, &mut samples);
     conv_entries(smoke, budget, mt, &mut samples);
-    train_step_entry(smoke, budget, mt, &mut samples);
+    train_step_entries(smoke, budget, mt, &mut samples);
     reset_num_threads();
     set_reference_mode(false);
+    columns.push(column(&samples, &opts.label, mt));
 
-    let json = report(&samples, smoke, mt);
-    let text = to_string_pretty(&json).expect("report serializes");
+    let mut fields = vec![
+        ("schema", Value::Str(SCHEMA.to_string())),
+        ("mode", Value::Str(opts.mode().to_string())),
+    ];
+    if let [old, new] = columns.as_slice() {
+        fields.push(("speedup", speedups(old, new)));
+    }
+    fields.push(("columns", Value::Arr(columns)));
+
     let path = if smoke {
-        std::path::PathBuf::from("target/BENCH_kernels_smoke.json")
+        PathBuf::from("target/BENCH_kernels_smoke.json")
     } else {
-        std::path::PathBuf::from("BENCH_kernels.json")
+        PathBuf::from("BENCH_kernels.json")
     };
-    std::fs::write(&path, &text).expect("writing the bench report");
-    // Round-trip self-check so schema rot fails the smoke run, not a
-    // downstream consumer.
-    let parsed: Value = from_str(&std::fs::read_to_string(&path).expect("re-reading report"))
-        .expect("report parses back");
-    let schema = parsed
-        .get("schema")
-        .and_then(Value::as_str)
-        .expect("schema field present");
-    assert_eq!(schema, "cscnn-bench-kernels-v1");
-    println!("wrote {}", path.display());
+    report::write(&path, &obj(fields), SCHEMA);
 }

@@ -25,38 +25,13 @@ use std::hint::black_box;
 use std::path::PathBuf;
 use std::time::Instant;
 
-use cscnn::json::{from_str, to_string_pretty, Value};
+use cscnn::json::Value;
 use cscnn::models::{catalog, ModelDesc};
 use cscnn::sim::{baselines, util, Runner};
+use cscnn_bench::report::{self, obj, Options};
 use cscnn_bench::{evaluation_models, SEED};
 
 const SCHEMA: &str = "cscnn-bench-sim-v1";
-
-struct Options {
-    smoke: bool,
-    label: String,
-    baseline: Option<PathBuf>,
-}
-
-fn parse_args() -> Options {
-    let mut opts = Options {
-        smoke: false,
-        label: "current".to_string(),
-        baseline: None,
-    };
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--smoke" => opts.smoke = true,
-            "--label" => opts.label = args.next().expect("--label needs a value"),
-            "--baseline" => {
-                opts.baseline = Some(args.next().expect("--baseline needs a file").into());
-            }
-            other => panic!("unknown argument `{other}`; see the module docs for usage"),
-        }
-    }
-    opts
-}
 
 /// `(q1, median, q3)` of `samples`, linearly interpolated between ranks.
 fn quartiles(samples: &[f64]) -> (f64, f64, f64) {
@@ -89,15 +64,6 @@ fn peak_rss_mib() -> Value {
             Some(Value::F64(kib / 1024.0))
         })
         .unwrap_or(Value::Null)
-}
-
-fn obj(fields: Vec<(&str, Value)>) -> Value {
-    Value::Obj(
-        fields
-            .into_iter()
-            .map(|(k, v)| (k.to_string(), v))
-            .collect(),
-    )
 }
 
 fn num(v: f64) -> Value {
@@ -226,30 +192,13 @@ fn speedups(old: &Value, new: &Value) -> Value {
 }
 
 fn main() {
-    let opts = parse_args();
-    let mode = if opts.smoke { "smoke" } else { "full" };
-    let mut columns = Vec::new();
-    if let Some(path) = &opts.baseline {
-        let text = std::fs::read_to_string(path).expect("reading the baseline report");
-        let old: Value = from_str(&text).expect("baseline parses");
-        assert_eq!(old.get("schema").and_then(Value::as_str), Some(SCHEMA));
-        assert_eq!(
-            old.get("mode").and_then(Value::as_str),
-            Some(mode),
-            "baseline ran in another mode"
-        );
-        let last = old
-            .get("columns")
-            .and_then(Value::as_array)
-            .and_then(|c| c.last())
-            .expect("baseline has a column");
-        columns.push(last.clone());
-    }
+    let opts = Options::from_args();
+    let mut columns: Vec<Value> = opts.baseline_column(SCHEMA).into_iter().collect();
     columns.push(measure(&opts));
 
     let mut fields = vec![
         ("schema", Value::Str(SCHEMA.to_string())),
-        ("mode", Value::Str(mode.to_string())),
+        ("mode", Value::Str(opts.mode().to_string())),
         ("seed", Value::U64(SEED)),
     ];
     if let [old, new] = columns.as_slice() {
@@ -264,17 +213,10 @@ fn main() {
     }
     fields.push(("columns", Value::Arr(columns)));
 
-    let text = to_string_pretty(&obj(fields)).expect("report serializes");
     let path = if opts.smoke {
         PathBuf::from("target/BENCH_sim_smoke.json")
     } else {
         PathBuf::from("BENCH_sim.json")
     };
-    std::fs::write(&path, &text).expect("writing the bench report");
-    // Round-trip self-check so schema rot fails the smoke run, not a
-    // downstream consumer.
-    let parsed: Value = from_str(&std::fs::read_to_string(&path).expect("re-reading report"))
-        .expect("report parses back");
-    assert_eq!(parsed.get("schema").and_then(Value::as_str), Some(SCHEMA));
-    println!("wrote {}", path.display());
+    report::write(&path, &obj(fields), SCHEMA);
 }

@@ -4,8 +4,8 @@
 //!
 //! Each binary under `src/bin/` regenerates one table or figure of the
 //! paper (see DESIGN.md §4 for the index); this library holds the plumbing
-//! they share: paper-reported reference numbers, table formatting, and the
-//! standard evaluation run.
+//! they share: paper-reported reference numbers, table formatting, the
+//! standard evaluation run, and the wall-clock benches' report columns.
 //!
 //! The harnesses sit at the *top* of the workspace's lowering chain,
 //! driving it end to end: catalog `ModelDesc` → `ModelIr` →
@@ -13,6 +13,7 @@
 //! [`SEED`].
 
 pub mod paper;
+pub mod report;
 pub mod table;
 
 use cscnn::models::{catalog, ModelDesc};

@@ -12,11 +12,20 @@
 //! single buffer. [`ConvScratch`] keeps the lowering (and its allocation)
 //! alive across calls so a forward/backward pair — or repeated training
 //! steps at a fixed geometry — lowers each input exactly once and never
-//! reallocates. The GEMMs themselves are the cache-blocked multithreaded
-//! kernels in [`crate::kernels`]; when a batch offers enough
-//! `(item × group)` tasks the work is parallelized across tasks instead
-//! (whole output chunks per thread), which keeps every output element
-//! single-writer.
+//! reallocates.
+//!
+//! The lowering works in row segments. For each kernel tap `(r, s)` it
+//! computes once the output rows and columns whose input pixel lies inside
+//! the image; each in-bounds output row then copies one input-row segment
+//! (`copy_from_slice` at unit stride, a strided walk otherwise) and the
+//! padding is the buffer's zero fill. The backward `col2im` scatter-adds
+//! over the same segments, in the reference's `(ci, r, s)` order, through
+//! one `dCol` scratch per thread.
+//!
+//! The GEMMs themselves are the cache-blocked multithreaded kernels in
+//! [`crate::kernels`]; when a batch offers enough `(item × group)` tasks
+//! the work is parallelized across tasks instead (whole output chunks per
+//! thread), which keeps every output element single-writer.
 //!
 //! Results are **bit-identical** to the naive per-item / per-group
 //! reference implementations in [`crate::reference`] at every thread
@@ -335,8 +344,11 @@ impl ConvLowering {
         let part_len = kg * rows_g + kg;
         let spec = self.spec;
         let t = threads::num_threads();
+        // `d_col` is a caller-owned `[rows_g, cols_len]` scratch, reused
+        // across the tasks one thread runs.
         let compute =
-            |task: usize, din: &mut [f32], dw_part: &mut [f32], db_part: &mut [f32], budget| {
+            |task: usize, din: &mut [f32], part: &mut [f32], d_col: &mut [f32], budget| {
+                let (dw_part, db_part) = part.split_at_mut(kg * rows_g);
                 let (ni, g) = (task / groups, task % groups);
                 let goslab = &gov[(ni * k + g * kg) * cols_len..(ni * k + (g + 1) * kg) * cols_len];
                 let wg = &wv[g * kg * rows_g..(g + 1) * kg * rows_g];
@@ -355,7 +367,7 @@ impl ConvLowering {
                 );
                 // dCol = Wᵀ · dOut (reference: matmul_at(w, go)), scattered
                 // back into this task's disjoint d_input chunk.
-                let mut d_col = vec![0.0f32; rows_g * cols_len];
+                d_col.fill(0.0);
                 kernels::gemm_with_threads(
                     Lhs::Transposed,
                     Rhs::RowMajor,
@@ -364,10 +376,10 @@ impl ConvLowering {
                     rows_g,
                     kg,
                     cols_len,
-                    &mut d_col,
+                    d_col,
                     budget,
                 );
-                col2im_block(&d_col, din, cg, h, w, &spec, self.oh, self.ow);
+                col2im_block(d_col, din, cg, h, w, &spec, self.oh, self.ow);
                 // dBias part = row sums of dOut, in the reference's order.
                 for (kl, db) in db_part.iter_mut().enumerate() {
                     let s: f32 = goslab[kl * cols_len..(kl + 1) * cols_len].iter().sum();
@@ -375,6 +387,7 @@ impl ConvLowering {
                 }
             };
         let din_chunk = cg * h * w;
+        let col_len = rows_g * cols_len;
         if t > 1 && tasks >= t && tasks * part_len <= PART_BUDGET_FLOATS {
             let mut parts = vec![0.0f32; tasks * part_len];
             kernels::parallel_chunk_pairs(
@@ -383,10 +396,8 @@ impl ConvLowering {
                 &mut parts,
                 part_len,
                 t,
-                |task, din, part| {
-                    let (dw_part, db_part) = part.split_at_mut(kg * rows_g);
-                    compute(task, din, dw_part, db_part, 1);
-                },
+                || vec![0.0f32; col_len],
+                |d_col, task, din, part| compute(task, din, part, d_col, 1),
             );
             for (task, part) in parts.chunks(part_len).enumerate() {
                 reduce_part(task, part, groups, kg, rows_g, &mut d_weight, &mut d_bias);
@@ -394,11 +405,11 @@ impl ConvLowering {
         } else {
             let din = d_input.as_mut_slice();
             let mut part = vec![0.0f32; part_len];
+            let mut d_col = vec![0.0f32; col_len];
             for task in 0..tasks {
                 part.fill(0.0);
-                let (dw_part, db_part) = part.split_at_mut(kg * rows_g);
                 let chunk = &mut din[task * din_chunk..(task + 1) * din_chunk];
-                compute(task, chunk, dw_part, db_part, t);
+                compute(task, chunk, &mut part, &mut d_col, t);
                 reduce_part(task, &part, groups, kg, rows_g, &mut d_weight, &mut d_bias);
             }
         }
@@ -434,8 +445,27 @@ fn reduce_part(
     }
 }
 
+/// Output indices `[lo, hi)` of one spatial axis whose input index
+/// `o·stride + tap − pad` lies inside `[0, extent)`; outputs outside the
+/// range read the zero padding. `tap` is the kernel row `r` or column `s`.
+fn valid_range(tap: usize, spec: &ConvSpec, extent: usize, out: usize) -> (usize, usize) {
+    let lo = spec
+        .padding
+        .saturating_sub(tap)
+        .div_ceil(spec.stride)
+        .min(out);
+    let hi = (extent + spec.padding)
+        .saturating_sub(tap)
+        .div_ceil(spec.stride)
+        .min(out);
+    (lo, hi.max(lo))
+}
+
 /// Lowers channels `[0, cg)` at flat offset `base` of an image into a
-/// (pre-zeroed) `[cg·R·S, H'·W']` column block.
+/// (pre-zeroed) `[cg·R·S, H'·W']` column block. Each kernel tap `(r, s)`
+/// copies, per output row, the one input-row segment its in-bounds output
+/// columns read (a plain `copy_from_slice` at unit stride); the padding is
+/// the block's zero fill.
 #[allow(clippy::too_many_arguments)]
 fn im2col_block(
     block: &mut [f32],
@@ -449,24 +479,29 @@ fn im2col_block(
     ow: usize,
 ) {
     let cols = oh * ow;
-    let pad = spec.padding as isize;
+    let stride = spec.stride;
     for ci in 0..cg {
+        let plane = &src[base + ci * h * w..base + (ci + 1) * h * w];
         for r in 0..spec.kernel_h {
+            let (y0, y1) = valid_range(r, spec, h, oh);
             for s in 0..spec.kernel_w {
+                let (x0, x1) = valid_range(s, spec, w, ow);
+                if x0 == x1 {
+                    continue;
+                }
                 let row = (ci * spec.kernel_h + r) * spec.kernel_w + s;
                 let out_row = &mut block[row * cols..(row + 1) * cols];
-                for oy in 0..oh {
-                    let iy = (oy * spec.stride) as isize + r as isize - pad;
-                    if iy < 0 || iy >= h as isize {
-                        continue;
-                    }
-                    let src_row = base + (ci * h + iy as usize) * w;
-                    for ox in 0..ow {
-                        let ix = (ox * spec.stride) as isize + s as isize - pad;
-                        if ix < 0 || ix >= w as isize {
-                            continue;
+                let ix0 = x0 * stride + s - spec.padding;
+                for oy in y0..y1 {
+                    let iy = oy * stride + r - spec.padding;
+                    let src_row = &plane[iy * w + ix0..(iy + 1) * w];
+                    let dst = &mut out_row[oy * ow + x0..oy * ow + x1];
+                    if stride == 1 {
+                        dst.copy_from_slice(&src_row[..x1 - x0]);
+                    } else {
+                        for (d, &v) in dst.iter_mut().zip(src_row.iter().step_by(stride)) {
+                            *d = v;
                         }
-                        out_row[oy * ow + ox] = src[src_row + ix as usize];
                     }
                 }
             }
@@ -475,7 +510,9 @@ fn im2col_block(
 }
 
 /// Scatter-adds a `[cg·R·S, H'·W']` column-gradient block into a
-/// `[cg, H, W]` image chunk.
+/// `[cg, H, W]` image chunk, over the same row segments
+/// [`im2col_block`] copies. Every image element receives its `(ci, r, s)`
+/// contributions in ascending order, as in the reference `col2im`.
 #[allow(clippy::too_many_arguments)]
 fn col2im_block(
     col: &[f32],
@@ -488,24 +525,31 @@ fn col2im_block(
     ow: usize,
 ) {
     let cols = oh * ow;
-    let pad = spec.padding as isize;
+    let stride = spec.stride;
     for ci in 0..cg {
+        let plane = &mut dst[ci * h * w..(ci + 1) * h * w];
         for r in 0..spec.kernel_h {
+            let (y0, y1) = valid_range(r, spec, h, oh);
             for s in 0..spec.kernel_w {
+                let (x0, x1) = valid_range(s, spec, w, ow);
+                if x0 == x1 {
+                    continue;
+                }
                 let row = (ci * spec.kernel_h + r) * spec.kernel_w + s;
                 let src_row = &col[row * cols..(row + 1) * cols];
-                for oy in 0..oh {
-                    let iy = (oy * spec.stride) as isize + r as isize - pad;
-                    if iy < 0 || iy >= h as isize {
-                        continue;
-                    }
-                    let dst_row = (ci * h + iy as usize) * w;
-                    for ox in 0..ow {
-                        let ix = (ox * spec.stride) as isize + s as isize - pad;
-                        if ix < 0 || ix >= w as isize {
-                            continue;
+                let ix0 = x0 * stride + s - spec.padding;
+                for oy in y0..y1 {
+                    let iy = oy * stride + r - spec.padding;
+                    let dst_row = &mut plane[iy * w + ix0..(iy + 1) * w];
+                    let seg = &src_row[oy * ow + x0..oy * ow + x1];
+                    if stride == 1 {
+                        for (d, &v) in dst_row.iter_mut().zip(seg) {
+                            *d += v;
                         }
-                        dst[dst_row + ix as usize] += src_row[oy * ow + ox];
+                    } else {
+                        for (d, &v) in dst_row.iter_mut().step_by(stride).zip(seg) {
+                            *d += v;
+                        }
                     }
                 }
             }

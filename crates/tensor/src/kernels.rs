@@ -150,10 +150,16 @@ pub(crate) fn gemm_with_threads(
     });
 }
 
-/// Direct (unpacked, unblocked) GEMM for problems too small to amortize
-/// pack buffers. Accumulates each `C` element in ascending-`p` order with
-/// the left-operand zero skip — the exact sequence the blocked path and
-/// the naive reference produce, so all three are bit-identical.
+/// Direct (unblocked) GEMM for problems too small to amortize the
+/// blocked path's pack buffers. Accumulates each `C` element in
+/// ascending-`p` order with the left-operand zero skip — the exact
+/// sequence the blocked path and the naive reference produce, so all three
+/// are bit-identical.
+///
+/// `A·B` streams rows of `B` into each `C` row. `A·Bᵀ` would be a dot
+/// product per element, one dependent add chain; instead `NR` columns of
+/// `Bᵀ` at a time are transposed into a `p`-major panel (as [`pack_b`]
+/// lays them out) and each `C` row accumulates `NR` independent lanes.
 fn small_gemm(
     lhs: Lhs,
     rhs: Rhs,
@@ -164,15 +170,15 @@ fn small_gemm(
     n: usize,
     c: &mut [f32],
 ) {
-    for i in 0..m {
-        let row = &mut c[i * n..(i + 1) * n];
-        match rhs {
-            Rhs::RowMajor => {
+    let a_at = |i: usize, p: usize| match lhs {
+        Lhs::RowMajor => a[i * k + p],
+        Lhs::Transposed => a[p * m + i],
+    };
+    match rhs {
+        Rhs::RowMajor => {
+            for (i, row) in c.chunks_mut(n).enumerate() {
                 for p in 0..k {
-                    let x = match lhs {
-                        Lhs::RowMajor => a[i * k + p],
-                        Lhs::Transposed => a[p * m + i],
-                    };
+                    let x = a_at(i, p);
                     if x == 0.0 {
                         continue;
                     }
@@ -182,21 +188,36 @@ fn small_gemm(
                     }
                 }
             }
-            Rhs::Transposed => {
-                for (j, d) in row.iter_mut().enumerate() {
-                    let mut acc = *d;
-                    let bcol = &b[j * k..(j + 1) * k];
-                    for (p, &y) in bcol.iter().enumerate() {
-                        let x = match lhs {
-                            Lhs::RowMajor => a[i * k + p],
-                            Lhs::Transposed => a[p * m + i],
-                        };
+        }
+        Rhs::Transposed => {
+            let mut panel = vec![[0.0f32; NR]; k];
+            for j0 in (0..n).step_by(NR) {
+                let nr = NR.min(n - j0);
+                for (jj, col) in b[j0 * k..(j0 + nr) * k].chunks_exact(k).enumerate() {
+                    for (lanes, &y) in panel.iter_mut().zip(col) {
+                        lanes[jj] = y;
+                    }
+                }
+                // Fringe lanes hold zeros: their sums are computed, never stored.
+                if nr < NR {
+                    for lanes in &mut panel {
+                        lanes[nr..].fill(0.0);
+                    }
+                }
+                for (i, row) in c.chunks_mut(n).enumerate() {
+                    let dst = &mut row[j0..j0 + nr];
+                    let mut acc = [0.0f32; NR];
+                    acc[..nr].copy_from_slice(dst);
+                    for (p, lanes) in panel.iter().enumerate() {
+                        let x = a_at(i, p);
                         if x == 0.0 {
                             continue;
                         }
-                        acc += x * y;
+                        for (slot, &y) in acc.iter_mut().zip(lanes) {
+                            *slot += x * y;
+                        }
                     }
-                    *d = acc;
+                    dst.copy_from_slice(&acc[..nr]);
                 }
             }
         }
@@ -416,23 +437,27 @@ where
 
 /// Like [`parallel_chunks`], but each task `i` receives the `i`-th chunk
 /// of two independent buffers (e.g. its `d_input` region and its private
-/// partial-gradient slot).
-pub(crate) fn parallel_chunk_pairs<F>(
+/// partial-gradient slot), plus a scratch value that `init` builds once
+/// per thread and that thread's tasks reuse in turn.
+pub(crate) fn parallel_chunk_pairs<S, I, F>(
     a: &mut [f32],
     chunk_a: usize,
     b: &mut [f32],
     chunk_b: usize,
     thread_budget: usize,
+    init: I,
     f: F,
 ) where
-    F: Fn(usize, &mut [f32], &mut [f32]) + Sync,
+    I: Fn() -> S + Sync,
+    F: Fn(&mut S, usize, &mut [f32], &mut [f32]) + Sync,
 {
     assert!(chunk_a > 0 && chunk_b > 0, "chunk sizes must be positive");
     let total = (a.len() / chunk_a).min(b.len() / chunk_b);
     let t = thread_budget.clamp(1, total.max(1));
     if t == 1 {
+        let mut scratch = init();
         for (i, (ca, cb)) in a.chunks_mut(chunk_a).zip(b.chunks_mut(chunk_b)).enumerate() {
-            f(i, ca, cb);
+            f(&mut scratch, i, ca, cb);
         }
         return;
     }
@@ -443,10 +468,11 @@ pub(crate) fn parallel_chunk_pairs<F>(
     }
     std::thread::scope(|scope| {
         for bucket in buckets {
-            let f = &f;
+            let (init, f) = (&init, &f);
             scope.spawn(move || {
+                let mut scratch = init();
                 for (i, ca, cb) in bucket {
-                    f(i, ca, cb);
+                    f(&mut scratch, i, ca, cb);
                 }
             });
         }

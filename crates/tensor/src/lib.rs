@@ -45,7 +45,6 @@ pub mod reference;
 mod shape;
 mod tensor;
 pub mod threads;
-mod winograd;
 
 pub use conv::{
     conv2d, conv2d_backward, conv2d_grouped, conv2d_grouped_backward, Conv2dGrads, ConvLowering,
@@ -57,4 +56,3 @@ pub use pool::{avg_pool2d, avg_pool2d_backward, max_pool2d, max_pool2d_backward,
 pub use shape::Shape;
 pub use tensor::Tensor;
 pub use threads::{num_threads, reset_num_threads, set_num_threads, MAX_THREADS};
-pub use winograd::{winograd_conv2d, DIRECT_MULTS_PER_OUTPUT, WINOGRAD_MULTS_PER_OUTPUT};

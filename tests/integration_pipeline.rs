@@ -141,3 +141,45 @@ fn lenet_projection_drop_mirrors_paper_anecdote() {
     // The invariant must survive retraining (tied gradients preserve Eq. 2).
     assert!(centrosymmetric::check_invariant(&mut net, 1e-4));
 }
+
+/// FNV-1a over the bits of every parameter, in `Network::params` order.
+fn param_digest(net: &cscnn::nn::Network) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for p in net.params() {
+        for v in p.value.as_slice() {
+            h = (h ^ u64::from(v.to_bits())).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    h
+}
+
+#[test]
+fn mobile_cnn_pipeline_trains_to_pinned_weights() {
+    // The training kernels promise bit-identical results to the naive
+    // reference kernels, so a kernel speedup must not move a single weight.
+    // Train → Eq. 5 projection → retrain → prune → retrain on `mobile_cnn`
+    // (dense 3×3, depthwise 3×3 and 1×1 convolutions) at the benchmark's
+    // input shape, one epoch per phase. Values recorded with the kernels
+    // that preceded the row-segment im2col and `small_gemm`'s `A·Bᵀ` panel.
+    const GOLDEN: (u64, f64, f64) = (0x6aaf_7ae3_d3ad_9e8e, 0.625, 0.775);
+    let data = SyntheticImages::generate(3, 16, 16, 10, 16, 0.3, 42);
+    let (train, test) = data.split(0.2);
+    let mut net = models::mobile_cnn(3, 16, 16, 10, 42);
+    let trainer = cscnn::nn::trainer::Trainer::new(TrainConfig {
+        epochs: 1,
+        batch_size: 32,
+        seed: 42,
+        ..Default::default()
+    });
+    let dense = trainer.fit(&mut net, &train, &test);
+    centrosymmetric::centrosymmetrize(&mut net).expect("finite weights");
+    trainer.fit(&mut net, &train, &test);
+    cscnn::nn::pruning::prune_network(&mut net, &PruneConfig::default()).expect("finite weights");
+    let pruned = trainer.fit(&mut net, &train, &test);
+    let got = (
+        param_digest(&net),
+        dense.final_test_accuracy,
+        pruned.final_test_accuracy,
+    );
+    assert_eq!(got, GOLDEN, "{got:#x?}");
+}

@@ -208,6 +208,67 @@ fn grouped_fused_path_bit_matches_per_group_reference() {
     reset_num_threads();
 }
 
+/// Grouped forward and backward (input, weight and bias gradients) of one
+/// convolution, compared bit for bit with the reference at every entry of
+/// [`THREAD_COUNTS`].
+fn assert_conv_bits_match_reference(
+    input: &Tensor,
+    weight: &Tensor,
+    bias: &Tensor,
+    grad_out: &Tensor,
+    spec: &ConvSpec,
+    groups: usize,
+    what: &str,
+) {
+    let want = bits(&reference::conv2d_grouped(
+        input, weight, bias, spec, groups,
+    ));
+    let want_grads = reference::conv2d_grouped_backward(input, weight, grad_out, spec, groups);
+    for t in THREAD_COUNTS {
+        set_num_threads(t);
+        assert_eq!(
+            bits(&conv2d_grouped(input, weight, bias, spec, groups)),
+            want,
+            "{what}: forward diverged at {t} threads"
+        );
+        let got = conv2d_grouped_backward(input, weight, grad_out, spec, groups);
+        assert_eq!(
+            bits(&got.input),
+            bits(&want_grads.input),
+            "{what}: input grad diverged at {t} threads"
+        );
+        assert_eq!(
+            bits(&got.weight),
+            bits(&want_grads.weight),
+            "{what}: weight grad diverged at {t} threads"
+        );
+        assert_eq!(
+            bits(&got.bias),
+            bits(&want_grads.bias),
+            "{what}: bias grad diverged at {t} threads"
+        );
+    }
+    reset_num_threads();
+}
+
+/// Random input, weight, bias and output gradient for an
+/// `[n, c, h, w] → k` convolution, then [`assert_conv_bits_match_reference`].
+fn check_random_conv(
+    rng: &mut StdRng,
+    [n, c, h, w]: [usize; 4],
+    k: usize,
+    spec: ConvSpec,
+    groups: usize,
+    what: &str,
+) {
+    let input = random_tensor(rng, &[n, c, h, w], 0.3);
+    let weight = random_tensor(rng, &[k, c / groups, spec.kernel_h, spec.kernel_w], 0.3);
+    let bias = random_tensor(rng, &[k], 0.0);
+    let (oh, ow) = spec.output_dim(h, w);
+    let grad_out = random_tensor(rng, &[n, k, oh, ow], 0.3);
+    assert_conv_bits_match_reference(&input, &weight, &bias, &grad_out, &spec, groups, what);
+}
+
 #[test]
 fn depthwise_conv_bit_matches_reference() {
     let seed = prop_seed();
@@ -218,17 +279,71 @@ fn depthwise_conv_bit_matches_reference() {
         let input = random_tensor(&mut rng, &[2, c, 8, 8], 0.3);
         let weight = random_tensor(&mut rng, &[c, 1, 3, 3], 0.3);
         let bias = random_tensor(&mut rng, &[c], 0.0);
-        let want = bits(&reference::conv2d_grouped(&input, &weight, &bias, &spec, c));
-        for t in THREAD_COUNTS {
-            set_num_threads(t);
-            assert_eq!(
-                bits(&conv2d_grouped(&input, &weight, &bias, &spec, c)),
-                want,
-                "depthwise C={c} diverged at {t} threads (seed {seed}, case {case})"
-            );
-        }
+        let grad_out = random_tensor(&mut rng, &[2, c, 8, 8], 0.3);
+        let what = format!("depthwise C={c} (seed {seed}, case {case})");
+        assert_conv_bits_match_reference(&input, &weight, &bias, &grad_out, &spec, c, &what);
     }
-    reset_num_threads();
+}
+
+/// `mobile_cnn`'s three convolutions at the benchmark's 16×16 input: their
+/// per-item products are the ones training runs. The dense 3×3 weight
+/// gradient (`8×256·(27×256)ᵀ`) takes the packed path, and the 1×1 and
+/// depthwise ones (`16×256·(8×256)ᵀ`, `1×256·(9×256)ᵀ`) take the small
+/// `A·Bᵀ` tier, the latter with a fringe column block.
+#[test]
+fn mobile_cnn_conv_shapes_bit_match_reference() {
+    let seed = prop_seed();
+    let same3 = ConvSpec::new(3, 3).with_padding(1);
+    let point = ConvSpec::new(1, 1);
+    for (case, &(c, k, spec, groups)) in [(3, 8, same3, 1), (8, 8, same3, 8), (8, 16, point, 1)]
+        .iter()
+        .enumerate()
+    {
+        let mut rng = StdRng::seed_from_u64(seed ^ (0x30b1_0000 + case as u64));
+        let what = format!("mobile_cnn conv {case} (seed {seed})");
+        check_random_conv(&mut rng, [4, c, 16, 16], k, spec, groups, &what);
+    }
+}
+
+/// Geometries at the edges of the im2col/col2im row-segment ranges: stride
+/// 2 with padding on odd and even extents, taps that reach past both
+/// borders, a kernel column whose whole range is padding (1-wide input,
+/// 5×5 kernel), and stride 3.
+#[test]
+fn strided_padded_edges_bit_match_reference() {
+    let seed = prop_seed();
+    let cases: [([usize; 4], usize, ConvSpec, usize); 5] = [
+        (
+            [4, 6, 15, 16],
+            4,
+            ConvSpec::new(3, 3).with_stride(2).with_padding(1),
+            2,
+        ),
+        (
+            [4, 8, 16, 16],
+            8,
+            ConvSpec::new(3, 3).with_stride(2).with_padding(1),
+            8,
+        ),
+        (
+            [2, 3, 9, 7],
+            5,
+            ConvSpec::new(5, 5).with_stride(2).with_padding(2),
+            1,
+        ),
+        ([2, 2, 3, 1], 3, ConvSpec::new(5, 5).with_padding(2), 1),
+        (
+            [3, 4, 11, 10],
+            4,
+            ConvSpec::new(3, 2).with_stride(3).with_padding(1),
+            4,
+        ),
+    ];
+    for (case, &(dims, k, spec, groups)) in cases.iter().enumerate() {
+        let mut rng = StdRng::seed_from_u64(seed ^ (0xed9e_0000 + case as u64));
+        let what = format!("{spec:?} on {dims:?} g={groups} (seed {seed}, case {case})");
+        check_random_conv(&mut rng, dims, k, spec, groups, &what);
+    }
 }
 
 #[test]
