@@ -31,11 +31,24 @@ echo "== paper harness stdout against committed snapshots"
 # fixed seed is committed under crates/bench/snapshots/. A declared fidelity
 # fix re-records them in the same change:
 #   cargo run -q --release -p cscnn-bench --bin figN > crates/bench/snapshots/figN.txt
-for fig in fig7 fig8 fig9 fig10 fig11; do
+for fig in fig7 fig8 fig9 fig10 fig11 sweep; do
     echo "-- $fig"
     cargo run -q --release -p cscnn-bench --bin "$fig" > "target/snapshot_$fig.txt"
     diff -u "crates/bench/snapshots/$fig.txt" "target/snapshot_$fig.txt"
 done
+# The CLI's simulate table, at its defaults and with an ArchConfig override
+# (baselines keep their own sizing but still print a row).
+echo "-- cscnn simulate alexnet"
+cargo run -q --release -p cscnn --bin cscnn -- simulate alexnet \
+    > target/snapshot_cscnn_simulate_alexnet.txt
+diff -u crates/bench/snapshots/cscnn_simulate_alexnet.txt \
+    target/snapshot_cscnn_simulate_alexnet.txt
+echo "-- cscnn simulate lenet5 --config"
+cargo run -q --release -p cscnn --bin cscnn -- simulate lenet5 \
+    --config crates/bench/snapshots/arch_config_4x4.json \
+    > target/snapshot_cscnn_simulate_lenet5_config.txt 2>/dev/null
+diff -u crates/bench/snapshots/cscnn_simulate_lenet5_config.txt \
+    target/snapshot_cscnn_simulate_lenet5_config.txt
 
 echo "== property suites across fixed seeds"
 for seed in 1 17 4242; do

@@ -5,18 +5,20 @@
 //! cargo run --release -p cscnn-bench --bin fig10
 //! ```
 
-use cscnn::sim::{geomean, CartesianAccelerator, Runner};
+use cscnn::models::catalog;
+use cscnn::sim::{geomean, Accelerator, CartesianAccelerator};
+use cscnn_bench::run_suite;
 use cscnn_bench::table::Table;
-use cscnn_bench::{evaluation_models, SEED};
 
 fn main() {
     println!("== Fig. 10: energy breakdown by PE component (SCNN vs CSCNN) ==\n");
-    let runner = Runner::new(SEED);
-    let models = evaluation_models();
+    let accs: Vec<Box<dyn Accelerator>> = vec![
+        Box::new(CartesianAccelerator::scnn()),
+        Box::new(CartesianAccelerator::cscnn()),
+    ];
     let mut ratios: Vec<Vec<f64>> = vec![Vec::new(); 7];
-    for model in &models {
-        let scnn = runner.run_model(&CartesianAccelerator::scnn(), model);
-        let cscnn = runner.run_model(&CartesianAccelerator::cscnn(), model);
+    for row in run_suite(&accs, &catalog::evaluation_suite()) {
+        let (scnn, cscnn) = (&row[0], &row[1]);
         let es = scnn.energy_breakdown();
         let ec = cscnn.energy_breakdown();
         let components = [
@@ -28,7 +30,7 @@ fn main() {
             ("CCU", es.ccu_pj, ec.ccu_pj),
             ("PPU", es.ppu_pj, ec.ppu_pj),
         ];
-        println!("-- {} --", model.name);
+        println!("-- {} --", scnn.model);
         let mut t = Table::new(&["component", "SCNN (uJ)", "CSCNN (uJ)", "SCNN/CSCNN"]);
         for (i, (name, s, c)) in components.into_iter().enumerate() {
             ratios[i].push((s / c).max(1e-9));

@@ -1,7 +1,8 @@
 //! Fig. 11 — impact of the spatial tiling strategies:
 //! (a) CSCNN with planar / output-channel / mixed tiling;
 //! (b) SCNN with and without the tiling optimizations;
-//! (c) SparTen with and without greedy balancing (its software analogue).
+//! (c) SparTen (greedy balancing, no tiling change) against the
+//!     tiling-optimized SCNN+mixed and CSCNN.
 //!
 //! ```sh
 //! cargo run --release -p cscnn-bench --bin fig11
@@ -9,33 +10,49 @@
 
 use cscnn::models::catalog;
 use cscnn::sim::tiling::TilingStrategy;
-use cscnn::sim::{baselines, geomean, CartesianAccelerator, Runner};
+use cscnn::sim::{baselines, geomean, Accelerator, CartesianAccelerator};
 use cscnn_bench::table::Table;
-use cscnn_bench::{paper, SEED};
+use cscnn_bench::{paper, run_suite};
+
+/// The six distinct machines the three parts compare, in the column order
+/// of the suite's rows: CSCNN planar, CSCNN output-channel, CSCNN (its
+/// default tiling is mixed), SCNN, SCNN+mixed, SparTen.
+fn accelerators() -> Vec<Box<dyn Accelerator>> {
+    let cscnn = CartesianAccelerator::cscnn;
+    vec![
+        Box::new(cscnn().with_tiling(TilingStrategy::Planar)),
+        Box::new(cscnn().with_tiling(TilingStrategy::OutputChannel)),
+        Box::new(cscnn()),
+        Box::new(CartesianAccelerator::scnn()),
+        Box::new(
+            CartesianAccelerator::scnn()
+                .with_tiling(TilingStrategy::Mixed)
+                .with_name("SCNN+mixed"),
+        ),
+        Box::new(baselines::sparten()),
+    ]
+}
 
 fn main() {
-    let runner = Runner::new(SEED);
     let models = [
         catalog::lenet5(),
         catalog::convnet(),
         catalog::alexnet(),
         catalog::vgg16(),
     ];
+    // times[model][accelerator], in seconds.
+    let times: Vec<[f64; 6]> = run_suite(&accelerators(), &models)
+        .iter()
+        .map(|row| std::array::from_fn(|i| row[i].total_time_s()))
+        .collect();
 
     // (a) CSCNN under the three strategies.
     println!("== Fig. 11(a): CSCNN tiling strategies (speedup over planar) ==\n");
     let mut t = Table::new(&["model", "planar", "output-channel", "mixed"]);
     let mut oc_all = Vec::new();
     let mut mixed_all = Vec::new();
-    for model in &models {
-        let time = |s: TilingStrategy| {
-            runner
-                .run_model(&CartesianAccelerator::cscnn().with_tiling(s), model)
-                .total_time_s()
-        };
-        let planar = time(TilingStrategy::Planar);
-        let oc = planar / time(TilingStrategy::OutputChannel);
-        let mixed = planar / time(TilingStrategy::Mixed);
+    for (model, &[planar, oc, mixed, ..]) in models.iter().zip(&times) {
+        let (oc, mixed) = (planar / oc, planar / mixed);
         oc_all.push(oc);
         mixed_all.push(mixed);
         t.row(vec![
@@ -62,18 +79,7 @@ fn main() {
     println!("== Fig. 11(b): SCNN with/without tiling optimizations ==\n");
     let mut t = Table::new(&["model", "SCNN", "SCNN+mixed", "gain"]);
     let mut gains = Vec::new();
-    for model in &models {
-        let base = runner
-            .run_model(&CartesianAccelerator::scnn(), model)
-            .total_time_s();
-        let tuned = runner
-            .run_model(
-                &CartesianAccelerator::scnn()
-                    .with_tiling(TilingStrategy::Mixed)
-                    .with_name("SCNN+mixed"),
-                model,
-            )
-            .total_time_s();
+    for (model, &[.., base, tuned, _]) in models.iter().zip(&times) {
         gains.push(base / tuned);
         t.row(vec![
             model.name.clone(),
@@ -89,24 +95,13 @@ fn main() {
         paper::FIG11_SCNN_TILING_GAIN
     );
 
-    // (c) SparTen: greedy balancing is its software answer to the same
-    // problem; compare the suite's SparTen against an unbalanced variant by
-    // comparing CSCNN balancing effect as proxy plus SparTen's flat model.
+    // (c) SparTen's greedy balancing is its own answer to load imbalance:
+    // SparTen against the two Cartesian machines that get the mixed tiling,
+    // SCNN+mixed from (b) and CSCNN (mixed) from (a), as speedups over
+    // SparTen.
     println!("== Fig. 11(c): SparTen vs tiling-optimized peers ==\n");
     let mut t = Table::new(&["model", "SparTen", "SCNN+mixed", "CSCNN"]);
-    for model in &models {
-        let sparten = runner
-            .run_model(&baselines::sparten(), model)
-            .total_time_s();
-        let scnn_mixed = runner
-            .run_model(
-                &CartesianAccelerator::scnn().with_tiling(TilingStrategy::Mixed),
-                model,
-            )
-            .total_time_s();
-        let cscnn = runner
-            .run_model(&CartesianAccelerator::cscnn(), model)
-            .total_time_s();
+    for (model, &[_, _, cscnn, _, scnn_mixed, sparten]) in models.iter().zip(&times) {
         t.row(vec![
             model.name.clone(),
             "1.00".into(),

@@ -6,15 +6,15 @@
 //! cargo run --release -p cscnn-bench --bin fig7 [-- --edp]
 //! ```
 
-use cscnn::sim::geomean;
-use cscnn_bench::paper;
+use cscnn::models::catalog;
+use cscnn::sim::{baselines, geomean};
 use cscnn_bench::table::Table;
-use cscnn_bench::{evaluation_models, run_evaluation};
+use cscnn_bench::{paper, run_suite};
 
 fn main() {
     println!("== Fig. 7: speedup over DCNN ==\n");
-    let models = evaluation_models();
-    let (accs, results) = run_evaluation(&models);
+    let accs = baselines::evaluation_accelerators();
+    let results = run_suite(&accs, &catalog::evaluation_suite());
 
     let mut header: Vec<&str> = vec!["model"];
     let names: Vec<&str> = accs.iter().map(|a| a.name()).collect();

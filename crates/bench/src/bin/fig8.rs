@@ -10,34 +10,33 @@
 //! (moderate density) shows CSCNN's ~2x reuse edge; the sparsest deep
 //! layers show CSCNN ~ SparTen >> SCNN.
 
-use cscnn::models::catalog;
-use cscnn::sim::{baselines, Accelerator, CartesianAccelerator, Runner};
+use cscnn::models::{catalog, LayerKind};
+use cscnn::sim::{baselines, Accelerator, CartesianAccelerator};
+use cscnn_bench::run_suite;
 use cscnn_bench::table::Table;
-use cscnn_bench::SEED;
 
 fn main() {
     println!("== Fig. 8: layer-wise speedup over DCNN ==");
-    let runner = Runner::new(SEED);
-    for model in [catalog::alexnet(), catalog::vgg16()] {
+    // DCNN first: every other column is a speedup over it.
+    let accs: Vec<Box<dyn Accelerator>> = vec![
+        Box::new(baselines::dcnn()),
+        Box::new(CartesianAccelerator::scnn()),
+        Box::new(baselines::sparten()),
+        Box::new(CartesianAccelerator::cscnn()),
+    ];
+    let models = [catalog::alexnet(), catalog::vgg16()];
+    let results = run_suite(&accs, &models);
+    for (model, runs) in models.iter().zip(&results) {
         println!("\n-- {} --\n", model.name);
-        let dcnn = runner.run_model(&baselines::dcnn(), &model);
-        let contenders: Vec<(&str, Box<dyn Accelerator>)> = vec![
-            ("SCNN", Box::new(CartesianAccelerator::scnn())),
-            ("SparTen", Box::new(baselines::sparten())),
-            ("CSCNN", Box::new(CartesianAccelerator::cscnn())),
-        ];
-        let runs: Vec<_> = contenders
-            .iter()
-            .map(|(_, acc)| runner.run_model(acc.as_ref(), &model))
-            .collect();
+        let (dcnn, contenders) = runs.split_first().expect("DCNN runs first");
         let mut t = Table::new(&["layer", "SCNN", "SparTen", "CSCNN"]);
         for (li, base_layer) in dcnn.layers.iter().enumerate() {
             // Fig. 8 plots conv layers only.
-            if model.layers[li].kind == cscnn::models::LayerKind::FullyConnected {
+            if model.layers[li].kind == LayerKind::FullyConnected {
                 continue;
             }
             let mut cells = vec![base_layer.name.clone()];
-            for run in &runs {
+            for run in contenders {
                 cells.push(format!("{:.2}", base_layer.time_s / run.layers[li].time_s));
             }
             t.row(cells);

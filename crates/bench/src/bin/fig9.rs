@@ -5,15 +5,16 @@
 //! cargo run --release -p cscnn-bench --bin fig9
 //! ```
 
-use cscnn::sim::geomean;
+use cscnn::models::catalog;
+use cscnn::sim::{baselines, geomean};
+use cscnn_bench::run_suite;
 use cscnn_bench::table::Table;
-use cscnn_bench::{evaluation_models, run_evaluation};
 
 fn main() {
     println!("== Fig. 9: energy consumption normalized to DCNN ==");
     println!("(each cell: total = compute/memory/others shares)\n");
-    let models = evaluation_models();
-    let (accs, results) = run_evaluation(&models);
+    let accs = baselines::evaluation_accelerators();
+    let results = run_suite(&accs, &catalog::evaluation_suite());
 
     for row in &results {
         println!("-- {} --", row[0].model);

@@ -29,7 +29,7 @@ use cscnn::json::Value;
 use cscnn::models::{catalog, ModelDesc};
 use cscnn::sim::{baselines, util, Runner};
 use cscnn_bench::report::{self, obj, Options};
-use cscnn_bench::{evaluation_models, SEED};
+use cscnn_bench::SEED;
 
 const SCHEMA: &str = "cscnn-bench-sim-v1";
 
@@ -82,7 +82,7 @@ fn measure(opts: &Options) -> Value {
             )
         } else {
             (
-                evaluation_models(),
+                catalog::evaluation_suite(),
                 5,
                 &["EfficientNet-B7", "ResNet-152"],
                 3,

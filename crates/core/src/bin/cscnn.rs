@@ -17,9 +17,7 @@ use std::process::ExitCode;
 
 use cscnn::models::{catalog, CompressionScheme, ModelCompression};
 use cscnn::sim::area::PeArea;
-use cscnn::sim::{
-    baselines, export, trace, Accelerator, ArchConfig, CartesianAccelerator, RunStats, Runner,
-};
+use cscnn::sim::{baselines, export, trace, ArchConfig, CartesianAccelerator, Runner};
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -142,17 +140,17 @@ fn cmd_simulate(args: &[String]) -> ExitCode {
                     return ExitCode::FAILURE;
                 }
             }
-            "--json" => {
+            flag @ ("--json" | "--csv" | "--trace") => {
                 i += 1;
-                json = args.get(i).map(PathBuf::from);
-            }
-            "--csv" => {
-                i += 1;
-                csv = args.get(i).map(PathBuf::from);
-            }
-            "--trace" => {
-                i += 1;
-                trace_path = args.get(i).map(PathBuf::from);
+                let Some(path) = args.get(i).map(PathBuf::from) else {
+                    eprintln!("{flag} needs a path");
+                    return ExitCode::FAILURE;
+                };
+                match flag {
+                    "--json" => json = Some(path),
+                    "--csv" => csv = Some(path),
+                    _ => trace_path = Some(path),
+                }
             }
             "--config" => {
                 i += 1;
@@ -179,51 +177,42 @@ fn cmd_simulate(args: &[String]) -> ExitCode {
         }
         i += 1;
     }
-    let runner = Runner::new(seed);
-    let accs: Vec<Box<dyn Accelerator>> = baselines::evaluation_accelerators();
-    let selected: Vec<&Box<dyn Accelerator>> = match &only {
-        Some(name) => {
-            let found: Vec<_> = accs
-                .iter()
-                .filter(|a| a.name().eq_ignore_ascii_case(name))
-                .collect();
-            if found.is_empty() {
-                eprintln!(
-                    "unknown accelerator '{name}'; choose from: {}",
-                    accs.iter().map(|a| a.name()).collect::<Vec<_>>().join(", ")
-                );
-                return ExitCode::FAILURE;
-            }
-            found
+    let mut accs = baselines::evaluation_accelerators();
+    if let Some(name) = &only {
+        let known = accs.iter().map(|a| a.name()).collect::<Vec<_>>().join(", ");
+        accs.retain(|a| a.name().eq_ignore_ascii_case(name));
+        if accs.is_empty() {
+            eprintln!("unknown accelerator '{name}'; choose from: {known}");
+            return ExitCode::FAILURE;
         }
-        None => accs.iter().collect(),
+    }
+    // An explicit --config overrides the sizing of the Cartesian machines;
+    // the analytic baselines keep their own models.
+    if let Some(cfg) = &config {
+        for acc in &mut accs {
+            *acc = match acc.name() {
+                "CSCNN" => Box::new(CartesianAccelerator::cscnn().with_config(cfg.clone())),
+                "SCNN" => Box::new(CartesianAccelerator::scnn().with_config(cfg.clone())),
+                other => {
+                    eprintln!("--config applies to SCNN/CSCNN; {other} uses its defaults");
+                    continue;
+                }
+            };
+        }
+    }
+    let runs = match Runner::new(seed).run_suite(&accs, std::slice::from_ref(&model)) {
+        Ok(mut rows) => rows.remove(0),
+        Err(e) => {
+            eprintln!("failed to simulate {}: {e}", model.name);
+            return ExitCode::FAILURE;
+        }
     };
     println!("simulating {} (seed {seed})\n", model.name);
     println!(
         "{:<14} {:>12} {:>14} {:>14} {:>12}",
         "accelerator", "time (ms)", "cycles", "energy (uJ)", "EDP (nJ*s)"
     );
-    let mut runs: Vec<RunStats> = Vec::new();
-    for acc in selected {
-        // An explicit --config overrides each accelerator's own sizing for
-        // the Cartesian machines (analytic baselines keep their models).
-        let stats = if let Some(cfg) = &config {
-            let boxed: Box<dyn Accelerator> = match acc.name() {
-                "CSCNN" => Box::new(CartesianAccelerator::cscnn().with_config(cfg.clone())),
-                "SCNN" => Box::new(CartesianAccelerator::scnn().with_config(cfg.clone())),
-                _ => {
-                    eprintln!(
-                        "--config applies to SCNN/CSCNN; {} uses its defaults",
-                        acc.name()
-                    );
-                    runner.run_model(acc.as_ref(), &model);
-                    continue;
-                }
-            };
-            runner.run_model(boxed.as_ref(), &model)
-        } else {
-            runner.run_model(acc.as_ref(), &model)
-        };
+    for stats in &runs {
         println!(
             "{:<14} {:>12.3} {:>14} {:>14.1} {:>12.3}",
             stats.accelerator,
@@ -232,7 +221,6 @@ fn cmd_simulate(args: &[String]) -> ExitCode {
             stats.total_on_chip_pj() * 1e-6,
             stats.edp() * 1e9
         );
-        runs.push(stats);
     }
     if let Some(path) = json {
         match export::write_json(&runs, &path) {

@@ -141,133 +141,6 @@ pub fn prune_network(net: &mut Network, config: &PruneConfig) -> Result<f64, IrE
     Ok(if total == 0.0 { 1.0 } else { kept / total })
 }
 
-/// Gradual pruning schedule: linearly interpolates the keep fraction from
-/// 1.0 to the final target over `steps` pruning events, as in the iterative
-/// "prune a little, retrain" loop of Deep Compression.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct GradualSchedule {
-    /// Final keep fraction.
-    pub final_keep: f64,
-    /// Number of pruning events.
-    pub steps: usize,
-}
-
-impl GradualSchedule {
-    /// Keep fraction at 0-based pruning step `i` (clamped at the target).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `steps == 0`.
-    pub fn keep_at(&self, i: usize) -> f64 {
-        assert!(self.steps > 0, "schedule must have at least one step");
-        let t = ((i + 1) as f64 / self.steps as f64).min(1.0);
-        1.0 - t * (1.0 - self.final_keep)
-    }
-}
-
-/// Iterative "prune a little, retrain a little" driver (paper Fig. 2's
-/// step 2: "gradually prune the weights below a threshold"). Each round
-/// tightens the keep fraction along a [`GradualSchedule`] and retrains to
-/// let the surviving weights compensate.
-pub struct GradualPruner {
-    /// Conv-layer schedule.
-    pub conv: GradualSchedule,
-    /// FC-layer schedule.
-    pub fc: GradualSchedule,
-}
-
-impl GradualPruner {
-    /// Creates a pruner reaching the [`PruneConfig`] targets in `steps`
-    /// rounds.
-    pub fn new(target: &PruneConfig, steps: usize) -> Self {
-        GradualPruner {
-            conv: GradualSchedule {
-                final_keep: target.conv_keep,
-                steps,
-            },
-            fc: GradualSchedule {
-                final_keep: target.fc_keep,
-                steps,
-            },
-        }
-    }
-
-    /// Runs the full prune→retrain loop; `retrain` is invoked after every
-    /// pruning event (given the 0-based round index) and is expected to
-    /// train the network for a few epochs. Returns the per-round kept
-    /// fractions (overall, conv+fc weighted).
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`IrError::NonFiniteWeights`] from [`prune_network`] —
-    /// retraining can blow weights up to NaN between rounds.
-    pub fn run(
-        &self,
-        net: &mut crate::Network,
-        mut retrain: impl FnMut(&mut crate::Network, usize),
-    ) -> Result<Vec<f64>, IrError> {
-        let steps = self.conv.steps.max(self.fc.steps);
-        let mut history = Vec::with_capacity(steps);
-        for round in 0..steps {
-            let kept = prune_network(
-                net,
-                &PruneConfig {
-                    conv_keep: self.conv.keep_at(round),
-                    fc_keep: self.fc.keep_at(round),
-                },
-            )?;
-            retrain(net, round);
-            history.push(kept);
-        }
-        Ok(history)
-    }
-}
-
-/// Per-layer pruning-sensitivity scan (how Deep Compression chooses its
-/// per-layer rates): for each conv layer in isolation, sweep keep
-/// fractions and record held-out accuracy, restoring the original weights
-/// between probes.
-///
-/// Returns, per conv layer, the accuracy at each probed keep fraction.
-pub fn sensitivity_scan(
-    net: &mut Network,
-    data: &crate::datasets::SyntheticImages,
-    keep_fracs: &[f64],
-    batch: usize,
-) -> Vec<Vec<f64>> {
-    let n_convs = net.conv_layers_mut().count();
-    let mut results = Vec::with_capacity(n_convs);
-    for layer_idx in 0..n_convs {
-        let mut row = Vec::with_capacity(keep_fracs.len());
-        for &keep in keep_fracs {
-            // Save, prune this one layer, evaluate, restore.
-            let (saved_value, saved_mask) = {
-                let conv = net
-                    .conv_layers_mut()
-                    .nth(layer_idx)
-                    .expect("layer index in range");
-                (conv.weight().value.clone(), conv.weight().mask.clone())
-            };
-            {
-                let conv = net
-                    .conv_layers_mut()
-                    .nth(layer_idx)
-                    .expect("layer index in range");
-                prune_conv(conv, keep);
-            }
-            row.push(crate::trainer::evaluate(net, data, batch));
-            let conv = net
-                .conv_layers_mut()
-                .nth(layer_idx)
-                .expect("layer index in range");
-            conv.weight_mut().value = saved_value;
-            conv.weight_mut().mask = saved_mask;
-        }
-        results.push(row);
-    }
-    results
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -328,101 +201,5 @@ mod tests {
         let err = prune_network(&mut net, &PruneConfig::default()).expect_err("NaN weight");
         assert!(matches!(err, IrError::NonFiniteWeights { .. }));
         assert!(err.to_string().contains("L0"));
-    }
-
-    #[test]
-    fn gradual_pruner_converges_to_targets() {
-        use crate::datasets::SyntheticImages;
-        use crate::models;
-        use crate::trainer::{TrainConfig, Trainer};
-        let data = SyntheticImages::generate(1, 8, 8, 3, 40, 0.12, 71);
-        let (train, test) = data.split(0.25);
-        let mut net = models::tiny_cnn(1, 8, 8, 3, 71);
-        let trainer = Trainer::new(TrainConfig {
-            epochs: 3,
-            ..Default::default()
-        });
-        let _ = trainer.fit(&mut net, &train, &test);
-        let pruner = GradualPruner::new(
-            &PruneConfig {
-                conv_keep: 0.4,
-                fc_keep: 0.2,
-            },
-            3,
-        );
-        let mut rounds_seen = 0;
-        let history = pruner
-            .run(&mut net, |net, round| {
-                assert_eq!(round, rounds_seen);
-                rounds_seen += 1;
-                let quick = Trainer::new(TrainConfig {
-                    epochs: 1,
-                    ..Default::default()
-                });
-                let _ = quick.fit(net, &train, &test);
-            })
-            .expect("finite weights");
-        assert_eq!(history.len(), 3);
-        // Kept fractions decrease round over round toward the target.
-        assert!(history[0] > history[2]);
-        let final_conv_kept = net
-            .conv_layers_mut()
-            .map(|c| c.weight().kept_fraction())
-            .fold(0.0, f64::max);
-        assert!(
-            (final_conv_kept - 0.4).abs() < 0.08,
-            "kept {final_conv_kept}"
-        );
-        // And the network still works.
-        let acc = crate::trainer::evaluate(&mut net, &test, 16);
-        assert!(acc > 0.3, "acc {acc}");
-    }
-
-    #[test]
-    fn sensitivity_scan_is_monotone_and_non_destructive() {
-        use crate::datasets::SyntheticImages;
-        use crate::models;
-        use crate::trainer::{evaluate, TrainConfig, Trainer};
-        let data = SyntheticImages::generate(1, 8, 8, 3, 40, 0.12, 72);
-        let (train, test) = data.split(0.25);
-        let mut net = models::tiny_cnn(1, 8, 8, 3, 72);
-        let trainer = Trainer::new(TrainConfig {
-            epochs: 4,
-            ..Default::default()
-        });
-        let _ = trainer.fit(&mut net, &train, &test);
-        let before = evaluate(&mut net, &test, 16);
-        let curves = sensitivity_scan(&mut net, &test, &[1.0, 0.5, 0.1], 16);
-        assert_eq!(curves.len(), 2, "one curve per conv layer");
-        for curve in &curves {
-            assert_eq!(curve.len(), 3);
-            // keep=1.0 must match the unpruned accuracy.
-            assert!((curve[0] - before).abs() < 1e-9);
-            // Pruning to 10% hurts at least as much as to 50% (allowing
-            // small non-monotonic noise).
-            assert!(curve[2] <= curve[1] + 0.1);
-        }
-        // The scan must restore the network exactly.
-        let after = evaluate(&mut net, &test, 16);
-        assert!(
-            (before - after).abs() < 1e-9,
-            "scan must be non-destructive"
-        );
-    }
-
-    #[test]
-    fn gradual_schedule_interpolates_to_target() {
-        let s = GradualSchedule {
-            final_keep: 0.2,
-            steps: 4,
-        };
-        assert!((s.keep_at(0) - 0.8).abs() < 1e-12);
-        assert!((s.keep_at(3) - 0.2).abs() < 1e-12);
-        assert!((s.keep_at(10) - 0.2).abs() < 1e-12, "clamps past the end");
-        let mut prev = 1.0;
-        for i in 0..4 {
-            assert!(s.keep_at(i) < prev);
-            prev = s.keep_at(i);
-        }
     }
 }
