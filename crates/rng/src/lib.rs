@@ -68,6 +68,7 @@ pub trait Rng {
 }
 
 impl<R: Rng + ?Sized> Rng for &mut R {
+    #[inline]
     fn next_u64(&mut self) -> u64 {
         (**self).next_u64()
     }
@@ -181,6 +182,8 @@ pub mod rngs {
     }
 
     impl Rng for StdRng {
+        // Inlined across crates: samplers call this once per draw.
+        #[inline]
         fn next_u64(&mut self) -> u64 {
             // xoshiro256++ step.
             let result = self.s[0]

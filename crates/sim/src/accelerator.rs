@@ -247,11 +247,9 @@ impl Accelerator for CartesianAccelerator {
         let mut results: Vec<PeResult> = Vec::new();
         if layer.kind == LayerKind::FullyConnected {
             // Distribute output neurons across PEs (density-balanced).
-            let nnz: Vec<u64> = (0..layer.k)
-                .map(|k| u64::from(wl.fc_weight_nnz(k)))
-                .collect();
+            let nnz = wl.filter_nnz_all();
             let groups = if self.balanced {
-                tiling::balance_groups(&nnz, cfg.num_pes())
+                tiling::balance_groups(nnz, cfg.num_pes())
             } else {
                 tiling::naive_groups(layer.k, cfg.num_pes())
             };

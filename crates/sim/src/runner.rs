@@ -113,9 +113,11 @@ impl Runner {
             model: ir.name.clone(),
             error,
         })?;
-        for node in &ir.nodes {
-            LayerWorkload::check_node(node)?;
-        }
+        let checked = ir
+            .nodes
+            .iter()
+            .map(LayerWorkload::check_node)
+            .collect::<Result<Vec<_>, _>>()?;
         let mut runs: Vec<_> = accs
             .iter()
             .map(|acc| {
@@ -130,9 +132,12 @@ impl Runner {
                 (acc.config(), stats, vec![false; ir.nodes.len()])
             })
             .collect();
-        for (i, node) in ir.nodes.iter().enumerate() {
+        for (i, (node, checked)) in ir.nodes.iter().zip(checked).enumerate() {
             let seed = workload_seed(self.seed, &ir.name, node.name().unwrap_or(""));
-            let workload = LayerWorkload::from_node(node, centro, seed)?;
+            let workload = checked.map(|(desc, ann)| {
+                let (w, a) = (ann.weight_density, ann.activation_density);
+                LayerWorkload::synthesize(&desc, w, a, centro, seed)
+            });
             let preds = ir.predecessors(i);
             for (acc, (cfg, stats, on_chip)) in accs.iter().zip(&mut runs) {
                 let input_on_chip = !preds.is_empty() && preds.iter().all(|&p| on_chip[p]);

@@ -96,10 +96,10 @@ pub fn plan(
     let layer = &workload.layer;
     let (oh, ow) = layer.output_dim();
     let all_k: Vec<usize> = (0..layer.k).collect();
-    let filter_weights: Vec<u64> = (0..layer.k).map(|k| workload.filter_nnz(k)).collect();
+    let filter_weights = workload.filter_nnz_all();
     let group_k = |groups: usize| -> Vec<Vec<usize>> {
         if balanced {
-            balance_groups(&filter_weights, groups)
+            balance_groups(filter_weights, groups)
         } else {
             naive_groups(layer.k, groups)
         }
@@ -188,8 +188,7 @@ pub fn plan(
                 // Channel-split within each sub-array: every PE sees the
                 // whole plane and a quarter of the filters.
                 for (sa, k_set) in k_groups.into_iter().enumerate() {
-                    let sub_weights: Vec<u64> =
-                        k_set.iter().map(|&k| workload.filter_nnz(k)).collect();
+                    let sub_weights: Vec<u64> = k_set.iter().map(|&k| filter_weights[k]).collect();
                     let inner = if balanced {
                         balance_groups(&sub_weights, pes_per_sub)
                     } else {

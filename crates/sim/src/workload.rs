@@ -37,6 +37,12 @@ pub struct LayerWorkload {
     weight_nnz: Vec<u16>,
     /// For FC layers: non-zero weights per output neuron `k`.
     fc_nnz: Vec<u32>,
+    /// Non-zero stored weights per filter `k` (its `c_per_group` slices
+    /// summed; per output neuron for FC), filled during synthesis so
+    /// planning and traffic never rescan the slice counts.
+    filter_nnz: Vec<u64>,
+    /// Sum of `filter_nnz`.
+    total_weight_nnz: u64,
     seed: u64,
 }
 
@@ -68,24 +74,38 @@ impl LayerWorkload {
         let rs = layer.r * layer.s;
         let stored_per_slice = if effective_centro { rs.div_ceil(2) } else { rs };
         let mut rng = StdRng::seed_from_u64(seed ^ 0x5eed_cafe);
-        let (weight_nnz, fc_nnz) = if layer.kind == cscnn_models::LayerKind::FullyConnected {
-            let fc = Binomial::new(layer.c, weight_density).samples(&mut rng, layer.k, |x| x);
-            (Vec::new(), fc)
-        } else {
-            let c_local = layer.c / layer.groups;
-            let slices = layer.k * c_local;
-            assert!(
-                stored_per_slice <= usize::from(u16::MAX),
-                "{}: {stored_per_slice} stored weights per slice exceed the u16 slice counts",
-                layer.name
-            );
-            let w = Binomial::new(stored_per_slice, weight_density).samples(
-                &mut rng,
-                slices,
-                to_slice_nnz,
-            );
-            (w, Vec::new())
-        };
+        let (weight_nnz, fc_nnz, filter_nnz) =
+            if layer.kind == cscnn_models::LayerKind::FullyConnected {
+                let mut fc = vec![0; layer.k];
+                Binomial::new(layer.c, weight_density).fill(&mut rng, &mut fc, |x| x);
+                let per_neuron: Vec<u64> = fc.iter().map(|&x| u64::from(x)).collect();
+                (Vec::new(), fc, per_neuron)
+            } else {
+                let c_local = layer.c / layer.groups;
+                assert!(
+                    stored_per_slice <= usize::from(u16::MAX),
+                    "{}: {stored_per_slice} stored weights per slice exceed the u16 slice counts",
+                    layer.name
+                );
+                let slices = layer.k * c_local;
+                let (w, per_filter) = match Binomial::new(stored_per_slice, weight_density) {
+                    // A certain count: no draws, and every filter sums alike.
+                    Binomial::Const(c) => (
+                        vec![to_slice_nnz(c); slices],
+                        vec![u64::from(c) * to_count(c_local); layer.k],
+                    ),
+                    binomial => {
+                        let mut w = vec![0; slices];
+                        let per_filter = w
+                            .chunks_exact_mut(c_local)
+                            .map(|row| binomial.fill(&mut rng, row, to_slice_nnz))
+                            .collect();
+                        (w, per_filter)
+                    }
+                };
+                (w, Vec::new(), per_filter)
+            };
+        let total_weight_nnz = filter_nnz.iter().sum();
         LayerWorkload {
             layer: layer.clone(),
             weight_density,
@@ -94,6 +114,8 @@ impl LayerWorkload {
             stored_per_slice,
             weight_nnz,
             fc_nnz,
+            filter_nnz,
+            total_weight_nnz,
             seed,
         }
     }
@@ -194,22 +216,18 @@ impl LayerWorkload {
 
     /// Total non-zero stored weights in this layer.
     pub fn total_weight_nnz(&self) -> u64 {
-        if self.fc_nnz.is_empty() {
-            self.weight_nnz.iter().map(|&x| u64::from(x)).sum()
-        } else {
-            self.fc_nnz.iter().map(|&x| u64::from(x)).sum()
-        }
+        self.total_weight_nnz
     }
 
     /// Non-zero stored weights of filter `k` (summed over its input
     /// channels) — the quantity density-sorted load balancing uses.
     pub fn filter_nnz(&self, k: usize) -> u64 {
-        if self.fc_nnz.is_empty() {
-            let cg = self.c_per_group();
-            (0..cg).map(|c| u64::from(self.weight_nnz(k, c))).sum()
-        } else {
-            u64::from(self.fc_nnz[k])
-        }
+        self.filter_nnz[k]
+    }
+
+    /// [`LayerWorkload::filter_nnz`] of every filter, indexed by `k`.
+    pub(crate) fn filter_nnz_all(&self) -> &[u64] {
+        &self.filter_nnz
     }
 
     /// Deterministic non-zero count for an activation tile of `tile_len`
@@ -310,33 +328,49 @@ impl Binomial {
         }
     }
 
-    /// `count` counts, each passed through `convert`, with the path matched
-    /// once outside the loop.
-    fn samples<R: Rng, T: Clone>(
-        &self,
-        rng: &mut R,
-        count: usize,
-        convert: impl Fn(u32) -> T,
-    ) -> Vec<T> {
+    /// Fills `out` with one count per element, each passed through
+    /// `convert`, and returns the counts' sum, with the path matched once
+    /// outside the loop. A single trial (`n = 1`, every slice of a 1×1
+    /// conv) is one draw and one compare per element.
+    fn fill<R: Rng, T: Copy>(&self, rng: &mut R, out: &mut [T], convert: impl Fn(u32) -> T) -> u64 {
+        let mut sum = 0;
+        let mut put = |slot: &mut T, count: u32| {
+            sum += u64::from(count);
+            *slot = convert(count);
+        };
         match *self {
-            Self::Const(c) => vec![convert(c); count],
-            Self::Exact { n, threshold } => (0..count)
-                .map(|_| convert(exact_count(rng, n, threshold)))
-                .collect(),
-            Self::Normal { n, np, sigma } => (0..count)
-                .map(|_| convert(normal_count(rng, n, np, sigma)))
-                .collect(),
+            Self::Const(c) => {
+                out.fill(convert(c));
+                return u64::from(c) * to_count(out.len());
+            }
+            Self::Exact { n: 1, threshold } => {
+                for slot in out {
+                    put(slot, u32::from((rng.next_u64() >> 11) < threshold));
+                }
+            }
+            Self::Exact { n, threshold } => {
+                for slot in out {
+                    put(slot, exact_count(rng, n, threshold));
+                }
+            }
+            Self::Normal { n, np, sigma } => {
+                for slot in out {
+                    put(slot, normal_count(rng, n, np, sigma));
+                }
+            }
         }
+        sum
     }
 }
 
+/// `n` Bernoulli trials, one draw each, counted without a branch.
 #[inline]
 fn exact_count<R: Rng>(rng: &mut R, n: usize, threshold: u64) -> u32 {
-    to_nnz(
-        (0..n)
-            .filter(|_| (rng.next_u64() >> 11) < threshold)
-            .count(),
-    )
+    let mut c = 0u32;
+    for _ in 0..n {
+        c += u32::from((rng.next_u64() >> 11) < threshold);
+    }
+    c
 }
 
 #[inline]
@@ -481,7 +515,8 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(7);
         let b = Binomial::new(10_000, 0.3);
         assert!(matches!(b, Binomial::Normal { .. }));
-        let samples = b.samples(&mut rng, 500, f64::from);
+        let mut samples = vec![0.0; 500];
+        b.fill(&mut rng, &mut samples, f64::from);
         let mean = samples.iter().sum::<f64>() / samples.len() as f64;
         assert!((mean - 3000.0).abs() < 30.0, "mean={mean}");
     }
@@ -518,9 +553,9 @@ mod tests {
     #[test]
     fn binomial_matches_the_per_draw_oracle_count_for_count() {
         // (n, p, expected path): exact with n ≤ 64, exact with n > 64 on
-        // either tail, normal, both constants, n = 0 and 1, tiny p and the
-        // largest p below 1.
-        let cases: [(usize, f64, &str); 16] = [
+        // either tail, normal, both constants, n = 0, the single-trial arm
+        // (n = 1) across p, tiny p and the largest p below 1.
+        let cases: [(usize, f64, &str); 20] = [
             (9, 0.35, "exact"),
             (5, 0.4, "exact"),
             (64, 0.5, "exact"),
@@ -534,6 +569,10 @@ mod tests {
             (10_000, 1.0, "const"),
             (0, 0.5, "exact"),
             (1, 0.5, "exact"),
+            (1, 1e-300, "exact"),
+            (1, 0.02, "exact"),
+            (1, 0.98, "exact"),
+            (1, 1.0 - 1e-16, "exact"),
             (9, 1e-300, "exact"),
             (9, f64::from_bits(1), "exact"),
             (9, 1.0 - 1e-16, "exact"),
@@ -547,7 +586,13 @@ mod tests {
                 let mut batch = oracle.clone();
                 let want: Vec<u32> = (0..40).map(|_| binomial(&mut oracle, n, p)).collect();
                 let one_by_one: Vec<u32> = (0..40).map(|_| b.sample(&mut single)).collect();
-                let at_once = b.samples(&mut batch, 40, |x| x);
+                let mut at_once = vec![0; 40];
+                let sum = b.fill(&mut batch, &mut at_once, |x| x);
+                assert_eq!(
+                    sum,
+                    want.iter().map(|&x| u64::from(x)).sum(),
+                    "sum: n={n} p={p}"
+                );
                 assert_eq!(one_by_one, want, "sample: n={n} p={p} seed={seed}");
                 assert_eq!(at_once, want, "samples: n={n} p={p} seed={seed}");
                 assert_eq!(single, oracle, "stream position: n={n} p={p}");
@@ -579,6 +624,77 @@ mod tests {
                     u32::from(want),
                     "p={p} m={m}"
                 );
+                // The single-trial arm makes the same compare.
+                let mut single = [0];
+                Binomial::new(1, p).fill(&mut Fixed(x), &mut single, |c| c);
+                assert_eq!(single, [u32::from(want)], "n=1: p={p} m={m}");
+            }
+        }
+    }
+
+    #[test]
+    fn stored_totals_match_a_full_scan_of_the_counts() {
+        // (layer, weight density, centro, expected path of the slice counts).
+        let cases = [
+            (conv_layer(), 1.0, false, "const"),
+            (conv_layer(), 0.0, false, "const"),
+            (
+                LayerDesc::conv("pw", 96, 40, 1, 1, 14, 14, 1, 0),
+                0.3,
+                false,
+                "exact",
+            ),
+            (conv_layer(), 0.35, false, "exact"),
+            (conv_layer(), 0.35, true, "exact"),
+            (
+                LayerDesc::conv("k11", 3, 24, 11, 11, 56, 56, 4, 2),
+                0.5,
+                false,
+                "normal",
+            ),
+            (
+                LayerDesc::grouped("g4", 64, 32, 3, 3, 14, 14, 1, 1, 4),
+                0.4,
+                false,
+                "exact",
+            ),
+            (
+                LayerDesc::grouped("dw", 48, 48, 3, 3, 14, 14, 1, 1, 48),
+                0.6,
+                true,
+                "exact",
+            ),
+            (LayerDesc::fc("fc", 1024, 96), 0.1, false, "normal"),
+            (LayerDesc::fc("fc_tiny", 40, 12), 0.2, false, "exact"),
+        ];
+        for (layer, density, centro, path) in &cases {
+            let fc = layer.kind == cscnn_models::LayerKind::FullyConnected;
+            for seed in [1, 7, 42, 1234] {
+                let w = LayerWorkload::synthesize(layer, *density, 0.5, *centro, seed);
+                let n = if fc { layer.c } else { w.stored_per_slice };
+                let name = &layer.name;
+                assert_eq!(path_name(&Binomial::new(n, *density)), *path, "{name}");
+                let scanned: Vec<u64> = (0..layer.k)
+                    .map(|k| {
+                        if fc {
+                            u64::from(w.fc_weight_nnz(k))
+                        } else {
+                            (0..w.c_per_group())
+                                .map(|c| u64::from(w.weight_nnz(k, c)))
+                                .sum()
+                        }
+                    })
+                    .collect();
+                assert_eq!(w.filter_nnz_all(), scanned, "{name} seed={seed}");
+                for (k, &want) in scanned.iter().enumerate() {
+                    assert_eq!(w.filter_nnz(k), want, "{name} seed={seed} k={k}");
+                }
+                let slices: u64 = if fc {
+                    w.fc_nnz.iter().map(|&x| u64::from(x)).sum()
+                } else {
+                    w.weight_nnz.iter().map(|&x| u64::from(x)).sum()
+                };
+                assert_eq!(w.total_weight_nnz(), slices, "{name} seed={seed}");
             }
         }
     }
