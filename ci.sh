@@ -61,10 +61,13 @@ for seed in 1 17 4242; do
 done
 
 echo "== kernel determinism across thread counts"
+# integration_pipeline pins mobile_cnn's trained weights, so they must
+# come out bit-identical on one kernel thread and on several.
 for threads in 1 4; do
     echo "-- CSCNN_NUM_THREADS=$threads"
     CSCNN_NUM_THREADS="$threads" cargo test -q -p cscnn \
-        --test property_kernels
+        --test property_kernels \
+        --test integration_pipeline
 done
 
 echo "== simulator job pool across worker counts"

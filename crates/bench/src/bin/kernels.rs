@@ -280,7 +280,7 @@ fn conv_entries(smoke: bool, budget: Duration, mt: usize, out: &mut Vec<Sample>)
                 padding: 1,
                 stride: 1,
                 groups: 256,
-                train: false,
+                train: true,
             },
             ConvShape {
                 name: "mobilenet_pw_14",

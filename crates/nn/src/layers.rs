@@ -74,6 +74,14 @@ pub trait Layer {
     /// gradient w.r.t. the last input.
     fn backward(&mut self, grad_out: &Tensor) -> Tensor;
 
+    /// [`Layer::backward`] for a layer whose input gradient nothing reads
+    /// (a network's first layer): accumulates the parameter gradients
+    /// only. The default runs `backward` and drops its result; layers that
+    /// can skip the input-gradient work override it.
+    fn backward_params(&mut self, grad_out: &Tensor) {
+        let _ = self.backward(grad_out);
+    }
+
     /// Mutable access to trainable parameters (empty for stateless layers).
     fn params_mut(&mut self) -> Vec<&mut Param> {
         Vec::new()
@@ -132,9 +140,9 @@ pub struct Conv2d {
     weight: Param,
     bias: Param,
     centrosymmetric: bool,
-    cached_input: Option<Tensor>,
-    /// Reusable im2col arena: the backward pass reuses the forward pass's
-    /// lowering, and repeated steps at a fixed geometry stop allocating.
+    /// Holds the forward input (the layer's only copy of it) and its
+    /// im2col lowering, which the backward pass reuses; repeated steps at
+    /// a fixed geometry stop allocating.
     scratch: ConvScratch,
 }
 
@@ -186,7 +194,6 @@ impl Conv2d {
             weight: Param::new(weight),
             bias: Param::new(Tensor::zeros(&[out_channels])),
             centrosymmetric: false,
-            cached_input: None,
             scratch: ConvScratch::new(),
         }
     }
@@ -243,11 +250,21 @@ impl Conv2d {
             centro::tie_gradients(&mut g[base..base + r * s], r, s);
         }
     }
+
+    /// Stores a backward pass's parameter gradients, tied per Eq. 7 when
+    /// centrosymmetric and masked when pruned.
+    fn set_grads(&mut self, weight: Tensor, bias: Tensor) {
+        self.weight.grad = weight;
+        self.bias.grad = bias;
+        if self.centrosymmetric {
+            self.tie_weight_gradients();
+        }
+        self.weight.enforce_mask();
+    }
 }
 
 impl Layer for Conv2d {
     fn forward(&mut self, input: &Tensor) -> Tensor {
-        self.cached_input = Some(input.clone());
         self.scratch.forward(
             input,
             &self.weight.value,
@@ -258,26 +275,20 @@ impl Layer for Conv2d {
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let input = self
-            .cached_input
-            .take()
-            .expect("backward called before forward");
-        // The scratch recognizes the input cached at forward time and
-        // reuses that lowering — one im2col per training step, not two.
-        let grads = self.scratch.backward(
-            &input,
-            &self.weight.value,
-            grad_out,
-            &self.spec,
-            self.groups,
-        );
-        self.weight.grad = grads.weight;
-        self.bias.grad = grads.bias;
-        if self.centrosymmetric {
-            self.tie_weight_gradients();
-        }
-        self.weight.enforce_mask();
+        // Runs on the input the scratch copied at forward time and reuses
+        // its lowering: one copy and one im2col per training step.
+        let grads =
+            self.scratch
+                .backward_last(&self.weight.value, grad_out, &self.spec, self.groups);
+        self.set_grads(grads.weight, grads.bias);
         grads.input
+    }
+
+    fn backward_params(&mut self, grad_out: &Tensor) {
+        let (weight, bias) =
+            self.scratch
+                .param_grads_last(&self.weight.value, grad_out, &self.spec, self.groups);
+        self.set_grads(weight, bias);
     }
 
     fn params_mut(&mut self) -> Vec<&mut Param> {

@@ -51,11 +51,7 @@ impl Network {
 
     /// Runs the forward pass through all layers, caching for backward.
     pub fn forward(&mut self, input: &Tensor) -> Tensor {
-        let mut x = input.clone();
-        for layer in &mut self.layers {
-            x = layer.forward(&x);
-        }
-        x
+        self.forward_observed(input, |_, _, _| {})
     }
 
     /// Runs the forward pass, invoking `observe(layer_index, layer_name,
@@ -66,21 +62,31 @@ impl Network {
         input: &Tensor,
         mut observe: impl FnMut(usize, &'static str, &Tensor),
     ) -> Tensor {
-        let mut x = input.clone();
-        for (i, layer) in self.layers.iter_mut().enumerate() {
-            observe(i, layer.name(), &x);
+        let Some((first, rest)) = self.layers.split_first_mut() else {
+            return input.clone();
+        };
+        observe(0, first.name(), input);
+        let mut x = first.forward(input);
+        for (i, layer) in rest.iter_mut().enumerate() {
+            observe(i + 1, layer.name(), &x);
             x = layer.forward(&x);
         }
         x
     }
 
-    /// Runs the backward pass; must follow a `forward` call.
-    pub fn backward(&mut self, grad_out: &Tensor) -> Tensor {
+    /// Runs the backward pass, filling every parameter gradient; must
+    /// follow a `forward` call. The first layer runs
+    /// [`Layer::backward_params`]: nothing reads the gradient w.r.t. the
+    /// network input, so it is not computed.
+    pub fn backward(&mut self, grad_out: &Tensor) {
+        let Some((first, rest)) = self.layers.split_first_mut() else {
+            return;
+        };
         let mut g = grad_out.clone();
-        for layer in self.layers.iter_mut().rev() {
+        for layer in rest.iter_mut().rev() {
             g = layer.backward(&g);
         }
-        g
+        first.backward_params(&g);
     }
 
     /// All trainable parameters, in layer order.
@@ -199,10 +205,69 @@ mod tests {
         let x = Tensor::from_fn(&[2, 1, 6, 6], |i| (i as f32 * 0.05).sin());
         let y = net.forward(&x);
         assert_eq!(y.shape().dims(), &[2, 3]);
-        let gi = net.backward(&Tensor::full(&[2, 3], 1.0));
-        assert_eq!(gi.shape().dims(), &[2, 1, 6, 6]);
+        // `Network::backward` skips the input gradient; each layer's full
+        // `backward`, in reverse, still composes to the input's shape.
+        let mut g = Tensor::full(&[2, 3], 1.0);
+        for i in (0..net.len()).rev() {
+            g = net.layer_mut(i).backward(&g);
+        }
+        assert_eq!(g.shape().dims(), &[2, 1, 6, 6]);
         assert_eq!(net.params().len(), 4); // conv w/b + linear w/b
         assert!(net.num_params() > 0);
+    }
+
+    /// Bit patterns of every parameter gradient, in `params` order.
+    fn grad_bits(net: &Network) -> Vec<Vec<u32>> {
+        net.params()
+            .iter()
+            .map(|p| p.grad.as_slice().iter().map(|v| v.to_bits()).collect())
+            .collect()
+    }
+
+    /// `Network::backward` (first layer through `backward_params`) fills
+    /// every parameter gradient with the same bits as each layer's full
+    /// `backward` called in reverse order.
+    fn assert_backward_matches_full_chain(mut net: Network, x: &Tensor, what: &str) {
+        let out = net.forward(x);
+        let go = Tensor::from_fn(out.shape().dims(), |i| ((i as f32) * 0.37).sin());
+        net.backward(&go);
+        let got = grad_bits(&net);
+        assert!(
+            got[0].iter().any(|&b| b != 0),
+            "{what}: first layer got no gradient"
+        );
+        let _ = net.forward(x);
+        let mut g = go;
+        for i in (0..net.len()).rev() {
+            g = net.layer_mut(i).backward(&g);
+        }
+        assert_eq!(got, grad_bits(&net), "{what}");
+    }
+
+    #[test]
+    fn first_layer_skip_keeps_every_parameter_gradient() {
+        let image =
+            |c: usize, hw: usize| Tensor::from_fn(&[4, c, hw, hw], |i| ((i as f32) * 0.21).sin());
+        assert_backward_matches_full_chain(
+            crate::models::mobile_cnn(3, 8, 8, 5, 11),
+            &image(3, 8),
+            "mobile_cnn",
+        );
+        let mut centro = crate::models::mobile_cnn(3, 8, 8, 5, 12);
+        crate::centrosymmetric::centrosymmetrize(&mut centro).expect("finite weights");
+        assert_backward_matches_full_chain(centro, &image(3, 8), "centrosymmetric mobile_cnn");
+        assert_backward_matches_full_chain(
+            crate::models::tiny_cnn(1, 8, 8, 4, 13),
+            &image(1, 8),
+            "tiny_cnn",
+        );
+        let mut rng = StdRng::seed_from_u64(14);
+        let mut linear_first = Network::new();
+        linear_first.push(Linear::new(&mut rng, 12, 6));
+        linear_first.push(Relu::new());
+        linear_first.push(Linear::new(&mut rng, 6, 3));
+        let x = Tensor::from_fn(&[4, 12], |i| ((i as f32) * 0.29).cos());
+        assert_backward_matches_full_chain(linear_first, &x, "linear first");
     }
 
     #[test]

@@ -1,4 +1,5 @@
-//! 2-D convolution, forward and backward, via im2col.
+//! 2-D convolution, forward and backward, via im2col or, for depthwise
+//! layers, direct per-plane kernels.
 //!
 //! Tensor layouts follow the paper's notation (§II-A): inputs are
 //! `[N, C, H, W]`, filters are `[K, C, R, S]`, outputs are `[N, K, H', W']`.
@@ -26,6 +27,13 @@
 //! [`crate::kernels`]; when a batch offers enough `(item × group)` tasks
 //! the work is parallelized across tasks instead (whole output chunks per
 //! thread), which keeps every output element single-writer.
+//!
+//! # Direct depthwise kernels
+//!
+//! A depthwise convolution at unit stride (`groups == C == K`) skips
+//! im2col and the GEMMs: each `(item, channel)` plane is zero-padded once
+//! and every kernel tap is one flat multiply-add loop over it (see
+//! [`Depthwise`]). Whole planes are dealt to threads.
 //!
 //! Results are **bit-identical** to the naive per-item / per-group
 //! reference implementations in [`crate::reference`] at every thread
@@ -324,6 +332,20 @@ impl ConvLowering {
     ///
     /// Panics if `weight`/`grad_out` disagree with the lowered geometry.
     pub fn backward(&self, weight: &Tensor, grad_out: &Tensor) -> Conv2dGrads {
+        with_input_grad(&[self.n, self.c, self.h, self.w], |d_input| {
+            self.param_grads(weight, grad_out, Some(d_input))
+        })
+    }
+
+    /// Weight and bias gradients over the lowered input. With `d_input`
+    /// (a zeroed `[N, C, H, W]` buffer) the input gradient is scattered
+    /// into it too; without, the `dCol` GEMM and `col2im` do not run.
+    fn param_grads(
+        &self,
+        weight: &Tensor,
+        grad_out: &Tensor,
+        mut d_input: Option<&mut [f32]>,
+    ) -> (Tensor, Tensor) {
         let (k, kg, rows_g, cols_len) = self.weight_geometry(weight, "conv2d_backward weight");
         let (n, c, h, w, groups) = (self.n, self.c, self.h, self.w, self.groups);
         let cg = c / groups;
@@ -332,7 +354,6 @@ impl ConvLowering {
             &[n, k, self.oh, self.ow],
             "grad_out shape mismatch"
         );
-        let mut d_input = Tensor::zeros(&[n, c, h, w]);
         let mut d_weight = vec![0.0f32; k * rows_g];
         let mut d_bias = vec![0.0f32; k];
         let gov = grad_out.as_slice();
@@ -345,9 +366,9 @@ impl ConvLowering {
         let spec = self.spec;
         let t = threads::num_threads();
         // `d_col` is a caller-owned `[rows_g, cols_len]` scratch, reused
-        // across the tasks one thread runs.
+        // across the tasks one thread runs (empty without `din`).
         let compute =
-            |task: usize, din: &mut [f32], part: &mut [f32], d_col: &mut [f32], budget| {
+            |task: usize, din: Option<&mut [f32]>, part: &mut [f32], d_col: &mut [f32], budget| {
                 let (dw_part, db_part) = part.split_at_mut(kg * rows_g);
                 let (ni, g) = (task / groups, task % groups);
                 let goslab = &gov[(ni * k + g * kg) * cols_len..(ni * k + (g + 1) * kg) * cols_len];
@@ -367,19 +388,21 @@ impl ConvLowering {
                 );
                 // dCol = Wᵀ · dOut (reference: matmul_at(w, go)), scattered
                 // back into this task's disjoint d_input chunk.
-                d_col.fill(0.0);
-                kernels::gemm_with_threads(
-                    Lhs::Transposed,
-                    Rhs::RowMajor,
-                    wg,
-                    goslab,
-                    rows_g,
-                    kg,
-                    cols_len,
-                    d_col,
-                    budget,
-                );
-                col2im_block(d_col, din, cg, h, w, &spec, self.oh, self.ow);
+                if let Some(din) = din {
+                    d_col.fill(0.0);
+                    kernels::gemm_with_threads(
+                        Lhs::Transposed,
+                        Rhs::RowMajor,
+                        wg,
+                        goslab,
+                        rows_g,
+                        kg,
+                        cols_len,
+                        d_col,
+                        budget,
+                    );
+                    col2im_block(d_col, din, cg, h, w, &spec, self.oh, self.ow);
+                }
                 // dBias part = row sums of dOut, in the reference's order.
                 for (kl, db) in db_part.iter_mut().enumerate() {
                     let s: f32 = goslab[kl * cols_len..(kl + 1) * cols_len].iter().sum();
@@ -387,37 +410,61 @@ impl ConvLowering {
                 }
             };
         let din_chunk = cg * h * w;
-        let col_len = rows_g * cols_len;
+        let col_len = if d_input.is_some() {
+            rows_g * cols_len
+        } else {
+            0
+        };
         if t > 1 && tasks >= t && tasks * part_len <= PART_BUDGET_FLOATS {
             let mut parts = vec![0.0f32; tasks * part_len];
-            kernels::parallel_chunk_pairs(
-                d_input.as_mut_slice(),
-                din_chunk,
-                &mut parts,
-                part_len,
-                t,
-                || vec![0.0f32; col_len],
-                |d_col, task, din, part| compute(task, din, part, d_col, 1),
-            );
+            match d_input {
+                Some(din) => kernels::parallel_chunk_pairs(
+                    din,
+                    din_chunk,
+                    &mut parts,
+                    part_len,
+                    t,
+                    || vec![0.0f32; col_len],
+                    |d_col, task, din, part| compute(task, Some(din), part, d_col, 1),
+                ),
+                None => kernels::parallel_chunks(&mut parts, part_len, t, |task, part| {
+                    compute(task, None, part, &mut [], 1)
+                }),
+            }
             for (task, part) in parts.chunks(part_len).enumerate() {
                 reduce_part(task, part, groups, kg, rows_g, &mut d_weight, &mut d_bias);
             }
         } else {
-            let din = d_input.as_mut_slice();
             let mut part = vec![0.0f32; part_len];
             let mut d_col = vec![0.0f32; col_len];
             for task in 0..tasks {
                 part.fill(0.0);
-                let chunk = &mut din[task * din_chunk..(task + 1) * din_chunk];
-                compute(task, chunk, &mut part, &mut d_col, t);
+                let din = d_input
+                    .as_deref_mut()
+                    .map(|din| &mut din[task * din_chunk..(task + 1) * din_chunk]);
+                compute(task, din, &mut part, &mut d_col, t);
                 reduce_part(task, &part, groups, kg, rows_g, &mut d_weight, &mut d_bias);
             }
         }
-        Conv2dGrads {
-            input: d_input,
-            weight: Tensor::from_vec(d_weight, &[k, cg, self.spec.kernel_h, self.spec.kernel_w]),
-            bias: Tensor::from_vec(d_bias, &[k]),
-        }
+        (
+            Tensor::from_vec(d_weight, &[k, cg, self.spec.kernel_h, self.spec.kernel_w]),
+            Tensor::from_vec(d_bias, &[k]),
+        )
+    }
+}
+
+/// Runs `grads` with a zeroed input-gradient buffer of shape `dims` and
+/// packs its `(dW, dBias)` result with that buffer.
+fn with_input_grad(
+    dims: &[usize],
+    grads: impl FnOnce(&mut [f32]) -> (Tensor, Tensor),
+) -> Conv2dGrads {
+    let mut input = Tensor::zeros(dims);
+    let (weight, bias) = grads(input.as_mut_slice());
+    Conv2dGrads {
+        input,
+        weight,
+        bias,
     }
 }
 
@@ -557,19 +604,351 @@ fn col2im_block(
     }
 }
 
-/// A reusable convolution arena: keeps the most recent [`ConvLowering`]
-/// (and its buffer) alive across calls.
+/// Geometry of the direct depthwise kernels: one `h×w` image plane of a
+/// unit-stride convolution, zero-padded to `ph×pw`.
 ///
-/// A forward/backward pair over the same input lowers it exactly once —
-/// the backward call recognizes the input by a content fingerprint and
-/// reuses the forward's lowering; any other input (or geometry) re-lowers
-/// into the existing allocation. `Conv2d` layers own one of these, so a
-/// training step does one im2col per layer instead of two, and steady-state
-/// training stops allocating column buffers entirely.
-#[derive(Debug, Clone, Default)]
+/// Output rows are laid out at the padded width: output pixel `(oy, ox)`
+/// sits at flat offset `oy·pw + ox`, and kernel tap `(r, s)` pairs it with
+/// the padded-plane element at that offset plus `r·pw + s`. Every tap is
+/// therefore one flat multiply-add loop over [`Depthwise::span`] elements.
+/// The `pw − ow` slots after each laid-out row pair with padding or with
+/// the next row; the forward never stores them, and the backward's
+/// laid-out `dOut` holds zeros there.
+///
+/// Bit-identity with the reference (`docs/kernels.md`): the forward and
+/// `dW` perform exactly the reference's products (its im2col columns hold
+/// the same padding zeros) in the same order: taps ascending per output
+/// pixel, pixels ascending per `dW` tap. `dX` adds each element's
+/// contributions in ascending tap order, as `col2im` does, plus products
+/// `w·0` from the zero slots. For a finite `w` those are `±0`, and adding
+/// `±0` leaves a running sum that started at `+0` unchanged.
+#[derive(Clone, Copy, Debug)]
+struct Depthwise {
+    h: usize,
+    w: usize,
+    pad: usize,
+    kh: usize,
+    kw: usize,
+    ph: usize,
+    pw: usize,
+    oh: usize,
+    ow: usize,
+}
+
+/// Adjacent taps of one kernel row that a depthwise `dW` pass sums
+/// together, as independent lanes.
+const LANES: usize = 4;
+
+/// Per-thread buffers of the direct depthwise kernels.
+struct PlaneBufs {
+    /// The zero-padded input plane, `ph·pw`, plus `LANES` slots of tail;
+    /// the border and tail are never written.
+    xpad: Vec<f32>,
+    /// The `(laid-out offset, dOut)` of a plane's non-zero `dOut` pixels.
+    hits: Vec<(usize, f32)>,
+    /// One plane of output rows laid out at the padded width, `span`.
+    line: Vec<f32>,
+    /// The padded input-gradient plane, `ph·pw` (empty without `dX`).
+    dpad: Vec<f32>,
+}
+
+impl Depthwise {
+    fn new(h: usize, w: usize, spec: &ConvSpec) -> Self {
+        let (oh, ow) = spec.output_dim(h, w);
+        Depthwise {
+            h,
+            w,
+            pad: spec.padding,
+            kh: spec.kernel_h,
+            kw: spec.kernel_w,
+            ph: h + 2 * spec.padding,
+            pw: w + 2 * spec.padding,
+            oh,
+            ow,
+        }
+    }
+
+    /// Length of one tap's loop: `oh` laid-out rows, the last cut at `ow`.
+    fn span(&self) -> usize {
+        (self.oh - 1) * self.pw + self.ow
+    }
+
+    fn bufs(&self, d_input: bool) -> PlaneBufs {
+        let padded = self.ph * self.pw;
+        PlaneBufs {
+            xpad: vec![0.0; padded + LANES],
+            hits: vec![(0, 0.0); self.oh * self.ow],
+            line: vec![0.0; self.span()],
+            dpad: vec![0.0; if d_input { padded } else { 0 }],
+        }
+    }
+
+    /// Copies an `h×w` plane into the interior of `xpad`.
+    fn pad_plane(&self, x: &[f32], xpad: &mut [f32]) {
+        for (y, row) in x.chunks_exact(self.w).enumerate() {
+            let at = (y + self.pad) * self.pw + self.pad;
+            xpad[at..at + self.w].copy_from_slice(row);
+        }
+    }
+
+    /// Flat offset of tap `t = r·S + s` in the padded plane.
+    fn tap_offset(&self, t: usize) -> usize {
+        (t / self.kw) * self.pw + t % self.kw
+    }
+
+    /// One `(item, channel)` output plane: `out = Σ_taps w·x + bias`, taps
+    /// ascending, zero weights skipped as the reference GEMM skips them.
+    fn forward_plane(
+        &self,
+        x: &[f32],
+        taps: &[f32],
+        bias: f32,
+        buf: &mut PlaneBufs,
+        out: &mut [f32],
+    ) {
+        self.pad_plane(x, &mut buf.xpad);
+        let span = self.span();
+        buf.line.fill(0.0);
+        for (t, &wt) in taps.iter().enumerate() {
+            if wt == 0.0 {
+                continue;
+            }
+            let src = &buf.xpad[self.tap_offset(t)..][..span];
+            for (acc, &v) in buf.line.iter_mut().zip(src) {
+                *acc += wt * v;
+            }
+        }
+        for (row, acc) in out.chunks_exact_mut(self.ow).zip(buf.line.chunks(self.pw)) {
+            for (d, &a) in row.iter_mut().zip(acc) {
+                *d = a + bias;
+            }
+        }
+    }
+
+    /// One `(item, channel)` plane of the backward: its `dW` partial into
+    /// `part[..R·S]`, its `dBias` partial into `part[R·S]` and, when given,
+    /// its `dX` plane into `din`.
+    fn backward_plane(
+        &self,
+        x: &[f32],
+        go: &[f32],
+        taps: &[f32],
+        buf: &mut PlaneBufs,
+        din: Option<&mut [f32]>,
+        part: &mut [f32],
+    ) {
+        let (dw, db) = part.split_at_mut(taps.len());
+        self.pad_plane(x, &mut buf.xpad);
+        // dW: list the non-zero `dOut` pixels in ascending order (the
+        // reference GEMM skips the zero ones), then sum each tap over the
+        // list. `LANES` adjacent taps of a kernel row share one pass; lanes
+        // past the row's end read further pixels (or the buffer's tail) and
+        // are never stored.
+        let mut hits = 0;
+        for (oy, go_row) in go.chunks_exact(self.ow).enumerate() {
+            for (ox, &g) in go_row.iter().enumerate() {
+                buf.hits[hits] = (oy * self.pw + ox, g);
+                hits += usize::from(g != 0.0);
+            }
+        }
+        for (r, dw_row) in dw.chunks_exact_mut(self.kw).enumerate() {
+            for (s0, dw_lanes) in (0..self.kw).step_by(LANES).zip(dw_row.chunks_mut(LANES)) {
+                let from = r * self.pw + s0;
+                let mut acc = [0.0f32; LANES];
+                for &(at, g) in &buf.hits[..hits] {
+                    let src = &buf.xpad[at + from..at + from + LANES];
+                    for (a, &v) in acc.iter_mut().zip(src) {
+                        *a += g * v;
+                    }
+                }
+                dw_lanes.copy_from_slice(&acc[..dw_lanes.len()]);
+            }
+        }
+        db[0] = go.iter().sum();
+        let Some(din) = din else {
+            return;
+        };
+        // dX: lay `dOut` out at the padded width (the slots past `ow` keep
+        // their zero fill), add one scaled copy per tap into the padded
+        // gradient plane, then crop its interior.
+        let span = self.span();
+        for (row, src) in buf.line.chunks_mut(self.pw).zip(go.chunks_exact(self.ow)) {
+            row[..self.ow].copy_from_slice(src);
+        }
+        buf.dpad.fill(0.0);
+        for (t, &wt) in taps.iter().enumerate() {
+            if wt == 0.0 {
+                continue;
+            }
+            let dst = &mut buf.dpad[self.tap_offset(t)..][..span];
+            for (d, &g) in dst.iter_mut().zip(&buf.line) {
+                *d += wt * g;
+            }
+        }
+        for (y, row) in din.chunks_exact_mut(self.w).enumerate() {
+            let at = (y + self.pad) * self.pw + self.pad;
+            row.copy_from_slice(&buf.dpad[at..at + self.w]);
+        }
+    }
+}
+
+/// Whether a convolution runs on the direct depthwise kernels: one filter
+/// per channel (`groups == C == K`) at unit stride.
+fn is_direct_depthwise(input: &Tensor, weight: &Tensor, spec: &ConvSpec, groups: usize) -> bool {
+    let (_, c, _, _) = dims4(input, "conv input");
+    let (k, _, _, _) = dims4(weight, "conv weight");
+    groups == c && groups == k && spec.stride == 1
+}
+
+/// Validates a depthwise weight (`[C, 1, R, S]`) against `spec` and `c`,
+/// returning the plane geometry.
+fn depthwise_geometry(
+    input: &Tensor,
+    weight: &Tensor,
+    spec: &ConvSpec,
+) -> (usize, usize, Depthwise) {
+    let (n, c, h, w) = dims4(input, "depthwise input");
+    let (k, wc, wr, ws) = dims4(weight, "depthwise weight");
+    assert_eq!((k, wc), (c, 1), "depthwise weight must be [C={c}, 1, R, S]");
+    assert_eq!(
+        (wr, ws),
+        (spec.kernel_h, spec.kernel_w),
+        "weight spatial dims disagree with spec"
+    );
+    (n, c, Depthwise::new(h, w, spec))
+}
+
+/// Direct depthwise forward (see [`Depthwise`]): `[N, C, H', W']`.
+fn depthwise_forward(input: &Tensor, weight: &Tensor, bias: &Tensor, spec: &ConvSpec) -> Tensor {
+    let (n, c, geom) = depthwise_geometry(input, weight, spec);
+    assert_eq!(bias.len(), c, "bias length must equal K={c}");
+    let (plane, taps) = (geom.h * geom.w, geom.kh * geom.kw);
+    let mut out = Tensor::zeros(&[n, c, geom.oh, geom.ow]);
+    let (x, wv, bv) = (input.as_slice(), weight.as_slice(), bias.as_slice());
+    kernels::parallel_chunks_with(
+        out.as_mut_slice(),
+        geom.oh * geom.ow,
+        threads::num_threads(),
+        || geom.bufs(false),
+        |buf, task, dst| {
+            let ch = task % c;
+            let xp = &x[task * plane..(task + 1) * plane];
+            geom.forward_plane(xp, &wv[ch * taps..(ch + 1) * taps], bv[ch], buf, dst);
+        },
+    );
+    out
+}
+
+/// Direct depthwise backward (see [`Depthwise`]): `(dW, dBias)`, and `dX`
+/// into `d_input` (zeroed `[N, C, H, W]`) when given. Per-plane partials
+/// are reduced in ascending task order, i.e. ascending batch order per
+/// channel, as the reference accumulates them.
+fn depthwise_backward(
+    input: &Tensor,
+    weight: &Tensor,
+    grad_out: &Tensor,
+    spec: &ConvSpec,
+    d_input: Option<&mut [f32]>,
+) -> (Tensor, Tensor) {
+    let (n, c, geom) = depthwise_geometry(input, weight, spec);
+    assert_eq!(
+        grad_out.shape().dims(),
+        &[n, c, geom.oh, geom.ow],
+        "grad_out shape mismatch"
+    );
+    let (plane, out_plane, taps) = (geom.h * geom.w, geom.oh * geom.ow, geom.kh * geom.kw);
+    let part_len = taps + 1;
+    let (x, go, wv) = (input.as_slice(), grad_out.as_slice(), weight.as_slice());
+    let run = |buf: &mut PlaneBufs, task: usize, din: Option<&mut [f32]>, part: &mut [f32]| {
+        let ch = task % c;
+        geom.backward_plane(
+            &x[task * plane..(task + 1) * plane],
+            &go[task * out_plane..(task + 1) * out_plane],
+            &wv[ch * taps..(ch + 1) * taps],
+            buf,
+            din,
+            part,
+        );
+    };
+    let mut parts = vec![0.0f32; n * c * part_len];
+    let t = threads::num_threads();
+    match d_input {
+        Some(din) => kernels::parallel_chunk_pairs(
+            din,
+            plane,
+            &mut parts,
+            part_len,
+            t,
+            || geom.bufs(true),
+            |buf, task, din, part| run(buf, task, Some(din), part),
+        ),
+        None => kernels::parallel_chunks_with(
+            &mut parts,
+            part_len,
+            t,
+            || geom.bufs(false),
+            |buf, task, part| run(buf, task, None, part),
+        ),
+    }
+    let mut d_weight = vec![0.0f32; c * taps];
+    let mut d_bias = vec![0.0f32; c];
+    for (task, part) in parts.chunks(part_len).enumerate() {
+        reduce_part(task, part, c, 1, taps, &mut d_weight, &mut d_bias);
+    }
+    (
+        Tensor::from_vec(d_weight, &[c, 1, geom.kh, geom.kw]),
+        Tensor::from_vec(d_bias, &[c]),
+    )
+}
+
+/// Whether two tensors have the same shape and the same bit pattern in
+/// every element. Unlike float `==`, `-0.0` differs from `0.0` and a NaN
+/// matches an identical NaN.
+fn same_bits(a: &Tensor, b: &Tensor) -> bool {
+    // OR-ing XORs per chunk instead of stopping at the first difference
+    // lets the comparison vectorize.
+    a.shape() == b.shape()
+        && a.as_slice()
+            .chunks(64)
+            .zip(b.as_slice().chunks(64))
+            .all(|(x, y)| {
+                x.iter()
+                    .zip(y)
+                    .fold(0, |d, (p, q)| d | (p.to_bits() ^ q.to_bits()))
+                    == 0
+            })
+}
+
+/// A reusable convolution arena for one layer's training steps: a copy of
+/// the most recent forward input and, on the im2col path, its
+/// [`ConvLowering`] (whose buffer is reused across calls).
+///
+/// [`ConvScratch::forward`] copies its input and lowers it. A following
+/// [`ConvScratch::backward`] reuses that lowering when its `input` has the
+/// same shape and bit pattern as the copy (so `-0.0` is not `0.0`), and
+/// re-lowers otherwise. [`ConvScratch::backward_last`] and
+/// [`ConvScratch::param_grads_last`] run on the copy itself: a `Conv2d`
+/// layer owns one scratch and keeps no copy of its input besides it, so a
+/// training step copies and lowers each input once. Depthwise
+/// convolutions at unit stride run the direct kernels and keep no
+/// lowering.
+#[derive(Debug, Clone)]
 pub struct ConvScratch {
+    /// The most recent forward input (a rank-1 placeholder before the first).
+    input: Tensor,
     lowering: Option<ConvLowering>,
-    key: Option<u64>,
+    /// Whether `lowering` is the lowering of `input`.
+    lowered: bool,
+}
+
+impl Default for ConvScratch {
+    fn default() -> Self {
+        ConvScratch {
+            input: Tensor::zeros(&[1]),
+            lowering: None,
+            lowered: false,
+        }
+    }
 }
 
 impl ConvScratch {
@@ -578,22 +957,36 @@ impl ConvScratch {
         ConvScratch::default()
     }
 
-    /// Ensures `self.lowering` covers `input` with `spec`/`groups`,
-    /// lowering (into the reused buffer) only when the fingerprint or
-    /// geometry changed.
-    fn ensure(&mut self, input: &Tensor, spec: &ConvSpec, groups: usize) -> &ConvLowering {
-        let key = fingerprint(input, spec, groups);
-        if self.key != Some(key) || self.lowering.is_none() {
+    /// Replaces the held input with a copy of `input` (into the existing
+    /// allocation when the shape is unchanged).
+    fn hold(&mut self, input: &Tensor) {
+        if self.input.shape() == input.shape() {
+            self.input.as_mut_slice().copy_from_slice(input.as_slice());
+        } else {
+            self.input = input.clone();
+        }
+        self.lowered = false;
+    }
+
+    /// The lowering of the held input at `spec`/`groups`, lowering it into
+    /// the existing buffer unless it is already there.
+    fn lowering(&mut self, spec: &ConvSpec, groups: usize) -> &ConvLowering {
+        let current = self.lowered
+            && self
+                .lowering
+                .as_ref()
+                .is_some_and(|l| l.spec == *spec && l.groups == groups);
+        if !current {
             if let Some(lowering) = self.lowering.as_mut() {
-                lowering.lower_into(input, spec, groups);
+                lowering.lower_into(&self.input, spec, groups);
             } else {
-                self.lowering = Some(ConvLowering::lower(input, spec, groups));
+                self.lowering = Some(ConvLowering::lower(&self.input, spec, groups));
             }
-            self.key = Some(key);
+            self.lowered = true;
         }
         // Populated just above; the fallback lower never runs.
         self.lowering
-            .get_or_insert_with(|| ConvLowering::lower(input, spec, groups))
+            .get_or_insert_with(|| ConvLowering::lower(&self.input, spec, groups))
     }
 
     /// Grouped forward convolution through the scratch (use `groups = 1`
@@ -610,15 +1003,20 @@ impl ConvScratch {
         spec: &ConvSpec,
         groups: usize,
     ) -> Tensor {
+        self.hold(input);
         if kernels::reference_mode() {
             return reference::conv2d_grouped(input, weight, bias, spec, groups);
         }
-        self.ensure(input, spec, groups).forward(weight, bias)
+        if is_direct_depthwise(input, weight, spec, groups) {
+            return depthwise_forward(input, weight, bias, spec);
+        }
+        self.lowering(spec, groups).forward(weight, bias)
     }
 
-    /// Grouped backward convolution through the scratch; when the same
-    /// input was just lowered by [`ConvScratch::forward`] the lowering is
-    /// reused. Results are identical to [`conv2d_grouped_backward`].
+    /// Grouped backward convolution through the scratch; when `input` is
+    /// bit for bit the input of the last [`ConvScratch::forward`], that
+    /// call's lowering is reused. Results are identical to
+    /// [`conv2d_grouped_backward`].
     ///
     /// # Panics
     ///
@@ -631,36 +1029,78 @@ impl ConvScratch {
         spec: &ConvSpec,
         groups: usize,
     ) -> Conv2dGrads {
-        if kernels::reference_mode() {
-            return reference::conv2d_grouped_backward(input, weight, grad_out, spec, groups);
+        if !same_bits(&self.input, input) {
+            self.hold(input);
         }
-        self.ensure(input, spec, groups).backward(weight, grad_out)
+        self.backward_last(weight, grad_out, spec, groups)
     }
-}
 
-/// FNV-1a over the input's contents and the convolution geometry — the
-/// [`ConvScratch`] reuse key. Content-based (not address-based) so reuse
-/// is sound: equal fingerprints mean the existing lowering is valid for
-/// this exact input.
-fn fingerprint(input: &Tensor, spec: &ConvSpec, groups: usize) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = OFFSET;
-    let mut eat = |v: u64| {
-        h = (h ^ v).wrapping_mul(PRIME);
-    };
-    for &d in input.shape().dims() {
-        eat(d as u64);
+    /// [`ConvScratch::backward`] over the input of the last
+    /// [`ConvScratch::forward`], reusing its lowering.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no forward call came first, and as
+    /// [`conv2d_grouped_backward`].
+    pub fn backward_last(
+        &mut self,
+        weight: &Tensor,
+        grad_out: &Tensor,
+        spec: &ConvSpec,
+        groups: usize,
+    ) -> Conv2dGrads {
+        let dims = self.input.shape().dims().to_vec();
+        with_input_grad(&dims, |d_input| {
+            self.grads(weight, grad_out, spec, groups, Some(d_input))
+        })
     }
-    eat(spec.kernel_h as u64);
-    eat(spec.kernel_w as u64);
-    eat(spec.stride as u64);
-    eat(spec.padding as u64);
-    eat(groups as u64);
-    for &v in input.as_slice() {
-        eat(u64::from(v.to_bits()));
+
+    /// The weight and bias gradients of [`ConvScratch::backward_last`]
+    /// without the input gradient, whose GEMM and `col2im` (or depthwise
+    /// pass) are skipped — for a network's first layer, whose input
+    /// gradient nothing reads.
+    ///
+    /// # Panics
+    ///
+    /// As [`ConvScratch::backward_last`].
+    pub fn param_grads_last(
+        &mut self,
+        weight: &Tensor,
+        grad_out: &Tensor,
+        spec: &ConvSpec,
+        groups: usize,
+    ) -> (Tensor, Tensor) {
+        self.grads(weight, grad_out, spec, groups, None)
     }
-    h
+
+    /// `(dW, dBias)` over the held input, and `dX` into `d_input` when given.
+    fn grads(
+        &mut self,
+        weight: &Tensor,
+        grad_out: &Tensor,
+        spec: &ConvSpec,
+        groups: usize,
+        d_input: Option<&mut [f32]>,
+    ) -> (Tensor, Tensor) {
+        assert_eq!(
+            self.input.shape().rank(),
+            4,
+            "backward called before forward"
+        );
+        if kernels::reference_mode() {
+            let grads =
+                reference::conv2d_grouped_backward(&self.input, weight, grad_out, spec, groups);
+            if let Some(din) = d_input {
+                din.copy_from_slice(grads.input.as_slice());
+            }
+            return (grads.weight, grads.bias);
+        }
+        if is_direct_depthwise(&self.input, weight, spec, groups) {
+            return depthwise_backward(&self.input, weight, grad_out, spec, d_input);
+        }
+        self.lowering(spec, groups)
+            .param_grads(weight, grad_out, d_input)
+    }
 }
 
 /// Forward 2-D convolution.
@@ -763,6 +1203,9 @@ pub fn conv2d_grouped(
     if kernels::reference_mode() {
         return reference::conv2d_grouped(input, weight, bias, spec, groups);
     }
+    if is_direct_depthwise(input, weight, spec, groups) {
+        return depthwise_forward(input, weight, bias, spec);
+    }
     ConvLowering::lower(input, spec, groups).forward(weight, bias)
 }
 
@@ -793,6 +1236,11 @@ pub fn conv2d_grouped_backward(
     assert_eq!(wc, cg, "weight C={wc} must be C/groups={cg}");
     if kernels::reference_mode() {
         return reference::conv2d_grouped_backward(input, weight, grad_out, spec, groups);
+    }
+    if is_direct_depthwise(input, weight, spec, groups) {
+        return with_input_grad(input.shape().dims(), |d_input| {
+            depthwise_backward(input, weight, grad_out, spec, Some(d_input))
+        });
     }
     ConvLowering::lower(input, spec, groups).backward(weight, grad_out)
 }
@@ -913,28 +1361,91 @@ mod tests {
         }
     }
 
+    /// Adds 1 to every element of the scratch's lowering: a backward that
+    /// reuses it then gets a different `dW` than one that re-lowers.
+    fn poison_lowering(scratch: &mut ConvScratch) {
+        let lowering = scratch.lowering.as_mut().expect("forward lowered");
+        for v in &mut lowering.cols {
+            *v += 1.0;
+        }
+    }
+
+    /// The backward reuses the forward's lowering for a bit-identical
+    /// input only: one changed element, or one `+0.0` flipped to `-0.0`,
+    /// re-lowers.
     #[test]
     fn scratch_reuses_forward_lowering_in_backward() {
         let spec = ConvSpec::new(3, 3).with_padding(1);
-        let input = seq(&[2, 4, 6, 6], 0.23);
+        let mut input = seq(&[2, 4, 6, 6], 0.23);
+        input.as_mut_slice()[5] = 0.0;
         let weight = seq(&[6, 4, 3, 3], 0.41);
         let bias = seq(&[6], 0.3);
+        let go = Tensor::from_fn(&[2, 6, 6, 6], |i| ((i as f32) * 0.07).cos());
+        let reference = |x: &Tensor| crate::reference::conv2d_backward(x, &weight, &go, &spec);
         let mut scratch = ConvScratch::new();
-        let out = scratch.forward(&input, &weight, &bias, &spec, 1);
-        let key_after_forward = scratch.key;
-        let go = Tensor::full(out.shape().dims(), 1.0);
-        let grads = scratch.backward(&input, &weight, &go, &spec, 1);
-        assert_eq!(scratch.key, key_after_forward, "backward reused the key");
-        let plain = conv2d_backward(&input, &weight, &go, &spec);
-        assert_eq!(bits(&grads.input), bits(&plain.input));
-        assert_eq!(bits(&grads.weight), bits(&plain.weight));
-        assert_eq!(bits(&grads.bias), bits(&plain.bias));
 
-        // A different input re-lowers (fingerprint is content-based).
-        let other = seq(&[2, 4, 6, 6], 0.77);
-        let out2 = scratch.forward(&other, &weight, &bias, &spec, 1);
-        assert_ne!(scratch.key, key_after_forward);
-        assert_eq!(bits(&out2), bits(&conv2d(&other, &weight, &bias, &spec)));
+        // Same input: the forward's (here poisoned) lowering is reused.
+        let _ = scratch.forward(&input, &weight, &bias, &spec, 1);
+        poison_lowering(&mut scratch);
+        let reused = scratch.backward(&input, &weight, &go, &spec, 1);
+        assert_ne!(bits(&reused.weight), bits(&reference(&input).weight));
+
+        // One element changed, or one +0.0 flipped to -0.0 (float `==`
+        // would call that equal): the backward re-lowers.
+        let mut changed = input.clone();
+        changed.as_mut_slice()[17] += 0.5;
+        let mut negative_zero = input.clone();
+        negative_zero.as_mut_slice()[5] = -0.0;
+        for other in [&changed, &negative_zero] {
+            let _ = scratch.forward(&input, &weight, &bias, &spec, 1);
+            poison_lowering(&mut scratch);
+            let got = scratch.backward(other, &weight, &go, &spec, 1);
+            let want = reference(other);
+            assert_eq!(bits(&got.input), bits(&want.input));
+            assert_eq!(bits(&got.weight), bits(&want.weight));
+            assert_eq!(bits(&got.bias), bits(&want.bias));
+        }
+    }
+
+    #[test]
+    fn param_grads_last_match_backward_last() {
+        // Dense, grouped, direct depthwise and strided depthwise (im2col).
+        for &(c, groups, stride) in &[(4usize, 1usize, 1usize), (4, 2, 1), (4, 4, 1), (4, 4, 2)] {
+            let spec = ConvSpec::new(3, 3).with_stride(stride).with_padding(1);
+            let input = seq(&[3, c, 7, 6], 0.19);
+            let weight = seq(&[c, c / groups, 3, 3], 0.37);
+            let bias = seq(&[c], 0.61);
+            let mut scratch = ConvScratch::new();
+            let out = scratch.forward(&input, &weight, &bias, &spec, groups);
+            let go = Tensor::from_fn(out.shape().dims(), |i| ((i as f32) * 0.13).sin());
+            let full = scratch.backward_last(&weight, &go, &spec, groups);
+            let (dw, db) = scratch.param_grads_last(&weight, &go, &spec, groups);
+            let want =
+                crate::reference::conv2d_grouped_backward(&input, &weight, &go, &spec, groups);
+            assert_eq!(
+                bits(&full.input),
+                bits(&want.input),
+                "g={groups} s={stride}"
+            );
+            assert_eq!(
+                bits(&full.weight),
+                bits(&want.weight),
+                "g={groups} s={stride}"
+            );
+            assert_eq!(bits(&dw), bits(&want.weight), "g={groups} s={stride}");
+            assert_eq!(bits(&db), bits(&want.bias), "g={groups} s={stride}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "backward called before forward")]
+    fn backward_last_without_forward_panics() {
+        let _ = ConvScratch::new().backward_last(
+            &Tensor::zeros(&[1, 1, 3, 3]),
+            &Tensor::zeros(&[1, 1, 1, 1]),
+            &ConvSpec::new(3, 3),
+            1,
+        );
     }
 
     #[test]

@@ -410,12 +410,28 @@ pub(crate) fn parallel_chunks<F>(data: &mut [f32], chunk: usize, thread_budget: 
 where
     F: Fn(usize, &mut [f32]) + Sync,
 {
+    parallel_chunks_with(data, chunk, thread_budget, || (), |_, i, ch| f(i, ch));
+}
+
+/// [`parallel_chunks`] with a scratch value that `init` builds once per
+/// thread and that thread's chunks reuse in turn.
+pub(crate) fn parallel_chunks_with<S, I, F>(
+    data: &mut [f32],
+    chunk: usize,
+    thread_budget: usize,
+    init: I,
+    f: F,
+) where
+    I: Fn() -> S + Sync,
+    F: Fn(&mut S, usize, &mut [f32]) + Sync,
+{
     assert!(chunk > 0, "chunk size must be positive");
     let total = data.len() / chunk;
     let t = thread_budget.clamp(1, total.max(1));
     if t == 1 {
+        let mut scratch = init();
         for (i, ch) in data.chunks_mut(chunk).enumerate() {
-            f(i, ch);
+            f(&mut scratch, i, ch);
         }
         return;
     }
@@ -425,10 +441,11 @@ where
     }
     std::thread::scope(|scope| {
         for bucket in buckets {
-            let f = &f;
+            let (init, f) = (&init, &f);
             scope.spawn(move || {
+                let mut scratch = init();
                 for (i, ch) in bucket {
-                    f(i, ch);
+                    f(&mut scratch, i, ch);
                 }
             });
         }

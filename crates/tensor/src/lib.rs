@@ -12,7 +12,8 @@
 //! with results **bit-identical** to the frozen naive kernels in
 //! [`mod@reference`] at any thread count — see `docs/kernels.md`. Convolutions
 //! share one im2col lowering between forward and backward through
-//! [`ConvLowering`]/[`ConvScratch`].
+//! [`ConvLowering`]/[`ConvScratch`]; depthwise ones at unit stride run
+//! direct per-plane kernels instead.
 //!
 //! The library is deliberately *not* an autograd engine: each NN layer in
 //! [`cscnn-nn`](../cscnn_nn/index.html) implements its own backward pass on

@@ -269,19 +269,88 @@ fn check_random_conv(
     assert_conv_bits_match_reference(&input, &weight, &bias, &grad_out, &spec, groups, what);
 }
 
+/// One [`ConvScratch`] forward→backward pair, then the input-free
+/// `backward_last` and `param_grads_last`, compared bit for bit with the
+/// reference at every entry of [`THREAD_COUNTS`].
+fn assert_scratch_bits_match_reference(
+    input: &Tensor,
+    weight: &Tensor,
+    bias: &Tensor,
+    grad_out: &Tensor,
+    spec: &ConvSpec,
+    groups: usize,
+    what: &str,
+) {
+    let want = bits(&reference::conv2d_grouped(
+        input, weight, bias, spec, groups,
+    ));
+    let want_grads = reference::conv2d_grouped_backward(input, weight, grad_out, spec, groups);
+    let mut scratch = ConvScratch::new();
+    for t in THREAD_COUNTS {
+        set_num_threads(t);
+        let out = scratch.forward(input, weight, bias, spec, groups);
+        assert_eq!(bits(&out), want, "{what}: scratch forward, {t} threads");
+        let got = scratch.backward(input, weight, grad_out, spec, groups);
+        let last = scratch.backward_last(weight, grad_out, spec, groups);
+        let (dw, db) = scratch.param_grads_last(weight, grad_out, spec, groups);
+        for (name, got, want) in [
+            ("input grad", &got.input, &want_grads.input),
+            ("weight grad", &got.weight, &want_grads.weight),
+            ("bias grad", &got.bias, &want_grads.bias),
+            ("backward_last input grad", &last.input, &want_grads.input),
+            (
+                "backward_last weight grad",
+                &last.weight,
+                &want_grads.weight,
+            ),
+            ("backward_last bias grad", &last.bias, &want_grads.bias),
+            ("param_grads_last weight grad", &dw, &want_grads.weight),
+            ("param_grads_last bias grad", &db, &want_grads.bias),
+        ] {
+            assert_eq!(bits(got), bits(want), "{what}: scratch {name}, {t} threads");
+        }
+    }
+    reset_num_threads();
+}
+
+/// Depthwise convolutions (`groups == C == K`): kernels 1, 3 and 5 at
+/// every padding up to `k/2`, at stride 1 (the direct kernels) and 2 (the
+/// im2col fallback), over odd batches and up to 24 channels. Inputs and
+/// output gradients are ~40% exact zeros; the weights are ~30% zeros plus
+/// one all-zero filter. Free functions and a `ConvScratch` pair both run
+/// at every thread count.
 #[test]
 fn depthwise_conv_bit_matches_reference() {
     let seed = prop_seed();
-    for case in 0..4u64 {
-        let mut rng = StdRng::seed_from_u64(seed ^ (0xd3b7_0000 + case));
-        let c = rng.gen_range(2..9);
-        let spec = ConvSpec::new(3, 3).with_padding(1);
-        let input = random_tensor(&mut rng, &[2, c, 8, 8], 0.3);
-        let weight = random_tensor(&mut rng, &[c, 1, 3, 3], 0.3);
-        let bias = random_tensor(&mut rng, &[c], 0.0);
-        let grad_out = random_tensor(&mut rng, &[2, c, 8, 8], 0.3);
-        let what = format!("depthwise C={c} (seed {seed}, case {case})");
-        assert_conv_bits_match_reference(&input, &weight, &bias, &grad_out, &spec, c, &what);
+    let mut case = 0u64;
+    for kernel in [1usize, 3, 5] {
+        for padding in 0..=kernel / 2 {
+            for stride in [1usize, 2] {
+                let mut rng = StdRng::seed_from_u64(seed ^ (0xd3b7_0000 + case));
+                case += 1;
+                let n = 2 * rng.gen_range(0..3usize) + 1;
+                let c = rng.gen_range(1..25usize);
+                let h = rng.gen_range(kernel..kernel + 9);
+                let w = rng.gen_range(kernel..kernel + 9);
+                let spec = ConvSpec::new(kernel, kernel)
+                    .with_stride(stride)
+                    .with_padding(padding);
+                let input = random_tensor(&mut rng, &[n, c, h, w], 0.4);
+                let mut weight = random_tensor(&mut rng, &[c, 1, kernel, kernel], 0.3);
+                let zero_filter = rng.gen_range(0..c);
+                weight.as_mut_slice()[zero_filter * kernel * kernel..][..kernel * kernel].fill(0.0);
+                let bias = random_tensor(&mut rng, &[c], 0.0);
+                let (oh, ow) = spec.output_dim(h, w);
+                let grad_out = random_tensor(&mut rng, &[n, c, oh, ow], 0.4);
+                let what = format!("depthwise {spec:?} on [{n},{c},{h},{w}] (seed {seed})");
+                assert_conv_bits_match_reference(
+                    &input, &weight, &bias, &grad_out, &spec, c, &what,
+                );
+                assert_scratch_bits_match_reference(
+                    &input, &weight, &bias, &grad_out, &spec, c, &what,
+                );
+            }
+        }
     }
 }
 
@@ -384,6 +453,61 @@ fn conv_scratch_reuse_bit_matches_free_functions() {
                 assert_eq!(bits(&got.input), bits(&want_grads.input), "step {step}");
                 assert_eq!(bits(&got.weight), bits(&want_grads.weight), "step {step}");
                 assert_eq!(bits(&got.bias), bits(&want_grads.bias), "step {step}");
+            }
+        }
+    }
+    reset_num_threads();
+}
+
+/// `ConvScratch::backward` after a forward on another input — one element
+/// changed, or one `+0.0` flipped to `-0.0` (equal under float `==`) —
+/// must re-lower and match the reference on the input it was given; after
+/// a forward on the same input it reuses the lowering and matches too.
+/// (Flipping a zero's sign rarely changes a gradient, so only the unit
+/// test in `conv.rs`, which poisons the held lowering, can tell the reuse
+/// apart; here every answer must simply be right.)
+#[test]
+fn conv_scratch_backward_relowers_changed_input() {
+    let seed = prop_seed();
+    for case in 0..4u64 {
+        let mut rng = StdRng::seed_from_u64(seed ^ (0x2e10_0000 + case));
+        let (spec, h, w) = random_spec(&mut rng);
+        let c = rng.gen_range(1..5usize);
+        let groups = [1, c][rng.gen_range(0..2usize)];
+        let k = c;
+        let n = rng.gen_range(1..4);
+        let mut input = random_tensor(&mut rng, &[n, c, h, w], 0.3);
+        let zero_at = rng.gen_range(0..input.len());
+        input.as_mut_slice()[zero_at] = 0.0;
+        let weight = random_tensor(
+            &mut rng,
+            &[k, c / groups, spec.kernel_h, spec.kernel_w],
+            0.3,
+        );
+        let bias = random_tensor(&mut rng, &[k], 0.0);
+        let (oh, ow) = spec.output_dim(h, w);
+        let grad_out = random_tensor(&mut rng, &[n, k, oh, ow], 0.3);
+        let mut changed = input.clone();
+        let change_at = rng.gen_range(0..changed.len());
+        changed.as_mut_slice()[change_at] += 1.0;
+        let mut flipped = input.clone();
+        flipped.as_mut_slice()[zero_at] = -0.0;
+        let forward_want = bits(&reference::conv2d_grouped(
+            &input, &weight, &bias, &spec, groups,
+        ));
+        let mut scratch = ConvScratch::new();
+        for t in THREAD_COUNTS {
+            set_num_threads(t);
+            for (name, other) in [("same", &input), ("changed", &changed), ("-0.0", &flipped)] {
+                let what = format!("{name} input, {spec:?} g={groups}, case {case}, {t} threads");
+                let out = scratch.forward(&input, &weight, &bias, &spec, groups);
+                assert_eq!(bits(&out), forward_want, "{what}: forward");
+                let got = scratch.backward(other, &weight, &grad_out, &spec, groups);
+                let want =
+                    reference::conv2d_grouped_backward(other, &weight, &grad_out, &spec, groups);
+                assert_eq!(bits(&got.input), bits(&want.input), "{what}: input grad");
+                assert_eq!(bits(&got.weight), bits(&want.weight), "{what}: weight grad");
+                assert_eq!(bits(&got.bias), bits(&want.bias), "{what}: bias grad");
             }
         }
     }
