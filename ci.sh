@@ -49,6 +49,18 @@ cargo run -q --release -p cscnn --bin cscnn -- simulate lenet5 \
     > target/snapshot_cscnn_simulate_lenet5_config.txt 2>/dev/null
 diff -u crates/bench/snapshots/cscnn_simulate_lenet5_config.txt \
     target/snapshot_cscnn_simulate_lenet5_config.txt
+# The training harnesses print what networks trained on the blocked
+# kernels reach, so their stdout pins the kernels' bit-identity beyond
+# mobile_cnn's golden weights.
+echo "-- table2 --train"
+cargo run -q --release -p cscnn-bench --bin table2 -- --train \
+    > target/snapshot_table2_train.txt
+diff -u crates/bench/snapshots/table2_train.txt target/snapshot_table2_train.txt
+for harness in filter_shapes storage; do
+    echo "-- $harness"
+    cargo run -q --release -p cscnn-bench --bin "$harness" > "target/snapshot_$harness.txt"
+    diff -u "crates/bench/snapshots/$harness.txt" "target/snapshot_$harness.txt"
+done
 
 echo "== property suites across fixed seeds"
 for seed in 1 17 4242; do

@@ -1,10 +1,12 @@
 //! Kernel timing sweep: naive reference vs blocked/threaded kernels.
 //!
 //! Times `matmul`/`conv2d`/`conv2d_grouped` at paper-relevant layer shapes
-//! (AlexNet conv2, VGG conv3-scale, MobileNet depthwise + pointwise) plus
-//! full `mobile_cnn` training steps (one at the `compress_pipeline`
-//! benchmark workload's `[32, 3, 16, 16]` batch), each in three
-//! configurations:
+//! (AlexNet conv2, VGG conv3-scale, MobileNet depthwise + pointwise), the
+//! kernels of one `mobile_cnn` training step at the `compress_pipeline`
+//! benchmark workload's `[32, 3, 16, 16]` batch on post-ReLU operands
+//! (zeros at random positions, as training sees them), a GEMM with a
+//! 90%-pruned left operand, and full `mobile_cnn` training steps, each in
+//! three configurations:
 //!
 //! * `naive` — the frozen reference kernels, selected through
 //!   [`cscnn::tensor::kernels::set_reference_mode`];
@@ -33,9 +35,16 @@
 //! tiny time budget and writes to `target/BENCH_kernels_smoke.json`
 //! instead, so CI can exercise the binary and the JSON schema without
 //! clobbering the committed full-run numbers.
+//!
+//! A full run also times one run of each training harness (`table2
+//! --train`, `filter_shapes`, `storage`) at the default thread count and
+//! records its wall time in the column. It runs the harness executables
+//! next to this one, so build them first:
+//! `cargo build --release -p cscnn-bench --bins`.
 
 use std::hint::black_box;
 use std::path::PathBuf;
+use std::process::{Command, Stdio};
 use std::time::{Duration, Instant};
 
 use cscnn::json::Value;
@@ -45,8 +54,8 @@ use cscnn::nn::models;
 use cscnn::nn::optimizer::Sgd;
 use cscnn::tensor::kernels::set_reference_mode;
 use cscnn::tensor::{
-    conv2d_grouped, matmul, matmul_at, matmul_bt, num_threads, reset_num_threads, set_num_threads,
-    ConvScratch, ConvSpec, Tensor,
+    conv2d_grouped, matmul, matmul_at, matmul_bt, max_pool2d, num_threads, reset_num_threads,
+    set_num_threads, ConvScratch, ConvSpec, PoolSpec, Tensor,
 };
 use cscnn_bench::report::{self, obj, Options};
 
@@ -142,6 +151,35 @@ fn measure(
 /// Deterministic dense test tensor (no RNG state shared across entries).
 fn filled(dims: &[usize], scale: f32) -> Tensor {
     Tensor::from_fn(dims, |i| ((i as f32) * scale).sin())
+}
+
+/// Uniform `[0, 1)` from a splitmix64 hash of `(seed, i)`: a fixed
+/// pseudo-random stream per element, with no RNG state shared across
+/// entries.
+fn hash_unit(seed: u64, i: usize) -> f32 {
+    let mut z = (seed ^ i as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce5_e4b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^= z >> 31;
+    (z >> 40) as f32 / (1u64 << 24) as f32
+}
+
+/// A tensor whose elements are `0.0` with probability `zeros`, at random
+/// positions, and otherwise uniform in `(-1, 1)` (`signed`) or `[0, 1)`:
+/// a post-ReLU activation, a ReLU-masked gradient or a pruned weight.
+fn sparse_filled(dims: &[usize], zeros: f32, signed: bool, seed: u64) -> Tensor {
+    Tensor::from_fn(dims, |i| {
+        if hash_unit(seed, 2 * i) < zeros {
+            0.0
+        } else {
+            let v = hash_unit(seed, 2 * i + 1);
+            if signed {
+                2.0 * v - 1.0
+            } else {
+                v
+            }
+        }
+    })
 }
 
 struct MatmulShape {
@@ -348,6 +386,130 @@ fn conv_entries(smoke: bool, budget: Duration, mt: usize, out: &mut Vec<Sample>)
     }
 }
 
+/// The kernels of one `mobile_cnn` training step at the
+/// `compress_pipeline` batch (`smoke`: 2 items), on operands with half
+/// their elements zero at random positions: conv0 (3→8 3×3) forward and
+/// forward + `dW` (its input gradient is never computed), the 8→16 1×1
+/// conv forward and forward + backward, the linear layer's three products
+/// and the 2×2 max-pool. Then a GEMM whose left operand is 90% zeros, as
+/// a pruned weight is.
+fn mobile_cnn_entries(smoke: bool, budget: Duration, mt: usize, out: &mut Vec<Sample>) {
+    let n = if smoke { 2 } else { 32 };
+    let same3 = ConvSpec::new(3, 3).with_padding(1);
+    let point = ConvSpec::new(1, 1);
+    let images = filled(&[n, 3, 16, 16], 1e-3);
+    let conv0_w = sparse_filled(&[8, 3, 3, 3], 0.0, true, 1);
+    let bias8 = filled(&[8], 1e-2);
+    let conv0_go = sparse_filled(&[n, 8, 16, 16], 0.5, true, 2);
+    let pw_x = sparse_filled(&[n, 8, 16, 16], 0.5, false, 3);
+    let pw_w = sparse_filled(&[16, 8, 1, 1], 0.0, true, 4);
+    let bias16 = filled(&[16], 1e-2);
+    let pw_go = sparse_filled(&[n, 16, 16, 16], 0.5, true, 5);
+    let fc_x = sparse_filled(&[n, 1024], 0.5, false, 6);
+    let fc_w = sparse_filled(&[10, 1024], 0.0, true, 7);
+    let fc_go = sparse_filled(&[n, 10], 0.0, true, 8);
+    let pool_x = sparse_filled(&[n, 16, 16, 16], 0.5, false, 9);
+    let mut scratch = ConvScratch::new();
+    let conv0 = format!("[{n},3,16,16] -> K=8 3x3 p1");
+    let pw = format!("[{n},8,16,16] -> K=16 1x1");
+    let fc = format!("[{n},1024] x [10,1024]^T");
+    out.push(measure(
+        "mcnn_conv0_fwd",
+        "conv2d",
+        conv0.clone(),
+        budget,
+        mt,
+        &mut || {
+            black_box(scratch.forward(&images, &conv0_w, &bias8, &same3, 1));
+        },
+    ));
+    out.push(measure(
+        "mcnn_conv0_fwd_dw",
+        "conv_fwd_dw",
+        conv0,
+        budget,
+        mt,
+        &mut || {
+            black_box(scratch.forward(&images, &conv0_w, &bias8, &same3, 1));
+            black_box(scratch.param_grads_last(&conv0_w, &conv0_go, &same3, 1));
+        },
+    ));
+    out.push(measure(
+        "mcnn_pw_fwd",
+        "conv2d",
+        pw.clone(),
+        budget,
+        mt,
+        &mut || {
+            black_box(scratch.forward(&pw_x, &pw_w, &bias16, &point, 1));
+        },
+    ));
+    out.push(measure(
+        "mcnn_pw_fwd_bwd",
+        "conv_fwd_bwd",
+        pw,
+        budget,
+        mt,
+        &mut || {
+            black_box(scratch.forward(&pw_x, &pw_w, &bias16, &point, 1));
+            black_box(scratch.backward_last(&pw_w, &pw_go, &point, 1));
+        },
+    ));
+    out.push(measure(
+        "mcnn_linear_bt",
+        "matmul_bt",
+        fc.clone(),
+        budget,
+        mt,
+        &mut || {
+            black_box(matmul_bt(black_box(&fc_x), black_box(&fc_w)));
+        },
+    ));
+    out.push(measure(
+        "mcnn_linear_at",
+        "matmul_at",
+        fc.clone(),
+        budget,
+        mt,
+        &mut || {
+            black_box(matmul_at(black_box(&fc_go), black_box(&fc_x)));
+        },
+    ));
+    out.push(measure(
+        "mcnn_linear_nn",
+        "matmul",
+        fc,
+        budget,
+        mt,
+        &mut || {
+            black_box(matmul(black_box(&fc_go), black_box(&fc_w)));
+        },
+    ));
+    out.push(measure(
+        "mcnn_max_pool",
+        "max_pool2d",
+        format!("[{n},16,16,16] 2x2 s2"),
+        budget,
+        mt,
+        &mut || {
+            black_box(max_pool2d(black_box(&pool_x), &PoolSpec::new(2)));
+        },
+    ));
+    let (m, k, cols) = if smoke { (8, 72, 16) } else { (64, 576, 256) };
+    let pruned = sparse_filled(&[m, k], 0.9, true, 10);
+    let x = sparse_filled(&[k, cols], 0.5, false, 11);
+    out.push(measure(
+        "pruned_gemm_90",
+        "matmul",
+        format!("[{m},{k}] (90% zeros) x [{k},{cols}]"),
+        budget,
+        mt,
+        &mut || {
+            black_box(matmul(black_box(&pruned), black_box(&x)));
+        },
+    ));
+}
+
 fn train_step_entries(smoke: bool, budget: Duration, mt: usize, out: &mut Vec<Sample>) {
     // (name, channels, height, width, classes, batch)
     let shapes: &[(&str, usize, usize, usize, usize, usize)] = if smoke {
@@ -383,8 +545,53 @@ fn train_step_entries(smoke: bool, budget: Duration, mt: usize, out: &mut Vec<Sa
     }
 }
 
-/// One column: every sample of this build, with the machine's core count.
-fn column(samples: &[Sample], label: &str, mt: usize) -> Value {
+/// The training harnesses timed by a full run: binary and arguments.
+const HARNESSES: [(&str, &[&str]); 3] = [
+    ("table2", &["--train"]),
+    ("filter_shapes", &[]),
+    ("storage", &[]),
+];
+
+/// Wall seconds of one run of each of [`HARNESSES`], stdout discarded,
+/// from the executables next to this one. A missing or failing harness
+/// records `null`.
+fn harness_walls() -> Vec<(String, Option<f64>)> {
+    let dir = std::env::current_exe()
+        .ok()
+        .and_then(|exe| exe.parent().map(PathBuf::from));
+    HARNESSES
+        .iter()
+        .map(|&(bin, args)| {
+            let name = std::iter::once(bin)
+                .chain(args.iter().copied())
+                .collect::<Vec<_>>()
+                .join(" ");
+            let start = Instant::now();
+            let ok = dir.as_ref().is_some_and(|dir| {
+                Command::new(dir.join(bin))
+                    .args(args)
+                    .stdout(Stdio::null())
+                    .status()
+                    .is_ok_and(|status| status.success())
+            });
+            let wall = ok.then(|| start.elapsed().as_secs_f64());
+            match wall {
+                Some(s) => println!("{name:<28} {s:>10.2} s wall"),
+                None => println!("{name:<28} not run (build the harness binaries first)"),
+            }
+            (name, wall)
+        })
+        .collect()
+}
+
+/// One column: every sample of this build and the harness wall times,
+/// with the machine's core count.
+fn column(
+    samples: &[Sample],
+    harnesses: &[(String, Option<f64>)],
+    label: &str,
+    mt: usize,
+) -> Value {
     let entries = samples
         .iter()
         .map(|s| {
@@ -406,6 +613,20 @@ fn column(samples: &[Sample], label: &str, mt: usize) -> Value {
         ("available_parallelism", Value::U64(parallelism as u64)),
         ("threads", obj(vec![("blocked_mt", Value::U64(mt as u64))])),
         ("entries", Value::Arr(entries)),
+        (
+            "harness_wall_s",
+            Value::Arr(
+                harnesses
+                    .iter()
+                    .map(|(name, wall)| {
+                        obj(vec![
+                            ("name", Value::Str(name.clone())),
+                            ("wall_s", wall.map_or(Value::Null, Value::F64)),
+                        ])
+                    })
+                    .collect(),
+            ),
+        ),
     ])
 }
 
@@ -469,10 +690,12 @@ fn main() {
     let mut samples = Vec::new();
     matmul_entries(smoke, budget, mt, &mut samples);
     conv_entries(smoke, budget, mt, &mut samples);
+    mobile_cnn_entries(smoke, budget, mt, &mut samples);
     train_step_entries(smoke, budget, mt, &mut samples);
     reset_num_threads();
     set_reference_mode(false);
-    columns.push(column(&samples, &opts.label, mt));
+    let harnesses = if smoke { Vec::new() } else { harness_walls() };
+    columns.push(column(&samples, &harnesses, &opts.label, mt));
 
     let mut fields = vec![
         ("schema", Value::Str(SCHEMA.to_string())),

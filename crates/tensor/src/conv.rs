@@ -1,5 +1,5 @@
 //! 2-D convolution, forward and backward, via im2col or, for depthwise
-//! layers, direct per-plane kernels.
+//! and narrow layers, direct per-plane kernels.
 //!
 //! Tensor layouts follow the paper's notation (§II-A): inputs are
 //! `[N, C, H, W]`, filters are `[K, C, R, S]`, outputs are `[N, K, H', W']`.
@@ -28,12 +28,16 @@
 //! the work is parallelized across tasks instead (whole output chunks per
 //! thread), which keeps every output element single-writer.
 //!
-//! # Direct depthwise kernels
+//! # Direct kernels
 //!
 //! A depthwise convolution at unit stride (`groups == C == K`) skips
 //! im2col and the GEMMs: each `(item, channel)` plane is zero-padded once
 //! and every kernel tap is one flat multiply-add loop over it (see
-//! [`Depthwise`]). Whole planes are dealt to threads.
+//! [`Direct`]). Whole planes are dealt to threads. The forward of a
+//! narrow unit-stride convolution (a short reduction `C/g·R·S` over large
+//! enough planes) runs the same kernel over the `C/g` planes of each
+//! `(item, group)` task; its backward stays on the GEMMs and lowers the
+//! input only when it runs.
 //!
 //! Results are **bit-identical** to the naive per-item / per-group
 //! reference implementations in [`crate::reference`] at every thread
@@ -604,26 +608,28 @@ fn col2im_block(
     }
 }
 
-/// Geometry of the direct depthwise kernels: one `h×w` image plane of a
-/// unit-stride convolution, zero-padded to `ph×pw`.
+/// Geometry of the direct kernels: `h×w` image planes of a unit-stride
+/// convolution, each zero-padded to `ph×pw`.
 ///
 /// Output rows are laid out at the padded width: output pixel `(oy, ox)`
 /// sits at flat offset `oy·pw + ox`, and kernel tap `(r, s)` pairs it with
 /// the padded-plane element at that offset plus `r·pw + s`. Every tap is
-/// therefore one flat multiply-add loop over [`Depthwise::span`] elements.
+/// therefore one flat multiply-add over [`Direct::span`] elements; the
+/// forward runs it in [`PIXELS`]-wide blocks held in registers. With
+/// `C/g` input planes, plane `c`'s taps read the padded plane `c`.
 /// The `pw − ow` slots after each laid-out row pair with padding or with
 /// the next row; the forward never stores them, and the backward's
 /// laid-out `dOut` holds zeros there.
 ///
 /// Bit-identity with the reference (`docs/kernels.md`): the forward and
 /// `dW` perform exactly the reference's products (its im2col columns hold
-/// the same padding zeros) in the same order: taps ascending per output
-/// pixel, pixels ascending per `dW` tap. `dX` adds each element's
+/// the same padding zeros) in the same order: `(c, r, s)` ascending per
+/// output pixel, pixels ascending per `dW` tap. `dX` adds each element's
 /// contributions in ascending tap order, as `col2im` does, plus products
 /// `w·0` from the zero slots. For a finite `w` those are `±0`, and adding
 /// `±0` leaves a running sum that started at `+0` unchanged.
 #[derive(Clone, Copy, Debug)]
-struct Depthwise {
+struct Direct {
     h: usize,
     w: usize,
     pad: usize,
@@ -639,23 +645,47 @@ struct Depthwise {
 /// together, as independent lanes.
 const LANES: usize = 4;
 
-/// Per-thread buffers of the direct depthwise kernels.
+/// Laid-out output pixels the direct forward keeps in registers while it
+/// adds up all their taps.
+const PIXELS: usize = 32;
+
+/// Longest reduction `C/g·R·S` for which a unit-stride convolution runs
+/// the direct forward instead of im2col and a GEMM. Per product both do
+/// one multiply and one add in registers; the GEMM path also writes all
+/// `C/g·R·S` lowered copies of the input first and pays a `C` tile load
+/// and store per register tile, which only a long reduction amortizes.
+/// This admits the 3-channel 3×3 first convs (27) and 1×1 convs over up
+/// to 32 channels; the 4-channel 3×3 (36) is where the two paths meet on
+/// 16×16 planes.
+const DIRECT_MAX_REDUCTION: usize = 32;
+
+/// Fewest output pixels per plane for which a non-depthwise convolution
+/// runs the direct forward: [`PIXELS`]-wide blocks over a small plane
+/// compute mostly padding and row-gap slots, and an 8×8 plane already
+/// runs faster on the GEMM.
+const DIRECT_MIN_PIXELS: usize = 3 * PIXELS;
+
+/// Per-thread buffers of the direct kernels.
 struct PlaneBufs {
-    /// The zero-padded input plane, `ph·pw`, plus `LANES` slots of tail;
-    /// the border and tail are never written.
+    /// The zero-padded input planes, `ph·pw` each, plus `PIXELS` (at
+    /// least `LANES`) slots of tail; the borders and tail are never
+    /// written.
     xpad: Vec<f32>,
+    /// One filter's non-zero taps: `(offset into xpad, weight)`.
+    taps: Vec<(usize, f32)>,
     /// The `(laid-out offset, dOut)` of a plane's non-zero `dOut` pixels.
     hits: Vec<(usize, f32)>,
-    /// One plane of output rows laid out at the padded width, `span`.
+    /// One plane of output rows laid out at the padded width: `span`
+    /// slots, rounded up to whole `PIXELS` blocks.
     line: Vec<f32>,
     /// The padded input-gradient plane, `ph·pw` (empty without `dX`).
     dpad: Vec<f32>,
 }
 
-impl Depthwise {
+impl Direct {
     fn new(h: usize, w: usize, spec: &ConvSpec) -> Self {
         let (oh, ow) = spec.output_dim(h, w);
-        Depthwise {
+        Direct {
             h,
             w,
             pad: spec.padding,
@@ -673,21 +703,26 @@ impl Depthwise {
         (self.oh - 1) * self.pw + self.ow
     }
 
-    fn bufs(&self, d_input: bool) -> PlaneBufs {
+    /// Buffers for groups of `planes` input planes.
+    fn bufs(&self, planes: usize, d_input: bool) -> PlaneBufs {
         let padded = self.ph * self.pw;
         PlaneBufs {
-            xpad: vec![0.0; padded + LANES],
+            xpad: vec![0.0; planes * padded + PIXELS],
+            taps: Vec::with_capacity(planes * self.kh * self.kw),
             hits: vec![(0, 0.0); self.oh * self.ow],
-            line: vec![0.0; self.span()],
+            line: vec![0.0; self.span().next_multiple_of(PIXELS)],
             dpad: vec![0.0; if d_input { padded } else { 0 }],
         }
     }
 
-    /// Copies an `h×w` plane into the interior of `xpad`.
-    fn pad_plane(&self, x: &[f32], xpad: &mut [f32]) {
-        for (y, row) in x.chunks_exact(self.w).enumerate() {
-            let at = (y + self.pad) * self.pw + self.pad;
-            xpad[at..at + self.w].copy_from_slice(row);
+    /// Copies `h×w` planes into the interiors of `xpad`'s padded planes.
+    fn pad_planes(&self, x: &[f32], xpad: &mut [f32]) {
+        let padded = self.ph * self.pw;
+        for (plane, dst) in x.chunks_exact(self.h * self.w).zip(xpad.chunks_mut(padded)) {
+            for (y, row) in plane.chunks_exact(self.w).enumerate() {
+                let at = (y + self.pad) * self.pw + self.pad;
+                dst[at..at + self.w].copy_from_slice(row);
+            }
         }
     }
 
@@ -696,38 +731,58 @@ impl Depthwise {
         (t / self.kw) * self.pw + t % self.kw
     }
 
-    /// One `(item, channel)` output plane: `out = Σ_taps w·x + bias`, taps
-    /// ascending, zero weights skipped as the reference GEMM skips them.
-    fn forward_plane(
+    /// One `(item, group)` task: `out` holds the group's `kg` output
+    /// planes, `x` its `C/g` input planes, `weights` its `[kg, C/g, R, S]`
+    /// filters. Each output pixel is `Σ w·x` over the filter's taps in
+    /// ascending `(c, r, s)`, zero weights skipped as the reference GEMM
+    /// skips them, then `+ bias`.
+    fn forward_group(
         &self,
         x: &[f32],
-        taps: &[f32],
-        bias: f32,
+        weights: &[f32],
+        bias: &[f32],
         buf: &mut PlaneBufs,
         out: &mut [f32],
     ) {
-        self.pad_plane(x, &mut buf.xpad);
-        let span = self.span();
-        buf.line.fill(0.0);
-        for (t, &wt) in taps.iter().enumerate() {
-            if wt == 0.0 {
-                continue;
+        self.pad_planes(x, &mut buf.xpad);
+        let (padded, taps) = (self.ph * self.pw, self.kh * self.kw);
+        let filters = weights.chunks_exact(weights.len() / bias.len());
+        for ((filter, &b), out) in filters
+            .zip(bias)
+            .zip(out.chunks_exact_mut(self.oh * self.ow))
+        {
+            buf.taps.clear();
+            for (t, &wt) in filter.iter().enumerate() {
+                if wt != 0.0 {
+                    let at = (t / taps) * padded + self.tap_offset(t % taps);
+                    buf.taps.push((at, wt));
+                }
             }
-            let src = &buf.xpad[self.tap_offset(t)..][..span];
-            for (acc, &v) in buf.line.iter_mut().zip(src) {
-                *acc += wt * v;
+            // `PIXELS` laid-out outputs at a time add up every tap in
+            // registers. The last block runs past `span` into the padded
+            // planes' tail; those sums are never stored.
+            for (i, dst) in buf.line.chunks_exact_mut(PIXELS).enumerate() {
+                let p0 = i * PIXELS;
+                let mut acc = [0.0f32; PIXELS];
+                for &(at, wt) in &buf.taps {
+                    let src = &buf.xpad[at + p0..at + p0 + PIXELS];
+                    for (a, &v) in acc.iter_mut().zip(src) {
+                        *a += wt * v;
+                    }
+                }
+                dst.copy_from_slice(&acc);
             }
-        }
-        for (row, acc) in out.chunks_exact_mut(self.ow).zip(buf.line.chunks(self.pw)) {
-            for (d, &a) in row.iter_mut().zip(acc) {
-                *d = a + bias;
+            for (row, acc) in out.chunks_exact_mut(self.ow).zip(buf.line.chunks(self.pw)) {
+                for (d, &a) in row.iter_mut().zip(acc) {
+                    *d = a + b;
+                }
             }
         }
     }
 
-    /// One `(item, channel)` plane of the backward: its `dW` partial into
-    /// `part[..R·S]`, its `dBias` partial into `part[R·S]` and, when given,
-    /// its `dX` plane into `din`.
+    /// One `(item, channel)` plane of the depthwise backward: its `dW`
+    /// partial into `part[..R·S]`, its `dBias` partial into `part[R·S]`
+    /// and, when given, its `dX` plane into `din`.
     fn backward_plane(
         &self,
         x: &[f32],
@@ -738,7 +793,7 @@ impl Depthwise {
         part: &mut [f32],
     ) {
         let (dw, db) = part.split_at_mut(taps.len());
-        self.pad_plane(x, &mut buf.xpad);
+        self.pad_planes(x, &mut buf.xpad);
         // dW: list the non-zero `dOut` pixels in ascending order (the
         // reference GEMM skips the zero ones), then sum each tap over the
         // list. `LANES` adjacent taps of a kernel row share one pass; lanes
@@ -792,7 +847,7 @@ impl Depthwise {
     }
 }
 
-/// Whether a convolution runs on the direct depthwise kernels: one filter
+/// Whether a convolution runs on the direct depthwise backward: one filter
 /// per channel (`groups == C == K`) at unit stride.
 fn is_direct_depthwise(input: &Tensor, weight: &Tensor, spec: &ConvSpec, groups: usize) -> bool {
     let (_, c, _, _) = dims4(input, "conv input");
@@ -800,13 +855,25 @@ fn is_direct_depthwise(input: &Tensor, weight: &Tensor, spec: &ConvSpec, groups:
     groups == c && groups == k && spec.stride == 1
 }
 
+/// Whether a forward convolution runs on the direct kernels instead of
+/// im2col and a GEMM: at unit stride, a depthwise one, or one whose
+/// reduction `C/g·R·S` is at most [`DIRECT_MAX_REDUCTION`] over output
+/// planes of at least [`DIRECT_MIN_PIXELS`]. The choice depends on the
+/// shapes alone.
+fn is_direct_forward(input: &Tensor, weight: &Tensor, spec: &ConvSpec, groups: usize) -> bool {
+    let (_, _, h, w) = dims4(input, "conv input");
+    let (_, cg, r, s) = dims4(weight, "conv weight");
+    if spec.stride != 1 {
+        return false;
+    }
+    let (oh, ow) = spec.output_dim(h, w);
+    is_direct_depthwise(input, weight, spec, groups)
+        || (cg * r * s <= DIRECT_MAX_REDUCTION && oh * ow >= DIRECT_MIN_PIXELS)
+}
+
 /// Validates a depthwise weight (`[C, 1, R, S]`) against `spec` and `c`,
 /// returning the plane geometry.
-fn depthwise_geometry(
-    input: &Tensor,
-    weight: &Tensor,
-    spec: &ConvSpec,
-) -> (usize, usize, Depthwise) {
+fn depthwise_geometry(input: &Tensor, weight: &Tensor, spec: &ConvSpec) -> (usize, usize, Direct) {
     let (n, c, h, w) = dims4(input, "depthwise input");
     let (k, wc, wr, ws) = dims4(weight, "depthwise weight");
     assert_eq!((k, wc), (c, 1), "depthwise weight must be [C={c}, 1, R, S]");
@@ -815,31 +882,60 @@ fn depthwise_geometry(
         (spec.kernel_h, spec.kernel_w),
         "weight spatial dims disagree with spec"
     );
-    (n, c, Depthwise::new(h, w, spec))
+    (n, c, Direct::new(h, w, spec))
 }
 
-/// Direct depthwise forward (see [`Depthwise`]): `[N, C, H', W']`.
-fn depthwise_forward(input: &Tensor, weight: &Tensor, bias: &Tensor, spec: &ConvSpec) -> Tensor {
-    let (n, c, geom) = depthwise_geometry(input, weight, spec);
-    assert_eq!(bias.len(), c, "bias length must equal K={c}");
-    let (plane, taps) = (geom.h * geom.w, geom.kh * geom.kw);
-    let mut out = Tensor::zeros(&[n, c, geom.oh, geom.ow]);
+/// Direct forward (see [`Direct`]): `[N, K, H', W']`. Each `(item, group)`
+/// task pads its `C/g` input planes once and computes its `K/g` output
+/// planes from them; whole tasks are dealt to threads.
+fn direct_forward(
+    input: &Tensor,
+    weight: &Tensor,
+    bias: &Tensor,
+    spec: &ConvSpec,
+    groups: usize,
+) -> Tensor {
+    let (n, c, h, w) = dims4(input, "conv input");
+    let (k, cg, wr, ws) = dims4(weight, "conv weight");
+    assert!(
+        groups > 0 && c % groups == 0 && k % groups == 0,
+        "groups={groups} must divide C={c} and K={k}"
+    );
+    assert_eq!(cg, c / groups, "weight C={cg} must be C/groups");
+    assert_eq!(
+        (wr, ws),
+        (spec.kernel_h, spec.kernel_w),
+        "weight spatial dims disagree with spec"
+    );
+    assert_eq!(bias.len(), k, "bias length must equal K={k}");
+    let geom = Direct::new(h, w, spec);
+    let kg = k / groups;
+    let (x_len, w_len) = (cg * h * w, kg * cg * wr * ws);
+    let mut out = Tensor::zeros(&[n, k, geom.oh, geom.ow]);
+    if k == 0 {
+        return out;
+    }
     let (x, wv, bv) = (input.as_slice(), weight.as_slice(), bias.as_slice());
     kernels::parallel_chunks_with(
         out.as_mut_slice(),
-        geom.oh * geom.ow,
+        kg * geom.oh * geom.ow,
         threads::num_threads(),
-        || geom.bufs(false),
+        || geom.bufs(cg, false),
         |buf, task, dst| {
-            let ch = task % c;
-            let xp = &x[task * plane..(task + 1) * plane];
-            geom.forward_plane(xp, &wv[ch * taps..(ch + 1) * taps], bv[ch], buf, dst);
+            let g = task % groups;
+            geom.forward_group(
+                &x[task * x_len..(task + 1) * x_len],
+                &wv[g * w_len..(g + 1) * w_len],
+                &bv[g * kg..(g + 1) * kg],
+                buf,
+                dst,
+            );
         },
     );
     out
 }
 
-/// Direct depthwise backward (see [`Depthwise`]): `(dW, dBias)`, and `dX`
+/// Direct depthwise backward (see [`Direct`]): `(dW, dBias)`, and `dX`
 /// into `d_input` (zeroed `[N, C, H, W]`) when given. Per-plane partials
 /// are reduced in ascending task order, i.e. ascending batch order per
 /// channel, as the reference accumulates them.
@@ -879,14 +975,14 @@ fn depthwise_backward(
             &mut parts,
             part_len,
             t,
-            || geom.bufs(true),
+            || geom.bufs(1, true),
             |buf, task, din, part| run(buf, task, Some(din), part),
         ),
         None => kernels::parallel_chunks_with(
             &mut parts,
             part_len,
             t,
-            || geom.bufs(false),
+            || geom.bufs(1, false),
             |buf, task, part| run(buf, task, None, part),
         ),
     }
@@ -931,7 +1027,9 @@ fn same_bits(a: &Tensor, b: &Tensor) -> bool {
 /// layer owns one scratch and keeps no copy of its input besides it, so a
 /// training step copies and lowers each input once. Depthwise
 /// convolutions at unit stride run the direct kernels and keep no
-/// lowering.
+/// lowering. A narrow convolution's forward runs the direct kernel and
+/// does not lower; its backward lowers the held input on first use, so a
+/// forward that no backward follows (evaluation) never lowers at all.
 #[derive(Debug, Clone)]
 pub struct ConvScratch {
     /// The most recent forward input (a rank-1 placeholder before the first).
@@ -1007,8 +1105,8 @@ impl ConvScratch {
         if kernels::reference_mode() {
             return reference::conv2d_grouped(input, weight, bias, spec, groups);
         }
-        if is_direct_depthwise(input, weight, spec, groups) {
-            return depthwise_forward(input, weight, bias, spec);
+        if is_direct_forward(input, weight, spec, groups) {
+            return direct_forward(input, weight, bias, spec, groups);
         }
         self.lowering(spec, groups).forward(weight, bias)
     }
@@ -1138,6 +1236,9 @@ pub fn conv2d(input: &Tensor, weight: &Tensor, bias: &Tensor, spec: &ConvSpec) -
     if kernels::reference_mode() {
         return reference::conv2d(input, weight, bias, spec);
     }
+    if is_direct_forward(input, weight, spec, 1) {
+        return direct_forward(input, weight, bias, spec, 1);
+    }
     ConvLowering::lower(input, spec, 1).forward(weight, bias)
 }
 
@@ -1203,8 +1304,8 @@ pub fn conv2d_grouped(
     if kernels::reference_mode() {
         return reference::conv2d_grouped(input, weight, bias, spec, groups);
     }
-    if is_direct_depthwise(input, weight, spec, groups) {
-        return depthwise_forward(input, weight, bias, spec);
+    if is_direct_forward(input, weight, spec, groups) {
+        return direct_forward(input, weight, bias, spec, groups);
     }
     ConvLowering::lower(input, spec, groups).forward(weight, bias)
 }

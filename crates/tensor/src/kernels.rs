@@ -16,9 +16,13 @@
 //!   loads the running value, appends the block's products in order, and
 //!   stores it back (f32 store/load is lossless, so splitting the
 //!   reduction across blocks does not change the rounding sequence);
-//! * the same sparsity short-circuit is applied: products whose
-//!   left-operand element is exactly `0.0` are skipped, in all three
-//!   variants, exactly as the reference kernels skip them.
+//! * every product the reference kernels compute is computed here too.
+//!   The reference skips products whose left-operand element is exactly
+//!   `0.0`. Where the right operand is finite, such a product is `±0`,
+//!   and adding `±0` to a running sum that started at `+0` changes
+//!   nothing (see `gemm`); there the blocked kernels skip no product
+//!   and need no branch. Where the right operand holds an infinity or a
+//!   NaN, they skip the same products the reference skips.
 //!
 //! The partition (how many rows each thread gets) therefore changes
 //! scheduling only, never results. See `docs/kernels.md`.
@@ -80,11 +84,13 @@ pub(crate) enum Rhs {
     Transposed,
 }
 
-/// `C += op(A) · op(B)` with the configured thread count.
+/// `C = op(A) · op(B)` with the configured thread count.
 ///
-/// `c` must hold `m·n` elements; it is accumulated into (callers that want
-/// plain `=` semantics pass a zeroed buffer, which reproduces the
-/// reference kernels' from-zero accumulation exactly).
+/// `c` must hold `m·n` elements, all `+0.0`; the products are accumulated
+/// into it. Starting from `+0` is what makes the skip-free paths exact: a
+/// sum that starts at `+0` never becomes `−0` under round-to-nearest
+/// (`+0 + −0` and `x + −x` are both `+0`), so adding the `±0` product of a
+/// zero `a` and a finite `b` never changes it.
 pub(crate) fn gemm(
     lhs: Lhs,
     rhs: Rhs,
@@ -116,6 +122,10 @@ pub(crate) fn gemm_with_threads(
     assert_eq!(a.len(), m * k, "lhs buffer disagrees with m×k");
     assert_eq!(b.len(), k * n, "rhs buffer disagrees with k×n");
     assert_eq!(c.len(), m * n, "dst buffer disagrees with m×n");
+    debug_assert!(
+        c.iter().all(|v| v.to_bits() == 0),
+        "dst buffer must start at +0.0"
+    );
     if m == 0 || n == 0 || k == 0 {
         return;
     }
@@ -152,14 +162,16 @@ pub(crate) fn gemm_with_threads(
 
 /// Direct (unblocked) GEMM for problems too small to amortize the
 /// blocked path's pack buffers. Accumulates each `C` element in
-/// ascending-`p` order with the left-operand zero skip — the exact
-/// sequence the blocked path and the naive reference produce, so all three
-/// are bit-identical.
+/// ascending-`p` order — the exact sequence the blocked path and the
+/// naive reference produce, so all three are bit-identical.
 ///
-/// `A·B` streams rows of `B` into each `C` row. `A·Bᵀ` would be a dot
-/// product per element, one dependent add chain; instead `NR` columns of
-/// `Bᵀ` at a time are transposed into a `p`-major panel (as [`pack_b`]
-/// lays them out) and each `C` row accumulates `NR` independent lanes.
+/// `A·B` streams rows of `B` into each `C` row, skipping the row of a zero
+/// `a` as the reference does. `A·Bᵀ` would be a dot product per element,
+/// one dependent add chain; instead `NR` columns of `Bᵀ` at a time are
+/// transposed into a `p`-major panel (as [`pack_b`] lays them out) and
+/// each `C` row accumulates `NR` independent lanes. A panel found all
+/// finite while transposing runs without the zero skip (see [`gemm`]);
+/// one holding an infinity or a NaN keeps it.
 fn small_gemm(
     lhs: Lhs,
     rhs: Rhs,
@@ -193,31 +205,37 @@ fn small_gemm(
             let mut panel = vec![[0.0f32; NR]; k];
             for j0 in (0..n).step_by(NR) {
                 let nr = NR.min(n - j0);
-                for (jj, col) in b[j0 * k..(j0 + nr) * k].chunks_exact(k).enumerate() {
+                let cols = &b[j0 * k..(j0 + nr) * k];
+                for (jj, col) in cols.chunks_exact(k).enumerate() {
                     for (lanes, &y) in panel.iter_mut().zip(col) {
                         lanes[jj] = y;
                     }
                 }
+                let finite = all_finite(cols);
                 // Fringe lanes hold zeros: their sums are computed, never stored.
                 if nr < NR {
                     for lanes in &mut panel {
                         lanes[nr..].fill(0.0);
                     }
                 }
+                // Each `C` element is written by this block alone, and `C`
+                // starts at +0, so the lanes start at +0 too.
                 for (i, row) in c.chunks_mut(n).enumerate() {
-                    let dst = &mut row[j0..j0 + nr];
                     let mut acc = [0.0f32; NR];
-                    acc[..nr].copy_from_slice(dst);
                     for (p, lanes) in panel.iter().enumerate() {
                         let x = a_at(i, p);
-                        if x == 0.0 {
+                        if !finite && x == 0.0 {
                             continue;
                         }
                         for (slot, &y) in acc.iter_mut().zip(lanes) {
                             *slot += x * y;
                         }
                     }
-                    dst.copy_from_slice(&acc[..nr]);
+                    if nr == NR {
+                        row[j0..j0 + NR].copy_from_slice(&acc);
+                    } else {
+                        row[j0..j0 + nr].copy_from_slice(&acc[..nr]);
+                    }
                 }
             }
         }
@@ -251,7 +269,7 @@ fn gemm_range(
         let mut pc = 0;
         while pc < k {
             let kc = KC.min(k - pc);
-            pack_b(rhs, b, k, n, pc, kc, jc, nc, &mut bpack);
+            let b_finite = pack_b(rhs, b, k, n, pc, kc, jc, nc, &mut bpack);
             let mut ic = r0;
             while ic < r1 {
                 let mc = MC.min(r1 - ic);
@@ -265,7 +283,8 @@ fn gemm_range(
                         let ir = pi * MR;
                         let mr = MR.min(mc - ir);
                         let apanel = &apack[pi * kc * MR..(pi + 1) * kc * MR];
-                        microkernel(apanel, bpanel, kc, mr, nr, c, ic - r0 + ir, n, jc + jr);
+                        let (row0, col0) = (ic - r0 + ir, jc + jr);
+                        microkernel(apanel, bpanel, kc, b_finite, mr, nr, c, row0, n, col0);
                     }
                 }
                 ic += MC;
@@ -277,8 +296,8 @@ fn gemm_range(
 }
 
 /// Packs the `[ic..ic+mc) × [pc..pc+kc)` block of `A` into `MR`-row
-/// panels, `p`-major within each panel; fringe rows are zero-padded (the
-/// microkernel's `a == 0.0` skip makes the padding free).
+/// panels, `p`-major within each panel; fringe rows are zero-padded
+/// (their accumulator rows are computed but never stored).
 #[allow(clippy::too_many_arguments)]
 fn pack_a(
     lhs: Lhs,
@@ -293,20 +312,32 @@ fn pack_a(
 ) {
     for pi in 0..mc.div_ceil(MR) {
         let rows = MR.min(mc - pi * MR);
+        let row0 = ic + pi * MR;
         let dst = &mut apack[pi * kc * MR..(pi + 1) * kc * MR];
-        for p in 0..kc {
-            let d = &mut dst[p * MR..p * MR + MR];
-            for (r, slot) in d.iter_mut().enumerate() {
-                *slot = if r < rows {
-                    let row = ic + pi * MR + r;
-                    let col = pc + p;
-                    match lhs {
-                        Lhs::RowMajor => a[row * k + col],
-                        Lhs::Transposed => a[col * m + row],
+        match lhs {
+            Lhs::RowMajor => {
+                for r in 0..MR {
+                    let slots = dst[r..].iter_mut().step_by(MR);
+                    if r < rows {
+                        let src = &a[(row0 + r) * k + pc..(row0 + r) * k + pc + kc];
+                        for (d, &v) in slots.zip(src) {
+                            *d = v;
+                        }
+                    } else {
+                        slots.for_each(|d| *d = 0.0);
                     }
-                } else {
-                    0.0
-                };
+                }
+            }
+            Lhs::Transposed => {
+                for (p, d) in dst.chunks_exact_mut(MR).enumerate() {
+                    let src = &a[(pc + p) * m + row0..(pc + p) * m + row0 + rows];
+                    if rows == MR {
+                        d.copy_from_slice(src);
+                    } else {
+                        d[..rows].copy_from_slice(src);
+                        d[rows..].fill(0.0);
+                    }
+                }
             }
         }
     }
@@ -314,7 +345,8 @@ fn pack_a(
 
 /// Packs the `[pc..pc+kc) × [jc..jc+nc)` block of `B` into `NR`-column
 /// panels, `p`-major within each panel; fringe columns are zero-padded
-/// (their accumulator lanes are computed but never stored).
+/// (their accumulator lanes are computed but never stored). Returns
+/// whether every packed element is finite.
 #[allow(clippy::too_many_arguments)]
 fn pack_b(
     rhs: Rhs,
@@ -326,40 +358,67 @@ fn pack_b(
     jc: usize,
     nc: usize,
     bpack: &mut [f32],
-) {
+) -> bool {
     for pj in 0..nc.div_ceil(NR) {
         let cols = NR.min(nc - pj * NR);
+        let col0 = jc + pj * NR;
         let dst = &mut bpack[pj * kc * NR..(pj + 1) * kc * NR];
-        for p in 0..kc {
-            let d = &mut dst[p * NR..p * NR + NR];
-            for (j, slot) in d.iter_mut().enumerate() {
-                *slot = if j < cols {
-                    let col = jc + pj * NR + j;
-                    let row = pc + p;
-                    match rhs {
-                        Rhs::RowMajor => b[row * n + col],
-                        Rhs::Transposed => b[col * k + row],
+        match rhs {
+            Rhs::RowMajor => {
+                for (p, d) in dst.chunks_exact_mut(NR).enumerate() {
+                    let src = &b[(pc + p) * n + col0..(pc + p) * n + col0 + cols];
+                    if cols == NR {
+                        d.copy_from_slice(src);
+                    } else {
+                        d[..cols].copy_from_slice(src);
+                        d[cols..].fill(0.0);
                     }
-                } else {
-                    0.0
-                };
+                }
+            }
+            Rhs::Transposed => {
+                for j in 0..NR {
+                    let slots = dst[j..].iter_mut().step_by(NR);
+                    if j < cols {
+                        let src = &b[(col0 + j) * k + pc..(col0 + j) * k + pc + kc];
+                        for (d, &v) in slots.zip(src) {
+                            *d = v;
+                        }
+                    } else {
+                        slots.for_each(|d| *d = 0.0);
+                    }
+                }
             }
         }
     }
+    all_finite(&bpack[..nc.div_ceil(NR) * kc * NR])
+}
+
+/// Whether no element of `v` is infinite or NaN.
+fn all_finite(v: &[f32]) -> bool {
+    // Folding each chunk without an early exit lets the test vectorize.
+    v.chunks(64)
+        .all(|ch| ch.iter().fold(true, |ok, x| ok & x.is_finite()))
 }
 
 /// The `MR×NR` register microkernel: loads the running `C` tile, appends
-/// this `KC` block's products in ascending-`p` order (skipping `a == 0.0`
-/// terms exactly like the reference kernels), stores the tile back.
+/// this `KC` block's products in ascending-`p` order, stores the tile back.
+/// When the packed `B` block is all finite (`b_finite`) every product is
+/// added, branch-free; when it holds an infinity or a NaN, terms with
+/// `a == 0.0` are skipped exactly like the reference kernels skip them.
+///
 /// `inline(never)` is deliberate and load-bearing: inlined into
 /// `gemm_range`'s loop nest, LLVM spills the accumulator tile to the stack
 /// (~7× slower); as a standalone function the tile stays in registers.
+/// Full tiles load and store fixed-size rows: a copy of a runtime length
+/// `nr` compiles to a `memcpy` call per row, which dominates products with
+/// a short `kc`.
 #[allow(clippy::too_many_arguments)]
 #[inline(never)]
 fn microkernel(
     apanel: &[f32],
     bpanel: &[f32],
     kc: usize,
+    b_finite: bool,
     mr: usize,
     nr: usize,
     c: &mut [f32],
@@ -367,24 +426,28 @@ fn microkernel(
     ldc: usize,
     col0: usize,
 ) {
+    let full = mr == MR && nr == NR;
     let mut acc = [[0.0f32; NR]; MR];
     for (r, accr) in acc.iter_mut().enumerate().take(mr) {
         let base = (row0 + r) * ldc + col0;
-        accr[..nr].copy_from_slice(&c[base..base + nr]);
+        if full {
+            accr.copy_from_slice(&c[base..base + NR]);
+        } else {
+            accr[..nr].copy_from_slice(&c[base..base + nr]);
+        }
     }
     let (arows, _) = apanel.as_chunks::<MR>();
     let (brows, _) = bpanel.as_chunks::<NR>();
-    for (av, bv) in arows.iter().zip(brows).take(kc) {
-        if av.iter().all(|&a| a != 0.0) {
-            // Dense fast path: no `a` is zero, so the skip branch can never
-            // fire — dropping it from the inner loops changes nothing but
-            // lets the 4×8 block stay branch-free (and vectorized).
+    if b_finite {
+        for (av, bv) in arows.iter().zip(brows).take(kc) {
             for (&a, accr) in av.iter().zip(acc.iter_mut()) {
                 for (slot, &bj) in accr.iter_mut().zip(bv) {
                     *slot += a * bj;
                 }
             }
-        } else {
+        }
+    } else {
+        for (av, bv) in arows.iter().zip(brows).take(kc) {
             for (&a, accr) in av.iter().zip(acc.iter_mut()) {
                 if a == 0.0 {
                     continue;
@@ -397,7 +460,11 @@ fn microkernel(
     }
     for (r, accr) in acc.iter().enumerate().take(mr) {
         let base = (row0 + r) * ldc + col0;
-        c[base..base + nr].copy_from_slice(&accr[..nr]);
+        if full {
+            c[base..base + NR].copy_from_slice(accr);
+        } else {
+            c[base..base + nr].copy_from_slice(&accr[..nr]);
+        }
     }
 }
 

@@ -7,10 +7,11 @@
 //! [`crate::reference`] kernels at any thread count (see `docs/kernels.md`
 //! for the determinism contract).
 //!
-//! All variants apply the same sparsity short-circuit: products whose
-//! left-operand element is exactly `0.0` are skipped, so pruned CSCNN
-//! weight matrices multiply faster at identical results (for finite
-//! inputs; a `0·∞`/`0·NaN` term is skipped rather than propagated).
+//! All variants return the reference's result, which skips products
+//! whose left-operand element is exactly `0.0` (so a `0·∞`/`0·NaN` term is
+//! skipped rather than propagated). Where the right operand is finite the
+//! skip cannot change a bit, and the blocked kernels add every product
+//! without a per-element branch.
 
 use crate::kernels::{self, Lhs, Rhs};
 use crate::Tensor;

@@ -19,8 +19,9 @@
 //! weights cheaper). Historically [`matmul_bt`] lacked the skip; since
 //! `acc + ±0.0` can never change a running sum that starts at `+0.0`, for
 //! finite inputs the skip is a pure win and the variants now agree. The
-//! blocked kernels implement the identical skip, which is what makes
-//! zero-padded packing fringes free there.
+//! blocked kernels reproduce the skip's results: on finite right operands
+//! by adding the `±0` terms, which cannot change a sum that starts at
+//! `+0`, and on non-finite ones by skipping the same terms.
 
 use crate::{Conv2dGrads, ConvSpec, Tensor};
 

@@ -513,3 +513,136 @@ fn conv_scratch_backward_relowers_changed_input() {
     }
     reset_num_threads();
 }
+
+/// Elements as training feeds them to the kernels: exact `0.0` with
+/// probability `zeros`, at random positions (post-ReLU activations,
+/// ReLU-masked gradients, pruned weights); of the rest, one in sixteen is
+/// `-0.0`, one in sixteen a subnormal of either sign, and the others
+/// uniform in [-2, 2).
+fn training_tensor(rng: &mut StdRng, dims: &[usize], zeros: f64) -> Tensor {
+    let n: usize = dims.iter().product();
+    let v: Vec<f32> = (0..n)
+        .map(|_| {
+            if rng.gen_bool(zeros) {
+                return 0.0;
+            }
+            match rng.gen_range(0..16u32) {
+                0 => -0.0,
+                1 => {
+                    let sign = if rng.gen_bool(0.5) { 1u32 << 31 } else { 0 };
+                    f32::from_bits(sign | rng.gen_range(1..0x0080_0000u32))
+                }
+                _ => (rng.next_u64() >> 40) as f32 / (1u64 << 24) as f32 * 4.0 - 2.0,
+            }
+        })
+        .collect();
+    Tensor::from_vec(v, dims)
+}
+
+/// Overwrites `count` random elements of `t` with `+∞`, `−∞` or NaN.
+fn poison(rng: &mut StdRng, t: &mut Tensor, count: usize) {
+    let len = t.len();
+    for i in 0..count {
+        let at = rng.gen_range(0..len);
+        t.as_mut_slice()[at] = [f32::INFINITY, f32::NEG_INFINITY, f32::NAN][i % 3];
+    }
+}
+
+/// Both zero-skip paths of every `matmul` layout, in the direct small tier
+/// and the packed tier (whose `k = 300` spans two `KC` blocks): left
+/// operands with half their elements zero at random positions plus `-0.0`
+/// and subnormals; right operands likewise, once all finite (the kernels
+/// take the branch-free path) and once holding infinities and NaNs (they
+/// skip the zero-`a` products the reference skips, so no `0·∞` NaN
+/// appears).
+#[test]
+fn matmul_zero_skip_paths_bit_match_reference() {
+    let seed = prop_seed();
+    let shapes = [
+        (5usize, 13usize, 11usize),
+        (9, 30, 20),
+        (37, 300, 41),
+        (6, 1024, 10),
+    ];
+    for (case, &(m, k, n)) in shapes.iter().enumerate() {
+        for non_finite in [false, true] {
+            let mut rng = StdRng::seed_from_u64(seed ^ (0x2e70_0000 + 2 * case as u64));
+            let a = training_tensor(&mut rng, &[m, k], 0.5);
+            let at = training_tensor(&mut rng, &[k, m], 0.5);
+            let mut b = training_tensor(&mut rng, &[k, n], 0.5);
+            let mut bt = training_tensor(&mut rng, &[n, k], 0.5);
+            if non_finite {
+                poison(&mut rng, &mut b, 3);
+                poison(&mut rng, &mut bt, 3);
+            }
+            let want = bits(&reference::matmul(&a, &b));
+            let want_at = bits(&reference::matmul_at(&at, &b));
+            let want_bt = bits(&reference::matmul_bt(&a, &bt));
+            let what = format!("{m}x{k}x{n}, non-finite rhs {non_finite} (seed {seed})");
+            for t in THREAD_COUNTS {
+                set_num_threads(t);
+                assert_eq!(bits(&matmul(&a, &b)), want, "matmul {what}, {t} threads");
+                assert_eq!(
+                    bits(&matmul_at(&at, &b)),
+                    want_at,
+                    "matmul_at {what}, {t} threads"
+                );
+                assert_eq!(
+                    bits(&matmul_bt(&a, &bt)),
+                    want_bt,
+                    "matmul_bt {what}, {t} threads"
+                );
+            }
+        }
+    }
+    reset_num_threads();
+}
+
+/// Convolutions whose forward runs the direct narrow kernel (unit stride,
+/// a short `C/g·R·S`, planes of 100 or more output pixels): `mobile_cnn`'s
+/// 3→8 3×3 and 8→16 1×1, a 1-channel 5×5, a grouped 3×3 and a 1×1 over 32
+/// channels, each with training-like operands and once with a ≥90%-pruned
+/// weight; the last case also holds infinities and NaNs in its input,
+/// which the backward's `dW` product reads as its right operand. Free
+/// functions and a `ConvScratch` pair (whose backward lowers lazily) both
+/// run at every thread count.
+#[test]
+fn direct_narrow_conv_bit_matches_reference() {
+    let seed = prop_seed();
+    let same3 = ConvSpec::new(3, 3).with_padding(1);
+    let cases: [([usize; 4], usize, ConvSpec, usize); 6] = [
+        ([3, 3, 16, 16], 8, same3, 1),
+        ([2, 8, 16, 16], 16, ConvSpec::new(1, 1), 1),
+        ([2, 1, 14, 13], 4, ConvSpec::new(5, 5).with_padding(2), 1),
+        ([3, 6, 11, 10], 4, same3, 2),
+        ([1, 32, 10, 12], 8, ConvSpec::new(1, 1).with_padding(1), 1),
+        ([2, 3, 12, 12], 5, ConvSpec::new(3, 3), 1),
+    ];
+    for (case, &([n, c, h, w], k, spec, groups)) in cases.iter().enumerate() {
+        for pruned in [false, true] {
+            let mut rng = StdRng::seed_from_u64(seed ^ (0xd14e_0000 + 2 * case as u64));
+            let mut input = training_tensor(&mut rng, &[n, c, h, w], 0.5);
+            if case + 1 == cases.len() {
+                poison(&mut rng, &mut input, 3);
+            }
+            let zeros = if pruned { 0.92 } else { 0.1 };
+            let weight = training_tensor(
+                &mut rng,
+                &[k, c / groups, spec.kernel_h, spec.kernel_w],
+                zeros,
+            );
+            let bias = random_tensor(&mut rng, &[k], 0.0);
+            let (oh, ow) = spec.output_dim(h, w);
+            let grad_out = training_tensor(&mut rng, &[n, k, oh, ow], 0.5);
+            let what = format!(
+                "direct {spec:?} on [{n},{c},{h},{w}] -> {k} g={groups}, pruned {pruned} (seed {seed})"
+            );
+            assert_conv_bits_match_reference(
+                &input, &weight, &bias, &grad_out, &spec, groups, &what,
+            );
+            assert_scratch_bits_match_reference(
+                &input, &weight, &bias, &grad_out, &spec, groups, &what,
+            );
+        }
+    }
+}
