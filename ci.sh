@@ -31,7 +31,7 @@ echo "== paper harness stdout against committed snapshots"
 # fixed seed is committed under crates/bench/snapshots/. A declared fidelity
 # fix re-records them in the same change:
 #   cargo run -q --release -p cscnn-bench --bin figN > crates/bench/snapshots/figN.txt
-for fig in fig7 fig8 fig9 fig10 fig11 sweep; do
+for fig in fig7 fig8 fig9 fig10 fig11 sweep table3 table4 table5 formats; do
     echo "-- $fig"
     cargo run -q --release -p cscnn-bench --bin "$fig" > "target/snapshot_$fig.txt"
     diff -u "crates/bench/snapshots/$fig.txt" "target/snapshot_$fig.txt"

@@ -49,7 +49,6 @@ pub struct PipelineReport {
 /// ```
 pub struct CompressionPipeline {
     train: TrainConfig,
-    retrain: TrainConfig,
     prune: Option<PruneConfig>,
 }
 
@@ -57,17 +56,7 @@ impl CompressionPipeline {
     /// Creates a pipeline; `train` is used for both the dense phase and the
     /// retraining phases.
     pub fn new(train: TrainConfig) -> Self {
-        CompressionPipeline {
-            train,
-            retrain: train,
-            prune: None,
-        }
-    }
-
-    /// Uses a different configuration for the retraining phases.
-    pub fn with_retrain_config(mut self, retrain: TrainConfig) -> Self {
-        self.retrain = retrain;
-        self
+        CompressionPipeline { train, prune: None }
     }
 
     /// Enables the pruning stage.
@@ -99,12 +88,11 @@ impl CompressionPipeline {
         centrosymmetric::centrosymmetrize(&mut net)?;
         let post_projection = evaluate(&mut net, &test_set, self.train.batch_size);
         // Phase 3: Eq. 7 retraining recovers accuracy.
-        let retrainer = Trainer::new(self.retrain);
-        let retrained = retrainer.fit(&mut net, &train_set, &test_set);
+        let retrained = trainer.fit(&mut net, &train_set, &test_set);
         // Phase 4 (optional): prune + retrain.
         let (pruned_accuracy, kept_fraction) = if let Some(cfg) = &self.prune {
             let kept = pruning::prune_network(&mut net, cfg)?;
-            let rep = retrainer.fit(&mut net, &train_set, &test_set);
+            let rep = trainer.fit(&mut net, &train_set, &test_set);
             (Some(rep.final_test_accuracy), kept)
         } else {
             (None, 1.0)

@@ -113,36 +113,6 @@ impl ModelCompression {
     }
 }
 
-/// Multiplication reduction Winograd `F(2×2, 3×3)` would deliver on this
-/// model: eligible layers (unit-stride dense 3×3 convolutions) drop to 4
-/// multiplications per output (2.25× fewer); everything else is unchanged.
-///
-/// The comparison the paper's §VI-C gestures at: Winograd's algebraic reuse
-/// is stronger per eligible layer than the centrosymmetric 1.8×, but it
-/// cannot exploit weight sparsity (the transformed kernels densify) and
-/// does not halve storage — whereas centrosymmetric reuse composes with
-/// pruning.
-pub fn winograd_reduction(model: &ModelDesc) -> f64 {
-    let dense = model.dense_mults() as f64;
-    let reduced: f64 = model
-        .layers
-        .iter()
-        .map(|l| {
-            let m = l.dense_mults() as f64;
-            // Winograd applies per group, so grouped/depthwise 3x3s
-            // qualify too; only stride and kernel size matter.
-            let eligible =
-                l.kind != crate::LayerKind::FullyConnected && l.stride == 1 && l.r == 3 && l.s == 3;
-            if eligible {
-                m * 4.0 / 9.0
-            } else {
-                m
-            }
-        })
-        .sum();
-    dense / reduced
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -198,20 +168,6 @@ mod tests {
                 cp_t
             );
         }
-    }
-
-    #[test]
-    fn winograd_reduction_peaks_on_all_3x3_models() {
-        // VGG-16 is all unit-stride 3x3 conv: close to the full 2.25x
-        // (diluted only by FC layers).
-        let vgg = winograd_reduction(&catalog::vgg16());
-        assert!((2.1..=2.25).contains(&vgg), "vgg={vgg}");
-        // Pointwise-dominated models gain almost nothing.
-        let shuffle = winograd_reduction(&catalog::shufflenet_v2());
-        assert!(shuffle < 1.1, "shuffle={shuffle}");
-        // AlexNet: C1 (stride 4, 11x11) and C2 (5x5) are ineligible.
-        let alex = winograd_reduction(&catalog::alexnet());
-        assert!((1.2..=1.8).contains(&alex), "alex={alex}");
     }
 
     #[test]

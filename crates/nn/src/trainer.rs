@@ -30,12 +30,6 @@ pub struct TrainConfig {
     pub lr_decay_every: usize,
     /// Shuffling seed.
     pub seed: u64,
-    /// Kernel thread count for this run: `Some(n)` installs `n` via
-    /// [`cscnn_tensor::set_num_threads`] before the first epoch, `None`
-    /// keeps the process default (`CSCNN_NUM_THREADS` or the machine's
-    /// available parallelism). The kernels are bit-identical at every
-    /// thread count, so this only affects wall-clock time.
-    pub num_threads: Option<usize>,
 }
 
 impl Default for TrainConfig {
@@ -49,7 +43,6 @@ impl Default for TrainConfig {
             lr_decay_factor: 5.0,
             lr_decay_every: 5,
             seed: 0,
-            num_threads: None,
         }
     }
 }
@@ -112,9 +105,6 @@ impl Trainer {
         test: &SyntheticImages,
     ) -> TrainReport {
         let cfg = &self.config;
-        if let Some(n) = cfg.num_threads {
-            cscnn_tensor::set_num_threads(n);
-        }
         let schedule = LrSchedule::step(cfg.lr, cfg.lr_decay_factor, cfg.lr_decay_every);
         let mut opt = Sgd::new(cfg.momentum, cfg.weight_decay);
         let mut rng = StdRng::seed_from_u64(cfg.seed);

@@ -109,11 +109,6 @@ impl RunStats {
         baseline.total_time_s() / self.total_time_s()
     }
 
-    /// Energy improvement of `self` relative to `baseline`.
-    pub fn energy_gain_over(&self, baseline: &RunStats) -> f64 {
-        baseline.total_on_chip_pj() / self.total_on_chip_pj()
-    }
-
     /// EDP improvement of `self` relative to `baseline`.
     pub fn edp_gain_over(&self, baseline: &RunStats) -> f64 {
         baseline.edp() / self.edp()
@@ -169,7 +164,6 @@ mod tests {
         let fast = stats(&[1.0], &[10.0]);
         let slow = stats(&[2.0], &[30.0]);
         assert_eq!(fast.speedup_over(&slow), 2.0);
-        assert_eq!(fast.energy_gain_over(&slow), 3.0);
         assert!((fast.edp_gain_over(&slow) - 6.0).abs() < 1e-12);
     }
 

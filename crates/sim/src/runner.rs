@@ -41,12 +41,6 @@ impl Runner {
         }
     }
 
-    /// Overrides the DRAM model.
-    pub fn with_dram(mut self, dram: DramConfig) -> Self {
-        self.dram = dram;
-        self
-    }
-
     /// Simulates one model on one accelerator, layer by layer.
     ///
     /// Workload synthesis uses the accelerator's compression scheme
@@ -475,23 +469,6 @@ mod tests {
             }
         );
         assert!(err.to_string().contains("LeNet-5"));
-    }
-
-    #[test]
-    fn custom_dram_model_propagates() {
-        let slow = crate::dram::DramConfig {
-            peak_bytes_per_s: 1e9, // 12.8x slower than default
-            ..Default::default()
-        };
-        let fast_runner = Runner::new(10);
-        let slow_runner = Runner::new(10).with_dram(slow);
-        let model = catalog::alexnet();
-        let acc = CartesianAccelerator::cscnn();
-        let fast = fast_runner.run_model(&acc, &model);
-        let slow = slow_runner.run_model(&acc, &model);
-        assert!(slow.total_time_s() > fast.total_time_s());
-        // Compute cycles are DRAM-independent.
-        assert_eq!(slow.total_cycles(), fast.total_cycles());
     }
 
     #[test]

@@ -171,9 +171,9 @@ fn u64_from_f64(x: f64, what: &str) -> u64 {
 /// `CSCNN_NUM_THREADS` environment variable when set (the same variable
 /// sizes the tensor kernels in `cscnn-tensor`), else the machine's
 /// available parallelism, else 4. The in-process kernel override
-/// `cscnn_tensor::set_num_threads` (and `TrainConfig::num_threads`) is not
-/// consulted: it sizes the kernels only. Worker counts never affect results — batching is
-/// bit-identical to sequential simulation by construction.
+/// `cscnn_tensor::set_num_threads` is not consulted: it sizes the kernels
+/// only. Worker counts never affect results — batching is bit-identical to
+/// sequential simulation by construction.
 ///
 /// # Panics
 ///

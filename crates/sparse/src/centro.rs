@@ -155,20 +155,6 @@ impl CentroFilter {
         Some(CentroFilter { rows, cols, half })
     }
 
-    /// Builds from already-unique values in [`unique_positions`] order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `half.len() != unique_weight_count(rows, cols)`.
-    pub fn from_half(half: Vec<f32>, rows: usize, cols: usize) -> Self {
-        assert_eq!(
-            half.len(),
-            unique_weight_count(rows, cols),
-            "half-storage length mismatch"
-        );
-        CentroFilter { rows, cols, half }
-    }
-
     /// Number of stored (independent) weights.
     pub fn stored_len(&self) -> usize {
         self.half.len()

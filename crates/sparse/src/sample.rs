@@ -40,35 +40,6 @@ pub fn bernoulli_slice<R: Rng>(rng: &mut R, rows: usize, cols: usize, density: f
     SparseSlice::from_entries(entries, rows, cols)
 }
 
-/// Samples a slice with *exactly* `nnz` non-zeros placed uniformly at random.
-///
-/// # Panics
-///
-/// Panics if `nnz > rows * cols`.
-pub fn exact_nnz_slice<R: Rng>(rng: &mut R, rows: usize, cols: usize, nnz: usize) -> SparseSlice {
-    let len = rows * cols;
-    assert!(nnz <= len, "nnz {nnz} exceeds slice size {len}");
-    // Floyd's algorithm for a uniform k-subset.
-    let mut chosen = std::collections::BTreeSet::new();
-    for j in (len - nnz)..len {
-        let t = rng.gen_range(0..=j);
-        if !chosen.insert(t) {
-            chosen.insert(j);
-        }
-    }
-    let entries = chosen
-        .into_iter()
-        .map(|i| {
-            (
-                to_coord(i / cols),
-                to_coord(i % cols),
-                rng.gen_range(0.1..=1.0f32),
-            )
-        })
-        .collect();
-    SparseSlice::from_entries(entries, rows, cols)
-}
-
 /// Samples a *centrosymmetric* sparse `rows × cols` filter slice at target
 /// density: each dual pair is jointly non-zero with probability `density`
 /// (so the dense-position density equals `density` while only the canonical
@@ -102,15 +73,6 @@ mod tests {
         let mut r = rng(1);
         let s = bernoulli_slice(&mut r, 100, 100, 0.3);
         assert!((s.density() - 0.3).abs() < 0.03);
-    }
-
-    #[test]
-    fn exact_nnz_is_exact() {
-        let mut r = rng(2);
-        for nnz in [0usize, 1, 7, 25] {
-            let s = exact_nnz_slice(&mut r, 5, 5, nnz);
-            assert_eq!(s.nnz(), nnz);
-        }
     }
 
     #[test]

@@ -4,16 +4,28 @@
 //! Tensor layouts follow the paper's notation (§II-A): inputs are
 //! `[N, C, H, W]`, filters are `[K, C, R, S]`, outputs are `[N, K, H', W']`.
 //!
-//! # Lowering architecture
+//! # One check, one router per direction
 //!
-//! All convolution entry points run over a [`ConvLowering`]: the input is
-//! lowered **once** into a block-contiguous im2col buffer holding one
-//! `[C/g·R·S, H'·W']` column block per `(batch item, group)` task, and
-//! both the forward GEMMs and all three backward GEMMs read from that
-//! single buffer. [`ConvScratch`] keeps the lowering (and its allocation)
-//! alive across calls so a forward/backward pair — or repeated training
-//! steps at a fixed geometry — lowers each input exactly once and never
-//! reallocates.
+//! Every entry point, the free functions and [`ConvScratch`] alike, runs
+//! one shape check and then one router per direction. The forward router
+//! runs the naive [`crate::reference`] kernels under
+//! [`kernels::set_reference_mode`], else the direct kernels when the
+//! shapes admit them (see below), else im2col and the blocked GEMMs. The
+//! backward router runs the reference, else the direct depthwise kernels,
+//! else im2col and the GEMMs, and computes the input gradient only when
+//! asked for it. The route depends on the shapes alone. [`conv2d`] and
+//! [`conv2d_backward`] are the grouped functions at `groups = 1`.
+//!
+//! # Lowering
+//!
+//! The im2col route lowers the input into one block-contiguous buffer
+//! holding one `[C/g·R·S, H'·W']` column block per `(batch item, group)`
+//! task; the forward GEMMs and all three backward GEMMs read from that
+//! single buffer. The routers take the buffer as a slot: [`ConvScratch`]
+//! keeps its slot (and allocation) alive across calls so a
+//! forward/backward pair — or repeated training steps at a fixed
+//! geometry — lowers each input exactly once and never reallocates; the
+//! free functions pass a fresh slot per call.
 //!
 //! The lowering works in row segments. For each kernel tap `(r, s)` it
 //! computes once the output rows and columns whose input pixel lies inside
@@ -126,12 +138,13 @@ impl ConvSpec {
     }
 }
 
-/// Gradients produced by [`conv2d_backward`].
+/// Gradients produced by [`conv2d_grouped_backward`] and
+/// [`ConvScratch::backward`].
 #[derive(Debug, Clone)]
 pub struct Conv2dGrads {
     /// Gradient w.r.t. the layer input, `[N, C, H, W]`.
     pub input: Tensor,
-    /// Gradient w.r.t. the filters, `[K, C, R, S]`.
+    /// Gradient w.r.t. the filters, `[K, C/groups, R, S]`.
     pub weight: Tensor,
     /// Gradient w.r.t. the bias, `[K]`.
     pub bias: Tensor,
@@ -143,333 +156,415 @@ pub struct Conv2dGrads {
 /// GEMMs are internally parallel instead.
 const PART_BUDGET_FLOATS: usize = 1 << 26;
 
-/// One input tensor lowered to im2col form — the shared artifact of
-/// satellite concern "don't lower the same input twice".
-///
-/// The buffer holds `N·groups` contiguous blocks in `(item, group)`-major
-/// order; block `(ni, g)` is the `[C/g·R·S, H'·W']` column matrix of batch
-/// item `ni` restricted to input-channel group `g`. [`ConvLowering::forward`]
-/// and [`ConvLowering::backward`] both consume it, so callers that keep the
-/// lowering around (directly, or via [`ConvScratch`]) pay the im2col cost
-/// once per input instead of once per direction.
-///
-/// # Example
-///
-/// ```
-/// use cscnn_tensor::{ConvLowering, ConvSpec, Tensor};
-///
-/// let spec = ConvSpec::new(3, 3).with_padding(1);
-/// let input = Tensor::full(&[2, 4, 8, 8], 0.5);
-/// let weight = Tensor::full(&[6, 4, 3, 3], 0.1);
-/// let bias = Tensor::zeros(&[6]);
-/// let lowering = ConvLowering::lower(&input, &spec, 1);
-/// let out = lowering.forward(&weight, &bias);          // uses the lowering
-/// let grad = Tensor::full(out.shape().dims(), 1.0);
-/// let grads = lowering.backward(&weight, &grad);       // reuses it — no re-lower
-/// assert_eq!(grads.input.shape().dims(), &[2, 4, 8, 8]);
-/// ```
-#[derive(Debug, Clone)]
-pub struct ConvLowering {
-    /// `n·groups` blocks of `rows_g·cols_len` each, `(item, group)`-major.
-    cols: Vec<f32>,
+/// The geometry of one convolution call, as [`check`] validated it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct Geometry {
     n: usize,
     c: usize,
     h: usize,
     w: usize,
+    k: usize,
     groups: usize,
     oh: usize,
     ow: usize,
     spec: ConvSpec,
 }
 
+impl Geometry {
+    /// Input channels per group, `C/g`.
+    fn cg(&self) -> usize {
+        self.c / self.groups
+    }
+
+    /// Filters per group, `K/g`.
+    fn kg(&self) -> usize {
+        self.k / self.groups
+    }
+
+    /// The reduction `C/g·R·S`: rows of one lowered column block.
+    fn rows_g(&self) -> usize {
+        self.cg() * self.spec.kernel_h * self.spec.kernel_w
+    }
+
+    /// Output pixels per plane, `H'·W'`.
+    fn cols_len(&self) -> usize {
+        self.oh * self.ow
+    }
+
+    /// Whether the direct depthwise kernels run, forward and backward: one
+    /// filter per channel (`groups == C == K`) at unit stride.
+    fn direct_depthwise(&self) -> bool {
+        self.groups == self.c && self.groups == self.k && self.spec.stride == 1
+    }
+
+    /// Whether the forward runs the direct kernels instead of im2col and a
+    /// GEMM: a direct depthwise one, or one at unit stride whose reduction
+    /// `C/g·R·S` is at most [`DIRECT_MAX_REDUCTION`] over output planes of
+    /// at least [`DIRECT_MIN_PIXELS`].
+    fn direct_forward(&self) -> bool {
+        self.direct_depthwise()
+            || (self.spec.stride == 1
+                && self.rows_g() <= DIRECT_MAX_REDUCTION
+                && self.cols_len() >= DIRECT_MIN_PIXELS)
+    }
+}
+
+/// The tensor a convolution call pairs with its input and weight.
+enum Operand<'a> {
+    /// The forward's bias, `K` elements.
+    Bias(&'a Tensor),
+    /// The backward's output gradient, `[N, K, H', W']`.
+    GradOut(&'a Tensor),
+}
+
+/// The shape check of every convolution call: `input` is `[N, C, H, W]`,
+/// `weight` is `[K, C/groups, R, S]` with `groups` dividing both `C` and
+/// `K` and `R×S` the spec's kernel, the padded input is no smaller than
+/// the kernel, and `operand` fits them.
+///
+/// # Panics
+///
+/// Panics on any mismatch.
+fn check(
+    input: &Tensor,
+    weight: &Tensor,
+    operand: Operand,
+    spec: &ConvSpec,
+    groups: usize,
+) -> Geometry {
+    let (n, c, h, w) = dims4(input, "conv input");
+    let (k, wc, wr, ws) = dims4(weight, "conv weight");
+    assert!(
+        groups > 0 && c % groups == 0 && k % groups == 0,
+        "groups={groups} must divide C={c} and K={k}"
+    );
+    assert_eq!(
+        wc,
+        c / groups,
+        "channel mismatch: input C={c} in {groups} group(s), weight C={wc}"
+    );
+    assert_eq!(
+        (wr, ws),
+        (spec.kernel_h, spec.kernel_w),
+        "weight spatial dims disagree with spec"
+    );
+    let (oh, ow) = spec.output_dim(h, w);
+    match operand {
+        Operand::Bias(bias) => assert_eq!(bias.len(), k, "bias length must equal K={k}"),
+        Operand::GradOut(grad_out) => assert_eq!(
+            grad_out.shape().dims(),
+            &[n, k, oh, ow],
+            "grad_out shape mismatch"
+        ),
+    }
+    Geometry {
+        n,
+        c,
+        h,
+        w,
+        k,
+        groups,
+        oh,
+        ow,
+        spec: *spec,
+    }
+}
+
+fn dims4(t: &Tensor, what: &str) -> (usize, usize, usize, usize) {
+    assert_eq!(
+        t.shape().rank(),
+        4,
+        "{what} must be rank 4, got {}",
+        t.shape()
+    );
+    let d = t.shape().dims();
+    (d[0], d[1], d[2], d[3])
+}
+
+/// The forward router: `[N, K, H', W']` from the reference kernels under
+/// [`kernels::set_reference_mode`], else from the direct kernels when
+/// [`Geometry::direct_forward`] admits the shapes, else from im2col into
+/// `lowering` and the GEMMs.
+fn route_forward(
+    input: &Tensor,
+    weight: &Tensor,
+    bias: &Tensor,
+    spec: &ConvSpec,
+    groups: usize,
+    lowering: &mut ConvLowering,
+) -> Tensor {
+    let geom = check(input, weight, Operand::Bias(bias), spec, groups);
+    if kernels::reference_mode() {
+        return reference::conv2d_grouped(input, weight, bias, spec, groups);
+    }
+    if geom.direct_forward() {
+        return direct_forward(&geom, input, weight, bias);
+    }
+    lowered_forward(&geom, lowering.lower(&geom, input), weight, bias)
+}
+
+/// The backward router: `(dW, dBias)`, and `dX` into `d_input` (a zeroed
+/// `[N, C, H, W]` buffer) when given. Runs the reference kernels under
+/// [`kernels::set_reference_mode`], else the direct depthwise kernels when
+/// [`Geometry::direct_depthwise`] admits the shapes, else im2col into
+/// `lowering` (unless it already holds `input`'s lowering) and the GEMMs.
+fn route_backward(
+    input: &Tensor,
+    weight: &Tensor,
+    grad_out: &Tensor,
+    spec: &ConvSpec,
+    groups: usize,
+    lowering: &mut ConvLowering,
+    d_input: Option<&mut [f32]>,
+) -> (Tensor, Tensor) {
+    let geom = check(input, weight, Operand::GradOut(grad_out), spec, groups);
+    if kernels::reference_mode() {
+        let grads = reference::conv2d_grouped_backward(input, weight, grad_out, spec, groups);
+        if let Some(din) = d_input {
+            din.copy_from_slice(grads.input.as_slice());
+        }
+        return (grads.weight, grads.bias);
+    }
+    if geom.direct_depthwise() {
+        return depthwise_backward(&geom, input, weight, grad_out, d_input);
+    }
+    lowered_grads(
+        &geom,
+        lowering.lower(&geom, input),
+        weight,
+        grad_out,
+        d_input,
+    )
+}
+
+/// [`route_backward`] with the input gradient.
+fn route_backward_full(
+    input: &Tensor,
+    weight: &Tensor,
+    grad_out: &Tensor,
+    spec: &ConvSpec,
+    groups: usize,
+    lowering: &mut ConvLowering,
+) -> Conv2dGrads {
+    let mut d_input = Tensor::zeros(input.shape().dims());
+    let (weight, bias) = route_backward(
+        input,
+        weight,
+        grad_out,
+        spec,
+        groups,
+        lowering,
+        Some(d_input.as_mut_slice()),
+    );
+    Conv2dGrads {
+        input: d_input,
+        weight,
+        bias,
+    }
+}
+
+/// A slot for one input lowered to im2col form.
+///
+/// The buffer holds `N·groups` contiguous blocks in `(item, group)`-major
+/// order; block `(ni, g)` is the `[C/g·R·S, H'·W']` column matrix of batch
+/// item `ni` restricted to input-channel group `g`. The forward and every
+/// backward GEMM read it, so a caller that keeps the slot around (as
+/// [`ConvScratch`] does) pays the im2col cost once per input instead of
+/// once per direction.
+#[derive(Debug, Clone, Default)]
+struct ConvLowering {
+    /// `n·groups` blocks of `rows_g·cols_len` each, `(item, group)`-major.
+    cols: Vec<f32>,
+    /// The geometry `cols` holds a lowering at; `None` when it holds none.
+    /// The slot never reads the input's values to decide reuse, so its
+    /// holder must reset this whenever the lowered input is replaced.
+    geom: Option<Geometry>,
+}
+
 impl ConvLowering {
-    /// Lowers `input` (`[N, C, H, W]`) for a convolution with `spec` and
-    /// `groups` input-channel groups.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `input` is not rank 4, `groups` is zero or does not
-    /// divide `C`, or the padded input is smaller than the kernel.
-    pub fn lower(input: &Tensor, spec: &ConvSpec, groups: usize) -> Self {
-        let mut lowering = ConvLowering {
-            cols: Vec::new(),
-            n: 0,
-            c: 0,
-            h: 0,
-            w: 0,
-            groups: 1,
-            oh: 0,
-            ow: 0,
-            spec: *spec,
-        };
-        lowering.lower_into(input, spec, groups);
-        lowering
+    /// The column blocks of `input` at `geom`, lowered into the existing
+    /// buffer unless it already holds them.
+    fn lower(&mut self, geom: &Geometry, input: &Tensor) -> &[f32] {
+        if self.geom != Some(*geom) {
+            let block_len = geom.rows_g() * geom.cols_len();
+            self.cols.clear();
+            self.cols.resize(geom.n * geom.groups * block_len, 0.0);
+            // Task `ni·groups + g` reads the `C/g` input planes at flat
+            // offset `task·C/g·H·W`.
+            let image = geom.cg() * geom.h * geom.w;
+            let src = input.as_slice();
+            kernels::deal(
+                self.cols.chunks_mut(block_len),
+                threads::num_threads(),
+                || (),
+                |_, task, block| im2col_block(geom, &src[task * image..(task + 1) * image], block),
+            );
+            self.geom = Some(*geom);
+        }
+        &self.cols
     }
+}
 
-    /// Re-lowers into `self`, reusing the column buffer's allocation when
-    /// the geometry still fits. Semantically identical to replacing `self`
-    /// with [`ConvLowering::lower`]`(input, spec, groups)`.
-    ///
-    /// # Panics
-    ///
-    /// As [`ConvLowering::lower`].
-    pub fn lower_into(&mut self, input: &Tensor, spec: &ConvSpec, groups: usize) {
-        let (n, c, h, w) = dims4(input, "conv lowering input");
-        assert!(groups > 0, "groups must be positive");
-        assert!(c % groups == 0, "groups={groups} must divide C={c}");
-        let (oh, ow) = spec.output_dim(h, w);
-        let cg = c / groups;
-        let rows_g = cg * spec.kernel_h * spec.kernel_w;
-        let cols_len = oh * ow;
-        let total = n * groups * rows_g * cols_len;
-        self.cols.clear();
-        self.cols.resize(total, 0.0);
-        (self.n, self.c, self.h, self.w) = (n, c, h, w);
-        self.groups = groups;
-        (self.oh, self.ow) = (oh, ow);
-        self.spec = *spec;
-        let src = input.as_slice();
-        let block_len = rows_g * cols_len;
-        let t = threads::num_threads();
-        let spec = *spec;
-        kernels::parallel_chunks(&mut self.cols, block_len, t, |task, block| {
-            let (ni, g) = (task / groups, task % groups);
-            let base = (ni * c + g * cg) * h * w;
-            im2col_block(block, src, base, cg, h, w, &spec, oh, ow);
-        });
-    }
-
-    /// The `(ni, g)` column block, `[C/g·R·S, H'·W']` row-major.
-    fn block(&self, ni: usize, g: usize) -> &[f32] {
-        let cg = self.c / self.groups;
-        let block_len = cg * self.spec.kernel_h * self.spec.kernel_w * self.oh * self.ow;
-        let at = (ni * self.groups + g) * block_len;
-        &self.cols[at..at + block_len]
-    }
-
-    /// Validates `weight` against the lowered geometry, returning
-    /// `(k, kg, rows_g, cols_len)`.
-    fn weight_geometry(&self, weight: &Tensor, what: &str) -> (usize, usize, usize, usize) {
-        let (k, wc, wr, ws) = dims4(weight, what);
-        let cg = self.c / self.groups;
-        assert_eq!(wc, cg, "weight C={wc} must be C/groups={cg}");
-        assert_eq!(
-            (wr, ws),
-            (self.spec.kernel_h, self.spec.kernel_w),
-            "weight spatial dims disagree with spec"
-        );
-        assert!(
-            k % self.groups == 0,
-            "groups={} must divide K={k}",
-            self.groups
-        );
-        (k, k / self.groups, cg * wr * ws, self.oh * self.ow)
-    }
-
-    /// Forward convolution over the lowered input: `[N, K, H', W']`.
-    ///
-    /// `weight` is `[K, C/groups, R, S]`, `bias` is `[K]`. Bit-identical
-    /// to [`crate::reference::conv2d_grouped`] on the lowered input.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `weight`/`bias` disagree with the lowered geometry.
-    pub fn forward(&self, weight: &Tensor, bias: &Tensor) -> Tensor {
-        let (k, kg, rows_g, cols_len) = self.weight_geometry(weight, "conv2d weight");
-        assert_eq!(bias.len(), k, "bias length must equal K={k}");
-        let (n, groups) = (self.n, self.groups);
-        let mut out = Tensor::zeros(&[n, k, self.oh, self.ow]);
-        let wv = weight.as_slice();
-        let bias_v = bias.as_slice();
-        let tasks = n * groups;
-        let chunk = kg * cols_len;
-        let t = threads::num_threads();
-        // Each (item, group) task owns the contiguous output chunk
-        // [ni, g·kg..(g+1)·kg, :, :]; with enough tasks, parallelize
-        // across them (serial GEMM per task), otherwise run the tasks
-        // sequentially with internally parallel GEMMs. Both schedules
-        // compute every element with the same reduction order.
-        let task_parallel = t > 1 && tasks >= t;
-        let run = |task: usize, dst: &mut [f32], budget: usize| {
-            let (ni, g) = (task / groups, task % groups);
-            let wg = &wv[g * kg * rows_g..(g + 1) * kg * rows_g];
-            let col = self.block(ni, g);
+/// Forward convolution over lowered column blocks: `[N, K, H', W']`,
+/// bit-identical to [`crate::reference::conv2d_grouped`].
+fn lowered_forward(geom: &Geometry, cols: &[f32], weight: &Tensor, bias: &Tensor) -> Tensor {
+    let (groups, kg, rows_g, cols_len) = (geom.groups, geom.kg(), geom.rows_g(), geom.cols_len());
+    let mut out = Tensor::zeros(&[geom.n, geom.k, geom.oh, geom.ow]);
+    let (wv, bias_v) = (weight.as_slice(), bias.as_slice());
+    let t = threads::num_threads();
+    // Each (item, group) task owns the contiguous output chunk
+    // [ni, g·kg..(g+1)·kg, :, :]; with enough tasks, parallelize across
+    // them (serial GEMM per task), otherwise run the tasks sequentially
+    // with internally parallel GEMMs. Both schedules compute every
+    // element with the same reduction order.
+    let (task_threads, gemm_threads) = if t > 1 && geom.n * groups >= t {
+        (t, 1)
+    } else {
+        (1, t)
+    };
+    kernels::deal(
+        out.as_mut_slice().chunks_mut(kg * cols_len),
+        task_threads,
+        || (),
+        |_, task, dst| {
+            let g = task % groups;
             kernels::gemm_with_threads(
                 Lhs::RowMajor,
                 Rhs::RowMajor,
-                wg,
-                col,
+                &wv[g * kg * rows_g..(g + 1) * kg * rows_g],
+                &cols[task * rows_g * cols_len..(task + 1) * rows_g * cols_len],
                 kg,
                 rows_g,
                 cols_len,
                 dst,
-                budget,
+                gemm_threads,
             );
-            for kl in 0..kg {
-                let b = bias_v[g * kg + kl];
-                for d in &mut dst[kl * cols_len..(kl + 1) * cols_len] {
+            for (row, &b) in dst.chunks_mut(cols_len).zip(&bias_v[g * kg..(g + 1) * kg]) {
+                for d in row {
                     *d += b;
                 }
             }
-        };
-        if task_parallel {
-            kernels::parallel_chunks(out.as_mut_slice(), chunk, t, |task, dst| {
-                run(task, dst, 1);
-            });
-        } else {
-            let dst = out.as_mut_slice();
-            for task in 0..tasks {
-                run(task, &mut dst[task * chunk..(task + 1) * chunk], t);
-            }
-        }
-        out
-    }
+        },
+    );
+    out
+}
 
-    /// Backward convolution over the lowered input (no re-lowering).
-    ///
-    /// `weight` is `[K, C/groups, R, S]`; `grad_out` is `[N, K, H', W']`.
-    /// Bit-identical to [`crate::reference::conv2d_grouped_backward`] on
-    /// the lowered input: per-task partial gradients are reduced in
-    /// ascending batch order within each group.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `weight`/`grad_out` disagree with the lowered geometry.
-    pub fn backward(&self, weight: &Tensor, grad_out: &Tensor) -> Conv2dGrads {
-        with_input_grad(&[self.n, self.c, self.h, self.w], |d_input| {
-            self.param_grads(weight, grad_out, Some(d_input))
-        })
-    }
-
-    /// Weight and bias gradients over the lowered input. With `d_input`
-    /// (a zeroed `[N, C, H, W]` buffer) the input gradient is scattered
-    /// into it too; without, the `dCol` GEMM and `col2im` do not run.
-    fn param_grads(
-        &self,
-        weight: &Tensor,
-        grad_out: &Tensor,
-        mut d_input: Option<&mut [f32]>,
-    ) -> (Tensor, Tensor) {
-        let (k, kg, rows_g, cols_len) = self.weight_geometry(weight, "conv2d_backward weight");
-        let (n, c, h, w, groups) = (self.n, self.c, self.h, self.w, self.groups);
-        let cg = c / groups;
-        assert_eq!(
-            grad_out.shape().dims(),
-            &[n, k, self.oh, self.ow],
-            "grad_out shape mismatch"
-        );
-        let mut d_weight = vec![0.0f32; k * rows_g];
-        let mut d_bias = vec![0.0f32; k];
-        let gov = grad_out.as_slice();
-        let wv = weight.as_slice();
-        let tasks = n * groups;
-        // Per-task partials: a [kg, rows_g] dW block followed by kg dBias
-        // slots. Kept out of the shared gradients so the parallel path can
-        // reduce them in the exact order the sequential path uses.
-        let part_len = kg * rows_g + kg;
-        let spec = self.spec;
-        let t = threads::num_threads();
-        // `d_col` is a caller-owned `[rows_g, cols_len]` scratch, reused
-        // across the tasks one thread runs (empty without `din`).
-        let compute =
-            |task: usize, din: Option<&mut [f32]>, part: &mut [f32], d_col: &mut [f32], budget| {
-                let (dw_part, db_part) = part.split_at_mut(kg * rows_g);
-                let (ni, g) = (task / groups, task % groups);
-                let goslab = &gov[(ni * k + g * kg) * cols_len..(ni * k + (g + 1) * kg) * cols_len];
-                let wg = &wv[g * kg * rows_g..(g + 1) * kg * rows_g];
-                let col = self.block(ni, g);
-                // dW part = dOut · colᵀ (reference: matmul_bt(go, col)).
-                kernels::gemm_with_threads(
-                    Lhs::RowMajor,
-                    Rhs::Transposed,
-                    goslab,
-                    col,
-                    kg,
-                    cols_len,
-                    rows_g,
-                    dw_part,
-                    budget,
-                );
-                // dCol = Wᵀ · dOut (reference: matmul_at(w, go)), scattered
-                // back into this task's disjoint d_input chunk.
-                if let Some(din) = din {
-                    d_col.fill(0.0);
-                    kernels::gemm_with_threads(
-                        Lhs::Transposed,
-                        Rhs::RowMajor,
-                        wg,
-                        goslab,
-                        rows_g,
-                        kg,
-                        cols_len,
-                        d_col,
-                        budget,
-                    );
-                    col2im_block(d_col, din, cg, h, w, &spec, self.oh, self.ow);
-                }
-                // dBias part = row sums of dOut, in the reference's order.
-                for (kl, db) in db_part.iter_mut().enumerate() {
-                    let s: f32 = goslab[kl * cols_len..(kl + 1) * cols_len].iter().sum();
-                    *db = s;
-                }
-            };
-        let din_chunk = cg * h * w;
-        let col_len = if d_input.is_some() {
-            rows_g * cols_len
-        } else {
-            0
-        };
-        if t > 1 && tasks >= t && tasks * part_len <= PART_BUDGET_FLOATS {
-            let mut parts = vec![0.0f32; tasks * part_len];
-            match d_input {
-                Some(din) => kernels::parallel_chunk_pairs(
-                    din,
-                    din_chunk,
-                    &mut parts,
-                    part_len,
-                    t,
-                    || vec![0.0f32; col_len],
-                    |d_col, task, din, part| compute(task, Some(din), part, d_col, 1),
-                ),
-                None => kernels::parallel_chunks(&mut parts, part_len, t, |task, part| {
-                    compute(task, None, part, &mut [], 1)
-                }),
-            }
-            for (task, part) in parts.chunks(part_len).enumerate() {
-                reduce_part(task, part, groups, kg, rows_g, &mut d_weight, &mut d_bias);
-            }
-        } else {
-            let mut part = vec![0.0f32; part_len];
-            let mut d_col = vec![0.0f32; col_len];
-            for task in 0..tasks {
-                part.fill(0.0);
-                let din = d_input
-                    .as_deref_mut()
-                    .map(|din| &mut din[task * din_chunk..(task + 1) * din_chunk]);
-                compute(task, din, &mut part, &mut d_col, t);
-                reduce_part(task, &part, groups, kg, rows_g, &mut d_weight, &mut d_bias);
-            }
-        }
-        (
-            Tensor::from_vec(d_weight, &[k, cg, self.spec.kernel_h, self.spec.kernel_w]),
-            Tensor::from_vec(d_bias, &[k]),
-        )
+/// The per-task chunks of an input gradient, `chunk` elements each; all
+/// `tasks` of them `None` without one.
+fn input_grad_chunks(
+    d_input: Option<&mut [f32]>,
+    chunk: usize,
+    tasks: usize,
+) -> Vec<Option<&mut [f32]>> {
+    match d_input {
+        Some(din) => din.chunks_mut(chunk).map(Some).collect(),
+        None => (0..tasks).map(|_| None).collect(),
     }
 }
 
-/// Runs `grads` with a zeroed input-gradient buffer of shape `dims` and
-/// packs its `(dW, dBias)` result with that buffer.
-fn with_input_grad(
-    dims: &[usize],
-    grads: impl FnOnce(&mut [f32]) -> (Tensor, Tensor),
-) -> Conv2dGrads {
-    let mut input = Tensor::zeros(dims);
-    let (weight, bias) = grads(input.as_mut_slice());
-    Conv2dGrads {
-        input,
-        weight,
-        bias,
+/// Backward convolution over lowered column blocks: `(dW, dBias)`, and
+/// `dX` into `d_input` (a zeroed `[N, C, H, W]` buffer) when given;
+/// without it the `dCol` GEMM and `col2im` do not run. Bit-identical to
+/// [`crate::reference::conv2d_grouped_backward`]: per-task partial
+/// gradients are reduced in ascending batch order within each group.
+fn lowered_grads(
+    geom: &Geometry,
+    cols: &[f32],
+    weight: &Tensor,
+    grad_out: &Tensor,
+    d_input: Option<&mut [f32]>,
+) -> (Tensor, Tensor) {
+    let (k, groups, kg, rows_g, cols_len) = (
+        geom.k,
+        geom.groups,
+        geom.kg(),
+        geom.rows_g(),
+        geom.cols_len(),
+    );
+    let mut d_weight = vec![0.0f32; k * rows_g];
+    let mut d_bias = vec![0.0f32; k];
+    let (gov, wv) = (grad_out.as_slice(), weight.as_slice());
+    let tasks = geom.n * groups;
+    // Per-task partials: a [kg, rows_g] dW block followed by kg dBias
+    // slots. Kept out of the shared gradients so the parallel path can
+    // reduce them in the exact order the sequential path uses.
+    let part_len = kg * rows_g + kg;
+    let col_len = if d_input.is_some() {
+        rows_g * cols_len
+    } else {
+        0
+    };
+    let t = threads::num_threads();
+    // `d_col` is a caller-owned `[rows_g, cols_len]` scratch, reused
+    // across the tasks one thread runs (empty without `din`).
+    let compute =
+        |task: usize, din: Option<&mut [f32]>, part: &mut [f32], d_col: &mut [f32], budget| {
+            let (dw_part, db_part) = part.split_at_mut(kg * rows_g);
+            let g = task % groups;
+            // The task's dOut planes [ni, g·kg..(g+1)·kg] start at task·kg.
+            let goslab = &gov[task * kg * cols_len..(task + 1) * kg * cols_len];
+            let wg = &wv[g * kg * rows_g..(g + 1) * kg * rows_g];
+            let col = &cols[task * rows_g * cols_len..(task + 1) * rows_g * cols_len];
+            // dW part = dOut · colᵀ (reference: matmul_bt(go, col)).
+            kernels::gemm_with_threads(
+                Lhs::RowMajor,
+                Rhs::Transposed,
+                goslab,
+                col,
+                kg,
+                cols_len,
+                rows_g,
+                dw_part,
+                budget,
+            );
+            // dCol = Wᵀ · dOut (reference: matmul_at(w, go)), scattered
+            // back into this task's disjoint d_input chunk.
+            if let Some(din) = din {
+                d_col.fill(0.0);
+                kernels::gemm_with_threads(
+                    Lhs::Transposed,
+                    Rhs::RowMajor,
+                    wg,
+                    goslab,
+                    rows_g,
+                    kg,
+                    cols_len,
+                    d_col,
+                    budget,
+                );
+                col2im_block(geom, d_col, din);
+            }
+            // dBias part = row sums of dOut, in the reference's order.
+            for (db, row) in db_part.iter_mut().zip(goslab.chunks(cols_len)) {
+                *db = row.iter().sum();
+            }
+        };
+    let dins = input_grad_chunks(d_input, geom.cg() * geom.h * geom.w, tasks);
+    if t > 1 && tasks >= t && tasks * part_len <= PART_BUDGET_FLOATS {
+        let mut parts = vec![0.0f32; tasks * part_len];
+        kernels::deal(
+            dins.into_iter().zip(parts.chunks_mut(part_len)),
+            t,
+            || vec![0.0f32; col_len],
+            |d_col, task, (din, part)| compute(task, din, part, d_col, 1),
+        );
+        for (task, part) in parts.chunks(part_len).enumerate() {
+            reduce_part(task, part, groups, kg, rows_g, &mut d_weight, &mut d_bias);
+        }
+    } else {
+        let mut part = vec![0.0f32; part_len];
+        let mut d_col = vec![0.0f32; col_len];
+        for (task, din) in dins.into_iter().enumerate() {
+            part.fill(0.0);
+            compute(task, din, &mut part, &mut d_col, t);
+            reduce_part(task, &part, groups, kg, rows_g, &mut d_weight, &mut d_bias);
+        }
     }
+    let spec = geom.spec;
+    (
+        Tensor::from_vec(d_weight, &[k, geom.cg(), spec.kernel_h, spec.kernel_w]),
+        Tensor::from_vec(d_bias, &[k]),
+    )
 }
 
 /// Folds one task's `(dW part, dBias part)` into the shared gradients.
@@ -512,27 +607,16 @@ fn valid_range(tap: usize, spec: &ConvSpec, extent: usize, out: usize) -> (usize
     (lo, hi.max(lo))
 }
 
-/// Lowers channels `[0, cg)` at flat offset `base` of an image into a
-/// (pre-zeroed) `[cg·R·S, H'·W']` column block. Each kernel tap `(r, s)`
-/// copies, per output row, the one input-row segment its in-bounds output
-/// columns read (a plain `copy_from_slice` at unit stride); the padding is
-/// the block's zero fill.
-#[allow(clippy::too_many_arguments)]
-fn im2col_block(
-    block: &mut [f32],
-    src: &[f32],
-    base: usize,
-    cg: usize,
-    h: usize,
-    w: usize,
-    spec: &ConvSpec,
-    oh: usize,
-    ow: usize,
-) {
+/// Lowers one task's `C/g` input planes `src` into its (pre-zeroed)
+/// `[C/g·R·S, H'·W']` column block. Each kernel tap `(r, s)` copies, per
+/// output row, the one input-row segment its in-bounds output columns
+/// read (a plain `copy_from_slice` at unit stride); the padding is the
+/// block's zero fill.
+fn im2col_block(geom: &Geometry, src: &[f32], block: &mut [f32]) {
+    let (h, w, oh, ow, spec) = (geom.h, geom.w, geom.oh, geom.ow, &geom.spec);
     let cols = oh * ow;
     let stride = spec.stride;
-    for ci in 0..cg {
-        let plane = &src[base + ci * h * w..base + (ci + 1) * h * w];
+    for (ci, plane) in src.chunks_exact(h * w).enumerate() {
         for r in 0..spec.kernel_h {
             let (y0, y1) = valid_range(r, spec, h, oh);
             for s in 0..spec.kernel_w {
@@ -560,25 +644,16 @@ fn im2col_block(
     }
 }
 
-/// Scatter-adds a `[cg·R·S, H'·W']` column-gradient block into a
-/// `[cg, H, W]` image chunk, over the same row segments
-/// [`im2col_block`] copies. Every image element receives its `(ci, r, s)`
-/// contributions in ascending order, as in the reference `col2im`.
-#[allow(clippy::too_many_arguments)]
-fn col2im_block(
-    col: &[f32],
-    dst: &mut [f32],
-    cg: usize,
-    h: usize,
-    w: usize,
-    spec: &ConvSpec,
-    oh: usize,
-    ow: usize,
-) {
+/// Scatter-adds one task's `[C/g·R·S, H'·W']` column-gradient block into
+/// its `[C/g, H, W]` input-gradient chunk `dst`, over the same row
+/// segments [`im2col_block`] copies. Every image element receives its
+/// `(ci, r, s)` contributions in ascending order, as in the reference
+/// `col2im`.
+fn col2im_block(geom: &Geometry, col: &[f32], dst: &mut [f32]) {
+    let (h, w, oh, ow, spec) = (geom.h, geom.w, geom.oh, geom.ow, &geom.spec);
     let cols = oh * ow;
     let stride = spec.stride;
-    for ci in 0..cg {
-        let plane = &mut dst[ci * h * w..(ci + 1) * h * w];
+    for (ci, plane) in dst.chunks_exact_mut(h * w).enumerate() {
         for r in 0..spec.kernel_h {
             let (y0, y1) = valid_range(r, spec, h, oh);
             for s in 0..spec.kernel_w {
@@ -683,18 +758,18 @@ struct PlaneBufs {
 }
 
 impl Direct {
-    fn new(h: usize, w: usize, spec: &ConvSpec) -> Self {
-        let (oh, ow) = spec.output_dim(h, w);
+    fn new(geom: &Geometry) -> Self {
+        let pad = geom.spec.padding;
         Direct {
-            h,
-            w,
-            pad: spec.padding,
-            kh: spec.kernel_h,
-            kw: spec.kernel_w,
-            ph: h + 2 * spec.padding,
-            pw: w + 2 * spec.padding,
-            oh,
-            ow,
+            h: geom.h,
+            w: geom.w,
+            pad,
+            kh: geom.spec.kernel_h,
+            kw: geom.spec.kernel_w,
+            ph: geom.h + 2 * pad,
+            pw: geom.w + 2 * pad,
+            oh: geom.oh,
+            ow: geom.ow,
         }
     }
 
@@ -847,83 +922,22 @@ impl Direct {
     }
 }
 
-/// Whether a convolution runs on the direct depthwise backward: one filter
-/// per channel (`groups == C == K`) at unit stride.
-fn is_direct_depthwise(input: &Tensor, weight: &Tensor, spec: &ConvSpec, groups: usize) -> bool {
-    let (_, c, _, _) = dims4(input, "conv input");
-    let (k, _, _, _) = dims4(weight, "conv weight");
-    groups == c && groups == k && spec.stride == 1
-}
-
-/// Whether a forward convolution runs on the direct kernels instead of
-/// im2col and a GEMM: at unit stride, a depthwise one, or one whose
-/// reduction `C/g·R·S` is at most [`DIRECT_MAX_REDUCTION`] over output
-/// planes of at least [`DIRECT_MIN_PIXELS`]. The choice depends on the
-/// shapes alone.
-fn is_direct_forward(input: &Tensor, weight: &Tensor, spec: &ConvSpec, groups: usize) -> bool {
-    let (_, _, h, w) = dims4(input, "conv input");
-    let (_, cg, r, s) = dims4(weight, "conv weight");
-    if spec.stride != 1 {
-        return false;
-    }
-    let (oh, ow) = spec.output_dim(h, w);
-    is_direct_depthwise(input, weight, spec, groups)
-        || (cg * r * s <= DIRECT_MAX_REDUCTION && oh * ow >= DIRECT_MIN_PIXELS)
-}
-
-/// Validates a depthwise weight (`[C, 1, R, S]`) against `spec` and `c`,
-/// returning the plane geometry.
-fn depthwise_geometry(input: &Tensor, weight: &Tensor, spec: &ConvSpec) -> (usize, usize, Direct) {
-    let (n, c, h, w) = dims4(input, "depthwise input");
-    let (k, wc, wr, ws) = dims4(weight, "depthwise weight");
-    assert_eq!((k, wc), (c, 1), "depthwise weight must be [C={c}, 1, R, S]");
-    assert_eq!(
-        (wr, ws),
-        (spec.kernel_h, spec.kernel_w),
-        "weight spatial dims disagree with spec"
-    );
-    (n, c, Direct::new(h, w, spec))
-}
-
 /// Direct forward (see [`Direct`]): `[N, K, H', W']`. Each `(item, group)`
 /// task pads its `C/g` input planes once and computes its `K/g` output
 /// planes from them; whole tasks are dealt to threads.
-fn direct_forward(
-    input: &Tensor,
-    weight: &Tensor,
-    bias: &Tensor,
-    spec: &ConvSpec,
-    groups: usize,
-) -> Tensor {
-    let (n, c, h, w) = dims4(input, "conv input");
-    let (k, cg, wr, ws) = dims4(weight, "conv weight");
-    assert!(
-        groups > 0 && c % groups == 0 && k % groups == 0,
-        "groups={groups} must divide C={c} and K={k}"
-    );
-    assert_eq!(cg, c / groups, "weight C={cg} must be C/groups");
-    assert_eq!(
-        (wr, ws),
-        (spec.kernel_h, spec.kernel_w),
-        "weight spatial dims disagree with spec"
-    );
-    assert_eq!(bias.len(), k, "bias length must equal K={k}");
-    let geom = Direct::new(h, w, spec);
-    let kg = k / groups;
-    let (x_len, w_len) = (cg * h * w, kg * cg * wr * ws);
-    let mut out = Tensor::zeros(&[n, k, geom.oh, geom.ow]);
-    if k == 0 {
-        return out;
-    }
+fn direct_forward(geom: &Geometry, input: &Tensor, weight: &Tensor, bias: &Tensor) -> Tensor {
+    let direct = Direct::new(geom);
+    let (cg, kg) = (geom.cg(), geom.kg());
+    let (x_len, w_len) = (cg * geom.h * geom.w, kg * geom.rows_g());
+    let mut out = Tensor::zeros(&[geom.n, geom.k, geom.oh, geom.ow]);
     let (x, wv, bv) = (input.as_slice(), weight.as_slice(), bias.as_slice());
-    kernels::parallel_chunks_with(
-        out.as_mut_slice(),
-        kg * geom.oh * geom.ow,
+    kernels::deal(
+        out.as_mut_slice().chunks_mut(kg * geom.cols_len()),
         threads::num_threads(),
-        || geom.bufs(cg, false),
+        || direct.bufs(cg, false),
         |buf, task, dst| {
-            let g = task % groups;
-            geom.forward_group(
+            let g = task % geom.groups;
+            direct.forward_group(
                 &x[task * x_len..(task + 1) * x_len],
                 &wv[g * w_len..(g + 1) * w_len],
                 &bv[g * kg..(g + 1) * kg],
@@ -940,59 +954,43 @@ fn direct_forward(
 /// are reduced in ascending task order, i.e. ascending batch order per
 /// channel, as the reference accumulates them.
 fn depthwise_backward(
+    geom: &Geometry,
     input: &Tensor,
     weight: &Tensor,
     grad_out: &Tensor,
-    spec: &ConvSpec,
     d_input: Option<&mut [f32]>,
 ) -> (Tensor, Tensor) {
-    let (n, c, geom) = depthwise_geometry(input, weight, spec);
-    assert_eq!(
-        grad_out.shape().dims(),
-        &[n, c, geom.oh, geom.ow],
-        "grad_out shape mismatch"
-    );
-    let (plane, out_plane, taps) = (geom.h * geom.w, geom.oh * geom.ow, geom.kh * geom.kw);
+    let (c, direct) = (geom.c, Direct::new(geom));
+    let (plane, out_plane, taps) = (geom.h * geom.w, geom.cols_len(), geom.rows_g());
     let part_len = taps + 1;
     let (x, go, wv) = (input.as_slice(), grad_out.as_slice(), weight.as_slice());
-    let run = |buf: &mut PlaneBufs, task: usize, din: Option<&mut [f32]>, part: &mut [f32]| {
-        let ch = task % c;
-        geom.backward_plane(
-            &x[task * plane..(task + 1) * plane],
-            &go[task * out_plane..(task + 1) * out_plane],
-            &wv[ch * taps..(ch + 1) * taps],
-            buf,
-            din,
-            part,
-        );
-    };
-    let mut parts = vec![0.0f32; n * c * part_len];
-    let t = threads::num_threads();
-    match d_input {
-        Some(din) => kernels::parallel_chunk_pairs(
-            din,
-            plane,
-            &mut parts,
-            part_len,
-            t,
-            || geom.bufs(1, true),
-            |buf, task, din, part| run(buf, task, Some(din), part),
-        ),
-        None => kernels::parallel_chunks_with(
-            &mut parts,
-            part_len,
-            t,
-            || geom.bufs(1, false),
-            |buf, task, part| run(buf, task, None, part),
-        ),
-    }
+    let with_dx = d_input.is_some();
+    let mut parts = vec![0.0f32; geom.n * c * part_len];
+    kernels::deal(
+        input_grad_chunks(d_input, plane, geom.n * c)
+            .into_iter()
+            .zip(parts.chunks_mut(part_len)),
+        threads::num_threads(),
+        || direct.bufs(1, with_dx),
+        |buf, task, (din, part)| {
+            let ch = task % c;
+            direct.backward_plane(
+                &x[task * plane..(task + 1) * plane],
+                &go[task * out_plane..(task + 1) * out_plane],
+                &wv[ch * taps..(ch + 1) * taps],
+                buf,
+                din,
+                part,
+            );
+        },
+    );
     let mut d_weight = vec![0.0f32; c * taps];
     let mut d_bias = vec![0.0f32; c];
     for (task, part) in parts.chunks(part_len).enumerate() {
         reduce_part(task, part, c, 1, taps, &mut d_weight, &mut d_bias);
     }
     (
-        Tensor::from_vec(d_weight, &[c, 1, geom.kh, geom.kw]),
+        Tensor::from_vec(d_weight, &[c, 1, direct.kh, direct.kw]),
         Tensor::from_vec(d_bias, &[c]),
     )
 }
@@ -1016,35 +1014,33 @@ fn same_bits(a: &Tensor, b: &Tensor) -> bool {
 }
 
 /// A reusable convolution arena for one layer's training steps: a copy of
-/// the most recent forward input and, on the im2col path, its
-/// [`ConvLowering`] (whose buffer is reused across calls).
+/// the most recent forward input and the lowering slot the routers fill
+/// on the im2col route (its buffer is reused across calls).
 ///
-/// [`ConvScratch::forward`] copies its input and lowers it. A following
-/// [`ConvScratch::backward`] reuses that lowering when its `input` has the
-/// same shape and bit pattern as the copy (so `-0.0` is not `0.0`), and
-/// re-lowers otherwise. [`ConvScratch::backward_last`] and
-/// [`ConvScratch::param_grads_last`] run on the copy itself: a `Conv2d`
-/// layer owns one scratch and keeps no copy of its input besides it, so a
-/// training step copies and lowers each input once. Depthwise
-/// convolutions at unit stride run the direct kernels and keep no
-/// lowering. A narrow convolution's forward runs the direct kernel and
-/// does not lower; its backward lowers the held input on first use, so a
-/// forward that no backward follows (evaluation) never lowers at all.
+/// [`ConvScratch::forward`] copies its input. A following
+/// [`ConvScratch::backward`] keeps that copy, and any lowering of it, when
+/// its `input` has the same shape and bit pattern (so `-0.0` is not
+/// `0.0`), and copies and re-lowers otherwise.
+/// [`ConvScratch::backward_last`] and [`ConvScratch::param_grads_last`]
+/// run on the copy itself: a `Conv2d` layer owns one scratch and keeps no
+/// copy of its input besides it, so a training step copies and lowers
+/// each input at most once. Only the im2col route lowers: depthwise
+/// convolutions at unit stride never do, and a narrow convolution's
+/// forward runs the direct kernel, so its backward lowers the held input
+/// on first use and a forward that no backward follows (evaluation) never
+/// lowers at all.
 #[derive(Debug, Clone)]
 pub struct ConvScratch {
     /// The most recent forward input (a rank-1 placeholder before the first).
     input: Tensor,
-    lowering: Option<ConvLowering>,
-    /// Whether `lowering` is the lowering of `input`.
-    lowered: bool,
+    lowering: ConvLowering,
 }
 
 impl Default for ConvScratch {
     fn default() -> Self {
         ConvScratch {
             input: Tensor::zeros(&[1]),
-            lowering: None,
-            lowered: false,
+            lowering: ConvLowering::default(),
         }
     }
 }
@@ -1056,35 +1052,15 @@ impl ConvScratch {
     }
 
     /// Replaces the held input with a copy of `input` (into the existing
-    /// allocation when the shape is unchanged).
+    /// allocation when the shape is unchanged); the slot's lowering, if
+    /// any, goes stale.
     fn hold(&mut self, input: &Tensor) {
         if self.input.shape() == input.shape() {
             self.input.as_mut_slice().copy_from_slice(input.as_slice());
         } else {
             self.input = input.clone();
         }
-        self.lowered = false;
-    }
-
-    /// The lowering of the held input at `spec`/`groups`, lowering it into
-    /// the existing buffer unless it is already there.
-    fn lowering(&mut self, spec: &ConvSpec, groups: usize) -> &ConvLowering {
-        let current = self.lowered
-            && self
-                .lowering
-                .as_ref()
-                .is_some_and(|l| l.spec == *spec && l.groups == groups);
-        if !current {
-            if let Some(lowering) = self.lowering.as_mut() {
-                lowering.lower_into(&self.input, spec, groups);
-            } else {
-                self.lowering = Some(ConvLowering::lower(&self.input, spec, groups));
-            }
-            self.lowered = true;
-        }
-        // Populated just above; the fallback lower never runs.
-        self.lowering
-            .get_or_insert_with(|| ConvLowering::lower(&self.input, spec, groups))
+        self.lowering.geom = None;
     }
 
     /// Grouped forward convolution through the scratch (use `groups = 1`
@@ -1102,13 +1078,7 @@ impl ConvScratch {
         groups: usize,
     ) -> Tensor {
         self.hold(input);
-        if kernels::reference_mode() {
-            return reference::conv2d_grouped(input, weight, bias, spec, groups);
-        }
-        if is_direct_forward(input, weight, spec, groups) {
-            return direct_forward(input, weight, bias, spec, groups);
-        }
-        self.lowering(spec, groups).forward(weight, bias)
+        route_forward(input, weight, bias, spec, groups, &mut self.lowering)
     }
 
     /// Grouped backward convolution through the scratch; when `input` is
@@ -1147,10 +1117,19 @@ impl ConvScratch {
         spec: &ConvSpec,
         groups: usize,
     ) -> Conv2dGrads {
-        let dims = self.input.shape().dims().to_vec();
-        with_input_grad(&dims, |d_input| {
-            self.grads(weight, grad_out, spec, groups, Some(d_input))
-        })
+        assert_eq!(
+            self.input.shape().rank(),
+            4,
+            "backward called before forward"
+        );
+        route_backward_full(
+            &self.input,
+            weight,
+            grad_out,
+            spec,
+            groups,
+            &mut self.lowering,
+        )
     }
 
     /// The weight and bias gradients of [`ConvScratch::backward_last`]
@@ -1168,45 +1147,29 @@ impl ConvScratch {
         spec: &ConvSpec,
         groups: usize,
     ) -> (Tensor, Tensor) {
-        self.grads(weight, grad_out, spec, groups, None)
-    }
-
-    /// `(dW, dBias)` over the held input, and `dX` into `d_input` when given.
-    fn grads(
-        &mut self,
-        weight: &Tensor,
-        grad_out: &Tensor,
-        spec: &ConvSpec,
-        groups: usize,
-        d_input: Option<&mut [f32]>,
-    ) -> (Tensor, Tensor) {
         assert_eq!(
             self.input.shape().rank(),
             4,
             "backward called before forward"
         );
-        if kernels::reference_mode() {
-            let grads =
-                reference::conv2d_grouped_backward(&self.input, weight, grad_out, spec, groups);
-            if let Some(din) = d_input {
-                din.copy_from_slice(grads.input.as_slice());
-            }
-            return (grads.weight, grads.bias);
-        }
-        if is_direct_depthwise(&self.input, weight, spec, groups) {
-            return depthwise_backward(&self.input, weight, grad_out, spec, d_input);
-        }
-        self.lowering(spec, groups)
-            .param_grads(weight, grad_out, d_input)
+        route_backward(
+            &self.input,
+            weight,
+            grad_out,
+            spec,
+            groups,
+            &mut self.lowering,
+            None,
+        )
     }
 }
 
-/// Forward 2-D convolution.
+/// Forward 2-D convolution: [`conv2d_grouped`] with `groups = 1`.
 ///
 /// `input` is `[N, C, H, W]`, `weight` is `[K, C, R, S]`, `bias` is `[K]`;
-/// returns `[N, K, H', W']`. Lowers the input once and runs the blocked
-/// kernels; to share the lowering with the backward pass use
-/// [`ConvLowering`] or [`ConvScratch`] instead of this free function.
+/// returns `[N, K, H', W']`. To share the input's lowering with the
+/// backward pass, hold a [`ConvScratch`] instead of calling this free
+/// function.
 ///
 /// # Panics
 ///
@@ -1224,30 +1187,15 @@ impl ConvScratch {
 /// assert_eq!(out.as_slice(), &[9.0]);
 /// ```
 pub fn conv2d(input: &Tensor, weight: &Tensor, bias: &Tensor, spec: &ConvSpec) -> Tensor {
-    let (_, c, _, _) = dims4(input, "conv2d input");
-    let (k, wc, wr, ws) = dims4(weight, "conv2d weight");
-    assert_eq!(c, wc, "channel mismatch: input C={c}, weight C={wc}");
-    assert_eq!(
-        (wr, ws),
-        (spec.kernel_h, spec.kernel_w),
-        "weight spatial dims disagree with spec"
-    );
-    assert_eq!(bias.len(), k, "bias length must equal K={k}");
-    if kernels::reference_mode() {
-        return reference::conv2d(input, weight, bias, spec);
-    }
-    if is_direct_forward(input, weight, spec, 1) {
-        return direct_forward(input, weight, bias, spec, 1);
-    }
-    ConvLowering::lower(input, spec, 1).forward(weight, bias)
+    conv2d_grouped(input, weight, bias, spec, 1)
 }
 
-/// Backward 2-D convolution: gradients w.r.t. input, weight and bias.
+/// Backward 2-D convolution: [`conv2d_grouped_backward`] with
+/// `groups = 1`.
 ///
 /// `grad_out` must be `[N, K, H', W']` for the same `input`/`weight`/`spec`
 /// that produced the forward output. This free function lowers the input
-/// itself; pair it with [`ConvLowering`]/[`ConvScratch`] to reuse the
-/// forward pass's lowering instead.
+/// itself; a [`ConvScratch`] reuses the forward pass's lowering instead.
 ///
 /// # Panics
 ///
@@ -1258,19 +1206,16 @@ pub fn conv2d_backward(
     grad_out: &Tensor,
     spec: &ConvSpec,
 ) -> Conv2dGrads {
-    if kernels::reference_mode() {
-        return reference::conv2d_backward(input, weight, grad_out, spec);
-    }
-    ConvLowering::lower(input, spec, 1).backward(weight, grad_out)
+    conv2d_grouped_backward(input, weight, grad_out, spec, 1)
 }
 
 /// Forward grouped 2-D convolution (`groups == C` is depthwise).
 ///
 /// `input` is `[N, C, H, W]`, `weight` is `[K, C/groups, R, S]`, `bias` is
-/// `[K]`; returns `[N, K, H', W']`. With `groups == 1` this is exactly
-/// [`conv2d`]. Filters `K/groups·g .. K/groups·(g+1)` see only input
-/// channels `C/groups·g .. C/groups·(g+1)`. All groups are lowered into
-/// one fused buffer and the `(batch × group)` tasks run in parallel.
+/// `[K]`; returns `[N, K, H', W']`. Filters `K/groups·g .. K/groups·(g+1)`
+/// see only input channels `C/groups·g .. C/groups·(g+1)`. On the im2col
+/// route all groups are lowered into one fused buffer and the
+/// `(batch × group)` tasks run in parallel.
 ///
 /// # Panics
 ///
@@ -1283,35 +1228,18 @@ pub fn conv2d_grouped(
     spec: &ConvSpec,
     groups: usize,
 ) -> Tensor {
-    assert!(groups > 0, "groups must be positive");
-    if groups == 1 {
-        return conv2d(input, weight, bias, spec);
-    }
-    let (_, c, _, _) = dims4(input, "conv2d_grouped input");
-    let (k, wc, wr, ws) = dims4(weight, "conv2d_grouped weight");
-    assert!(
-        c % groups == 0 && k % groups == 0,
-        "groups={groups} must divide C={c} and K={k}"
-    );
-    let cg = c / groups;
-    assert_eq!(wc, cg, "weight C={wc} must be C/groups={cg}");
-    assert_eq!(
-        (wr, ws),
-        (spec.kernel_h, spec.kernel_w),
-        "weight spatial dims disagree with spec"
-    );
-    assert_eq!(bias.len(), k, "bias length must equal K={k}");
-    if kernels::reference_mode() {
-        return reference::conv2d_grouped(input, weight, bias, spec, groups);
-    }
-    if is_direct_forward(input, weight, spec, groups) {
-        return direct_forward(input, weight, bias, spec, groups);
-    }
-    ConvLowering::lower(input, spec, groups).forward(weight, bias)
+    route_forward(
+        input,
+        weight,
+        bias,
+        spec,
+        groups,
+        &mut ConvLowering::default(),
+    )
 }
 
 /// Backward grouped 2-D convolution: gradients w.r.t. input, weight and
-/// bias. With `groups == 1` this is exactly [`conv2d_backward`].
+/// bias.
 ///
 /// # Panics
 ///
@@ -1323,38 +1251,14 @@ pub fn conv2d_grouped_backward(
     spec: &ConvSpec,
     groups: usize,
 ) -> Conv2dGrads {
-    assert!(groups > 0, "groups must be positive");
-    if groups == 1 {
-        return conv2d_backward(input, weight, grad_out, spec);
-    }
-    let (_, c, _, _) = dims4(input, "conv2d_grouped_backward input");
-    let (k, wc, _, _) = dims4(weight, "conv2d_grouped_backward weight");
-    assert!(
-        c % groups == 0 && k % groups == 0,
-        "groups={groups} must divide C={c} and K={k}"
-    );
-    let cg = c / groups;
-    assert_eq!(wc, cg, "weight C={wc} must be C/groups={cg}");
-    if kernels::reference_mode() {
-        return reference::conv2d_grouped_backward(input, weight, grad_out, spec, groups);
-    }
-    if is_direct_depthwise(input, weight, spec, groups) {
-        return with_input_grad(input.shape().dims(), |d_input| {
-            depthwise_backward(input, weight, grad_out, spec, Some(d_input))
-        });
-    }
-    ConvLowering::lower(input, spec, groups).backward(weight, grad_out)
-}
-
-fn dims4(t: &Tensor, what: &str) -> (usize, usize, usize, usize) {
-    assert_eq!(
-        t.shape().rank(),
-        4,
-        "{what} must be rank 4, got {}",
-        t.shape()
-    );
-    let d = t.shape().dims();
-    (d[0], d[1], d[2], d[3])
+    route_backward_full(
+        input,
+        weight,
+        grad_out,
+        spec,
+        groups,
+        &mut ConvLowering::default(),
+    )
 }
 
 #[cfg(test)]
@@ -1465,8 +1369,8 @@ mod tests {
     /// Adds 1 to every element of the scratch's lowering: a backward that
     /// reuses it then gets a different `dW` than one that re-lowers.
     fn poison_lowering(scratch: &mut ConvScratch) {
-        let lowering = scratch.lowering.as_mut().expect("forward lowered");
-        for v in &mut lowering.cols {
+        assert!(scratch.lowering.geom.is_some(), "forward lowered");
+        for v in &mut scratch.lowering.cols {
             *v += 1.0;
         }
     }
@@ -1549,20 +1453,24 @@ mod tests {
         );
     }
 
+    /// A strided grouped convolution (the im2col route) through one
+    /// scratch, whose backward reads the forward's lowering, matches the
+    /// free functions, which lower once per call.
     #[test]
     fn shared_lowering_matches_free_functions() {
         let spec = ConvSpec::new(3, 3).with_stride(2).with_padding(1);
         let input = seq(&[2, 6, 8, 8], 0.19);
         let weight = seq(&[4, 3, 3, 3], 0.37);
         let bias = seq(&[4], 0.61);
-        let lowering = ConvLowering::lower(&input, &spec, 2);
-        let out = lowering.forward(&weight, &bias);
+        let mut scratch = ConvScratch::new();
+        let out = scratch.forward(&input, &weight, &bias, &spec, 2);
+        assert!(scratch.lowering.geom.is_some(), "forward lowered");
         assert_eq!(
             bits(&out),
             bits(&conv2d_grouped(&input, &weight, &bias, &spec, 2))
         );
         let go = Tensor::from_fn(out.shape().dims(), |i| ((i as f32) * 0.13).sin());
-        let grads = lowering.backward(&weight, &go);
+        let grads = scratch.backward_last(&weight, &go, &spec, 2);
         let want = conv2d_grouped_backward(&input, &weight, &go, &spec, 2);
         assert_eq!(bits(&grads.input), bits(&want.input));
         assert_eq!(bits(&grads.weight), bits(&want.weight));
@@ -1743,5 +1651,24 @@ mod tests {
             &Tensor::zeros(&[1]),
             &spec,
         );
+    }
+
+    /// `ConvScratch::forward` runs the same shape check as the free
+    /// functions: a bias of the wrong length and a `groups` that does not
+    /// divide `C` both panic through it.
+    #[test]
+    fn scratch_forward_rejects_bad_bias_and_groups() {
+        let spec = ConvSpec::new(3, 3);
+        let input = Tensor::zeros(&[1, 4, 5, 5]);
+        let weight = Tensor::zeros(&[6, 2, 3, 3]);
+        for (bias_len, groups, expected) in [(5, 2, "bias length"), (6, 3, "must divide")] {
+            let bias = Tensor::zeros(&[bias_len]);
+            let panic = std::panic::catch_unwind(|| {
+                ConvScratch::new().forward(&input, &weight, &bias, &spec, groups)
+            })
+            .expect_err("forward must panic");
+            let message = panic.downcast_ref::<String>().map_or("", String::as_str);
+            assert!(message.contains(expected), "{expected}: got {message:?}");
+        }
     }
 }

@@ -31,22 +31,6 @@ pub fn kaiming_uniform<R: Rng>(rng: &mut R, dims: &[usize], fan_in: usize) -> Te
     uniform(rng, dims, bound)
 }
 
-/// Xavier (Glorot) uniform initialization.
-///
-/// # Panics
-///
-/// Panics if `fan_in + fan_out == 0`.
-pub fn xavier_uniform<R: Rng>(
-    rng: &mut R,
-    dims: &[usize],
-    fan_in: usize,
-    fan_out: usize,
-) -> Tensor {
-    assert!(fan_in + fan_out > 0, "fan_in + fan_out must be positive");
-    let bound = (6.0 / (fan_in + fan_out) as f32).sqrt();
-    uniform(rng, dims, bound)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -468,95 +468,44 @@ fn microkernel(
     }
 }
 
-/// Runs `f(i, chunk_i)` over `data.chunks_mut(chunk)` with chunks dealt
-/// round-robin to at most `thread_budget` scoped threads. Each chunk is
-/// visited exactly once by exactly one thread, so any `f` whose output for
-/// chunk `i` depends only on `i` and shared read-only state is
-/// deterministic at every thread count.
-pub(crate) fn parallel_chunks<F>(data: &mut [f32], chunk: usize, thread_budget: usize, f: F)
-where
-    F: Fn(usize, &mut [f32]) + Sync,
-{
-    parallel_chunks_with(data, chunk, thread_budget, || (), |_, i, ch| f(i, ch));
-}
-
-/// [`parallel_chunks`] with a scratch value that `init` builds once per
-/// thread and that thread's chunks reuse in turn.
-pub(crate) fn parallel_chunks_with<S, I, F>(
-    data: &mut [f32],
-    chunk: usize,
+/// Runs `f(scratch, i, item_i)` over `items`, dealing item `i` to thread
+/// `i mod t` of `t = min(thread_budget, items)` scoped threads (at least
+/// one; with one, the items run inline on the calling thread). Each
+/// thread builds one `scratch` with `init` and reuses it across its items
+/// in ascending `i`. Each item is visited exactly once by exactly one
+/// thread, so any `f` whose output for item `i` depends only on `i` and
+/// shared read-only state is deterministic at every thread count. Items
+/// are typically `chunks_mut` of an output buffer, or two such
+/// iterators zipped.
+pub(crate) fn deal<T, S, I, F>(
+    items: impl ExactSizeIterator<Item = T>,
     thread_budget: usize,
     init: I,
     f: F,
 ) where
+    T: Send,
     I: Fn() -> S + Sync,
-    F: Fn(&mut S, usize, &mut [f32]) + Sync,
+    F: Fn(&mut S, usize, T) + Sync,
 {
-    assert!(chunk > 0, "chunk size must be positive");
-    let total = data.len() / chunk;
-    let t = thread_budget.clamp(1, total.max(1));
+    let t = thread_budget.clamp(1, items.len().max(1));
     if t == 1 {
         let mut scratch = init();
-        for (i, ch) in data.chunks_mut(chunk).enumerate() {
-            f(&mut scratch, i, ch);
+        for (i, item) in items.enumerate() {
+            f(&mut scratch, i, item);
         }
         return;
     }
-    let mut buckets: Vec<Vec<(usize, &mut [f32])>> = (0..t).map(|_| Vec::new()).collect();
-    for (i, ch) in data.chunks_mut(chunk).enumerate() {
-        buckets[i % t].push((i, ch));
+    let mut buckets: Vec<Vec<(usize, T)>> = (0..t).map(|_| Vec::new()).collect();
+    for (i, item) in items.enumerate() {
+        buckets[i % t].push((i, item));
     }
     std::thread::scope(|scope| {
         for bucket in buckets {
             let (init, f) = (&init, &f);
             scope.spawn(move || {
                 let mut scratch = init();
-                for (i, ch) in bucket {
-                    f(&mut scratch, i, ch);
-                }
-            });
-        }
-    });
-}
-
-/// Like [`parallel_chunks`], but each task `i` receives the `i`-th chunk
-/// of two independent buffers (e.g. its `d_input` region and its private
-/// partial-gradient slot), plus a scratch value that `init` builds once
-/// per thread and that thread's tasks reuse in turn.
-pub(crate) fn parallel_chunk_pairs<S, I, F>(
-    a: &mut [f32],
-    chunk_a: usize,
-    b: &mut [f32],
-    chunk_b: usize,
-    thread_budget: usize,
-    init: I,
-    f: F,
-) where
-    I: Fn() -> S + Sync,
-    F: Fn(&mut S, usize, &mut [f32], &mut [f32]) + Sync,
-{
-    assert!(chunk_a > 0 && chunk_b > 0, "chunk sizes must be positive");
-    let total = (a.len() / chunk_a).min(b.len() / chunk_b);
-    let t = thread_budget.clamp(1, total.max(1));
-    if t == 1 {
-        let mut scratch = init();
-        for (i, (ca, cb)) in a.chunks_mut(chunk_a).zip(b.chunks_mut(chunk_b)).enumerate() {
-            f(&mut scratch, i, ca, cb);
-        }
-        return;
-    }
-    let mut buckets: Vec<Vec<(usize, &mut [f32], &mut [f32])>> =
-        (0..t).map(|_| Vec::new()).collect();
-    for (i, (ca, cb)) in a.chunks_mut(chunk_a).zip(b.chunks_mut(chunk_b)).enumerate() {
-        buckets[i % t].push((i, ca, cb));
-    }
-    std::thread::scope(|scope| {
-        for bucket in buckets {
-            let (init, f) = (&init, &f);
-            scope.spawn(move || {
-                let mut scratch = init();
-                for (i, ca, cb) in bucket {
-                    f(&mut scratch, i, ca, cb);
+                for (i, item) in bucket {
+                    f(&mut scratch, i, item);
                 }
             });
         }
@@ -650,11 +599,16 @@ mod tests {
     #[test]
     fn parallel_chunks_visits_every_chunk_once() {
         let mut data = vec![0.0f32; 40];
-        parallel_chunks(&mut data, 4, 3, |i, ch| {
-            for v in ch.iter_mut() {
-                *v += (i + 1) as f32;
-            }
-        });
+        deal(
+            data.chunks_mut(4),
+            3,
+            || (),
+            |_, i, ch| {
+                for v in ch.iter_mut() {
+                    *v += (i + 1) as f32;
+                }
+            },
+        );
         for (i, ch) in data.chunks(4).enumerate() {
             assert!(ch.iter().all(|&v| v == (i + 1) as f32));
         }

@@ -12,8 +12,8 @@
 //! with results **bit-identical** to the frozen naive kernels in
 //! [`mod@reference`] at any thread count — see `docs/kernels.md`. Convolutions
 //! share one im2col lowering between forward and backward through
-//! [`ConvLowering`]/[`ConvScratch`]; depthwise ones at unit stride run
-//! direct per-plane kernels instead.
+//! [`ConvScratch`]; depthwise ones at unit stride, and the forward of
+//! narrow ones, run direct per-plane kernels instead.
 //!
 //! The library is deliberately *not* an autograd engine: each NN layer in
 //! [`cscnn-nn`](../cscnn_nn/index.html) implements its own backward pass on
@@ -48,10 +48,10 @@ mod tensor;
 pub mod threads;
 
 pub use conv::{
-    conv2d, conv2d_backward, conv2d_grouped, conv2d_grouped_backward, Conv2dGrads, ConvLowering,
-    ConvScratch, ConvSpec,
+    conv2d, conv2d_backward, conv2d_grouped, conv2d_grouped_backward, Conv2dGrads, ConvScratch,
+    ConvSpec,
 };
-pub use init::{kaiming_uniform, uniform, xavier_uniform};
+pub use init::{kaiming_uniform, uniform};
 pub use matmul::{matmul, matmul_at, matmul_bt};
 pub use pool::{avg_pool2d, avg_pool2d_backward, max_pool2d, max_pool2d_backward, PoolSpec};
 pub use shape::Shape;

@@ -33,24 +33,7 @@ use crate::Tensor;
 /// assert_eq!(c.as_slice(), &[19.0, 22.0, 43.0, 50.0]);
 /// ```
 pub fn matmul(a: &Tensor, b: &Tensor) -> Tensor {
-    if kernels::reference_mode() {
-        return crate::reference::matmul(a, b);
-    }
-    let (m, k) = dims2(a, "matmul lhs");
-    let (k2, n) = dims2(b, "matmul rhs");
-    assert_eq!(k, k2, "inner dimension mismatch: {k} vs {k2}");
-    let mut out = vec![0.0f32; m * n];
-    kernels::gemm(
-        Lhs::RowMajor,
-        Rhs::RowMajor,
-        a.as_slice(),
-        b.as_slice(),
-        m,
-        k,
-        n,
-        &mut out,
-    );
-    Tensor::from_vec(out, &[m, n])
+    product(Lhs::RowMajor, Rhs::RowMajor, a, b, "matmul")
 }
 
 /// `C = Aᵀ · B` without materializing `Aᵀ`.
@@ -61,24 +44,7 @@ pub fn matmul(a: &Tensor, b: &Tensor) -> Tensor {
 ///
 /// Panics on rank or dimension mismatch.
 pub fn matmul_at(a: &Tensor, b: &Tensor) -> Tensor {
-    if kernels::reference_mode() {
-        return crate::reference::matmul_at(a, b);
-    }
-    let (k, m) = dims2(a, "matmul_at lhs");
-    let (k2, n) = dims2(b, "matmul_at rhs");
-    assert_eq!(k, k2, "inner dimension mismatch: {k} vs {k2}");
-    let mut out = vec![0.0f32; m * n];
-    kernels::gemm(
-        Lhs::Transposed,
-        Rhs::RowMajor,
-        a.as_slice(),
-        b.as_slice(),
-        m,
-        k,
-        n,
-        &mut out,
-    );
-    Tensor::from_vec(out, &[m, n])
+    product(Lhs::Transposed, Rhs::RowMajor, a, b, "matmul_at")
 }
 
 /// `C = A · Bᵀ` without materializing `Bᵀ`.
@@ -89,31 +55,37 @@ pub fn matmul_at(a: &Tensor, b: &Tensor) -> Tensor {
 ///
 /// Panics on rank or dimension mismatch.
 pub fn matmul_bt(a: &Tensor, b: &Tensor) -> Tensor {
+    product(Lhs::RowMajor, Rhs::Transposed, a, b, "matmul_bt")
+}
+
+/// The one body of the three variants: the reference kernel under
+/// [`kernels::set_reference_mode`], else a rank and inner-dimension check
+/// and the blocked GEMM with `A` and `B` stored as `lhs` and `rhs` say.
+fn product(lhs: Lhs, rhs: Rhs, a: &Tensor, b: &Tensor, what: &str) -> Tensor {
     if kernels::reference_mode() {
-        return crate::reference::matmul_bt(a, b);
+        return match (lhs, rhs) {
+            (Lhs::RowMajor, Rhs::RowMajor) => crate::reference::matmul(a, b),
+            (Lhs::Transposed, _) => crate::reference::matmul_at(a, b),
+            (Lhs::RowMajor, Rhs::Transposed) => crate::reference::matmul_bt(a, b),
+        };
     }
-    let (m, k) = dims2(a, "matmul_bt lhs");
-    let (n, k2) = dims2(b, "matmul_bt rhs");
+    let (m, k) = match (lhs, dims2(a, what, "lhs")) {
+        (Lhs::RowMajor, (m, k)) | (Lhs::Transposed, (k, m)) => (m, k),
+    };
+    let (k2, n) = match (rhs, dims2(b, what, "rhs")) {
+        (Rhs::RowMajor, (k2, n)) | (Rhs::Transposed, (n, k2)) => (k2, n),
+    };
     assert_eq!(k, k2, "inner dimension mismatch: {k} vs {k2}");
     let mut out = vec![0.0f32; m * n];
-    kernels::gemm(
-        Lhs::RowMajor,
-        Rhs::Transposed,
-        a.as_slice(),
-        b.as_slice(),
-        m,
-        k,
-        n,
-        &mut out,
-    );
+    kernels::gemm(lhs, rhs, a.as_slice(), b.as_slice(), m, k, n, &mut out);
     Tensor::from_vec(out, &[m, n])
 }
 
-fn dims2(t: &Tensor, what: &str) -> (usize, usize) {
+fn dims2(t: &Tensor, what: &str, side: &str) -> (usize, usize) {
     assert_eq!(
         t.shape().rank(),
         2,
-        "{what} must be rank 2, got {}",
+        "{what} {side} must be rank 2, got {}",
         t.shape()
     );
     (t.shape().dim(0), t.shape().dim(1))

@@ -103,11 +103,6 @@ impl Tensor {
         &mut self.data
     }
 
-    /// Consumes the tensor and returns its buffer.
-    pub fn into_vec(self) -> Vec<f32> {
-        self.data
-    }
-
     /// Returns a copy reinterpreted with a new shape of equal element count.
     ///
     /// # Panics

@@ -16,9 +16,8 @@
 //!
 //! `cscnn-sim`'s simulation worker pool (`BatchRunner`, `Runner::run_suite`)
 //! reads the same environment variable, so `CSCNN_NUM_THREADS` sizes both
-//! halves of the system. [`set_num_threads`] (and `TrainConfig::num_threads`,
-//! which calls it) sizes the kernels only: it never reaches the
-//! simulation pool.
+//! halves of the system. [`set_num_threads`] sizes the kernels only: it
+//! never reaches the simulation pool.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;

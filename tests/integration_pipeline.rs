@@ -19,7 +19,6 @@ fn fast_config() -> TrainConfig {
         lr_decay_factor: 5.0,
         lr_decay_every: 5,
         seed: 7,
-        num_threads: None,
     }
 }
 

@@ -415,9 +415,53 @@ fn strided_padded_edges_bit_match_reference() {
     }
 }
 
+/// Both entry points, the free functions and `ConvScratch`, reach every
+/// route of the conv routers and match the reference bit for bit there at
+/// every thread count: the direct narrow forward, the direct depthwise
+/// kernels, the im2col route (dense and grouped, a short reduction over a
+/// small plane too), strided convolutions and a dense `C = K = 1` one,
+/// which is depthwise. Then random shapes through one scratch over two
+/// training-style steps.
 #[test]
 fn conv_scratch_reuse_bit_matches_free_functions() {
     let seed = prop_seed();
+    let same3 = ConvSpec::new(3, 3).with_padding(1);
+    let strided = ConvSpec::new(3, 3).with_stride(2).with_padding(1);
+    let routes: [(&str, [usize; 4], usize, ConvSpec, usize); 9] = [
+        ("direct narrow", [2, 3, 16, 16], 8, same3, 1),
+        ("direct depthwise", [3, 6, 9, 9], 6, same3, 6),
+        ("lowered dense", [2, 8, 8, 8], 8, same3, 1),
+        ("lowered grouped", [3, 8, 12, 12], 4, same3, 2),
+        ("lowered small plane", [2, 3, 6, 6], 4, same3, 1),
+        ("strided dense", [2, 4, 11, 10], 6, strided, 1),
+        ("strided depthwise", [2, 4, 9, 9], 4, strided, 4),
+        ("dense C = K = 1", [3, 1, 10, 9], 1, same3, 1),
+        (
+            "dense C = K = 1, 5x5",
+            [2, 1, 7, 8],
+            1,
+            ConvSpec::new(5, 5).with_padding(2),
+            1,
+        ),
+    ];
+    for (case, &(route, [n, c, h, w], k, spec, groups)) in routes.iter().enumerate() {
+        let mut rng = StdRng::seed_from_u64(seed ^ (0x4a7e_0000 + case as u64));
+        let input = training_tensor(&mut rng, &[n, c, h, w], 0.4);
+        let weight = training_tensor(
+            &mut rng,
+            &[k, c / groups, spec.kernel_h, spec.kernel_w],
+            0.3,
+        );
+        let bias = random_tensor(&mut rng, &[k], 0.0);
+        let (oh, ow) = spec.output_dim(h, w);
+        let grad_out = training_tensor(&mut rng, &[n, k, oh, ow], 0.4);
+        let what =
+            format!("{route}: {spec:?} on [{n},{c},{h},{w}] -> {k} g={groups} (seed {seed})");
+        assert_conv_bits_match_reference(&input, &weight, &bias, &grad_out, &spec, groups, &what);
+        assert_scratch_bits_match_reference(
+            &input, &weight, &bias, &grad_out, &spec, groups, &what,
+        );
+    }
     for case in 0..3u64 {
         let mut rng = StdRng::seed_from_u64(seed ^ (0x5c3a_0000 + case));
         let (spec, h, w) = random_spec(&mut rng);
