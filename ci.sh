@@ -61,6 +61,13 @@ for harness in filter_shapes storage; do
     cargo run -q --release -p cscnn-bench --bin "$harness" > "target/snapshot_$harness.txt"
     diff -u "crates/bench/snapshots/$harness.txt" "target/snapshot_$harness.txt"
 done
+# The measured-density example trains ConvNet-S, measures its densities
+# and simulates them, so its stdout pins both halves of the loop.
+echo "-- trained_to_hardware example"
+cargo run -q --release -p cscnn --example trained_to_hardware \
+    > target/snapshot_trained_to_hardware.txt
+diff -u crates/bench/snapshots/trained_to_hardware.txt \
+    target/snapshot_trained_to_hardware.txt
 
 echo "== property suites across fixed seeds"
 for seed in 1 17 4242; do

@@ -389,8 +389,9 @@ fn conv_entries(smoke: bool, budget: Duration, mt: usize, out: &mut Vec<Sample>)
 /// The kernels of one `mobile_cnn` training step at the
 /// `compress_pipeline` batch (`smoke`: 2 items), on operands with half
 /// their elements zero at random positions: conv0 (3→8 3×3) forward and
-/// forward + `dW` (its input gradient is never computed), the 8→16 1×1
-/// conv forward and forward + backward, the linear layer's three products
+/// forward + `dW` (its input gradient is never computed) and `dW` alone,
+/// the depthwise 3×3 backward, the 8→16 1×1 conv forward, forward +
+/// backward and backward alone, the linear layer's three products
 /// and the 2×2 max-pool. Then a GEMM whose left operand is 90% zeros, as
 /// a pruned weight is.
 fn mobile_cnn_entries(smoke: bool, budget: Duration, mt: usize, out: &mut Vec<Sample>) {
@@ -401,6 +402,9 @@ fn mobile_cnn_entries(smoke: bool, budget: Duration, mt: usize, out: &mut Vec<Sa
     let conv0_w = sparse_filled(&[8, 3, 3, 3], 0.0, true, 1);
     let bias8 = filled(&[8], 1e-2);
     let conv0_go = sparse_filled(&[n, 8, 16, 16], 0.5, true, 2);
+    let dw_x = sparse_filled(&[n, 8, 16, 16], 0.5, false, 12);
+    let dw_w = sparse_filled(&[8, 1, 3, 3], 0.0, true, 13);
+    let dw_go = sparse_filled(&[n, 8, 16, 16], 0.5, true, 14);
     let pw_x = sparse_filled(&[n, 8, 16, 16], 0.5, false, 3);
     let pw_w = sparse_filled(&[16, 8, 1, 1], 0.0, true, 4);
     let bias16 = filled(&[16], 1e-2);
@@ -411,7 +415,9 @@ fn mobile_cnn_entries(smoke: bool, budget: Duration, mt: usize, out: &mut Vec<Sa
     let pool_x = sparse_filled(&[n, 16, 16, 16], 0.5, false, 9);
     let mut scratch = ConvScratch::new();
     let conv0 = format!("[{n},3,16,16] -> K=8 3x3 p1");
+    let conv0_shape = conv0.clone();
     let pw = format!("[{n},8,16,16] -> K=16 1x1");
+    let pw_shape = pw.clone();
     let fc = format!("[{n},1024] x [10,1024]^T");
     out.push(measure(
         "mcnn_conv0_fwd",
@@ -434,6 +440,28 @@ fn mobile_cnn_entries(smoke: bool, budget: Duration, mt: usize, out: &mut Vec<Sa
             black_box(scratch.param_grads_last(&conv0_w, &conv0_go, &same3, 1));
         },
     ));
+    // The backward alone, on the input the forward above left held.
+    out.push(measure(
+        "mcnn_conv0_bwd",
+        "conv_dw",
+        conv0_shape.clone(),
+        budget,
+        mt,
+        &mut || {
+            black_box(scratch.param_grads_last(&conv0_w, &conv0_go, &same3, 1));
+        },
+    ));
+    let _ = scratch.forward(&dw_x, &dw_w, &bias8, &same3, 8);
+    out.push(measure(
+        "mcnn_dw_bwd",
+        "conv_bwd",
+        format!("[{n},8,16,16] -> K=8 3x3 p1 g8"),
+        budget,
+        mt,
+        &mut || {
+            black_box(scratch.backward_last(&dw_w, &dw_go, &same3, 8));
+        },
+    ));
     out.push(measure(
         "mcnn_pw_fwd",
         "conv2d",
@@ -452,6 +480,16 @@ fn mobile_cnn_entries(smoke: bool, budget: Duration, mt: usize, out: &mut Vec<Sa
         mt,
         &mut || {
             black_box(scratch.forward(&pw_x, &pw_w, &bias16, &point, 1));
+            black_box(scratch.backward_last(&pw_w, &pw_go, &point, 1));
+        },
+    ));
+    out.push(measure(
+        "mcnn_pw_bwd",
+        "conv_bwd",
+        pw_shape,
+        budget,
+        mt,
+        &mut || {
             black_box(scratch.backward_last(&pw_w, &pw_go, &point, 1));
         },
     ));

@@ -26,19 +26,14 @@ use crate::workload::LayerWorkload;
 /// ```
 #[derive(Clone, Debug)]
 pub struct Runner {
-    dram: DramConfig,
-    energy: EnergyTable,
     seed: u64,
 }
 
 impl Runner {
-    /// Creates a runner with default DRAM/energy models and a workload seed.
+    /// Creates a runner with a workload seed. Every run simulates against
+    /// the default DRAM and energy models.
     pub fn new(seed: u64) -> Self {
-        Runner {
-            dram: DramConfig::default(),
-            energy: EnergyTable::default(),
-            seed,
-        }
+        Runner { seed }
     }
 
     /// Simulates one model on one accelerator, layer by layer.
@@ -87,7 +82,8 @@ impl Runner {
     /// (`docs/batching.md`). After checking the topology and every node
     /// (so errors come before any simulation) it walks the IR layer-major:
     /// each node's workload is synthesized (seeded by name), simulated on
-    /// every accelerator, and dropped before the next node.
+    /// every accelerator, and dropped before the next node. Every layer
+    /// shares one default [`DramConfig`] and [`EnergyTable`].
     /// Untimed nodes are left out of the layer list. A layer's input is
     /// on-chip when *every* graph predecessor's output fit in the global
     /// buffer (untimed nodes pass their status through; for a linear chain
@@ -126,6 +122,7 @@ impl Runner {
                 (acc.config(), stats, vec![false; ir.nodes.len()])
             })
             .collect();
+        let (dram, energy) = (DramConfig::default(), EnergyTable::default());
         for (i, (node, checked)) in ir.nodes.iter().zip(checked).enumerate() {
             let seed = workload_seed(self.seed, &ir.name, node.name().unwrap_or(""));
             let workload = checked.map(|(desc, ann)| {
@@ -142,8 +139,8 @@ impl Runner {
                         let output_fits = out_bytes <= cfg.glb_bytes;
                         let ctx = LayerContext {
                             cfg,
-                            dram: &self.dram,
-                            energy: &self.energy,
+                            dram: &dram,
+                            energy: &energy,
                             workload: wl,
                             input_on_chip,
                             output_fits_on_chip: output_fits,

@@ -11,10 +11,10 @@
 //! runs the naive [`crate::reference`] kernels under
 //! [`kernels::set_reference_mode`], else the direct kernels when the
 //! shapes admit them (see below), else im2col and the blocked GEMMs. The
-//! backward router runs the reference, else the direct depthwise kernels,
-//! else im2col and the GEMMs, and computes the input gradient only when
-//! asked for it. The route depends on the shapes alone. [`conv2d`] and
-//! [`conv2d_backward`] are the grouped functions at `groups = 1`.
+//! backward router makes the same choice on the same predicate, and
+//! computes the input gradient only when asked for it. The route depends
+//! on the shapes alone. [`conv2d`] and [`conv2d_backward`] are the
+//! grouped functions at `groups = 1`.
 //!
 //! # Lowering
 //!
@@ -42,14 +42,13 @@
 //!
 //! # Direct kernels
 //!
-//! A depthwise convolution at unit stride (`groups == C == K`) skips
-//! im2col and the GEMMs: each `(item, channel)` plane is zero-padded once
-//! and every kernel tap is one flat multiply-add loop over it (see
-//! [`Direct`]). Whole planes are dealt to threads. The forward of a
-//! narrow unit-stride convolution (a short reduction `C/g·R·S` over large
-//! enough planes) runs the same kernel over the `C/g` planes of each
-//! `(item, group)` task; its backward stays on the GEMMs and lowers the
-//! input only when it runs.
+//! A depthwise convolution at unit stride (`groups == C == K`), and a
+//! narrow one (a short reduction `C/g·R·S` over large enough planes),
+//! skip im2col and the GEMMs in both directions: each task's input planes
+//! are zero-padded once and every kernel tap is one flat multiply-add
+//! loop over them (see [`Direct`]). The forward and the narrow backward
+//! deal whole `(item, group)` tasks to threads, the depthwise backward
+//! whole items, whose channels it holds side by side.
 //!
 //! Results are **bit-identical** to the naive per-item / per-group
 //! reference implementations in [`crate::reference`] at every thread
@@ -191,16 +190,16 @@ impl Geometry {
         self.oh * self.ow
     }
 
-    /// Whether the direct depthwise kernels run, forward and backward: one
-    /// filter per channel (`groups == C == K`) at unit stride.
+    /// Whether this is a depthwise convolution at unit stride: one filter
+    /// per channel (`groups == C == K`).
     fn direct_depthwise(&self) -> bool {
         self.groups == self.c && self.groups == self.k && self.spec.stride == 1
     }
 
-    /// Whether the forward runs the direct kernels instead of im2col and a
-    /// GEMM: a direct depthwise one, or one at unit stride whose reduction
-    /// `C/g·R·S` is at most [`DIRECT_MAX_REDUCTION`] over output planes of
-    /// at least [`DIRECT_MIN_PIXELS`].
+    /// Whether both directions run the direct kernels instead of im2col
+    /// and GEMMs: a direct depthwise convolution, or one at unit stride
+    /// whose reduction `C/g·R·S` is at most [`DIRECT_MAX_REDUCTION`] over
+    /// output planes of at least [`DIRECT_MIN_PIXELS`].
     fn direct_forward(&self) -> bool {
         self.direct_depthwise()
             || (self.spec.stride == 1
@@ -305,8 +304,8 @@ fn route_forward(
 
 /// The backward router: `(dW, dBias)`, and `dX` into `d_input` (a zeroed
 /// `[N, C, H, W]` buffer) when given. Runs the reference kernels under
-/// [`kernels::set_reference_mode`], else the direct depthwise kernels when
-/// [`Geometry::direct_depthwise`] admits the shapes, else im2col into
+/// [`kernels::set_reference_mode`], else the direct kernels when
+/// [`Geometry::direct_forward`] admits the shapes, else im2col into
 /// `lowering` (unless it already holds `input`'s lowering) and the GEMMs.
 fn route_backward(
     input: &Tensor,
@@ -325,8 +324,8 @@ fn route_backward(
         }
         return (grads.weight, grads.bias);
     }
-    if geom.direct_depthwise() {
-        return depthwise_backward(&geom, input, weight, grad_out, d_input);
+    if geom.direct_forward() {
+        return direct_backward(&geom, input, weight, grad_out, d_input);
     }
     lowered_grads(
         &geom,
@@ -689,20 +688,35 @@ fn col2im_block(geom: &Geometry, col: &[f32], dst: &mut [f32]) {
 /// Output rows are laid out at the padded width: output pixel `(oy, ox)`
 /// sits at flat offset `oy·pw + ox`, and kernel tap `(r, s)` pairs it with
 /// the padded-plane element at that offset plus `r·pw + s`. Every tap is
-/// therefore one flat multiply-add over [`Direct::span`] elements; the
-/// forward runs it in [`PIXELS`]-wide blocks held in registers. With
-/// `C/g` input planes, plane `c`'s taps read the padded plane `c`.
-/// The `pw − ow` slots after each laid-out row pair with padding or with
-/// the next row; the forward never stores them, and the backward's
-/// laid-out `dOut` holds zeros there.
+/// therefore one flat multiply-add over [`Direct::span`] elements. With
+/// `C/g` input planes, plane `c`'s taps read the padded plane `c`. The
+/// `pw − ow` slots after each laid-out row pair with padding or with the
+/// next row; the forward never stores them, and the backward's laid-out
+/// `dOut` holds zeros there.
+///
+/// * **Forward:** [`PIXELS`]-wide blocks of laid-out outputs add up every
+///   non-zero tap in registers, in ascending `(c, r, s)`, then `+ bias`.
+/// * **`dW`:** `dOut` is laid out pixel-major with [`LANES`] filters side
+///   by side (for a depthwise convolution, `LANES` channels, whose padded
+///   input planes are interleaved the same way), and one pass sums
+///   [`TAPS`] taps over every laid-out pixel in ascending order.
+/// * **`dX`:** per input plane and tap, in ascending `(r, s)`, a line
+///   sums `w·dOut` over the group's filters in ascending `k`; the line is
+///   then added into a zeroed padded gradient plane whose interior is
+///   `dX`. A depthwise convolution's filters have one tap weight per
+///   line, so with finite weights and `dOut` each `dX` element instead
+///   gathers its taps' products in ascending order, `LANES` channels side
+///   by side.
 ///
 /// Bit-identity with the reference (`docs/kernels.md`): the forward and
-/// `dW` perform exactly the reference's products (its im2col columns hold
-/// the same padding zeros) in the same order: `(c, r, s)` ascending per
-/// output pixel, pixels ascending per `dW` tap. `dX` adds each element's
-/// contributions in ascending tap order, as `col2im` does, plus products
-/// `w·0` from the zero slots. For a finite `w` those are `±0`, and adding
-/// `±0` leaves a running sum that started at `+0` unchanged.
+/// `dW` perform the reference's products (its im2col columns hold the
+/// same padding zeros) in its order. `dW` also adds the `±0` products of
+/// zero `dOut`, which the reference GEMM skips; over finite input planes
+/// they leave a sum that started at `+0` unchanged, and a task whose
+/// planes hold an infinity or a NaN sums over its non-zero `dOut` pixels
+/// only. Each `dX` line is the reference's `dCol` row, and the lines
+/// reach a `dX` element in the order `col2im` adds them; the row-gap
+/// slots a line pairs with zeros are zeroed before it is added.
 #[derive(Clone, Copy, Debug)]
 struct Direct {
     h: usize,
@@ -716,16 +730,28 @@ struct Direct {
     ow: usize,
 }
 
-/// Adjacent taps of one kernel row that a depthwise `dW` pass sums
-/// together, as independent lanes.
-const LANES: usize = 4;
+/// Filters (for a depthwise convolution, channels) a direct `dW` pass
+/// holds side by side, one running sum each per tap.
+const LANES: usize = 8;
 
-/// Laid-out output pixels the direct forward keeps in registers while it
-/// adds up all their taps.
+/// Taps a direct `dW` pass sums at once: `TAPS × LANES` running sums stay
+/// in registers while the laid-out pixels stream past.
+const TAPS: usize = 4;
+
+/// Taps a depthwise `dW` pass sums at once, a 3×3 kernel's row: with
+/// one input vector per tap, `ROW_TAPS × LANES` sums fill the registers.
+const ROW_TAPS: usize = 3;
+
+/// Positions a depthwise `dX` gather sums at once, `GATHER × LANES`
+/// independent sums.
+const GATHER: usize = 4;
+
+/// Laid-out output pixels the direct forward (and a `dX` line) keeps in
+/// registers while it adds up all their terms.
 const PIXELS: usize = 32;
 
 /// Longest reduction `C/g·R·S` for which a unit-stride convolution runs
-/// the direct forward instead of im2col and a GEMM. Per product both do
+/// the direct kernels instead of im2col and GEMMs. Per product both do
 /// one multiply and one add in registers; the GEMM path also writes all
 /// `C/g·R·S` lowered copies of the input first and pays a `C` tile load
 /// and store per register tile, which only a long reduction amortizes.
@@ -735,25 +761,42 @@ const PIXELS: usize = 32;
 const DIRECT_MAX_REDUCTION: usize = 32;
 
 /// Fewest output pixels per plane for which a non-depthwise convolution
-/// runs the direct forward: [`PIXELS`]-wide blocks over a small plane
+/// runs the direct kernels: [`PIXELS`]-wide blocks over a small plane
 /// compute mostly padding and row-gap slots, and an 8×8 plane already
 /// runs faster on the GEMM.
 const DIRECT_MIN_PIXELS: usize = 3 * PIXELS;
 
-/// Per-thread buffers of the direct kernels.
+/// Per-thread buffers of the direct kernels, sized on first use. Every
+/// task of one call writes the same slots, so the slots none writes
+/// (padding, row gaps, unused lanes, tails) stay zero.
+#[derive(Default)]
 struct PlaneBufs {
-    /// The zero-padded input planes, `ph·pw` each, plus `PIXELS` (at
-    /// least `LANES`) slots of tail; the borders and tail are never
-    /// written.
+    /// The zero-padded input planes, `ph·pw` each, plus `PIXELS` slots of
+    /// tail.
     xpad: Vec<f32>,
-    /// One filter's non-zero taps: `(offset into xpad, weight)`.
-    taps: Vec<(usize, f32)>,
+    /// One filter's non-zero taps, or one tap's non-zero filters:
+    /// `(offset, weight)`.
+    terms: Vec<(usize, f32)>,
     /// The `(laid-out offset, dOut)` of a plane's non-zero `dOut` pixels.
     hits: Vec<(usize, f32)>,
-    /// One plane of output rows laid out at the padded width: `span`
-    /// slots, rounded up to whole `PIXELS` blocks.
+    /// One plane laid out at the padded width: `span` slots, rounded up
+    /// to whole `PIXELS` blocks.
     line: Vec<f32>,
-    /// The padded input-gradient plane, `ph·pw` (empty without `dX`).
+    /// The `dOut` planes laid out at the padded width, one `line` each.
+    lines: Vec<f32>,
+    /// `dOut` laid out pixel-major, `LANES` planes side by side: `span`
+    /// pixels per group of `LANES` planes.
+    lanes: Vec<[f32; LANES]>,
+    /// A depthwise item's padded input planes, interleaved as `lanes`:
+    /// `ph·pw` pixels per group of `LANES` channels.
+    xlanes: Vec<[f32; LANES]>,
+    /// A depthwise item's `dX` planes interleaved as `lanes`, laid out at
+    /// the padded width from the first interior pixel.
+    dlanes: Vec<[f32; LANES]>,
+    /// Per tap, the start of its `dX` gather in `lanes` and the weights of
+    /// a group of `LANES` depthwise filters.
+    tap_lanes: Vec<(usize, [f32; LANES])>,
+    /// The padded input-gradient plane, `ph·pw`.
     dpad: Vec<f32>,
 }
 
@@ -778,22 +821,28 @@ impl Direct {
         (self.oh - 1) * self.pw + self.ow
     }
 
-    /// Buffers for groups of `planes` input planes.
-    fn bufs(&self, planes: usize, d_input: bool) -> PlaneBufs {
-        let padded = self.ph * self.pw;
-        PlaneBufs {
-            xpad: vec![0.0; planes * padded + PIXELS],
-            taps: Vec::with_capacity(planes * self.kh * self.kw),
-            hits: vec![(0, 0.0); self.oh * self.ow],
-            line: vec![0.0; self.span().next_multiple_of(PIXELS)],
-            dpad: vec![0.0; if d_input { padded } else { 0 }],
-        }
+    /// Elements of one padded plane.
+    fn padded(&self) -> usize {
+        self.ph * self.pw
+    }
+
+    /// Kernel taps per filter plane, `R·S`.
+    fn taps(&self) -> usize {
+        self.kh * self.kw
+    }
+
+    /// Sizes `xpad` and `line` for tasks of `planes` input planes.
+    fn size_bufs(&self, planes: usize, buf: &mut PlaneBufs) {
+        buf.xpad.resize(planes * self.padded() + PIXELS, 0.0);
+        buf.line.resize(self.span().next_multiple_of(PIXELS), 0.0);
     }
 
     /// Copies `h×w` planes into the interiors of `xpad`'s padded planes.
     fn pad_planes(&self, x: &[f32], xpad: &mut [f32]) {
-        let padded = self.ph * self.pw;
-        for (plane, dst) in x.chunks_exact(self.h * self.w).zip(xpad.chunks_mut(padded)) {
+        for (plane, dst) in x
+            .chunks_exact(self.h * self.w)
+            .zip(xpad.chunks_mut(self.padded()))
+        {
             for (y, row) in plane.chunks_exact(self.w).enumerate() {
                 let at = (y + self.pad) * self.pw + self.pad;
                 dst[at..at + self.w].copy_from_slice(row);
@@ -804,6 +853,46 @@ impl Direct {
     /// Flat offset of tap `t = r·S + s` in the padded plane.
     fn tap_offset(&self, t: usize) -> usize {
         (t / self.kw) * self.pw + t % self.kw
+    }
+
+    /// Flat offset of reduction index `t = (c·R + r)·S + s` in a group's
+    /// padded planes.
+    fn reduction_offset(&self, t: usize) -> usize {
+        (t / self.taps()) * self.padded() + self.tap_offset(t % self.taps())
+    }
+
+    /// Writes `planes` of `rows×width` elements side by side into `lanes`:
+    /// plane `i` into lane `i mod LANES` of the `i / LANES`-th run of
+    /// `run` pixels, its row `y` from pixel `at + y·pw`. Slots no row
+    /// reaches keep their value.
+    fn interleave(
+        &self,
+        planes: &[f32],
+        (rows, width): (usize, usize),
+        at: usize,
+        run: usize,
+        lanes: &mut [[f32; LANES]],
+    ) {
+        let plane = rows * width;
+        for (group, dst) in planes.chunks(LANES * plane).zip(lanes.chunks_mut(run)) {
+            for y in 0..rows {
+                let dst = &mut dst[at + y * self.pw..][..width];
+                if group.len() == LANES * plane {
+                    // A whole group gathers each slot from its planes at once.
+                    let rows: [&[f32]; LANES] =
+                        std::array::from_fn(|l| &group[l * plane + y * width..][..width]);
+                    for (x, slot) in dst.iter_mut().enumerate() {
+                        *slot = rows.map(|row| row[x]);
+                    }
+                    continue;
+                }
+                for (lane, src) in group.chunks_exact(plane).enumerate() {
+                    for (slot, &v) in dst.iter_mut().zip(&src[y * width..][..width]) {
+                        slot[lane] = v;
+                    }
+                }
+            }
+        }
     }
 
     /// One `(item, group)` task: `out` holds the group's `kg` output
@@ -820,33 +909,20 @@ impl Direct {
         out: &mut [f32],
     ) {
         self.pad_planes(x, &mut buf.xpad);
-        let (padded, taps) = (self.ph * self.pw, self.kh * self.kw);
-        let filters = weights.chunks_exact(weights.len() / bias.len());
-        for ((filter, &b), out) in filters
+        for ((filter, &b), out) in weights
+            .chunks_exact(weights.len() / bias.len())
             .zip(bias)
             .zip(out.chunks_exact_mut(self.oh * self.ow))
         {
-            buf.taps.clear();
+            buf.terms.clear();
             for (t, &wt) in filter.iter().enumerate() {
                 if wt != 0.0 {
-                    let at = (t / taps) * padded + self.tap_offset(t % taps);
-                    buf.taps.push((at, wt));
+                    buf.terms.push((self.reduction_offset(t), wt));
                 }
             }
-            // `PIXELS` laid-out outputs at a time add up every tap in
-            // registers. The last block runs past `span` into the padded
-            // planes' tail; those sums are never stored.
-            for (i, dst) in buf.line.chunks_exact_mut(PIXELS).enumerate() {
-                let p0 = i * PIXELS;
-                let mut acc = [0.0f32; PIXELS];
-                for &(at, wt) in &buf.taps {
-                    let src = &buf.xpad[at + p0..at + p0 + PIXELS];
-                    for (a, &v) in acc.iter_mut().zip(src) {
-                        *a += wt * v;
-                    }
-                }
-                dst.copy_from_slice(&acc);
-            }
+            // The last block runs past `span` into the padded planes'
+            // tail; those sums are never stored.
+            weighted_blocks(&buf.xpad, &buf.terms, &mut buf.line);
             for (row, acc) in out.chunks_exact_mut(self.ow).zip(buf.line.chunks(self.pw)) {
                 for (d, &a) in row.iter_mut().zip(acc) {
                     *d = a + b;
@@ -855,70 +931,350 @@ impl Direct {
         }
     }
 
-    /// One `(item, channel)` plane of the depthwise backward: its `dW`
-    /// partial into `part[..R·S]`, its `dBias` partial into `part[R·S]`
-    /// and, when given, its `dX` plane into `din`.
-    fn backward_plane(
+    /// One `(item, group)` task of the backward: `x` holds its `C/g` input
+    /// planes, `go` its `kg` `dOut` planes, `weights` its
+    /// `[kg, C/g, R, S]` filters. Writes its `dW` partial to
+    /// `part[..kg·C/g·R·S]`, its `dBias` partial to the `kg` slots after
+    /// it and, when given, its `dX` planes to `din`.
+    fn backward_group(
         &self,
         x: &[f32],
         go: &[f32],
-        taps: &[f32],
+        weights: &[f32],
         buf: &mut PlaneBufs,
         din: Option<&mut [f32]>,
         part: &mut [f32],
     ) {
-        let (dw, db) = part.split_at_mut(taps.len());
-        self.pad_planes(x, &mut buf.xpad);
-        // dW: list the non-zero `dOut` pixels in ascending order (the
-        // reference GEMM skips the zero ones), then sum each tap over the
-        // list. `LANES` adjacent taps of a kernel row share one pass; lanes
-        // past the row's end read further pixels (or the buffer's tail) and
-        // are never stored.
-        let mut hits = 0;
-        for (oy, go_row) in go.chunks_exact(self.ow).enumerate() {
-            for (ox, &g) in go_row.iter().enumerate() {
-                buf.hits[hits] = (oy * self.pw + ox, g);
-                hits += usize::from(g != 0.0);
-            }
+        let out_plane = self.oh * self.ow;
+        let kg = go.len() / out_plane;
+        let rows = weights.len() / kg;
+        let span = self.span();
+        let (dw, db) = part.split_at_mut(kg * rows);
+        buf.lanes.resize(kg.div_ceil(LANES) * span, [0.0; LANES]);
+        self.interleave(go, (self.oh, self.ow), 0, span, &mut buf.lanes);
+        for (lanes, db) in buf.lanes.chunks_exact(span).zip(db.chunks_mut(LANES)) {
+            db.copy_from_slice(&self.plane_sums(lanes)[..db.len()]);
         }
-        for (r, dw_row) in dw.chunks_exact_mut(self.kw).enumerate() {
-            for (s0, dw_lanes) in (0..self.kw).step_by(LANES).zip(dw_row.chunks_mut(LANES)) {
-                let from = r * self.pw + s0;
-                let mut acc = [0.0f32; LANES];
-                for &(at, g) in &buf.hits[..hits] {
-                    let src = &buf.xpad[at + from..at + from + LANES];
-                    for (a, &v) in acc.iter_mut().zip(src) {
-                        *a += g * v;
+        self.size_bufs(x.len() / (self.h * self.w), buf);
+        self.pad_planes(x, &mut buf.xpad);
+        // A fringe pass repeats the last tap; its sums are never stored.
+        let offset = |t: usize| self.reduction_offset(t.min(rows - 1));
+        if kernels::all_finite(x) {
+            for (lanes, dw) in buf
+                .lanes
+                .chunks_exact(span)
+                .zip(dw.chunks_mut(LANES * rows))
+            {
+                for t0 in (0..rows).step_by(TAPS) {
+                    let sums =
+                        filter_sums(&buf.xpad, std::array::from_fn(|i| offset(t0 + i)), lanes);
+                    for (dw_row, l) in dw.chunks_exact_mut(rows).zip(0..) {
+                        for (d, sum) in dw_row[t0..].iter_mut().zip(&sums) {
+                            *d = sum[l];
+                        }
                     }
                 }
-                dw_lanes.copy_from_slice(&acc[..dw_lanes.len()]);
+            }
+        } else {
+            for (dw_row, plane) in dw.chunks_exact_mut(rows).zip(go.chunks_exact(out_plane)) {
+                self.hit_sums(&buf.xpad, plane, &mut buf.hits, offset, dw_row);
             }
         }
-        db[0] = go.iter().sum();
+        if let Some(din) = din {
+            self.input_grads(go, weights, buf, din);
+        }
+    }
+
+    /// One item of a depthwise backward: `x` and `go` hold its `C` input
+    /// and `dOut` planes, `weights` all `C` filters. Writes each channel's
+    /// `dW` partial (`R·S` slots) and `dBias` partial (one slot) to
+    /// consecutive runs of `part` and, when given, its `dX` planes to
+    /// `din`. The channels are the lanes of `dW` and, over finite
+    /// weights and `dOut`, of `dX`.
+    fn backward_channels(
+        &self,
+        x: &[f32],
+        go: &[f32],
+        weights: &[f32],
+        buf: &mut PlaneBufs,
+        din: Option<&mut [f32]>,
+        part: &mut [f32],
+    ) {
+        let (plane, out_plane, taps) = (self.h * self.w, self.oh * self.ow, self.taps());
+        let (span, padded) = (self.span(), self.padded());
+        // `dOut` is laid out after a margin as long as the largest tap
+        // offset, so the `dX` gather below reads zeros before pixel 0.
+        let margin = self.tap_offset(taps - 1);
+        let run = margin + padded + GATHER;
+        let blocks = (go.len() / out_plane).div_ceil(LANES);
+        buf.lanes.resize(blocks * run, [0.0; LANES]);
+        buf.xlanes.resize(blocks * padded, [0.0; LANES]);
+        self.interleave(go, (self.oh, self.ow), margin, run, &mut buf.lanes);
+        let interior = self.pad * self.pw + self.pad;
+        self.interleave(x, (self.h, self.w), interior, padded, &mut buf.xlanes);
+        let offset = |t: usize| self.tap_offset(t.min(taps - 1));
+        let runs = buf
+            .lanes
+            .chunks_exact(run)
+            .zip(buf.xlanes.chunks_exact(padded));
+        for ((lanes, xlanes), part) in runs.zip(part.chunks_mut(LANES * (taps + 1))) {
+            let lanes = &lanes[margin..margin + span];
+            let totals = self.plane_sums(lanes);
+            for (slots, total) in part.chunks_exact_mut(taps + 1).zip(totals) {
+                slots[taps] = total;
+            }
+            for t0 in (0..taps).step_by(ROW_TAPS) {
+                let sums = channel_sums(xlanes, std::array::from_fn(|i| offset(t0 + i)), lanes);
+                for (slots, l) in part.chunks_exact_mut(taps + 1).zip(0..) {
+                    for (d, sum) in slots[t0..taps].iter_mut().zip(&sums) {
+                        *d = sum[l];
+                    }
+                }
+            }
+        }
+        self.size_bufs(1, buf);
+        let channels = x.chunks_exact(plane).zip(go.chunks_exact(out_plane));
+        for (slots, (x, go)) in part.chunks_exact_mut(taps + 1).zip(channels) {
+            if !kernels::all_finite(x) {
+                self.pad_planes(x, &mut buf.xpad);
+                self.hit_sums(&buf.xpad, go, &mut buf.hits, offset, &mut slots[..taps]);
+            }
+        }
         let Some(din) = din else {
             return;
         };
-        // dX: lay `dOut` out at the padded width (the slots past `ow` keep
-        // their zero fill), add one scaled copy per tap into the padded
-        // gradient plane, then crop its interior.
-        let span = self.span();
-        for (row, src) in buf.line.chunks_mut(self.pw).zip(go.chunks_exact(self.ow)) {
-            row[..self.ow].copy_from_slice(src);
-        }
-        buf.dpad.fill(0.0);
-        for (t, &wt) in taps.iter().enumerate() {
-            if wt == 0.0 {
-                continue;
+        if !(kernels::all_finite(weights) && kernels::all_finite(go)) {
+            let planes = din.chunks_exact_mut(plane).zip(go.chunks_exact(out_plane));
+            for ((din, go), filter) in planes.zip(weights.chunks_exact(taps)) {
+                self.input_grads(go, filter, buf, din);
             }
-            let dst = &mut buf.dpad[self.tap_offset(t)..][..span];
-            for (d, &g) in dst.iter_mut().zip(&buf.line) {
-                *d += wt * g;
+            return;
+        }
+        // dX element `q` of the padded plane (from the first interior one)
+        // gathers `w·dOut` from laid-out pixel `q − tap offset` of every
+        // tap in ascending order: the order `col2im` adds them in. Pixels
+        // that do not exist read zeros; a zero weight meets finite `dOut`.
+        // Both give `±0` products, which leave the sums unchanged.
+        let len = (self.h - 1) * self.pw + self.w;
+        buf.dlanes.resize(len, [0.0; LANES]);
+        let filters = weights.chunks(LANES * taps);
+        let planes = din
+            .chunks_mut(LANES * plane)
+            .zip(buf.lanes.chunks_exact(run));
+        for ((din, lanes), filters) in planes.zip(filters) {
+            buf.tap_lanes.clear();
+            for t in 0..taps {
+                let mut w = [0.0f32; LANES];
+                for (wl, filter) in w.iter_mut().zip(filters.chunks_exact(taps)) {
+                    *wl = filter[t];
+                }
+                buf.tap_lanes
+                    .push((margin + interior - self.tap_offset(t), w));
+            }
+            channel_grads(lanes, &buf.tap_lanes, &mut buf.dlanes);
+            for (l, din) in din.chunks_exact_mut(plane).enumerate() {
+                for (row, src) in din.chunks_exact_mut(self.w).zip(buf.dlanes.chunks(self.pw)) {
+                    for (d, g) in row.iter_mut().zip(src) {
+                        *d = g[l];
+                    }
+                }
             }
         }
-        for (y, row) in din.chunks_exact_mut(self.w).enumerate() {
-            let at = (y + self.pad) * self.pw + self.pad;
-            row.copy_from_slice(&buf.dpad[at..at + self.w]);
+    }
+
+    /// Each lane's sum over the laid-out pixels of `lanes`, row gaps left
+    /// out: `LANES` planes' `iter().sum()`, side by side, each from the
+    /// same start (`−0`) in the same order.
+    fn plane_sums(&self, lanes: &[[f32; LANES]]) -> [f32; LANES] {
+        let mut acc = [-0.0f32; LANES];
+        for row in lanes.chunks(self.pw) {
+            for g in &row[..self.ow] {
+                for (a, &v) in acc.iter_mut().zip(g) {
+                    *a += v;
+                }
+            }
         }
+        acc
+    }
+
+    /// The `dW` row of one filter over input planes that may hold an
+    /// infinity or a NaN: `dw[t] = Σ g·xpad[at + offset(t)]` over the
+    /// non-zero `dOut` pixels `g` of `go` (laid-out offset `at`) in
+    /// ascending order, the products the reference computes.
+    fn hit_sums(
+        &self,
+        xpad: &[f32],
+        go: &[f32],
+        hits: &mut Vec<(usize, f32)>,
+        offset: impl Fn(usize) -> usize,
+        dw: &mut [f32],
+    ) {
+        hits.clear();
+        for (oy, row) in go.chunks_exact(self.ow).enumerate() {
+            for (ox, &g) in row.iter().enumerate() {
+                if g != 0.0 {
+                    hits.push((oy * self.pw + ox, g));
+                }
+            }
+        }
+        for (t, d) in dw.iter_mut().enumerate() {
+            let off = offset(t);
+            *d = hits
+                .iter()
+                .fold(0.0, |acc, &(at, g)| acc + g * xpad[at + off]);
+        }
+    }
+
+    /// The input gradient of one task into `din` (its `C/g` planes), from
+    /// its `kg` `dOut` planes `go` and `[kg, C/g, R, S]` filters: per
+    /// plane and tap in ascending `(r, s)`, the line `Σ_k w·dOut` over the
+    /// filters in ascending `k` (zero weights skipped, as the reference's
+    /// `dCol` GEMM skips them), added into the zeroed padded plane, whose
+    /// interior is then copied out (`din`, zeroed, is that plane when
+    /// there is no padding). A line's row-gap slots pair weights with
+    /// zeros; they are zeroed before the line is added, so an infinite
+    /// weight adds no NaN there.
+    fn input_grads(&self, go: &[f32], weights: &[f32], buf: &mut PlaneBufs, din: &mut [f32]) {
+        let (out_plane, taps, span) = (self.oh * self.ow, self.taps(), self.span());
+        let line_len = buf.line.len();
+        let kg = go.len() / out_plane;
+        let cg = weights.len() / (kg * taps);
+        // `dOut` planes whose rows already sit at the padded width and fill
+        // whole blocks are their own lines.
+        let lines = if self.pw == self.ow && line_len == out_plane {
+            go
+        } else {
+            buf.lines.resize(kg * line_len, 0.0);
+            for (src, dst) in go
+                .chunks_exact(out_plane)
+                .zip(buf.lines.chunks_exact_mut(line_len))
+            {
+                for (row, src) in dst.chunks_mut(self.pw).zip(src.chunks_exact(self.ow)) {
+                    row[..self.ow].copy_from_slice(src);
+                }
+            }
+            &buf.lines
+        };
+        buf.dpad.resize(self.padded(), 0.0);
+        for (c, din) in din.chunks_exact_mut(self.h * self.w).enumerate() {
+            // Without padding the padded plane is the zeroed `dX` plane.
+            let dpad = if self.pad == 0 {
+                &mut *din
+            } else {
+                buf.dpad.fill(0.0);
+                &mut buf.dpad
+            };
+            for t in 0..taps {
+                buf.terms.clear();
+                for (k, filter) in weights.chunks_exact(cg * taps).enumerate() {
+                    let wt = filter[c * taps + t];
+                    if wt != 0.0 {
+                        buf.terms.push((k * line_len, wt));
+                    }
+                }
+                // An all-zero line would add `+0`: nothing.
+                if buf.terms.is_empty() {
+                    continue;
+                }
+                weighted_blocks(lines, &buf.terms, &mut buf.line);
+                for row in buf.line[..span].chunks_mut(self.pw) {
+                    row[self.ow..].fill(0.0);
+                }
+                let dst = &mut dpad[self.tap_offset(t)..][..span];
+                for (d, &v) in dst.iter_mut().zip(&buf.line) {
+                    *d += v;
+                }
+            }
+            if self.pad > 0 {
+                for (y, row) in din.chunks_exact_mut(self.w).enumerate() {
+                    let at = (y + self.pad) * self.pw + self.pad;
+                    row.copy_from_slice(&buf.dpad[at..at + self.w]);
+                }
+            }
+        }
+    }
+}
+
+/// Fills `line` in [`PIXELS`]-wide blocks held in registers: block `i` is
+/// `Σ wt·src[at + i·PIXELS..][..PIXELS]` over `terms` in order, each sum
+/// starting at `+0`.
+fn weighted_blocks(src: &[f32], terms: &[(usize, f32)], line: &mut [f32]) {
+    for (i, dst) in line.chunks_exact_mut(PIXELS).enumerate() {
+        let p0 = i * PIXELS;
+        let mut acc = [0.0f32; PIXELS];
+        for &(at, wt) in terms {
+            let src = &src[at + p0..at + p0 + PIXELS];
+            for (a, &v) in acc.iter_mut().zip(src) {
+                *a += wt * v;
+            }
+        }
+        dst.copy_from_slice(&acc);
+    }
+}
+
+/// `TAPS × LANES` sums over the laid-out pixels `p` of `lanes`, each
+/// starting at `+0` and adding in ascending `p`: sum `(t, l)` adds
+/// `x[offsets[t] + p] · lanes[p][l]`. One input element meets `LANES`
+/// filters' `dOut`.
+///
+/// `inline(never)` keeps the sums in registers, as for the GEMM
+/// microkernel.
+#[inline(never)]
+fn filter_sums(x: &[f32], offsets: [usize; TAPS], lanes: &[[f32; LANES]]) -> [[f32; LANES]; TAPS] {
+    let [x0, x1, x2, x3] = offsets.map(|o| &x[o..o + lanes.len()]);
+    let mut acc = [[0.0f32; LANES]; TAPS];
+    let pixels = lanes.iter().zip(x0).zip(x1).zip(x2).zip(x3);
+    for ((((g, &v0), &v1), &v2), &v3) in pixels {
+        for (sums, v) in acc.iter_mut().zip([v0, v1, v2, v3]) {
+            for (s, &gl) in sums.iter_mut().zip(g) {
+                *s += v * gl;
+            }
+        }
+    }
+    acc
+}
+
+/// [`filter_sums`] with one input plane per lane, as a depthwise
+/// convolution pairs them, over [`ROW_TAPS`] taps: sum `(t, l)` adds
+/// `x[offsets[t] + p][l] · lanes[p][l]`.
+#[inline(never)]
+fn channel_sums(
+    x: &[[f32; LANES]],
+    offsets: [usize; ROW_TAPS],
+    lanes: &[[f32; LANES]],
+) -> [[f32; LANES]; ROW_TAPS] {
+    let [x0, x1, x2] = offsets.map(|o| &x[o..o + lanes.len()]);
+    let mut acc = [[0.0f32; LANES]; ROW_TAPS];
+    for (((g, v0), v1), v2) in lanes.iter().zip(x0).zip(x1).zip(x2) {
+        for (sums, v) in acc.iter_mut().zip([v0, v1, v2]) {
+            for ((s, &vl), &gl) in sums.iter_mut().zip(v).zip(g) {
+                *s += vl * gl;
+            }
+        }
+    }
+    acc
+}
+
+/// A depthwise `dX` gather over `LANES` channels:
+/// `out[q] = Σ w ⊙ lanes[start + q]` over `taps` `(start, w)` in order,
+/// each lane's sum starting at `+0`.
+#[inline(never)]
+fn channel_grads(lanes: &[[f32; LANES]], taps: &[(usize, [f32; LANES])], out: &mut [[f32; LANES]]) {
+    // `GATHER` positions at a time keep as many independent sums in
+    // flight; a tail block gathers from further (zero or unused) pixels
+    // and stores only its own positions.
+    for (i, dst) in out.chunks_mut(GATHER).enumerate() {
+        let q0 = i * GATHER;
+        let mut acc = [[0.0f32; LANES]; GATHER];
+        for (start, w) in taps {
+            let src = &lanes[start + q0..][..GATHER];
+            for (a, g) in acc.iter_mut().zip(src) {
+                for ((s, &wl), &gl) in a.iter_mut().zip(w).zip(g) {
+                    *s += wl * gl;
+                }
+            }
+        }
+        dst.copy_from_slice(&acc[..dst.len()]);
     }
 }
 
@@ -934,7 +1290,11 @@ fn direct_forward(geom: &Geometry, input: &Tensor, weight: &Tensor, bias: &Tenso
     kernels::deal(
         out.as_mut_slice().chunks_mut(kg * geom.cols_len()),
         threads::num_threads(),
-        || direct.bufs(cg, false),
+        || {
+            let mut buf = PlaneBufs::default();
+            direct.size_bufs(cg, &mut buf);
+            buf
+        },
         |buf, task, dst| {
             let g = task % geom.groups;
             direct.forward_group(
@@ -949,49 +1309,56 @@ fn direct_forward(geom: &Geometry, input: &Tensor, weight: &Tensor, bias: &Tenso
     out
 }
 
-/// Direct depthwise backward (see [`Direct`]): `(dW, dBias)`, and `dX`
-/// into `d_input` (zeroed `[N, C, H, W]`) when given. Per-plane partials
-/// are reduced in ascending task order, i.e. ascending batch order per
-/// channel, as the reference accumulates them.
-fn depthwise_backward(
+/// Direct backward (see [`Direct`]): `(dW, dBias)`, and `dX` into
+/// `d_input` (a zeroed `[N, C, H, W]` buffer) when given. A depthwise
+/// convolution's units of work are whole items, their channels side by
+/// side; any other's are `(item, group)` tasks. Whole units are dealt to
+/// threads, and the per-task partials are reduced in ascending task
+/// order, i.e. ascending batch order per group, as the reference
+/// accumulates them.
+fn direct_backward(
     geom: &Geometry,
     input: &Tensor,
     weight: &Tensor,
     grad_out: &Tensor,
     d_input: Option<&mut [f32]>,
 ) -> (Tensor, Tensor) {
-    let (c, direct) = (geom.c, Direct::new(geom));
-    let (plane, out_plane, taps) = (geom.h * geom.w, geom.cols_len(), geom.rows_g());
-    let part_len = taps + 1;
+    let direct = Direct::new(geom);
+    let (groups, kg, rows) = (geom.groups, geom.kg(), geom.rows_g());
+    let unit = if geom.direct_depthwise() { groups } else { 1 };
+    let x_len = unit * geom.cg() * geom.h * geom.w;
+    let (go_len, w_len, part_len) = (unit * kg * geom.cols_len(), kg * rows, kg * rows + kg);
     let (x, go, wv) = (input.as_slice(), grad_out.as_slice(), weight.as_slice());
-    let with_dx = d_input.is_some();
-    let mut parts = vec![0.0f32; geom.n * c * part_len];
+    let units = geom.n * groups / unit;
+    let mut parts = vec![0.0f32; geom.n * groups * part_len];
     kernels::deal(
-        input_grad_chunks(d_input, plane, geom.n * c)
+        input_grad_chunks(d_input, x_len, units)
             .into_iter()
-            .zip(parts.chunks_mut(part_len)),
+            .zip(parts.chunks_mut(unit * part_len)),
         threads::num_threads(),
-        || direct.bufs(1, with_dx),
-        |buf, task, (din, part)| {
-            let ch = task % c;
-            direct.backward_plane(
-                &x[task * plane..(task + 1) * plane],
-                &go[task * out_plane..(task + 1) * out_plane],
-                &wv[ch * taps..(ch + 1) * taps],
-                buf,
-                din,
-                part,
+        PlaneBufs::default,
+        |buf, u, (din, part)| {
+            let (x, go) = (
+                &x[u * x_len..(u + 1) * x_len],
+                &go[u * go_len..(u + 1) * go_len],
             );
+            if unit > 1 {
+                direct.backward_channels(x, go, wv, buf, din, part);
+            } else {
+                let g = u % groups;
+                let filters = &wv[g * w_len..(g + 1) * w_len];
+                direct.backward_group(x, go, filters, buf, din, part);
+            }
         },
     );
-    let mut d_weight = vec![0.0f32; c * taps];
-    let mut d_bias = vec![0.0f32; c];
+    let mut d_weight = vec![0.0f32; geom.k * rows];
+    let mut d_bias = vec![0.0f32; geom.k];
     for (task, part) in parts.chunks(part_len).enumerate() {
-        reduce_part(task, part, c, 1, taps, &mut d_weight, &mut d_bias);
+        reduce_part(task, part, groups, kg, rows, &mut d_weight, &mut d_bias);
     }
     (
-        Tensor::from_vec(d_weight, &[c, 1, direct.kh, direct.kw]),
-        Tensor::from_vec(d_bias, &[c]),
+        Tensor::from_vec(d_weight, &[geom.k, geom.cg(), direct.kh, direct.kw]),
+        Tensor::from_vec(d_bias, &[geom.k]),
     )
 }
 
@@ -1024,11 +1391,8 @@ fn same_bits(a: &Tensor, b: &Tensor) -> bool {
 /// [`ConvScratch::backward_last`] and [`ConvScratch::param_grads_last`]
 /// run on the copy itself: a `Conv2d` layer owns one scratch and keeps no
 /// copy of its input besides it, so a training step copies and lowers
-/// each input at most once. Only the im2col route lowers: depthwise
-/// convolutions at unit stride never do, and a narrow convolution's
-/// forward runs the direct kernel, so its backward lowers the held input
-/// on first use and a forward that no backward follows (evaluation) never
-/// lowers at all.
+/// each input at most once. Only the im2col route lowers: convolutions on
+/// the direct kernels (depthwise or narrow, at unit stride) never do.
 #[derive(Debug, Clone)]
 pub struct ConvScratch {
     /// The most recent forward input (a rank-1 placeholder before the first).
@@ -1133,7 +1497,7 @@ impl ConvScratch {
     }
 
     /// The weight and bias gradients of [`ConvScratch::backward_last`]
-    /// without the input gradient, whose GEMM and `col2im` (or depthwise
+    /// without the input gradient, whose GEMM and `col2im` (or direct
     /// pass) are skipped — for a network's first layer, whose input
     /// gradient nothing reads.
     ///
@@ -1439,6 +1803,32 @@ mod tests {
             );
             assert_eq!(bits(&dw), bits(&want.weight), "g={groups} s={stride}");
             assert_eq!(bits(&db), bits(&want.bias), "g={groups} s={stride}");
+        }
+    }
+
+    /// `mobile_cnn`'s three convolutions run the direct kernels in both
+    /// directions: a training step through a scratch never lowers.
+    #[test]
+    fn mobile_cnn_step_never_lowers() {
+        let same3 = ConvSpec::new(3, 3).with_padding(1);
+        for (c, k, spec, groups) in [
+            (3, 8, same3, 1),
+            (8, 8, same3, 8),
+            (8, 16, ConvSpec::new(1, 1), 1),
+        ] {
+            let input = seq(&[4, c, 16, 16], 0.19);
+            let weight = seq(&[k, c / groups, spec.kernel_h, spec.kernel_w], 0.37);
+            let bias = seq(&[k], 0.61);
+            let mut scratch = ConvScratch::new();
+            let out = scratch.forward(&input, &weight, &bias, &spec, groups);
+            let go = Tensor::from_fn(out.shape().dims(), |i| ((i as f32) * 0.13).sin());
+            let _ = scratch.param_grads_last(&weight, &go, &spec, groups);
+            let _ = scratch.backward_last(&weight, &go, &spec, groups);
+            let _ = scratch.backward(&input, &weight, &go, &spec, groups);
+            assert!(
+                scratch.lowering.geom.is_none() && scratch.lowering.cols.is_empty(),
+                "c={c} k={k} g={groups} lowered"
+            );
         }
     }
 

@@ -48,6 +48,20 @@ const PARALLEL_MAC_FLOOR: usize = 1 << 18;
 /// fit in cache and pack-buffer allocation would dominate. Same
 /// accumulation order, so bit-identical either way.
 const SMALL_GEMM_MACS: usize = 1 << 15;
+/// Longest reduction for which an `A·B` or `Aᵀ·B` product that runs on
+/// one thread, and whose `C` has at least as many columns as rows, takes
+/// [`small_gemm`] at any size: each [`COLS`]-wide block of a `C` row is
+/// summed in registers from `k` rows of `B`, while the packed path packs
+/// all of `A` and `B` for `k` products per element. A taller `C` (a
+/// convolution's `dCol` GEMM) keeps the packed path, whose `MR×NR` tiles
+/// share each load of `A` and `B` among more products.
+const SHORT_K: usize = 32;
+/// Most columns for which an `A·Bᵀ` product that runs on one thread takes
+/// [`small_gemm`] at any size: `Bᵀ` fills at most two `NR`-wide panels,
+/// so a packed copy of `A` would serve at most two panel passes.
+const THIN_N: usize = 2 * NR;
+/// Columns of a `C` row the small `A·B` tier sums in registers at once.
+const COLS: usize = 32;
 
 /// When set, the public kernel entry points dispatch to the naive
 /// [`crate::reference`] implementations. Benchmark/debug hook.
@@ -130,13 +144,18 @@ pub(crate) fn gemm_with_threads(
         return;
     }
     let macs = m.saturating_mul(k).saturating_mul(n);
-    if macs <= SMALL_GEMM_MACS {
+    let micro_rows = m.div_ceil(MR);
+    let t = thread_budget.clamp(1, micro_rows);
+    let serial = t == 1 || macs < PARALLEL_MAC_FLOOR;
+    let short = match rhs {
+        Rhs::RowMajor => k <= SHORT_K && n >= m,
+        Rhs::Transposed => n <= THIN_N,
+    };
+    if macs <= SMALL_GEMM_MACS || (serial && short) {
         small_gemm(lhs, rhs, a, b, m, k, n, c);
         return;
     }
-    let micro_rows = m.div_ceil(MR);
-    let t = thread_budget.clamp(1, micro_rows);
-    if t == 1 || macs < PARALLEL_MAC_FLOOR {
+    if serial {
         gemm_range(lhs, rhs, a, b, 0, m, m, k, n, c);
         return;
     }
@@ -160,18 +179,24 @@ pub(crate) fn gemm_with_threads(
     });
 }
 
-/// Direct (unblocked) GEMM for problems too small to amortize the
-/// blocked path's pack buffers. Accumulates each `C` element in
-/// ascending-`p` order — the exact sequence the blocked path and the
-/// naive reference produce, so all three are bit-identical.
+/// Direct (unpacked) GEMM for problems too small to amortize the blocked
+/// path's pack buffers, and on one thread for `A·B`/`Aᵀ·B` with a
+/// reduction of at most [`SHORT_K`] into a `C` no taller than wide, and
+/// `A·Bᵀ` with at most [`THIN_N`] columns. Accumulates each `C` element in ascending-`p` order from
+/// `+0` — the exact sequence the blocked path and the naive reference
+/// produce, so all three are bit-identical. Each `C` element is written by
+/// this call alone, and `C` starts at `+0`, so no sum loads `C`.
 ///
-/// `A·B` streams rows of `B` into each `C` row, skipping the row of a zero
-/// `a` as the reference does. `A·Bᵀ` would be a dot product per element,
-/// one dependent add chain; instead `NR` columns of `Bᵀ` at a time are
-/// transposed into a `p`-major panel (as [`pack_b`] lays them out) and
-/// each `C` row accumulates `NR` independent lanes. A panel found all
-/// finite while transposing runs without the zero skip (see [`gemm`]);
-/// one holding an infinity or a NaN keeps it.
+/// `A·B` sums each [`COLS`]-wide block of a `C` row in registers from the
+/// matching blocks of `B`'s rows, skipping the row of a zero `a` as the
+/// reference does; the fringe columns stream rows of `B` into `C`. `A·Bᵀ`
+/// would be a dot product per element, one dependent add chain; instead
+/// `NR` columns of `Bᵀ` at a time are transposed into a `p`-major panel
+/// (as [`pack_b`] lays them out) and [`panel_tile`] sums `MR` rows of `C`
+/// against it, `MR×NR` independent lanes. A panel found all finite while
+/// transposing runs without the zero skip (see [`gemm`]); one holding an
+/// infinity or a NaN keeps it.
+#[allow(clippy::too_many_arguments)]
 fn small_gemm(
     lhs: Lhs,
     rhs: Rhs,
@@ -189,13 +214,28 @@ fn small_gemm(
     match rhs {
         Rhs::RowMajor => {
             for (i, row) in c.chunks_mut(n).enumerate() {
+                let (blocks, rest) = row.as_chunks_mut::<COLS>();
+                for (jb, dst) in blocks.iter_mut().enumerate() {
+                    let mut acc = [0.0f32; COLS];
+                    for p in 0..k {
+                        let x = a_at(i, p);
+                        if x == 0.0 {
+                            continue;
+                        }
+                        let brow = &b[p * n + jb * COLS..][..COLS];
+                        for (s, &y) in acc.iter_mut().zip(brow) {
+                            *s += x * y;
+                        }
+                    }
+                    *dst = acc;
+                }
+                let j0 = n - rest.len();
                 for p in 0..k {
                     let x = a_at(i, p);
                     if x == 0.0 {
                         continue;
                     }
-                    let brow = &b[p * n..(p + 1) * n];
-                    for (d, &y) in row.iter_mut().zip(brow) {
+                    for (d, &y) in rest.iter_mut().zip(&b[p * n + j0..(p + 1) * n]) {
                         *d += x * y;
                     }
                 }
@@ -218,28 +258,52 @@ fn small_gemm(
                         lanes[nr..].fill(0.0);
                     }
                 }
-                // Each `C` element is written by this block alone, and `C`
-                // starts at +0, so the lanes start at +0 too.
-                for (i, row) in c.chunks_mut(n).enumerate() {
-                    let mut acc = [0.0f32; NR];
-                    for (p, lanes) in panel.iter().enumerate() {
-                        let x = a_at(i, p);
-                        if !finite && x == 0.0 {
-                            continue;
-                        }
-                        for (slot, &y) in acc.iter_mut().zip(lanes) {
-                            *slot += x * y;
-                        }
-                    }
-                    if nr == NR {
-                        row[j0..j0 + NR].copy_from_slice(&acc);
-                    } else {
-                        row[j0..j0 + nr].copy_from_slice(&acc[..nr]);
+                for (i0, rows) in (0..m).step_by(MR).zip(c.chunks_mut(MR * n)) {
+                    let acc = panel_tile(lhs, a, m, k, i0, &panel, finite);
+                    for (row, accr) in rows.chunks_mut(n).zip(&acc) {
+                        row[j0..j0 + nr].copy_from_slice(&accr[..nr]);
                     }
                 }
             }
         }
     }
+}
+
+/// `MR` rows of `C`, from row `i0`, against one transposed `NR`-column
+/// panel of `Bᵀ`: each of the `MR×NR` sums starts at `+0` and adds its
+/// products in ascending `p`, skipping a zero `a` unless the panel is
+/// `finite`. Rows past `m` repeat row `m − 1`; their sums are never
+/// stored. `inline(never)` keeps the tile in registers, as for
+/// [`microkernel`].
+#[inline(never)]
+fn panel_tile(
+    lhs: Lhs,
+    a: &[f32],
+    m: usize,
+    k: usize,
+    i0: usize,
+    panel: &[[f32; NR]],
+    finite: bool,
+) -> [[f32; NR]; MR] {
+    // `a(i, p)` sits at `i·k + p` in a row-major `A`, at `p·m + i` in `Aᵀ`.
+    let (scale, step) = match lhs {
+        Lhs::RowMajor => (k, 1),
+        Lhs::Transposed => (1, m),
+    };
+    let rows: [usize; MR] = std::array::from_fn(|r| (i0 + r).min(m - 1) * scale);
+    let mut acc = [[0.0f32; NR]; MR];
+    for (p, lanes) in panel.iter().enumerate() {
+        for (accr, &row) in acc.iter_mut().zip(&rows) {
+            let x = a[row + p * step];
+            if !finite && x == 0.0 {
+                continue;
+            }
+            for (slot, &y) in accr.iter_mut().zip(lanes) {
+                *slot += x * y;
+            }
+        }
+    }
+    acc
 }
 
 /// Blocked GEMM over output rows `[r0, r1)`; `c` holds exactly those rows.
@@ -394,7 +458,7 @@ fn pack_b(
 }
 
 /// Whether no element of `v` is infinite or NaN.
-fn all_finite(v: &[f32]) -> bool {
+pub(crate) fn all_finite(v: &[f32]) -> bool {
     // Folding each chunk without an early exit lets the test vectorize.
     v.chunks(64)
         .all(|ch| ch.iter().fold(true, |ok, x| ok & x.is_finite()))

@@ -593,7 +593,8 @@ fn poison(rng: &mut StdRng, t: &mut Tensor, count: usize) {
 }
 
 /// Both zero-skip paths of every `matmul` layout, in the direct small tier
-/// and the packed tier (whose `k = 300` spans two `KC` blocks): left
+/// (by size, and by shape: a short reduction or a thin `Bᵀ`) and the
+/// packed tier (whose `k = 300` spans two `KC` blocks): left
 /// operands with half their elements zero at random positions plus `-0.0`
 /// and subnormals; right operands likewise, once all finite (the kernels
 /// take the branch-free path) and once holding infinities and NaNs (they
@@ -602,11 +603,17 @@ fn poison(rng: &mut StdRng, t: &mut Tensor, count: usize) {
 #[test]
 fn matmul_zero_skip_paths_bit_match_reference() {
     let seed = prop_seed();
+    // The last three take the small tier by shape on one thread: `A·B`
+    // and `Aᵀ·B` with `k ≤ 32` into a wide `C` (the linear layer's
+    // gradients, one with fringe columns), `A·Bᵀ` with at most 16 columns
+    // (its forward).
     let shapes = [
         (5usize, 13usize, 11usize),
         (9, 30, 20),
         (37, 300, 41),
         (6, 1024, 10),
+        (10, 32, 1024),
+        (33, 10, 1000),
     ];
     for (case, &(m, k, n)) in shapes.iter().enumerate() {
         for non_finite in [false, true] {
@@ -642,14 +649,32 @@ fn matmul_zero_skip_paths_bit_match_reference() {
     reset_num_threads();
 }
 
-/// Convolutions whose forward runs the direct narrow kernel (unit stride,
-/// a short `C/g·R·S`, planes of 100 or more output pixels): `mobile_cnn`'s
-/// 3→8 3×3 and 8→16 1×1, a 1-channel 5×5, a grouped 3×3 and a 1×1 over 32
-/// channels, each with training-like operands and once with a ≥90%-pruned
-/// weight; the last case also holds infinities and NaNs in its input,
-/// which the backward's `dW` product reads as its right operand. Free
-/// functions and a `ConvScratch` pair (whose backward lowers lazily) both
-/// run at every thread count.
+/// Where a direct backward case puts one non-finite element.
+#[derive(Clone, Copy, Debug)]
+enum Poison {
+    Input(f32),
+    Weight(f32),
+    GradOut(f32),
+}
+
+/// Overwrites one random element of `t` with `value`.
+fn poison_one(rng: &mut StdRng, t: &mut Tensor, value: f32) {
+    let at = rng.gen_range(0..t.len());
+    t.as_mut_slice()[at] = value;
+}
+
+/// Convolutions that run the direct kernels in both directions (unit
+/// stride, a short `C/g·R·S`, planes of 100 or more output pixels):
+/// `mobile_cnn`'s 3→8 3×3 and 8→16 1×1, a 1-channel 5×5, a grouped 3×3
+/// and a 1×1 over 32 channels, each with training-like operands and once
+/// with a ≥90%-pruned weight; the last case also holds infinities and
+/// NaNs in its input, which `dW` reads. Then the backward's cases:
+/// `mobile_cnn`'s three convs (depthwise too) and a grouped narrow 3×3,
+/// with half of `dOut` zero, clean and with one infinity or NaN in the
+/// input (the path `dW` takes on non-finite planes), in the weight or in
+/// `dOut` (the paths of `dX`). Free functions and a `ConvScratch` pair
+/// with `backward_last` and `param_grads_last` all run at every thread
+/// count.
 #[test]
 fn direct_narrow_conv_bit_matches_reference() {
     let seed = prop_seed();
@@ -680,6 +705,49 @@ fn direct_narrow_conv_bit_matches_reference() {
             let grad_out = training_tensor(&mut rng, &[n, k, oh, ow], 0.5);
             let what = format!(
                 "direct {spec:?} on [{n},{c},{h},{w}] -> {k} g={groups}, pruned {pruned} (seed {seed})"
+            );
+            assert_conv_bits_match_reference(
+                &input, &weight, &bias, &grad_out, &spec, groups, &what,
+            );
+            assert_scratch_bits_match_reference(
+                &input, &weight, &bias, &grad_out, &spec, groups, &what,
+            );
+        }
+    }
+    let backward_cases: [([usize; 4], usize, ConvSpec, usize); 4] = [
+        ([3, 3, 16, 16], 8, same3, 1),
+        ([2, 8, 16, 16], 16, ConvSpec::new(1, 1), 1),
+        ([2, 4, 12, 12], 8, same3, 2),
+        ([3, 8, 16, 16], 8, same3, 8),
+    ];
+    let poisons = [
+        None,
+        Some(Poison::Input(f32::INFINITY)),
+        Some(Poison::Input(f32::NAN)),
+        Some(Poison::Weight(f32::NEG_INFINITY)),
+        Some(Poison::GradOut(f32::NAN)),
+    ];
+    for (case, &([n, c, h, w], k, spec, groups)) in backward_cases.iter().enumerate() {
+        for (p, &poisoned) in poisons.iter().enumerate() {
+            let mut rng = StdRng::seed_from_u64(seed ^ (0xdb4c_0000 + 8 * case as u64 + p as u64));
+            let mut input = training_tensor(&mut rng, &[n, c, h, w], 0.5);
+            let mut weight = training_tensor(
+                &mut rng,
+                &[k, c / groups, spec.kernel_h, spec.kernel_w],
+                0.2,
+            );
+            let bias = random_tensor(&mut rng, &[k], 0.0);
+            let (oh, ow) = spec.output_dim(h, w);
+            let mut grad_out = training_tensor(&mut rng, &[n, k, oh, ow], 0.5);
+            match poisoned {
+                Some(Poison::Input(v)) => poison_one(&mut rng, &mut input, v),
+                Some(Poison::Weight(v)) => poison_one(&mut rng, &mut weight, v),
+                Some(Poison::GradOut(v)) => poison_one(&mut rng, &mut grad_out, v),
+                None => {}
+            }
+            let what = format!(
+                "direct backward {spec:?} on [{n},{c},{h},{w}] -> {k} g={groups}, \
+                 poison {poisoned:?} (seed {seed})"
             );
             assert_conv_bits_match_reference(
                 &input, &weight, &bias, &grad_out, &spec, groups, &what,
