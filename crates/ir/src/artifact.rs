@@ -410,7 +410,7 @@ fn parse_node(index: usize, obj: &Value) -> Result<LayerNode, ArtifactError> {
         "conv" | "depthwise" => {
             let geom = cx.geom()?;
             let depthwise = kind == "depthwise";
-            if depthwise && !(geom.groups == geom.c && geom.groups == geom.k && geom.groups > 1) {
+            if depthwise && !geom.is_depthwise() {
                 return Err(cx.err(
                     "groups",
                     format!(
@@ -419,7 +419,7 @@ fn parse_node(index: usize, obj: &Value) -> Result<LayerNode, ArtifactError> {
                     ),
                 ));
             }
-            if !depthwise && geom.groups == geom.c && geom.groups == geom.k && geom.groups > 1 {
+            if !depthwise && geom.is_depthwise() {
                 return Err(cx.err(
                     "kind",
                     "groups == c == k > 1 must be declared `depthwise`, not `conv`",

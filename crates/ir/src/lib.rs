@@ -113,6 +113,13 @@ impl ConvGeom {
         Ok(())
     }
 
+    /// Whether this is a depthwise convolution: one filter per input
+    /// channel, `groups == c == k > 1`. The IR's `depthwise` node, the
+    /// artifact parser and `cscnn-models`' layer kind all classify by it.
+    pub fn is_depthwise(&self) -> bool {
+        self.groups == self.c && self.groups == self.k && self.groups > 1
+    }
+
     /// Output spatial extent `(H', W')`.
     pub fn output_dim(&self) -> (usize, usize) {
         let ph = self.h + 2 * self.padding;
@@ -312,7 +319,7 @@ impl LayerNode {
             padding,
             groups,
         };
-        if groups == c && groups == k && groups > 1 {
+        if geom.is_depthwise() {
             LayerNode::Depthwise {
                 name: name.to_string(),
                 geom,

@@ -1,5 +1,6 @@
 //! Layer and model descriptors.
 
+use cscnn_ir::ConvGeom;
 use std::fmt;
 
 /// The kind of a weight-bearing layer.
@@ -87,7 +88,18 @@ impl LayerDesc {
             c.is_multiple_of(groups) && k.is_multiple_of(groups),
             "channels must divide groups: c={c} k={k} groups={groups}"
         );
-        let kind = if groups == c && groups == k && groups > 1 {
+        let geom = ConvGeom {
+            c,
+            k,
+            r,
+            s,
+            h,
+            w,
+            stride,
+            padding,
+            groups,
+        };
+        let kind = if geom.is_depthwise() {
             LayerKind::Depthwise
         } else {
             LayerKind::Conv

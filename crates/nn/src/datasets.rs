@@ -107,11 +107,6 @@ impl SyntheticImages {
         self.classes
     }
 
-    /// Image shape as `(channels, height, width)`.
-    pub fn image_shape(&self) -> (usize, usize, usize) {
-        (self.channels, self.height, self.width)
-    }
-
     /// Label of sample `i`.
     pub fn label(&self, i: usize) -> usize {
         self.labels[i]
@@ -343,11 +338,11 @@ mod tests {
     fn digit_glyphs_are_learnable_and_distinct() {
         let d = SyntheticImages::digits(6, 0.05, 5);
         assert_eq!(d.classes(), 10);
-        assert_eq!(d.image_shape(), (1, 28, 28));
         assert_eq!(d.len(), 60);
         // Distinct digits must differ: compare clean class exemplars by
         // their active pixel masses (8 has all segments, 1 only two).
         let (x, y) = d.batch(&(0..d.len()).collect::<Vec<_>>());
+        assert_eq!(x.shape().dims(), &[60, 1, 28, 28]);
         let plane = 28 * 28;
         let mass = |i: usize| -> f32 {
             x.as_slice()[i * plane..(i + 1) * plane]

@@ -74,28 +74,6 @@ pub fn accuracy(logits: &Tensor, labels: &[usize]) -> f64 {
     correct as f64 / n as f64
 }
 
-/// Top-k accuracy (`k = 5` reproduces the paper's Top-5 columns).
-///
-/// # Panics
-///
-/// Panics if `k == 0` or shapes disagree.
-pub fn top_k_accuracy(logits: &Tensor, labels: &[usize], k: usize) -> f64 {
-    assert!(k > 0, "k must be positive");
-    let (n, c) = (logits.shape().dim(0), logits.shape().dim(1));
-    assert_eq!(labels.len(), n, "labels length must equal batch size");
-    let src = logits.as_slice();
-    let mut correct = 0usize;
-    for (i, &label) in labels.iter().enumerate() {
-        let row = &src[i * c..(i + 1) * c];
-        let mut idx: Vec<usize> = (0..c).collect();
-        idx.sort_by(|&a, &b| row[b].partial_cmp(&row[a]).expect("NaN logit"));
-        if idx.iter().take(k).any(|&j| j == label) {
-            correct += 1;
-        }
-    }
-    correct as f64 / n as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -135,17 +113,6 @@ mod tests {
         let logits = Tensor::from_vec(vec![1.0, 0.0, 0.0, 1.0, 0.4, 0.6], &[3, 2]);
         assert!((accuracy(&logits, &[0, 1, 1]) - 1.0).abs() < 1e-12);
         assert!((accuracy(&logits, &[1, 1, 0]) - 1.0 / 3.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn top_k_is_monotone_in_k() {
-        let logits = Tensor::from_vec(vec![0.1, 0.9, 0.5, 0.3, 0.8, 0.2], &[2, 3]);
-        let labels = [2usize, 2];
-        let a1 = top_k_accuracy(&logits, &labels, 1);
-        let a2 = top_k_accuracy(&logits, &labels, 2);
-        let a3 = top_k_accuracy(&logits, &labels, 3);
-        assert!(a1 <= a2 && a2 <= a3);
-        assert!((a3 - 1.0).abs() < 1e-12);
     }
 
     #[test]

@@ -102,11 +102,6 @@ impl Network {
         self.layers.iter().flat_map(|l| l.params()).collect()
     }
 
-    /// Total parameter count.
-    pub fn num_params(&self) -> usize {
-        self.params().iter().map(|p| p.value.len()).sum()
-    }
-
     /// Iterates over the conv layers (used by the centrosymmetric and
     /// pruning passes).
     pub fn conv_layers_mut(&mut self) -> impl Iterator<Item = &mut Conv2d> {
@@ -213,7 +208,6 @@ mod tests {
         }
         assert_eq!(g.shape().dims(), &[2, 1, 6, 6]);
         assert_eq!(net.params().len(), 4); // conv w/b + linear w/b
-        assert!(net.num_params() > 0);
     }
 
     /// Bit patterns of every parameter gradient, in `params` order.

@@ -44,11 +44,6 @@ impl BatchNorm2d {
     pub fn set_training(&mut self, training: bool) {
         self.training = training;
     }
-
-    /// The learnable scale parameter.
-    pub fn gamma(&self) -> &Param {
-        &self.gamma
-    }
 }
 
 impl Layer for BatchNorm2d {

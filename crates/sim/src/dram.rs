@@ -103,14 +103,6 @@ impl DramConfig {
             (rand_bytes / self.burst_bytes as f64).ceil() / self.banks.max(1) as f64;
         data_s + (seq_penalties + rand_penalties) * self.row_penalty_s
     }
-
-    /// Effective bandwidth (bytes/s) for a transfer of `bytes`.
-    pub fn effective_bandwidth(&self, bytes: u64) -> f64 {
-        if bytes == 0 {
-            return self.peak_bytes_per_s;
-        }
-        bytes as f64 / self.transfer_time_s(bytes)
-    }
 }
 
 impl Default for DramConfig {
@@ -131,7 +123,8 @@ mod tests {
     #[test]
     fn large_sequential_transfers_approach_peak_bandwidth() {
         let d = DramConfig::ddr3_1600();
-        let eff = d.effective_bandwidth(256 * 1024 * 1024);
+        let bytes = 256 * 1024 * 1024;
+        let eff = bytes as f64 / d.transfer_time_s(bytes);
         assert!(eff > 0.7 * d.peak_bytes_per_s, "eff={eff:e}");
         assert!(eff < d.peak_bytes_per_s);
     }

@@ -175,11 +175,6 @@ impl CentroFilter {
         &self.half
     }
 
-    /// Number of stored weights that are non-zero (pruning-aware).
-    pub fn stored_nnz(&self) -> usize {
-        self.half.iter().filter(|v| **v != 0.0).count()
-    }
-
     /// Expands back to the dense `rows × cols` slice.
     pub fn expand(&self) -> Vec<f32> {
         let mut out = vec![0.0f32; self.rows * self.cols];
@@ -316,6 +311,5 @@ mod tests {
         let cf = CentroFilter::from_dense(&dense, 3, 3).expect("slice is centrosymmetric");
         assert_eq!(cf.expand(), dense);
         assert_eq!(cf.stored_len(), 5);
-        assert_eq!(cf.stored_nnz(), 3);
     }
 }

@@ -35,10 +35,12 @@
 //! over the same segments, in the reference's `(ci, r, s)` order, through
 //! one `dCol` scratch per thread.
 //!
-//! The GEMMs themselves are the cache-blocked multithreaded kernels in
-//! [`crate::kernels`]; when a batch offers enough `(item × group)` tasks
-//! the work is parallelized across tasks instead (whole output chunks per
-//! thread), which keeps every output element single-writer.
+//! The GEMMs themselves are the cache-blocked kernels in
+//! [`crate::kernels`]. Every route asks [`kernels::dispatch`] for its
+//! threads, from its multiply-accumulates and its `(item × group)` task
+//! count: whole tasks (whole output chunks) go to threads first, and any
+//! threads left over split each task's GEMM rows, so every output
+//! element has one writer.
 //!
 //! # Direct kernels
 //!
@@ -54,8 +56,8 @@
 //! reference implementations in [`crate::reference`] at every thread
 //! count; see `docs/kernels.md` for why the accumulation orders match.
 
-use crate::kernels::{self, Lhs, Rhs};
-use crate::{reference, threads, Tensor};
+use crate::kernels::{self, Gemm, Lhs, Rhs};
+use crate::{reference, Tensor};
 
 /// Static description of a convolution: filter geometry, stride and padding.
 ///
@@ -149,10 +151,9 @@ pub struct Conv2dGrads {
     pub bias: Tensor,
 }
 
-/// Cap on the transient per-task partial-gradient buffer (in f32 slots,
-/// 64 Mi ≈ 256 MB) that the task-parallel backward path may allocate;
-/// above it the backward falls back to the sequential-tasks path whose
-/// GEMMs are internally parallel instead.
+/// Cap on the per-task partial-gradient buffer (in f32 slots, 64 Mi ≈
+/// 256 MB) of the GEMM backward: its tasks run in blocks whose partials
+/// fit, one block at a time.
 const PART_BUDGET_FLOATS: usize = 1 << 26;
 
 /// The geometry of one convolution call, as [`check`] validated it.
@@ -188,6 +189,17 @@ impl Geometry {
     /// Output pixels per plane, `H'·W'`.
     fn cols_len(&self) -> usize {
         self.oh * self.ow
+    }
+
+    /// `(item, group)` tasks, `N·groups`.
+    fn tasks(&self) -> usize {
+        self.n * self.groups
+    }
+
+    /// Multiply-accumulates of the forward, and of each of the backward's
+    /// `dW` and `dX`: `N·K·C/g·R·S·H'·W'`.
+    fn macs(&self) -> usize {
+        self.n * self.k * self.rows_g() * self.cols_len()
     }
 
     /// Whether this is a depthwise convolution at unit stride: one filter
@@ -333,6 +345,7 @@ fn route_backward(
         weight,
         grad_out,
         d_input,
+        PART_BUDGET_FLOATS,
     )
 }
 
@@ -382,19 +395,21 @@ struct ConvLowering {
 
 impl ConvLowering {
     /// The column blocks of `input` at `geom`, lowered into the existing
-    /// buffer unless it already holds them.
+    /// buffer unless it already holds them. Each copied element counts as
+    /// one multiply-accumulate of work.
     fn lower(&mut self, geom: &Geometry, input: &Tensor) -> &[f32] {
         if self.geom != Some(*geom) {
             let block_len = geom.rows_g() * geom.cols_len();
+            let tasks = geom.tasks();
             self.cols.clear();
-            self.cols.resize(geom.n * geom.groups * block_len, 0.0);
+            self.cols.resize(tasks * block_len, 0.0);
             // Task `ni·groups + g` reads the `C/g` input planes at flat
             // offset `task·C/g·H·W`.
             let image = geom.cg() * geom.h * geom.w;
             let src = input.as_slice();
             kernels::deal(
                 self.cols.chunks_mut(block_len),
-                threads::num_threads(),
+                kernels::dispatch(tasks * block_len, tasks).task_threads,
                 || (),
                 |_, task, block| im2col_block(geom, &src[task * image..(task + 1) * image], block),
             );
@@ -410,33 +425,21 @@ fn lowered_forward(geom: &Geometry, cols: &[f32], weight: &Tensor, bias: &Tensor
     let (groups, kg, rows_g, cols_len) = (geom.groups, geom.kg(), geom.rows_g(), geom.cols_len());
     let mut out = Tensor::zeros(&[geom.n, geom.k, geom.oh, geom.ow]);
     let (wv, bias_v) = (weight.as_slice(), bias.as_slice());
-    let t = threads::num_threads();
+    let gemm = Gemm::new(Lhs::RowMajor, Rhs::RowMajor, kg, rows_g, cols_len);
+    let plan = kernels::dispatch(geom.macs(), geom.tasks());
     // Each (item, group) task owns the contiguous output chunk
-    // [ni, g·kg..(g+1)·kg, :, :]; with enough tasks, parallelize across
-    // them (serial GEMM per task), otherwise run the tasks sequentially
-    // with internally parallel GEMMs. Both schedules compute every
-    // element with the same reduction order.
-    let (task_threads, gemm_threads) = if t > 1 && geom.n * groups >= t {
-        (t, 1)
-    } else {
-        (1, t)
-    };
+    // [ni, g·kg..(g+1)·kg, :, :].
     kernels::deal(
         out.as_mut_slice().chunks_mut(kg * cols_len),
-        task_threads,
+        plan.task_threads,
         || (),
         |_, task, dst| {
             let g = task % groups;
-            kernels::gemm_with_threads(
-                Lhs::RowMajor,
-                Rhs::RowMajor,
+            gemm.run(
                 &wv[g * kg * rows_g..(g + 1) * kg * rows_g],
                 &cols[task * rows_g * cols_len..(task + 1) * rows_g * cols_len],
-                kg,
-                rows_g,
-                cols_len,
                 dst,
-                gemm_threads,
+                plan.gemm_threads,
             );
             for (row, &b) in dst.chunks_mut(cols_len).zip(&bias_v[g * kg..(g + 1) * kg]) {
                 for d in row {
@@ -464,105 +467,74 @@ fn input_grad_chunks(
 /// Backward convolution over lowered column blocks: `(dW, dBias)`, and
 /// `dX` into `d_input` (a zeroed `[N, C, H, W]` buffer) when given;
 /// without it the `dCol` GEMM and `col2im` do not run. Bit-identical to
-/// [`crate::reference::conv2d_grouped_backward`]: per-task partial
-/// gradients are reduced in ascending batch order within each group.
+/// [`crate::reference::conv2d_grouped_backward`]: the tasks run in blocks
+/// whose per-task partial gradients fit `part_budget` floats, and each
+/// block's partials are reduced in ascending task order, which is
+/// ascending batch order within each group.
 fn lowered_grads(
     geom: &Geometry,
     cols: &[f32],
     weight: &Tensor,
     grad_out: &Tensor,
     d_input: Option<&mut [f32]>,
+    part_budget: usize,
 ) -> (Tensor, Tensor) {
-    let (k, groups, kg, rows_g, cols_len) = (
-        geom.k,
-        geom.groups,
-        geom.kg(),
-        geom.rows_g(),
-        geom.cols_len(),
-    );
-    let mut d_weight = vec![0.0f32; k * rows_g];
-    let mut d_bias = vec![0.0f32; k];
+    let (groups, kg, rows_g, cols_len) = (geom.groups, geom.kg(), geom.rows_g(), geom.cols_len());
+    let mut d_weight = vec![0.0f32; geom.k * rows_g];
+    let mut d_bias = vec![0.0f32; geom.k];
     let (gov, wv) = (grad_out.as_slice(), weight.as_slice());
-    let tasks = geom.n * groups;
+    let tasks = geom.tasks();
     // Per-task partials: a [kg, rows_g] dW block followed by kg dBias
-    // slots. Kept out of the shared gradients so the parallel path can
-    // reduce them in the exact order the sequential path uses.
+    // slots, kept out of the shared gradients until their block is done.
     let part_len = kg * rows_g + kg;
-    let col_len = if d_input.is_some() {
-        rows_g * cols_len
-    } else {
-        0
-    };
-    let t = threads::num_threads();
-    // `d_col` is a caller-owned `[rows_g, cols_len]` scratch, reused
-    // across the tasks one thread runs (empty without `din`).
-    let compute =
-        |task: usize, din: Option<&mut [f32]>, part: &mut [f32], d_col: &mut [f32], budget| {
-            let (dw_part, db_part) = part.split_at_mut(kg * rows_g);
-            let g = task % groups;
-            // The task's dOut planes [ni, g·kg..(g+1)·kg] start at task·kg.
-            let goslab = &gov[task * kg * cols_len..(task + 1) * kg * cols_len];
-            let wg = &wv[g * kg * rows_g..(g + 1) * kg * rows_g];
-            let col = &cols[task * rows_g * cols_len..(task + 1) * rows_g * cols_len];
-            // dW part = dOut · colᵀ (reference: matmul_bt(go, col)).
-            kernels::gemm_with_threads(
-                Lhs::RowMajor,
-                Rhs::Transposed,
-                goslab,
-                col,
-                kg,
-                cols_len,
-                rows_g,
-                dw_part,
-                budget,
-            );
-            // dCol = Wᵀ · dOut (reference: matmul_at(w, go)), scattered
-            // back into this task's disjoint d_input chunk.
-            if let Some(din) = din {
-                d_col.fill(0.0);
-                kernels::gemm_with_threads(
-                    Lhs::Transposed,
-                    Rhs::RowMajor,
-                    wg,
-                    goslab,
-                    rows_g,
-                    kg,
-                    cols_len,
-                    d_col,
-                    budget,
-                );
-                col2im_block(geom, d_col, din);
-            }
-            // dBias part = row sums of dOut, in the reference's order.
-            for (db, row) in db_part.iter_mut().zip(goslab.chunks(cols_len)) {
-                *db = row.iter().sum();
-            }
-        };
-    let dins = input_grad_chunks(d_input, geom.cg() * geom.h * geom.w, tasks);
-    if t > 1 && tasks >= t && tasks * part_len <= PART_BUDGET_FLOATS {
-        let mut parts = vec![0.0f32; tasks * part_len];
+    let with_din = d_input.is_some();
+    let col_len = if with_din { rows_g * cols_len } else { 0 };
+    // dW part = dOut · colᵀ (reference: matmul_bt(go, col)); dCol = Wᵀ ·
+    // dOut (reference: matmul_at(w, go)).
+    let dw = Gemm::new(Lhs::RowMajor, Rhs::Transposed, kg, cols_len, rows_g);
+    let dcol = Gemm::new(Lhs::Transposed, Rhs::RowMajor, rows_g, kg, cols_len);
+    let plan = kernels::dispatch(geom.macs() * (1 + usize::from(with_din)), tasks);
+    let block = (part_budget / part_len).clamp(1, tasks);
+    let mut parts = vec![0.0f32; block * part_len];
+    let mut dins = input_grad_chunks(d_input, geom.cg() * geom.h * geom.w, tasks).into_iter();
+    for t0 in (0..tasks).step_by(block) {
+        let parts = &mut parts[..block.min(tasks - t0) * part_len];
+        parts.fill(0.0);
+        // `d_col` is a per-thread `[rows_g, cols_len]` scratch (empty
+        // without `din`).
         kernels::deal(
-            dins.into_iter().zip(parts.chunks_mut(part_len)),
-            t,
+            dins.by_ref().take(block).zip(parts.chunks_mut(part_len)),
+            plan.task_threads,
             || vec![0.0f32; col_len],
-            |d_col, task, (din, part)| compute(task, din, part, d_col, 1),
+            |d_col, i, (din, part)| {
+                let task = t0 + i;
+                let (dw_part, db_part) = part.split_at_mut(kg * rows_g);
+                // The task's dOut planes [ni, g·kg..(g+1)·kg] start at task·kg.
+                let goslab = &gov[task * kg * cols_len..(task + 1) * kg * cols_len];
+                let col = &cols[task * rows_g * cols_len..(task + 1) * rows_g * cols_len];
+                dw.run(goslab, col, dw_part, plan.gemm_threads);
+                // dCol is scattered back into this task's disjoint dX chunk.
+                if let Some(din) = din {
+                    let g = task % groups;
+                    let wg = &wv[g * kg * rows_g..(g + 1) * kg * rows_g];
+                    d_col.fill(0.0);
+                    dcol.run(wg, goslab, d_col, plan.gemm_threads);
+                    col2im_block(geom, d_col, din);
+                }
+                // dBias part = row sums of dOut, in the reference's order.
+                for (db, row) in db_part.iter_mut().zip(goslab.chunks(cols_len)) {
+                    *db = row.iter().sum();
+                }
+            },
         );
-        for (task, part) in parts.chunks(part_len).enumerate() {
-            reduce_part(task, part, groups, kg, rows_g, &mut d_weight, &mut d_bias);
-        }
-    } else {
-        let mut part = vec![0.0f32; part_len];
-        let mut d_col = vec![0.0f32; col_len];
-        for (task, din) in dins.into_iter().enumerate() {
-            part.fill(0.0);
-            compute(task, din, &mut part, &mut d_col, t);
-            reduce_part(task, &part, groups, kg, rows_g, &mut d_weight, &mut d_bias);
+        for (i, part) in parts.chunks(part_len).enumerate() {
+            reduce_part(t0 + i, part, groups, kg, rows_g, &mut d_weight, &mut d_bias);
         }
     }
     let spec = geom.spec;
     (
-        Tensor::from_vec(d_weight, &[k, geom.cg(), spec.kernel_h, spec.kernel_w]),
-        Tensor::from_vec(d_bias, &[k]),
+        Tensor::from_vec(d_weight, &[geom.k, geom.cg(), spec.kernel_h, spec.kernel_w]),
+        Tensor::from_vec(d_bias, &[geom.k]),
     )
 }
 
@@ -1289,7 +1261,7 @@ fn direct_forward(geom: &Geometry, input: &Tensor, weight: &Tensor, bias: &Tenso
     let (x, wv, bv) = (input.as_slice(), weight.as_slice(), bias.as_slice());
     kernels::deal(
         out.as_mut_slice().chunks_mut(kg * geom.cols_len()),
-        threads::num_threads(),
+        kernels::dispatch(geom.macs(), geom.tasks()).task_threads,
         || {
             let mut buf = PlaneBufs::default();
             direct.size_bufs(cg, &mut buf);
@@ -1329,13 +1301,14 @@ fn direct_backward(
     let x_len = unit * geom.cg() * geom.h * geom.w;
     let (go_len, w_len, part_len) = (unit * kg * geom.cols_len(), kg * rows, kg * rows + kg);
     let (x, go, wv) = (input.as_slice(), grad_out.as_slice(), weight.as_slice());
-    let units = geom.n * groups / unit;
-    let mut parts = vec![0.0f32; geom.n * groups * part_len];
+    let units = geom.tasks() / unit;
+    let macs = geom.macs() * (1 + usize::from(d_input.is_some()));
+    let mut parts = vec![0.0f32; geom.tasks() * part_len];
     kernels::deal(
         input_grad_chunks(d_input, x_len, units)
             .into_iter()
             .zip(parts.chunks_mut(unit * part_len)),
-        threads::num_threads(),
+        kernels::dispatch(macs, units).task_threads,
         PlaneBufs::default,
         |buf, u, (din, part)| {
             let (x, go) = (
@@ -1728,6 +1701,74 @@ mod tests {
             assert_eq!(bits(&fast.weight), bits(&slow.weight));
             assert_eq!(bits(&fast.bias), bits(&slow.bias));
         }
+    }
+
+    /// A GEMM backward whose partials exceed its budget runs its tasks in
+    /// blocks, uneven ones here; the per-block reductions still add the
+    /// partials in the reference's order, with or without `dX`, at any
+    /// thread count. The shape has work enough for seven threads in the
+    /// backward and four in the forward, which is checked too.
+    #[test]
+    fn lowered_grads_in_budgeted_blocks_bit_match_reference() {
+        let spec = ConvSpec::new(3, 3).with_stride(2).with_padding(1);
+        let (input, weight) = (seq(&[16, 16, 32, 32], 0.13), seq(&[32, 8, 3, 3], 0.29));
+        let go = Tensor::from_fn(&[16, 32, 16, 16], |i| ((i as f32) * 0.17).cos());
+        let geom = check(&input, &weight, Operand::GradOut(&go), &spec, 2);
+        assert!(!geom.direct_forward());
+        assert_eq!(
+            kernels::plan(2 * geom.macs(), geom.tasks(), 7).task_threads,
+            7
+        );
+        // Partials of three tasks fit: ten blocks of 3 tasks, then one of 2.
+        let budget = 3 * (geom.kg() * geom.rows_g() + geom.kg()) + 1;
+        let want = reference::conv2d_grouped_backward(&input, &weight, &go, &spec, 2);
+        let bias = seq(&[32], 0.7);
+        let want_out = reference::conv2d_grouped(&input, &weight, &bias, &spec, 2);
+        let mut lowering = ConvLowering::default();
+        for t in [1, 2, 7] {
+            crate::set_num_threads(t);
+            let out = conv2d_grouped(&input, &weight, &bias, &spec, 2);
+            assert_eq!(bits(&out), bits(&want_out), "t={t}");
+            let cols = lowering.lower(&geom, &input);
+            let mut din = Tensor::zeros(input.shape().dims());
+            let (dw, db) =
+                lowered_grads(&geom, cols, &weight, &go, Some(din.as_mut_slice()), budget);
+            assert_eq!(bits(&din), bits(&want.input), "t={t}");
+            assert_eq!(bits(&dw), bits(&want.weight), "t={t}");
+            assert_eq!(bits(&db), bits(&want.bias), "t={t}");
+            let (dw, db) = lowered_grads(&geom, cols, &weight, &go, None, budget);
+            assert_eq!(bits(&dw), bits(&want.weight), "t={t}");
+            assert_eq!(bits(&db), bits(&want.bias), "t={t}");
+        }
+        crate::reset_num_threads();
+    }
+
+    /// The direct kernels deal whole tasks (a depthwise backward: whole
+    /// items) to threads. A narrow and a depthwise convolution with work
+    /// for several threads match the reference at 1, 2 and 7 threads.
+    #[test]
+    fn direct_routes_split_across_threads_bit_match_reference() {
+        let spec = ConvSpec::new(3, 3).with_padding(1);
+        for (n, c, k, groups) in [(64, 3, 32, 1), (32, 64, 64, 64)] {
+            let input = seq(&[n, c, 16, 16], 0.13);
+            let weight = seq(&[k, c / groups, 3, 3], 0.29);
+            let (bias, go) = (seq(&[k], 0.7), seq(&[n, k, 16, 16], 0.31));
+            let geom = check(&input, &weight, Operand::Bias(&bias), &spec, groups);
+            assert!(geom.direct_forward());
+            assert!(kernels::plan(2 * geom.macs(), n, 7).task_threads > 2);
+            let want = reference::conv2d_grouped(&input, &weight, &bias, &spec, groups);
+            let grads = reference::conv2d_grouped_backward(&input, &weight, &go, &spec, groups);
+            for t in [1, 2, 7] {
+                crate::set_num_threads(t);
+                let out = conv2d_grouped(&input, &weight, &bias, &spec, groups);
+                assert_eq!(bits(&out), bits(&want), "c={c} t={t}");
+                let got = conv2d_grouped_backward(&input, &weight, &go, &spec, groups);
+                assert_eq!(bits(&got.input), bits(&grads.input), "c={c} t={t}");
+                assert_eq!(bits(&got.weight), bits(&grads.weight), "c={c} t={t}");
+                assert_eq!(bits(&got.bias), bits(&grads.bias), "c={c} t={t}");
+            }
+        }
+        crate::reset_num_threads();
     }
 
     /// Adds 1 to every element of the scratch's lowering: a backward that

@@ -1,9 +1,23 @@
-//! Cache-blocked, register-tiled, multithreaded GEMM kernels.
+//! Cache-blocked, register-tiled GEMM kernels, and the one rule that
+//! decides how every kernel call of this crate runs.
 //!
 //! This is the workhorse under [`crate::matmul`]/[`crate::conv2d`]: a
 //! classic three-level blocked GEMM (Goto-style `NC`/`KC`/`MC` panels with
-//! packed operands and an `MR×NR` register microkernel), parallelized over
-//! deterministic row-block partitions via [`std::thread::scope`].
+//! packed operands and an `MR×NR` register microkernel), behind a direct
+//! loop nest for the shapes whose packing cannot pay off.
+//!
+//! # Dispatch
+//!
+//! * **Tier by shape.** `Gemm::small` picks the direct loop nest or the
+//!   packed nest from the product's shape alone; the thread count never
+//!   enters.
+//! * **Threads by work.** `dispatch` gives a call one thread per
+//!   `PARALLEL_MAC_FLOOR` multiply-accumulates, at least one and at
+//!   most [`threads::num_threads`], which it alone reads. The threads go
+//!   first to the call's independent tasks (a convolution's `(item,
+//!   group)` blocks), and the rest to each task's GEMM, which deals
+//!   `MR`-aligned row ranges of `C` to them.
+//! * **One spawner.** `deal` is the only code that starts threads.
 //!
 //! # Determinism contract
 //!
@@ -20,9 +34,9 @@
 //!   The reference skips products whose left-operand element is exactly
 //!   `0.0`. Where the right operand is finite, such a product is `±0`,
 //!   and adding `±0` to a running sum that started at `+0` changes
-//!   nothing (see `gemm`); there the blocked kernels skip no product
-//!   and need no branch. Where the right operand holds an infinity or a
-//!   NaN, they skip the same products the reference skips.
+//!   nothing (see `Gemm::run`); there the blocked kernels skip no
+//!   product and need no branch. Where the right operand holds an
+//!   infinity or a NaN, they skip the same products the reference skips.
 //!
 //! The partition (how many rows each thread gets) therefore changes
 //! scheduling only, never results. See `docs/kernels.md`.
@@ -40,25 +54,28 @@ const MC: usize = 128;
 const KC: usize = 256;
 /// Column-panel width packed per `B` block (L2/L3-resident).
 const NC: usize = 512;
-/// Below this many multiply-accumulates a GEMM runs inline on the calling
-/// thread: spawn overhead would dominate any parallel win.
-const PARALLEL_MAC_FLOOR: usize = 1 << 18;
+/// Multiply-accumulates each thread of a call must have: [`dispatch`]
+/// gives a call one thread per this many, so a call below twice the
+/// floor runs inline on the calling thread. Chosen from measurements on
+/// a 2-core host (`docs/kernels.md`): below 4 Mi, a second thread did
+/// not pay for its start and for reading data from another core's cache.
+const PARALLEL_MAC_FLOOR: usize = 1 << 21;
 /// Below this many multiply-accumulates a GEMM skips packing entirely and
 /// runs the direct loop nest ([`small_gemm`]): at this size the operands
 /// fit in cache and pack-buffer allocation would dominate. Same
 /// accumulation order, so bit-identical either way.
 const SMALL_GEMM_MACS: usize = 1 << 15;
-/// Longest reduction for which an `A·B` or `Aᵀ·B` product that runs on
-/// one thread, and whose `C` has at least as many columns as rows, takes
-/// [`small_gemm`] at any size: each [`COLS`]-wide block of a `C` row is
-/// summed in registers from `k` rows of `B`, while the packed path packs
-/// all of `A` and `B` for `k` products per element. A taller `C` (a
-/// convolution's `dCol` GEMM) keeps the packed path, whose `MR×NR` tiles
-/// share each load of `A` and `B` among more products.
+/// Longest reduction for which an `A·B` or `Aᵀ·B` product whose `C` has
+/// at least as many columns as rows takes [`small_gemm`] at any size:
+/// each [`COLS`]-wide block of a `C` row is summed in registers from `k`
+/// rows of `B`, while the packed path packs all of `A` and `B` for `k`
+/// products per element. A taller `C` (a convolution's `dCol` GEMM)
+/// keeps the packed path, whose `MR×NR` tiles share each load of `A` and
+/// `B` among more products.
 const SHORT_K: usize = 32;
-/// Most columns for which an `A·Bᵀ` product that runs on one thread takes
-/// [`small_gemm`] at any size: `Bᵀ` fills at most two `NR`-wide panels,
-/// so a packed copy of `A` would serve at most two panel passes.
+/// Most columns for which an `A·Bᵀ` product takes [`small_gemm`] at any
+/// size: `Bᵀ` fills at most two `NR`-wide panels, so a packed copy of `A`
+/// would serve at most two panel passes.
 const THIN_N: usize = 2 * NR;
 /// Columns of a `C` row the small `A·B` tier sums in registers at once.
 const COLS: usize = 32;
@@ -80,6 +97,34 @@ pub fn reference_mode() -> bool {
     REFERENCE_MODE.load(Ordering::SeqCst)
 }
 
+/// How one kernel call runs, as [`dispatch`] chose it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct Plan {
+    /// Threads the call's independent tasks are dealt to.
+    pub(crate) task_threads: usize,
+    /// Threads each task's GEMMs deal their row ranges to.
+    pub(crate) gemm_threads: usize,
+}
+
+/// The thread split of a kernel call that performs `macs`
+/// multiply-accumulates over `tasks` independent tasks, at the
+/// configured thread count (see [`plan`]).
+pub(crate) fn dispatch(macs: usize, tasks: usize) -> Plan {
+    plan(macs, tasks, threads::num_threads())
+}
+
+/// [`dispatch`] at a thread budget: one thread per [`PARALLEL_MAC_FLOOR`]
+/// multiply-accumulates, at least one and at most `budget`, dealt first
+/// to the tasks and the rest to each task's GEMM rows.
+pub(crate) fn plan(macs: usize, tasks: usize, budget: usize) -> Plan {
+    let threads = (macs / PARALLEL_MAC_FLOOR).min(budget).max(1);
+    let task_threads = threads.min(tasks);
+    Plan {
+        task_threads,
+        gemm_threads: threads / task_threads,
+    }
+}
+
 /// Storage layout of the left GEMM operand.
 #[derive(Clone, Copy, Debug)]
 pub(crate) enum Lhs {
@@ -98,94 +143,90 @@ pub(crate) enum Rhs {
     Transposed,
 }
 
-/// `C = op(A) · op(B)` with the configured thread count.
-///
-/// `c` must hold `m·n` elements, all `+0.0`; the products are accumulated
-/// into it. Starting from `+0` is what makes the skip-free paths exact: a
-/// sum that starts at `+0` never becomes `−0` under round-to-nearest
-/// (`+0 + −0` and `x + −x` are both `+0`), so adding the `±0` product of a
-/// zero `a` and a finite `b` never changes it.
-pub(crate) fn gemm(
+/// The shape of one product `C = op(A) · op(B)`: `C` is `[m, n]`, the
+/// reduction is `k` long, and `A` and `B` are stored as `lhs` and `rhs`
+/// say.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Gemm {
     lhs: Lhs,
     rhs: Rhs,
-    a: &[f32],
-    b: &[f32],
     m: usize,
     k: usize,
     n: usize,
-    c: &mut [f32],
-) {
-    gemm_with_threads(lhs, rhs, a, b, m, k, n, c, threads::num_threads());
 }
 
-/// [`gemm`] with an explicit thread budget (1 = run inline; used by the
-/// conv task-parallel path, which parallelizes across `(batch × group)`
-/// tasks instead of inside each small GEMM).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn gemm_with_threads(
-    lhs: Lhs,
-    rhs: Rhs,
-    a: &[f32],
-    b: &[f32],
-    m: usize,
-    k: usize,
-    n: usize,
-    c: &mut [f32],
-    thread_budget: usize,
-) {
-    assert_eq!(a.len(), m * k, "lhs buffer disagrees with m×k");
-    assert_eq!(b.len(), k * n, "rhs buffer disagrees with k×n");
-    assert_eq!(c.len(), m * n, "dst buffer disagrees with m×n");
-    debug_assert!(
-        c.iter().all(|v| v.to_bits() == 0),
-        "dst buffer must start at +0.0"
-    );
-    if m == 0 || n == 0 || k == 0 {
-        return;
+impl Gemm {
+    /// The product of an `m×k` `op(A)` and a `k×n` `op(B)`.
+    pub(crate) fn new(lhs: Lhs, rhs: Rhs, m: usize, k: usize, n: usize) -> Self {
+        Gemm { lhs, rhs, m, k, n }
     }
-    let macs = m.saturating_mul(k).saturating_mul(n);
-    let micro_rows = m.div_ceil(MR);
-    let t = thread_budget.clamp(1, micro_rows);
-    let serial = t == 1 || macs < PARALLEL_MAC_FLOOR;
-    let short = match rhs {
-        Rhs::RowMajor => k <= SHORT_K && n >= m,
-        Rhs::Transposed => n <= THIN_N,
-    };
-    if macs <= SMALL_GEMM_MACS || (serial && short) {
-        small_gemm(lhs, rhs, a, b, m, k, n, c);
-        return;
+
+    /// The product's multiply-accumulates, `m·k·n`.
+    pub(crate) fn macs(&self) -> usize {
+        self.m.saturating_mul(self.k).saturating_mul(self.n)
     }
-    if serial {
-        gemm_range(lhs, rhs, a, b, 0, m, m, k, n, c);
-        return;
-    }
-    // Deterministic partition of the MR-aligned row blocks: thread `w`
-    // owns rows [blocks·w/t·MR, blocks·(w+1)/t·MR). Each element of `c`
-    // is written by exactly one thread and computed by the identical
-    // blocked loop nest, so the partition never affects results.
-    std::thread::scope(|scope| {
-        let mut rest = c;
-        for w in 0..t {
-            let begin = (micro_rows * w / t) * MR;
-            let end = ((micro_rows * (w + 1) / t) * MR).min(m);
-            if end <= begin {
-                continue;
+
+    /// Whether the product runs the direct loop nest [`small_gemm`]
+    /// rather than the packed nest: below [`SMALL_GEMM_MACS`], or at any
+    /// size for an `A·B`/`Aᵀ·B` with a reduction of at most [`SHORT_K`]
+    /// into a `C` no taller than wide, or an `A·Bᵀ` with at most
+    /// [`THIN_N`] columns. The shape alone decides.
+    fn small(&self) -> bool {
+        self.macs() <= SMALL_GEMM_MACS
+            || match self.rhs {
+                Rhs::RowMajor => self.k <= SHORT_K && self.n >= self.m,
+                Rhs::Transposed => self.n <= THIN_N,
             }
-            let (head, tail) = rest.split_at_mut((end - begin) * n);
-            rest = tail;
-            scope.spawn(move || gemm_range(lhs, rhs, a, b, begin, end, m, k, n, head));
+    }
+
+    /// `C = op(A) · op(B)` into `c`, whose `MR`-aligned row ranges are
+    /// dealt to `threads` threads (`threads ≥ 1`; one runs inline), each
+    /// running the tier [`Gemm::small`] picked.
+    ///
+    /// `c` must hold `m·n` elements, all `+0.0`; the products are
+    /// accumulated into it. Starting from `+0` is what makes the
+    /// skip-free paths exact: a sum that starts at `+0` never becomes `−0`
+    /// under round-to-nearest (`+0 + −0` and `x + −x` are both `+0`), so
+    /// adding the `±0` product of a zero `a` and a finite `b` never
+    /// changes it.
+    pub(crate) fn run(&self, a: &[f32], b: &[f32], c: &mut [f32], threads: usize) {
+        let (m, k, n) = (self.m, self.k, self.n);
+        assert_eq!(a.len(), m * k, "lhs buffer disagrees with m×k");
+        assert_eq!(b.len(), k * n, "rhs buffer disagrees with k×n");
+        assert_eq!(c.len(), m * n, "dst buffer disagrees with m×n");
+        debug_assert!(
+            c.iter().all(|v| v.to_bits() == 0),
+            "dst buffer must start at +0.0"
+        );
+        if self.macs() == 0 {
+            return;
         }
-        debug_assert!(rest.is_empty(), "row partition must cover all of C");
-    });
+        // Each element of `c` is written by exactly one thread and
+        // computed by the same loop nest, so the partition never affects
+        // results.
+        let rows = m.div_ceil(MR).div_ceil(threads) * MR;
+        let small = self.small();
+        deal(
+            c.chunks_mut(rows * n),
+            threads,
+            || (),
+            |_, i, c| {
+                if small {
+                    small_gemm(self, a, b, i * rows, c);
+                } else {
+                    gemm_range(self, a, b, i * rows, c);
+                }
+            },
+        );
+    }
 }
 
-/// Direct (unpacked) GEMM for problems too small to amortize the blocked
-/// path's pack buffers, and on one thread for `A·B`/`Aᵀ·B` with a
-/// reduction of at most [`SHORT_K`] into a `C` no taller than wide, and
-/// `A·Bᵀ` with at most [`THIN_N`] columns. Accumulates each `C` element in ascending-`p` order from
-/// `+0` — the exact sequence the blocked path and the naive reference
-/// produce, so all three are bit-identical. Each `C` element is written by
-/// this call alone, and `C` starts at `+0`, so no sum loads `C`.
+/// Direct (unpacked) GEMM over the rows of `C` from `r0` that `c` holds,
+/// for the shapes [`Gemm::small`] admits. Accumulates each `C` element in
+/// ascending-`p` order from `+0` — the exact sequence the blocked path
+/// and the naive reference produce, so all three are bit-identical. Each
+/// `C` element is written by this call alone, and `C` starts at `+0`, so
+/// no sum loads `C`.
 ///
 /// `A·B` sums each [`COLS`]-wide block of a `C` row in registers from the
 /// matching blocks of `B`'s rows, skipping the row of a zero `a` as the
@@ -194,26 +235,17 @@ pub(crate) fn gemm_with_threads(
 /// `NR` columns of `Bᵀ` at a time are transposed into a `p`-major panel
 /// (as [`pack_b`] lays them out) and [`panel_tile`] sums `MR` rows of `C`
 /// against it, `MR×NR` independent lanes. A panel found all finite while
-/// transposing runs without the zero skip (see [`gemm`]); one holding an
-/// infinity or a NaN keeps it.
-#[allow(clippy::too_many_arguments)]
-fn small_gemm(
-    lhs: Lhs,
-    rhs: Rhs,
-    a: &[f32],
-    b: &[f32],
-    m: usize,
-    k: usize,
-    n: usize,
-    c: &mut [f32],
-) {
-    let a_at = |i: usize, p: usize| match lhs {
+/// transposing runs without the zero skip (see [`Gemm::run`]); one
+/// holding an infinity or a NaN keeps it.
+fn small_gemm(g: &Gemm, a: &[f32], b: &[f32], r0: usize, c: &mut [f32]) {
+    let (m, k, n) = (g.m, g.k, g.n);
+    let a_at = |i: usize, p: usize| match g.lhs {
         Lhs::RowMajor => a[i * k + p],
         Lhs::Transposed => a[p * m + i],
     };
-    match rhs {
+    match g.rhs {
         Rhs::RowMajor => {
-            for (i, row) in c.chunks_mut(n).enumerate() {
+            for (i, row) in (r0..).zip(c.chunks_mut(n)) {
                 let (blocks, rest) = row.as_chunks_mut::<COLS>();
                 for (jb, dst) in blocks.iter_mut().enumerate() {
                     let mut acc = [0.0f32; COLS];
@@ -258,8 +290,8 @@ fn small_gemm(
                         lanes[nr..].fill(0.0);
                     }
                 }
-                for (i0, rows) in (0..m).step_by(MR).zip(c.chunks_mut(MR * n)) {
-                    let acc = panel_tile(lhs, a, m, k, i0, &panel, finite);
+                for (i0, rows) in (r0..).step_by(MR).zip(c.chunks_mut(MR * n)) {
+                    let acc = panel_tile(g, a, i0, &panel, finite);
                     for (row, accr) in rows.chunks_mut(n).zip(&acc) {
                         row[j0..j0 + nr].copy_from_slice(&accr[..nr]);
                     }
@@ -277,20 +309,18 @@ fn small_gemm(
 /// [`microkernel`].
 #[inline(never)]
 fn panel_tile(
-    lhs: Lhs,
+    g: &Gemm,
     a: &[f32],
-    m: usize,
-    k: usize,
     i0: usize,
     panel: &[[f32; NR]],
     finite: bool,
 ) -> [[f32; NR]; MR] {
     // `a(i, p)` sits at `i·k + p` in a row-major `A`, at `p·m + i` in `Aᵀ`.
-    let (scale, step) = match lhs {
-        Lhs::RowMajor => (k, 1),
-        Lhs::Transposed => (1, m),
+    let (scale, step) = match g.lhs {
+        Lhs::RowMajor => (g.k, 1),
+        Lhs::Transposed => (1, g.m),
     };
-    let rows: [usize; MR] = std::array::from_fn(|r| (i0 + r).min(m - 1) * scale);
+    let rows: [usize; MR] = std::array::from_fn(|r| (i0 + r).min(g.m - 1) * scale);
     let mut acc = [[0.0f32; NR]; MR];
     for (p, lanes) in panel.iter().enumerate() {
         for (accr, &row) in acc.iter_mut().zip(&rows) {
@@ -306,20 +336,10 @@ fn panel_tile(
     acc
 }
 
-/// Blocked GEMM over output rows `[r0, r1)`; `c` holds exactly those rows.
-#[allow(clippy::too_many_arguments)]
-fn gemm_range(
-    lhs: Lhs,
-    rhs: Rhs,
-    a: &[f32],
-    b: &[f32],
-    r0: usize,
-    r1: usize,
-    m: usize,
-    k: usize,
-    n: usize,
-    c: &mut [f32],
-) {
+/// Blocked GEMM over the rows of `C` from `r0` that `c` holds.
+fn gemm_range(g: &Gemm, a: &[f32], b: &[f32], r0: usize, c: &mut [f32]) {
+    let (k, n) = (g.k, g.n);
+    let r1 = r0 + c.len() / n;
     // Sized to the largest block this problem actually uses, not the
     // MC/KC/NC maxima — small problems must not pay for 640 KB of zeroed
     // scratch they never touch.
@@ -333,11 +353,11 @@ fn gemm_range(
         let mut pc = 0;
         while pc < k {
             let kc = KC.min(k - pc);
-            let b_finite = pack_b(rhs, b, k, n, pc, kc, jc, nc, &mut bpack);
+            let b_finite = pack_b(g, b, pc, kc, jc, nc, &mut bpack);
             let mut ic = r0;
             while ic < r1 {
                 let mc = MC.min(r1 - ic);
-                pack_a(lhs, a, m, k, ic, mc, pc, kc, &mut apack);
+                pack_a(g, a, ic, mc, pc, kc, &mut apack);
                 let a_panels = mc.div_ceil(MR);
                 for pj in 0..b_panels {
                     let jr = pj * NR;
@@ -362,23 +382,13 @@ fn gemm_range(
 /// Packs the `[ic..ic+mc) × [pc..pc+kc)` block of `A` into `MR`-row
 /// panels, `p`-major within each panel; fringe rows are zero-padded
 /// (their accumulator rows are computed but never stored).
-#[allow(clippy::too_many_arguments)]
-fn pack_a(
-    lhs: Lhs,
-    a: &[f32],
-    m: usize,
-    k: usize,
-    ic: usize,
-    mc: usize,
-    pc: usize,
-    kc: usize,
-    apack: &mut [f32],
-) {
+fn pack_a(g: &Gemm, a: &[f32], ic: usize, mc: usize, pc: usize, kc: usize, apack: &mut [f32]) {
     for pi in 0..mc.div_ceil(MR) {
         let rows = MR.min(mc - pi * MR);
         let row0 = ic + pi * MR;
         let dst = &mut apack[pi * kc * MR..(pi + 1) * kc * MR];
-        match lhs {
+        let (m, k) = (g.m, g.k);
+        match g.lhs {
             Lhs::RowMajor => {
                 for r in 0..MR {
                     let slots = dst[r..].iter_mut().step_by(MR);
@@ -411,12 +421,9 @@ fn pack_a(
 /// panels, `p`-major within each panel; fringe columns are zero-padded
 /// (their accumulator lanes are computed but never stored). Returns
 /// whether every packed element is finite.
-#[allow(clippy::too_many_arguments)]
 fn pack_b(
-    rhs: Rhs,
+    g: &Gemm,
     b: &[f32],
-    k: usize,
-    n: usize,
     pc: usize,
     kc: usize,
     jc: usize,
@@ -427,7 +434,8 @@ fn pack_b(
         let cols = NR.min(nc - pj * NR);
         let col0 = jc + pj * NR;
         let dst = &mut bpack[pj * kc * NR..(pj + 1) * kc * NR];
-        match rhs {
+        let (k, n) = (g.k, g.n);
+        match g.rhs {
             Rhs::RowMajor => {
                 for (p, d) in dst.chunks_exact_mut(NR).enumerate() {
                     let src = &b[(pc + p) * n + col0..(pc + p) * n + col0 + cols];
@@ -533,14 +541,16 @@ fn microkernel(
 }
 
 /// Runs `f(scratch, i, item_i)` over `items`, dealing item `i` to thread
-/// `i mod t` of `t = min(thread_budget, items)` scoped threads (at least
-/// one; with one, the items run inline on the calling thread). Each
-/// thread builds one `scratch` with `init` and reuses it across its items
-/// in ascending `i`. Each item is visited exactly once by exactly one
-/// thread, so any `f` whose output for item `i` depends only on `i` and
-/// shared read-only state is deterministic at every thread count. Items
-/// are typically `chunks_mut` of an output buffer, or two such
-/// iterators zipped.
+/// `i mod t` of `t = min(thread_budget, items)` threads (at least one).
+/// Thread 0 is the calling thread; the other `t − 1` are scoped threads
+/// started for this call. This is the crate's only spawner: every other
+/// kernel takes its thread budget from [`dispatch`] and runs its threads
+/// through this. Each thread builds one `scratch` with `init` and reuses
+/// it across its items in ascending `i`. Each item is visited exactly
+/// once by exactly one thread, so any `f` whose output for item `i`
+/// depends only on `i` and shared read-only state is deterministic at
+/// every thread count. Items are typically `chunks_mut` of an output
+/// buffer, or two such iterators zipped.
 pub(crate) fn deal<T, S, I, F>(
     items: impl ExactSizeIterator<Item = T>,
     thread_budget: usize,
@@ -552,27 +562,23 @@ pub(crate) fn deal<T, S, I, F>(
     F: Fn(&mut S, usize, T) + Sync,
 {
     let t = thread_budget.clamp(1, items.len().max(1));
-    if t == 1 {
-        let mut scratch = init();
-        for (i, item) in items.enumerate() {
-            f(&mut scratch, i, item);
-        }
-        return;
-    }
     let mut buckets: Vec<Vec<(usize, T)>> = (0..t).map(|_| Vec::new()).collect();
     for (i, item) in items.enumerate() {
         buckets[i % t].push((i, item));
     }
+    let run = |bucket: Vec<(usize, T)>| {
+        let mut scratch = init();
+        for (i, item) in bucket {
+            f(&mut scratch, i, item);
+        }
+    };
+    let own = buckets.remove(0);
     std::thread::scope(|scope| {
         for bucket in buckets {
-            let (init, f) = (&init, &f);
-            scope.spawn(move || {
-                let mut scratch = init();
-                for (i, item) in bucket {
-                    f(&mut scratch, i, item);
-                }
-            });
+            let run = &run;
+            scope.spawn(move || run(bucket));
         }
+        run(own);
     });
 }
 
@@ -621,9 +627,10 @@ mod tests {
             let a = fill(m * k, 0.13, 7);
             let b = fill(k * n, 0.29, 5);
             let want = reference_nn(&a, &b, m, k, n);
+            let g = Gemm::new(Lhs::RowMajor, Rhs::RowMajor, m, k, n);
             for t in [1usize, 2, 5] {
                 let mut c = vec![0.0f32; m * n];
-                gemm_with_threads(Lhs::RowMajor, Rhs::RowMajor, &a, &b, m, k, n, &mut c, t);
+                g.run(&a, &b, &mut c, t);
                 assert!(
                     c.iter().zip(&want).all(|(x, y)| x.to_bits() == y.to_bits()),
                     "m={m} k={k} n={n} t={t}"
@@ -646,7 +653,7 @@ mod tests {
             }
         }
         let mut c = vec![0.0f32; m * n];
-        gemm(Lhs::Transposed, Rhs::RowMajor, &at, &b, m, k, n, &mut c);
+        Gemm::new(Lhs::Transposed, Rhs::RowMajor, m, k, n).run(&at, &b, &mut c, 2);
         assert!(c.iter().zip(&want).all(|(x, y)| x.to_bits() == y.to_bits()));
         // Bᵀ layout: store B as [n, k].
         let mut bt = vec![0.0f32; k * n];
@@ -656,8 +663,80 @@ mod tests {
             }
         }
         let mut c = vec![0.0f32; m * n];
-        gemm(Lhs::RowMajor, Rhs::Transposed, &a, &bt, m, k, n, &mut c);
+        Gemm::new(Lhs::RowMajor, Rhs::Transposed, m, k, n).run(&a, &bt, &mut c, 2);
         assert!(c.iter().zip(&want).all(|(x, y)| x.to_bits() == y.to_bits()));
+    }
+
+    #[test]
+    fn dispatch_tiers_by_shape_and_threads_by_work() {
+        // `mobile_cnn`'s linear layer at batch 32: its forward and its two
+        // gradients, 320 Ki multiply-accumulates each.
+        let linear = [
+            (Lhs::RowMajor, Rhs::Transposed, 32, 1024, 10),
+            (Lhs::Transposed, Rhs::RowMajor, 10, 32, 1024),
+            (Lhs::RowMajor, Rhs::RowMajor, 32, 10, 1024),
+        ];
+        for (lhs, rhs, m, k, n) in linear {
+            let g = Gemm::new(lhs, rhs, m, k, n);
+            assert!(g.small(), "{g:?}");
+            for budget in [1, 2, 7] {
+                assert_eq!(
+                    plan(g.macs(), 1, budget),
+                    Plan {
+                        task_threads: 1,
+                        gemm_threads: 1
+                    }
+                );
+            }
+        }
+        // A convolution's tall `dCol` GEMM keeps the packed tier.
+        let dcol = Gemm::new(Lhs::Transposed, Rhs::RowMajor, 288, 32, 196);
+        assert!(!dcol.small());
+        // Below the floor, one thread whatever the budget and tasks.
+        assert_eq!(
+            plan(2 * PARALLEL_MAC_FLOOR - 1, 64, 7),
+            Plan {
+                task_threads: 1,
+                gemm_threads: 1
+            }
+        );
+        // One thread per floor of work, tasks first, then GEMM rows.
+        let work = 6 * PARALLEL_MAC_FLOOR;
+        assert_eq!(
+            plan(work, 64, 7),
+            Plan {
+                task_threads: 6,
+                gemm_threads: 1
+            }
+        );
+        assert_eq!(
+            plan(work, 64, 4),
+            Plan {
+                task_threads: 4,
+                gemm_threads: 1
+            }
+        );
+        assert_eq!(
+            plan(work, 2, 7),
+            Plan {
+                task_threads: 2,
+                gemm_threads: 3
+            }
+        );
+        assert_eq!(
+            plan(work, 1, 7),
+            Plan {
+                task_threads: 1,
+                gemm_threads: 6
+            }
+        );
+        assert_eq!(
+            plan(usize::MAX, 1, 7),
+            Plan {
+                task_threads: 1,
+                gemm_threads: 7
+            }
+        );
     }
 
     #[test]

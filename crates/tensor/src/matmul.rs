@@ -13,7 +13,7 @@
 //! skip cannot change a bit, and the blocked kernels add every product
 //! without a per-element branch.
 
-use crate::kernels::{self, Lhs, Rhs};
+use crate::kernels::{self, Gemm, Lhs, Rhs};
 use crate::Tensor;
 
 /// `C = A · B` for row-major matrices.
@@ -76,8 +76,10 @@ fn product(lhs: Lhs, rhs: Rhs, a: &Tensor, b: &Tensor, what: &str) -> Tensor {
         (Rhs::RowMajor, (k2, n)) | (Rhs::Transposed, (n, k2)) => (k2, n),
     };
     assert_eq!(k, k2, "inner dimension mismatch: {k} vs {k2}");
+    let g = Gemm::new(lhs, rhs, m, k, n);
     let mut out = vec![0.0f32; m * n];
-    kernels::gemm(lhs, rhs, a.as_slice(), b.as_slice(), m, k, n, &mut out);
+    let threads = kernels::dispatch(g.macs(), 1).gemm_threads;
+    g.run(a.as_slice(), b.as_slice(), &mut out, threads);
     Tensor::from_vec(out, &[m, n])
 }
 

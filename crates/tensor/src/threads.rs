@@ -1,10 +1,12 @@
 //! Kernel thread-count configuration.
 //!
-//! The blocked kernels in [`crate::kernels`] parallelize over deterministic
-//! row-block / task partitions in which every output element is produced by
-//! exactly one thread with a fixed reduction order, so the thread count
-//! affects wall-clock time only — results are **bit-identical** at any
-//! setting (see `docs/kernels.md`).
+//! The configured count is a cap, read in one place: the dispatch rule in
+//! [`crate::kernels`], which gives each kernel call one thread per fixed
+//! amount of work, up to this count. The call's threads take
+//! deterministic task and row-block partitions in which every output
+//! element is produced by exactly one thread with a fixed reduction
+//! order, so the thread count affects wall-clock time only — results are
+//! **bit-identical** at any setting (see `docs/kernels.md`).
 //!
 //! The count is resolved, in priority order, from:
 //!
@@ -57,7 +59,8 @@ pub fn reset_num_threads() {
     OVERRIDE.store(0, Ordering::SeqCst);
 }
 
-/// The thread count the blocked kernels will use for their next dispatch.
+/// The most threads a kernel call may use; a call with less work than
+/// that many threads can keep busy uses fewer.
 ///
 /// # Panics
 ///

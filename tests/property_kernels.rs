@@ -55,10 +55,11 @@ fn matmul_variants_bit_match_reference_at_every_thread_count() {
     for case in 0..8u64 {
         let mut rng = StdRng::seed_from_u64(seed ^ (0x5a10_0000 + case));
         // Mix of sizes so every dispatch tier is hit: the direct small
-        // path, the inline blocked path, and (last case) a GEMM big enough
-        // to cross the parallel floor and actually spawn threads.
+        // path, the inline blocked path, and (last case) a GEMM with work
+        // for two threads (4 Mi multiply-accumulates, twice the kernels'
+        // per-thread floor), whose row blocks split unevenly.
         let (m, k, n) = if case == 7 {
-            (130, 70, 65)
+            (130, 200, 170)
         } else {
             (
                 rng.gen_range(1..24),
@@ -161,8 +162,10 @@ fn grouped_fused_path_bit_matches_per_group_reference() {
         let groups = [1usize, 2, 4][rng.gen_range(0..3usize)];
         let c = groups * rng.gen_range(1..4usize);
         let k = groups * rng.gen_range(1..4usize);
-        // Enough (batch × group) tasks that the task-parallel scheduling
-        // path runs at the higher thread counts.
+        // Up to twelve (batch × group) tasks. Shapes this small sit below
+        // the kernels' parallel floor and run on one thread at any count;
+        // the tensor crate's unit tests split convolutions with the work
+        // for several threads.
         let n = rng.gen_range(1..4);
         let input = random_tensor(&mut rng, &[n, c, h, w], 0.3);
         let weight = random_tensor(
