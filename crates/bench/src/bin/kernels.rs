@@ -16,8 +16,8 @@
 //!
 //! All three configurations compute bit-identical results; only wall-clock
 //! time differs. Plain timing (a warm-up call, then the median of five
-//! batch means within a wall-clock budget), no external benchmark harness
-//! — consistent with `benches/*.rs`.
+//! batch means within a wall-clock budget, the two blocked configurations
+//! alternating batch by batch), no external benchmark harness.
 //!
 //! ```sh
 //! cargo run --release -p cscnn-bench --bin kernels -- \
@@ -82,19 +82,27 @@ impl Sample {
     }
 }
 
-/// Batches [`time_ms`] splits its budget into.
+/// Batches [`time_ms`] splits each configuration's budget into.
 const BATCHES: u32 = 5;
 
-/// Wall-clock milliseconds per call: one warm-up call, then [`BATCHES`]
-/// batches that each repeat the call until their share of `budget`
-/// elapses (at least once); returns the median of the batch means, so a
-/// burst of load from other processes on a shared machine moves one
-/// batch, not the result.
-fn time_ms(budget: Duration, f: &mut dyn FnMut()) -> f64 {
-    f();
+/// Wall-clock milliseconds per call of `f` at each kernel thread count in
+/// `threads`: one warm-up call per count, then [`BATCHES`] rounds that run
+/// one batch per count in turn, each batch repeating the call until its
+/// share of `budget` elapses (at least once). Returns each count's median
+/// batch mean, so a burst of load from other processes on a shared
+/// machine moves one batch, not the result, and the host's drift over the
+/// run reaches every count alike instead of reading as a thread-count
+/// effect.
+fn time_ms(budget: Duration, threads: &[usize], f: &mut dyn FnMut()) -> Vec<f64> {
+    for &t in threads {
+        set_num_threads(t);
+        f();
+    }
     let share = budget / BATCHES;
-    let mut means: Vec<f64> = (0..BATCHES)
-        .map(|_| {
+    let mut means = vec![Vec::new(); threads.len()];
+    for _ in 0..BATCHES {
+        for (&t, batch_means) in threads.iter().zip(&mut means) {
+            set_num_threads(t);
             let start = Instant::now();
             let mut iters = 0u32;
             loop {
@@ -104,14 +112,20 @@ fn time_ms(budget: Duration, f: &mut dyn FnMut()) -> f64 {
                     break;
                 }
             }
-            start.elapsed().as_secs_f64() * 1_000.0 / f64::from(iters)
+            batch_means.push(start.elapsed().as_secs_f64() * 1_000.0 / f64::from(iters));
+        }
+    }
+    means
+        .into_iter()
+        .map(|mut m| {
+            m.sort_by(f64::total_cmp);
+            m[m.len() / 2]
         })
-        .collect();
-    means.sort_by(f64::total_cmp);
-    means[means.len() / 2]
+        .collect()
 }
 
-/// Times `f` under naive / blocked-1-thread / blocked-multithread kernels.
+/// Times `f` under naive / blocked-1-thread / blocked-multithread kernels,
+/// the two blocked configurations in alternating batches.
 fn measure(
     name: &str,
     kind: &'static str,
@@ -121,12 +135,10 @@ fn measure(
     f: &mut dyn FnMut(),
 ) -> Sample {
     set_reference_mode(true);
-    set_num_threads(1);
-    let naive_ms = time_ms(budget, f);
+    let naive_ms = time_ms(budget, &[1], f)[0];
     set_reference_mode(false);
-    let blocked_1t_ms = time_ms(budget, f);
-    set_num_threads(mt_threads);
-    let blocked_mt_ms = time_ms(budget, f);
+    let blocked = time_ms(budget, &[1, mt_threads], f);
+    let (blocked_1t_ms, blocked_mt_ms) = (blocked[0], blocked[1]);
     reset_num_threads();
     let sample = Sample {
         name: name.to_string(),

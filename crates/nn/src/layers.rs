@@ -570,92 +570,6 @@ impl Layer for MaxPool {
     }
 }
 
-/// Inverted dropout: during training each element is zeroed with
-/// probability `p` and the survivors are scaled by `1/(1-p)`, so
-/// evaluation needs no rescaling. AlexNet/VGG train with `p = 0.5` on
-/// their FC layers.
-pub struct Dropout {
-    p: f64,
-    training: bool,
-    rng: cscnn_rng::rngs::StdRng,
-    cached_mask: Option<Vec<f32>>,
-}
-
-impl Dropout {
-    /// Creates a dropout layer with drop probability `p`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `p` is not in `[0, 1)`.
-    pub fn new(p: f64, seed: u64) -> Self {
-        assert!((0.0..1.0).contains(&p), "drop probability must be in [0,1)");
-        Dropout {
-            p,
-            training: true,
-            rng: <cscnn_rng::rngs::StdRng as cscnn_rng::SeedableRng>::seed_from_u64(seed),
-            cached_mask: None,
-        }
-    }
-
-    /// Switches between training (random drops) and evaluation (identity).
-    pub fn set_training(&mut self, training: bool) {
-        self.training = training;
-    }
-}
-
-impl Layer for Dropout {
-    fn forward(&mut self, input: &Tensor) -> Tensor {
-        if !self.training || self.p == 0.0 {
-            self.cached_mask = None;
-            return input.clone();
-        }
-        let scale = 1.0 / (1.0 - self.p) as f32;
-        let mask: Vec<f32> = (0..input.len())
-            .map(|_| {
-                if cscnn_rng::Rng::gen_bool(&mut self.rng, self.p) {
-                    0.0
-                } else {
-                    scale
-                }
-            })
-            .collect();
-        let out = Tensor::from_vec(
-            input
-                .as_slice()
-                .iter()
-                .zip(&mask)
-                .map(|(&x, &m)| x * m)
-                .collect(),
-            input.shape().dims(),
-        );
-        self.cached_mask = Some(mask);
-        out
-    }
-
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        match self.cached_mask.take() {
-            None => grad_out.clone(),
-            Some(mask) => Tensor::from_vec(
-                grad_out
-                    .as_slice()
-                    .iter()
-                    .zip(&mask)
-                    .map(|(&g, &m)| g * m)
-                    .collect(),
-                grad_out.shape().dims(),
-            ),
-        }
-    }
-
-    fn name(&self) -> &'static str {
-        "dropout"
-    }
-
-    fn describe(&self, _input: &[usize]) -> Result<LayerNode, DescribeError> {
-        Ok(LayerNode::Dropout { p: self.p })
-    }
-}
-
 /// Flattens `[N, ...]` to `[N, features]`.
 #[derive(Default)]
 pub struct Flatten {
@@ -780,26 +694,6 @@ mod tests {
         assert_eq!(p.value.as_slice(), &[2.0, 0.0, 2.0, 0.0]);
         assert_eq!(p.grad.as_slice(), &[1.0, 0.0, 1.0, 0.0]);
         assert!((p.kept_fraction() - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn dropout_is_identity_in_eval_and_unbiased_in_training() {
-        let mut d = Dropout::new(0.5, 7);
-        d.set_training(false);
-        let x = Tensor::from_fn(&[1000], |i| 1.0 + (i % 3) as f32);
-        assert_eq!(d.forward(&x).as_slice(), x.as_slice());
-        d.set_training(true);
-        let y = d.forward(&x);
-        // Inverted scaling keeps the expectation: mean within ~10 %.
-        assert!((y.mean() - x.mean()).abs() / x.mean() < 0.1);
-        // Roughly half the elements are dropped.
-        let dropped = y.as_slice().iter().filter(|v| **v == 0.0).count();
-        assert!((400..600).contains(&dropped), "dropped {dropped}");
-        // Backward routes gradients through the same mask.
-        let g = d.backward(&Tensor::full(&[1000], 1.0));
-        for (yv, gv) in y.as_slice().iter().zip(g.as_slice()) {
-            assert_eq!(*yv == 0.0, *gv == 0.0, "mask must match");
-        }
     }
 
     #[test]

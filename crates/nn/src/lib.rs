@@ -6,7 +6,9 @@
 //! providing everything the CSCNN algorithm experiments need:
 //!
 //! - layers with explicit backward passes ([`Conv2d`], [`Linear`], [`Relu`],
-//!   [`MaxPool`], [`Flatten`]) composed into a [`Network`];
+//!   [`MaxPool`], [`Flatten`]) composed into a [`Network`] — the layers every
+//!   network in [`models`] is built from; none switches between training and
+//!   evaluation behaviour, so a [`Network`] has no train/eval mode;
 //! - SGD with momentum and the paper's step learning-rate decay
 //!   ([`optimizer`]);
 //! - the centrosymmetric filter constraint ([`centrosymmetric`]): Eq. 5 mean
@@ -46,13 +48,10 @@ mod layers;
 pub mod metrics;
 pub mod models;
 mod network;
-mod norm;
 pub mod optimizer;
 pub mod pruning;
-pub mod quant;
 pub mod trainer;
 
 pub use cscnn_ir::{DescribeError, IrError, LayerNode, ModelIr};
-pub use layers::{Conv2d, Dropout, Flatten, Layer, Linear, MaxPool, Param, Relu};
+pub use layers::{Conv2d, Flatten, Layer, Linear, MaxPool, Param, Relu};
 pub use network::Network;
-pub use norm::{AvgPool, BatchNorm2d};

@@ -5,7 +5,7 @@
 //! A minimal, dependency-light N-dimensional `f32` tensor library providing
 //! exactly the kernels the CSCNN reproduction needs: element-wise ops,
 //! matrix multiplication, 2-D convolution (forward and backward, via im2col),
-//! pooling, and weight initialization.
+//! max pooling, and weight initialization.
 //!
 //! Matmul and convolution run on the cache-blocked, multithreaded GEMM in
 //! [`kernels`] (thread count via [`set_num_threads`] / `CSCNN_NUM_THREADS`),
@@ -53,7 +53,7 @@ pub use conv::{
 };
 pub use init::{kaiming_uniform, uniform};
 pub use matmul::{matmul, matmul_at, matmul_bt};
-pub use pool::{avg_pool2d, avg_pool2d_backward, max_pool2d, max_pool2d_backward, PoolSpec};
+pub use pool::{max_pool2d, max_pool2d_backward, PoolSpec};
 pub use shape::Shape;
 pub use tensor::Tensor;
 pub use threads::{num_threads, reset_num_threads, set_num_threads, MAX_THREADS};

@@ -1,4 +1,4 @@
-//! 2-D max and average pooling, forward and backward.
+//! 2-D max pooling, forward and backward.
 
 use crate::Tensor;
 
@@ -161,78 +161,6 @@ pub fn max_pool2d_backward(grad_out: &Tensor, argmax: &[usize], input_dims: &[us
     grad_in
 }
 
-/// Average pooling over `[N, C, H, W]`.
-///
-/// # Panics
-///
-/// Panics if `input` is not rank 4 or is smaller than the window.
-pub fn avg_pool2d(input: &Tensor, spec: &PoolSpec) -> Tensor {
-    let d = input.shape().dims();
-    assert_eq!(d.len(), 4, "avg_pool2d expects [N,C,H,W]");
-    let (n, c, h, w) = (d[0], d[1], d[2], d[3]);
-    let (oh, ow) = spec.output_dim(h, w);
-    let inv = 1.0 / (spec.window * spec.window) as f32;
-    let mut out = Tensor::zeros(&[n, c, oh, ow]);
-    let src = input.as_slice();
-    let dst = out.as_mut_slice();
-    let mut o = 0usize;
-    for ni in 0..n {
-        for ci in 0..c {
-            let plane = (ni * c + ci) * h * w;
-            for oy in 0..oh {
-                for ox in 0..ow {
-                    let mut acc = 0.0f32;
-                    for dy in 0..spec.window {
-                        for dx in 0..spec.window {
-                            acc += src[plane + (oy * spec.stride + dy) * w + ox * spec.stride + dx];
-                        }
-                    }
-                    dst[o] = acc * inv;
-                    o += 1;
-                }
-            }
-        }
-    }
-    out
-}
-
-/// Backward pass of [`avg_pool2d`].
-///
-/// # Panics
-///
-/// Panics if `grad_out`'s shape is inconsistent with `input_dims` and `spec`.
-pub fn avg_pool2d_backward(grad_out: &Tensor, input_dims: &[usize], spec: &PoolSpec) -> Tensor {
-    let (n, c, h, w) = (input_dims[0], input_dims[1], input_dims[2], input_dims[3]);
-    let (oh, ow) = spec.output_dim(h, w);
-    assert_eq!(
-        grad_out.shape().dims(),
-        &[n, c, oh, ow],
-        "grad_out shape mismatch"
-    );
-    let inv = 1.0 / (spec.window * spec.window) as f32;
-    let mut grad_in = Tensor::zeros(input_dims);
-    let src = grad_out.as_slice();
-    let dst = grad_in.as_mut_slice();
-    let mut o = 0usize;
-    for ni in 0..n {
-        for ci in 0..c {
-            let plane = (ni * c + ci) * h * w;
-            for oy in 0..oh {
-                for ox in 0..ow {
-                    let g = src[o] * inv;
-                    o += 1;
-                    for dy in 0..spec.window {
-                        for dx in 0..spec.window {
-                            dst[plane + (oy * spec.stride + dy) * w + ox * spec.stride + dx] += g;
-                        }
-                    }
-                }
-            }
-        }
-    }
-    grad_in
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -315,19 +243,6 @@ mod tests {
                     o += 1;
                 }
             }
-        }
-    }
-
-    #[test]
-    fn avg_pool_round_trip_gradient_is_uniform() {
-        let input = Tensor::from_fn(&[2, 3, 4, 4], |i| (i as f32).cos());
-        let spec = PoolSpec::new(2);
-        let out = avg_pool2d(&input, &spec);
-        assert_eq!(out.shape().dims(), &[2, 3, 2, 2]);
-        let go = Tensor::full(out.shape().dims(), 1.0);
-        let gi = avg_pool2d_backward(&go, &[2, 3, 4, 4], &spec);
-        for &g in gi.as_slice() {
-            assert!((g - 0.25).abs() < 1e-6);
         }
     }
 

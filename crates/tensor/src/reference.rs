@@ -9,8 +9,9 @@
 //! paddings, groups and thread counts.
 //!
 //! They are also reachable at runtime via
-//! [`crate::kernels::set_reference_mode`], which benches use to time the
-//! seed implementation against the blocked one inside a single binary.
+//! [`crate::kernels::set_reference_mode`], which the `kernels` bench binary
+//! uses to time the seed implementation against the blocked one inside a
+//! single binary.
 //!
 //! # Zero-skip contract
 //!

@@ -8,7 +8,6 @@ use cscnn::sim::dram::DramConfig;
 use cscnn::sim::energy::EnergyTable;
 use cscnn::sim::workload::LayerWorkload;
 use cscnn::sim::{baselines, Accelerator, CartesianAccelerator, LayerContext};
-use cscnn::tensor::Tensor;
 
 fn simulate(acc: &dyn Accelerator, layer: &LayerDesc, wd: f64, ad: f64) -> cscnn::sim::LayerStats {
     let wl = LayerWorkload::synthesize(layer, wd, ad, acc.scheme().uses_centrosymmetric(), 1);
@@ -124,16 +123,6 @@ fn workload_rejects_out_of_range_density() {
 fn layer_desc_rejects_impossible_geometry() {
     let l = LayerDesc::conv("imp", 1, 1, 7, 7, 3, 3, 1, 0);
     let _ = l.output_dim();
-}
-
-#[test]
-fn quantization_of_all_zero_tensor_is_stable() {
-    use cscnn::nn::quant::{quantize_tensor, QFormat};
-    let t = Tensor::zeros(&[16]);
-    let fmt = QFormat::fit(t.as_slice());
-    let (q, err) = quantize_tensor(&t, fmt);
-    assert_eq!(q.as_slice(), t.as_slice());
-    assert_eq!(err, 0.0);
 }
 
 #[test]

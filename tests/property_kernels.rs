@@ -377,6 +377,79 @@ fn mobile_cnn_conv_shapes_bit_match_reference() {
     }
 }
 
+/// The kernels' per-thread work floor (`PARALLEL_MAC_FLOOR` in
+/// `cscnn::tensor::kernels`): a call runs on `t` threads only with at
+/// least `t` times this many multiply-accumulates and `t` tasks.
+const SPLIT_FLOOR_MACS: usize = 1 << 21;
+
+/// The shapes above sit far below [`SPLIT_FLOOR_MACS`], so every entry of
+/// [`THREAD_COUNTS`] runs them on one thread. These two have work for
+/// seven threads in both directions, so the kernels really deal them to
+/// each parallel count: an im2col convolution (`[8, 16, 32, 32]`, 16
+/// filters, 18 Mi multiply-accumulates per direction over 8 item tasks)
+/// and a direct depthwise one (`[8, 64, 64, 64]`, 18 Mi per direction over
+/// 512 `(item, channel)` forward tasks and 8 whole-item backward units).
+/// The forward, the backward with `dX` and a `ConvScratch` forward→backward
+/// pair each match the reference bit for bit at every count above one
+/// (one thread runs every shape inline, as the cases above do).
+#[test]
+fn convs_with_work_for_every_thread_count_bit_match_reference() {
+    let seed = prop_seed();
+    let spec = ConvSpec::new(3, 3).with_padding(1);
+    let most = THREAD_COUNTS.into_iter().max().unwrap_or(1);
+    for (case, &([n, c, h, w], k, groups)) in [([8, 16, 32, 32], 16, 1), ([8, 64, 64, 64], 64, 64)]
+        .iter()
+        .enumerate()
+    {
+        // Each direction has at least `n` tasks (the depthwise backward
+        // deals whole items) and `macs` multiply-accumulates.
+        let macs = n * k * (c / groups) * 9 * h * w;
+        assert!(macs >= most * SPLIT_FLOOR_MACS && n >= most, "case {case}");
+        let mut rng = StdRng::seed_from_u64(seed ^ (0x5b11_0000 + case as u64));
+        let input = random_tensor(&mut rng, &[n, c, h, w], 0.3);
+        let weight = random_tensor(&mut rng, &[k, c / groups, 3, 3], 0.3);
+        let bias = random_tensor(&mut rng, &[k], 0.0);
+        let grad_out = random_tensor(&mut rng, &[n, k, h, w], 0.3);
+        let want = bits(&reference::conv2d_grouped(
+            &input, &weight, &bias, &spec, groups,
+        ));
+        let want_grads =
+            reference::conv2d_grouped_backward(&input, &weight, &grad_out, &spec, groups);
+        for t in THREAD_COUNTS.into_iter().filter(|&t| t > 1) {
+            set_num_threads(t);
+            let what = format!("split conv {case} at {t} threads (seed {seed})");
+            let free = conv2d_grouped_backward(&input, &weight, &grad_out, &spec, groups);
+            let mut scratch = ConvScratch::new();
+            let out = scratch.forward(&input, &weight, &bias, &spec, groups);
+            let pair = scratch.backward(&input, &weight, &grad_out, &spec, groups);
+            assert_eq!(
+                bits(&conv2d_grouped(&input, &weight, &bias, &spec, groups)),
+                want,
+                "{what}: forward"
+            );
+            assert_eq!(bits(&out), want, "{what}: scratch forward");
+            for (name, got) in [("free", &free), ("scratch", &pair)] {
+                assert_eq!(
+                    bits(&got.input),
+                    bits(&want_grads.input),
+                    "{what}: {name} dX"
+                );
+                assert_eq!(
+                    bits(&got.weight),
+                    bits(&want_grads.weight),
+                    "{what}: {name} dW"
+                );
+                assert_eq!(
+                    bits(&got.bias),
+                    bits(&want_grads.bias),
+                    "{what}: {name} dBias"
+                );
+            }
+        }
+    }
+    reset_num_threads();
+}
+
 /// Geometries at the edges of the im2col/col2im row-segment ranges: stride
 /// 2 with padding on odd and even extents, taps that reach past both
 /// borders, a kernel column whose whole range is padding (1-wide input,
