@@ -76,18 +76,16 @@ for seed in 1 17 4242; do
         --test property_kernels
 done
 
-echo "== kernel determinism across thread counts"
-# integration_pipeline pins mobile_cnn's trained weights, so they must
-# come out bit-identical on one kernel thread and on several. No mobile_cnn
-# call reaches the kernels' per-thread work floor, so at 3 and 4 threads
-# these runs check that dispatch keeps it on one thread; property_kernels'
-# split-convolution case and the tensor crate's unit tests split calls
-# across threads.
-for threads in 1 3 4; do
-    echo "-- CSCNN_NUM_THREADS=$threads"
-    CSCNN_NUM_THREADS="$threads" cargo test -q -p cscnn \
-        --test property_kernels \
-        --test integration_pipeline
+echo "== training jobs across thread budgets"
+# filter_shapes and storage run their independent trainings as jobs on
+# CSCNN_NUM_THREADS threads; their stdout must not depend on how many.
+for threads in 1 3; do
+    for harness in filter_shapes storage; do
+        echo "-- CSCNN_NUM_THREADS=$threads $harness"
+        CSCNN_NUM_THREADS="$threads" cargo run -q --release -p cscnn-bench --bin "$harness" \
+            > "target/snapshot_${harness}_$threads.txt"
+        diff -u "crates/bench/snapshots/$harness.txt" "target/snapshot_${harness}_$threads.txt"
+    done
 done
 
 echo "== simulator job pool across worker counts"

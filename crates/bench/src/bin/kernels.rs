@@ -1,4 +1,4 @@
-//! Kernel timing sweep: naive reference vs blocked/threaded kernels.
+//! Kernel timing sweep: naive reference vs blocked kernels.
 //!
 //! Times `matmul`/`conv2d`/`conv2d_grouped` at paper-relevant layer shapes
 //! (AlexNet conv2, VGG conv3-scale, MobileNet depthwise + pointwise), the
@@ -6,18 +6,16 @@
 //! benchmark workload's `[32, 3, 16, 16]` batch on post-ReLU operands
 //! (zeros at random positions, as training sees them), a GEMM with a
 //! 90%-pruned left operand, and full `mobile_cnn` training steps, each in
-//! three configurations:
+//! two configurations:
 //!
 //! * `naive` — the frozen reference kernels, selected through
 //!   [`cscnn::tensor::kernels::set_reference_mode`];
-//! * `blocked_1t` — the cache-blocked, register-tiled kernels pinned to a
-//!   single thread;
-//! * `blocked_mt` — the same kernels at the default thread count.
+//! * `blocked` — the cache-blocked, register-tiled kernels.
 //!
-//! All three configurations compute bit-identical results; only wall-clock
-//! time differs. Plain timing (a warm-up call, then the median of five
-//! batch means within a wall-clock budget, the two blocked configurations
-//! alternating batch by batch), no external benchmark harness.
+//! Both configurations compute bit-identical results on the calling
+//! thread; only wall-clock time differs. Plain timing (a warm-up call,
+//! then the median of five batch means within a wall-clock budget), no
+//! external benchmark harness.
 //!
 //! ```sh
 //! cargo run --release -p cscnn-bench --bin kernels -- \
@@ -25,7 +23,7 @@
 //! ```
 //!
 //! Output: a human-readable table on stdout and a machine-readable
-//! `BENCH_kernels.json` (schema `cscnn-bench-kernels-v2`). One report holds
+//! `BENCH_kernels.json` (schema `cscnn-bench-kernels-v3`). One report holds
 //! one or more *columns*, each a full sweep on one build together with the
 //! machine's `available_parallelism`: `--label` names the new column
 //! (default `current`), and `--baseline FILE` copies the last column of an
@@ -37,9 +35,10 @@
 //! clobbering the committed full-run numbers.
 //!
 //! A full run also times one run of each training harness (`table2
-//! --train`, `filter_shapes`, `storage`) at the default thread count and
-//! records its wall time in the column. It runs the harness executables
-//! next to this one, so build them first:
+//! --train`, `filter_shapes`, `storage`) at the default thread count,
+//! which the harnesses spend on their independent trainings, and records
+//! its wall time in the column. It runs the harness executables next to
+//! this one, so build them first:
 //! `cargo build --release -p cscnn-bench --bins`.
 
 use std::hint::black_box;
@@ -54,108 +53,82 @@ use cscnn::nn::models;
 use cscnn::nn::optimizer::Sgd;
 use cscnn::tensor::kernels::set_reference_mode;
 use cscnn::tensor::{
-    conv2d_grouped, matmul, matmul_at, matmul_bt, max_pool2d, num_threads, reset_num_threads,
-    set_num_threads, ConvScratch, ConvSpec, PoolSpec, Tensor,
+    conv2d_grouped, matmul, matmul_at, matmul_bt, max_pool2d, ConvScratch, ConvSpec, PoolSpec,
+    Tensor,
 };
 use cscnn_bench::report::{self, obj, Options};
 
-const SCHEMA: &str = "cscnn-bench-kernels-v2";
+const SCHEMA: &str = "cscnn-bench-kernels-v3";
 
-/// One measured workload: the same closure timed under all three kernel
+/// One measured workload: the same closure timed under both kernel
 /// configurations.
 struct Sample {
     name: String,
     kind: &'static str,
     shape: String,
     naive_ms: f64,
-    blocked_1t_ms: f64,
-    blocked_mt_ms: f64,
+    blocked_ms: f64,
 }
 
 impl Sample {
-    fn speedup_1t(&self) -> f64 {
-        self.naive_ms / self.blocked_1t_ms
-    }
-
-    fn speedup_mt(&self) -> f64 {
-        self.naive_ms / self.blocked_mt_ms
+    fn speedup(&self) -> f64 {
+        self.naive_ms / self.blocked_ms
     }
 }
 
-/// Batches [`time_ms`] splits each configuration's budget into.
+/// Batches [`time_ms`] splits its budget into.
 const BATCHES: u32 = 5;
 
-/// Wall-clock milliseconds per call of `f` at each kernel thread count in
-/// `threads`: one warm-up call per count, then [`BATCHES`] rounds that run
-/// one batch per count in turn, each batch repeating the call until its
-/// share of `budget` elapses (at least once). Returns each count's median
-/// batch mean, so a burst of load from other processes on a shared
-/// machine moves one batch, not the result, and the host's drift over the
-/// run reaches every count alike instead of reading as a thread-count
-/// effect.
-fn time_ms(budget: Duration, threads: &[usize], f: &mut dyn FnMut()) -> Vec<f64> {
-    for &t in threads {
-        set_num_threads(t);
-        f();
-    }
+/// Wall-clock milliseconds per call of `f`: one warm-up call, then
+/// [`BATCHES`] batches, each repeating the call until its share of
+/// `budget` elapses (at least once). Returns the median batch mean, so a
+/// burst of load from other processes on a shared machine moves one
+/// batch, not the result.
+fn time_ms(budget: Duration, f: &mut dyn FnMut()) -> f64 {
+    f();
     let share = budget / BATCHES;
-    let mut means = vec![Vec::new(); threads.len()];
+    let mut means = Vec::new();
     for _ in 0..BATCHES {
-        for (&t, batch_means) in threads.iter().zip(&mut means) {
-            set_num_threads(t);
-            let start = Instant::now();
-            let mut iters = 0u32;
-            loop {
-                f();
-                iters += 1;
-                if start.elapsed() >= share {
-                    break;
-                }
+        let start = Instant::now();
+        let mut iters = 0u32;
+        loop {
+            f();
+            iters += 1;
+            if start.elapsed() >= share {
+                break;
             }
-            batch_means.push(start.elapsed().as_secs_f64() * 1_000.0 / f64::from(iters));
         }
+        means.push(start.elapsed().as_secs_f64() * 1_000.0 / f64::from(iters));
     }
-    means
-        .into_iter()
-        .map(|mut m| {
-            m.sort_by(f64::total_cmp);
-            m[m.len() / 2]
-        })
-        .collect()
+    means.sort_by(f64::total_cmp);
+    means[means.len() / 2]
 }
 
-/// Times `f` under naive / blocked-1-thread / blocked-multithread kernels,
-/// the two blocked configurations in alternating batches.
+/// Times `f` under the naive and the blocked kernels.
 fn measure(
     name: &str,
     kind: &'static str,
     shape: String,
     budget: Duration,
-    mt_threads: usize,
     f: &mut dyn FnMut(),
 ) -> Sample {
     set_reference_mode(true);
-    let naive_ms = time_ms(budget, &[1], f)[0];
+    let naive_ms = time_ms(budget, f);
     set_reference_mode(false);
-    let blocked = time_ms(budget, &[1, mt_threads], f);
-    let (blocked_1t_ms, blocked_mt_ms) = (blocked[0], blocked[1]);
-    reset_num_threads();
+    let blocked_ms = time_ms(budget, f);
     let sample = Sample {
         name: name.to_string(),
         kind,
         shape,
         naive_ms,
-        blocked_1t_ms,
-        blocked_mt_ms,
+        blocked_ms,
     };
     println!(
-        "{:<28} {:>10.3} {:>12.3} {:>12.3} {:>8.2}x {:>8.2}x",
+        "{:<28} {:>10.3} {:>12.3} {:>8.2}x",
         sample.name,
         sample.naive_ms,
-        sample.blocked_1t_ms,
-        sample.blocked_mt_ms,
-        sample.speedup_1t(),
-        sample.speedup_mt(),
+        sample.blocked_ms,
+        sample.speedup(),
     );
     sample
 }
@@ -213,7 +186,7 @@ struct ConvShape {
     train: bool,
 }
 
-fn matmul_entries(smoke: bool, budget: Duration, mt: usize, out: &mut Vec<Sample>) {
+fn matmul_entries(smoke: bool, budget: Duration, out: &mut Vec<Sample>) {
     let shapes: &[MatmulShape] = if smoke {
         &[MatmulShape {
             name: "matmul_smoke",
@@ -248,7 +221,6 @@ fn matmul_entries(smoke: bool, budget: Duration, mt: usize, out: &mut Vec<Sample
             "matmul",
             shape.clone(),
             budget,
-            mt,
             &mut || {
                 black_box(matmul(black_box(&a), black_box(&b)));
             },
@@ -258,7 +230,6 @@ fn matmul_entries(smoke: bool, budget: Duration, mt: usize, out: &mut Vec<Sample
             "matmul_at",
             shape.clone(),
             budget,
-            mt,
             &mut || {
                 black_box(matmul_at(black_box(&at), black_box(&b)));
             },
@@ -268,7 +239,6 @@ fn matmul_entries(smoke: bool, budget: Duration, mt: usize, out: &mut Vec<Sample
             "matmul_bt",
             shape,
             budget,
-            mt,
             &mut || {
                 black_box(matmul_bt(black_box(&a), black_box(&bt)));
             },
@@ -276,7 +246,7 @@ fn matmul_entries(smoke: bool, budget: Duration, mt: usize, out: &mut Vec<Sample
     }
 }
 
-fn conv_entries(smoke: bool, budget: Duration, mt: usize, out: &mut Vec<Sample>) {
+fn conv_entries(smoke: bool, budget: Duration, out: &mut Vec<Sample>) {
     let shapes: &[ConvShape] = if smoke {
         &[
             ConvShape {
@@ -363,22 +333,15 @@ fn conv_entries(smoke: bool, budget: Duration, mt: usize, out: &mut Vec<Sample>)
         } else {
             "conv2d"
         };
-        out.push(measure(
-            s.name,
-            kind,
-            shape.clone(),
-            budget,
-            mt,
-            &mut || {
-                black_box(conv2d_grouped(
-                    black_box(&input),
-                    black_box(&weight),
-                    &bias,
-                    &spec,
-                    s.groups,
-                ));
-            },
-        ));
+        out.push(measure(s.name, kind, shape.clone(), budget, &mut || {
+            black_box(conv2d_grouped(
+                black_box(&input),
+                black_box(&weight),
+                &bias,
+                &spec,
+                s.groups,
+            ));
+        }));
         if s.train {
             let (oh, ow) = spec.output_dim(s.input[2], s.input[3]);
             let grad_out = filled(&[s.input[0], s.filters, oh, ow], 3e-3);
@@ -388,7 +351,6 @@ fn conv_entries(smoke: bool, budget: Duration, mt: usize, out: &mut Vec<Sample>)
                 "conv_fwd_bwd",
                 shape,
                 budget,
-                mt,
                 &mut || {
                     black_box(scratch.forward(&input, &weight, &bias, &spec, s.groups));
                     black_box(scratch.backward(&input, &weight, &grad_out, &spec, s.groups));
@@ -406,7 +368,7 @@ fn conv_entries(smoke: bool, budget: Duration, mt: usize, out: &mut Vec<Sample>)
 /// backward and backward alone, the linear layer's three products
 /// and the 2×2 max-pool. Then a GEMM whose left operand is 90% zeros, as
 /// a pruned weight is.
-fn mobile_cnn_entries(smoke: bool, budget: Duration, mt: usize, out: &mut Vec<Sample>) {
+fn mobile_cnn_entries(smoke: bool, budget: Duration, out: &mut Vec<Sample>) {
     let n = if smoke { 2 } else { 32 };
     let same3 = ConvSpec::new(3, 3).with_padding(1);
     let point = ConvSpec::new(1, 1);
@@ -436,7 +398,6 @@ fn mobile_cnn_entries(smoke: bool, budget: Duration, mt: usize, out: &mut Vec<Sa
         "conv2d",
         conv0.clone(),
         budget,
-        mt,
         &mut || {
             black_box(scratch.forward(&images, &conv0_w, &bias8, &same3, 1));
         },
@@ -446,7 +407,6 @@ fn mobile_cnn_entries(smoke: bool, budget: Duration, mt: usize, out: &mut Vec<Sa
         "conv_fwd_dw",
         conv0,
         budget,
-        mt,
         &mut || {
             black_box(scratch.forward(&images, &conv0_w, &bias8, &same3, 1));
             black_box(scratch.param_grads_last(&conv0_w, &conv0_go, &same3, 1));
@@ -458,7 +418,6 @@ fn mobile_cnn_entries(smoke: bool, budget: Duration, mt: usize, out: &mut Vec<Sa
         "conv_dw",
         conv0_shape.clone(),
         budget,
-        mt,
         &mut || {
             black_box(scratch.param_grads_last(&conv0_w, &conv0_go, &same3, 1));
         },
@@ -469,7 +428,6 @@ fn mobile_cnn_entries(smoke: bool, budget: Duration, mt: usize, out: &mut Vec<Sa
         "conv_bwd",
         format!("[{n},8,16,16] -> K=8 3x3 p1 g8"),
         budget,
-        mt,
         &mut || {
             black_box(scratch.backward_last(&dw_w, &dw_go, &same3, 8));
         },
@@ -479,7 +437,6 @@ fn mobile_cnn_entries(smoke: bool, budget: Duration, mt: usize, out: &mut Vec<Sa
         "conv2d",
         pw.clone(),
         budget,
-        mt,
         &mut || {
             black_box(scratch.forward(&pw_x, &pw_w, &bias16, &point, 1));
         },
@@ -489,7 +446,6 @@ fn mobile_cnn_entries(smoke: bool, budget: Duration, mt: usize, out: &mut Vec<Sa
         "conv_fwd_bwd",
         pw,
         budget,
-        mt,
         &mut || {
             black_box(scratch.forward(&pw_x, &pw_w, &bias16, &point, 1));
             black_box(scratch.backward_last(&pw_w, &pw_go, &point, 1));
@@ -500,7 +456,6 @@ fn mobile_cnn_entries(smoke: bool, budget: Duration, mt: usize, out: &mut Vec<Sa
         "conv_bwd",
         pw_shape,
         budget,
-        mt,
         &mut || {
             black_box(scratch.backward_last(&pw_w, &pw_go, &point, 1));
         },
@@ -510,7 +465,6 @@ fn mobile_cnn_entries(smoke: bool, budget: Duration, mt: usize, out: &mut Vec<Sa
         "matmul_bt",
         fc.clone(),
         budget,
-        mt,
         &mut || {
             black_box(matmul_bt(black_box(&fc_x), black_box(&fc_w)));
         },
@@ -520,27 +474,18 @@ fn mobile_cnn_entries(smoke: bool, budget: Duration, mt: usize, out: &mut Vec<Sa
         "matmul_at",
         fc.clone(),
         budget,
-        mt,
         &mut || {
             black_box(matmul_at(black_box(&fc_go), black_box(&fc_x)));
         },
     ));
-    out.push(measure(
-        "mcnn_linear_nn",
-        "matmul",
-        fc,
-        budget,
-        mt,
-        &mut || {
-            black_box(matmul(black_box(&fc_go), black_box(&fc_w)));
-        },
-    ));
+    out.push(measure("mcnn_linear_nn", "matmul", fc, budget, &mut || {
+        black_box(matmul(black_box(&fc_go), black_box(&fc_w)));
+    }));
     out.push(measure(
         "mcnn_max_pool",
         "max_pool2d",
         format!("[{n},16,16,16] 2x2 s2"),
         budget,
-        mt,
         &mut || {
             black_box(max_pool2d(black_box(&pool_x), &PoolSpec::new(2)));
         },
@@ -553,14 +498,13 @@ fn mobile_cnn_entries(smoke: bool, budget: Duration, mt: usize, out: &mut Vec<Sa
         "matmul",
         format!("[{m},{k}] (90% zeros) x [{k},{cols}]"),
         budget,
-        mt,
         &mut || {
             black_box(matmul(black_box(&pruned), black_box(&x)));
         },
     ));
 }
 
-fn train_step_entries(smoke: bool, budget: Duration, mt: usize, out: &mut Vec<Sample>) {
+fn train_step_entries(smoke: bool, budget: Duration, out: &mut Vec<Sample>) {
     // (name, channels, height, width, classes, batch)
     let shapes: &[(&str, usize, usize, usize, usize, usize)] = if smoke {
         &[("mobile_cnn_train_step", 1, 8, 8, 2, 4)]
@@ -583,7 +527,6 @@ fn train_step_entries(smoke: bool, budget: Duration, mt: usize, out: &mut Vec<Sa
             "train_step",
             format!("mobile_cnn batch [{batch},{channels},{h},{w}]"),
             budget,
-            mt,
             &mut || {
                 let logits = net.forward(black_box(&x));
                 let (_, grad) = softmax_cross_entropy(&logits, &labels);
@@ -636,12 +579,7 @@ fn harness_walls() -> Vec<(String, Option<f64>)> {
 
 /// One column: every sample of this build and the harness wall times,
 /// with the machine's core count.
-fn column(
-    samples: &[Sample],
-    harnesses: &[(String, Option<f64>)],
-    label: &str,
-    mt: usize,
-) -> Value {
+fn column(samples: &[Sample], harnesses: &[(String, Option<f64>)], label: &str) -> Value {
     let entries = samples
         .iter()
         .map(|s| {
@@ -650,10 +588,8 @@ fn column(
                 ("kind", Value::Str(s.kind.to_string())),
                 ("shape", Value::Str(s.shape.clone())),
                 ("naive_ms", Value::F64(s.naive_ms)),
-                ("blocked_1t_ms", Value::F64(s.blocked_1t_ms)),
-                ("blocked_mt_ms", Value::F64(s.blocked_mt_ms)),
-                ("speedup_blocked_1t_vs_naive", Value::F64(s.speedup_1t())),
-                ("speedup_blocked_mt_vs_naive", Value::F64(s.speedup_mt())),
+                ("blocked_ms", Value::F64(s.blocked_ms)),
+                ("speedup_blocked_vs_naive", Value::F64(s.speedup())),
             ])
         })
         .collect();
@@ -661,7 +597,6 @@ fn column(
     obj(vec![
         ("label", Value::Str(label.to_string())),
         ("available_parallelism", Value::U64(parallelism as u64)),
-        ("threads", obj(vec![("blocked_mt", Value::U64(mt as u64))])),
         ("entries", Value::Arr(entries)),
         (
             "harness_wall_s",
@@ -680,14 +615,17 @@ fn column(
     ])
 }
 
-/// Per-entry speedups of column `new` over column `old` (old time / new
-/// time) for both blocked configurations.
+/// Per-entry speedups of column `new`'s blocked kernels over column
+/// `old`'s (old time / new time).
 fn speedups(old: &Value, new: &Value) -> Value {
     fn entries(column: &Value) -> &[Value] {
         let list = column.get("entries").and_then(Value::as_array);
         list.expect("column has entries")
     }
-    let ms = |e: &Value, key: &str| e.get(key).and_then(Value::as_f64).expect("entry has times");
+    let ms = |e: &Value| {
+        let ms = e.get("blocked_ms").and_then(Value::as_f64);
+        ms.expect("entry has times")
+    };
     let (old, new) = (entries(old), entries(new));
     assert_eq!(old.len(), new.len(), "baseline lists different entries");
     let per_entry = old
@@ -699,17 +637,7 @@ fn speedups(old: &Value, new: &Value) -> Value {
                 n.get("name") == Some(&name),
                 "baseline lists different entries"
             );
-            obj(vec![
-                ("name", name),
-                (
-                    "blocked_1t",
-                    Value::F64(ms(o, "blocked_1t_ms") / ms(n, "blocked_1t_ms")),
-                ),
-                (
-                    "blocked_mt",
-                    Value::F64(ms(o, "blocked_mt_ms") / ms(n, "blocked_mt_ms")),
-                ),
-            ])
+            obj(vec![("name", name), ("blocked", Value::F64(ms(o) / ms(n)))])
         })
         .collect();
     Value::Arr(per_entry)
@@ -724,28 +652,19 @@ fn main() {
     } else {
         Duration::from_millis(150)
     };
-    // The multi-thread configuration uses the process default (the
-    // validated CSCNN_NUM_THREADS, else available parallelism).
-    reset_num_threads();
-    let mt = num_threads();
+    println!("[{}] kernel sweep ({})", opts.label, opts.mode());
     println!(
-        "[{}] kernel sweep ({}), blocked_mt = {mt} thread(s)",
-        opts.label,
-        opts.mode()
-    );
-    println!(
-        "{:<28} {:>10} {:>12} {:>12} {:>9} {:>9}",
-        "workload", "naive ms", "blocked 1t", "blocked mt", "1t spdup", "mt spdup"
+        "{:<28} {:>10} {:>12} {:>9}",
+        "workload", "naive ms", "blocked ms", "speedup"
     );
     let mut samples = Vec::new();
-    matmul_entries(smoke, budget, mt, &mut samples);
-    conv_entries(smoke, budget, mt, &mut samples);
-    mobile_cnn_entries(smoke, budget, mt, &mut samples);
-    train_step_entries(smoke, budget, mt, &mut samples);
-    reset_num_threads();
+    matmul_entries(smoke, budget, &mut samples);
+    conv_entries(smoke, budget, &mut samples);
+    mobile_cnn_entries(smoke, budget, &mut samples);
+    train_step_entries(smoke, budget, &mut samples);
     set_reference_mode(false);
     let harnesses = if smoke { Vec::new() } else { harness_walls() };
-    columns.push(column(&samples, &harnesses, &opts.label, mt));
+    columns.push(column(&samples, &harnesses, &opts.label));
 
     let mut fields = vec![
         ("schema", Value::Str(SCHEMA.to_string())),

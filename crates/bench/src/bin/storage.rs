@@ -15,7 +15,11 @@ use cscnn::nn::models;
 use cscnn::nn::pruning;
 use cscnn::nn::trainer::{TrainConfig, Trainer};
 use cscnn::sparse::centro;
+use cscnn::tensor::run_jobs;
 use cscnn_bench::table::Table;
+
+/// One table row: representation, bits, decode machinery.
+type Row = (&'static str, u64, &'static str);
 
 fn main() {
     println!("== weight storage: Deep Compression stack vs centrosymmetric ==\n");
@@ -27,15 +31,46 @@ fn main() {
         lr: 0.05,
         ..Default::default()
     };
+    // The two branches train independent networks: run them as jobs.
+    let rows = run_jobs(2, |branch| {
+        let trainer = Trainer::new(config);
+        if branch == 0 {
+            deep_compression(&trainer, &train, &test)
+        } else {
+            centrosymmetric_storage(&trainer, &train, &test)
+        }
+    })
+    .concat();
 
-    // Branch A: Deep Compression (prune + cluster + Huffman).
+    let dense_bits = rows[0].1;
+    let mut t = Table::new(&["representation", "bits", "vs dense", "machinery"]);
+    for (name, bits, machinery) in rows {
+        t.row(vec![
+            name.to_string(),
+            bits.to_string(),
+            format!("{:.2}x", dense_bits as f64 / bits as f64),
+            machinery.to_string(),
+        ]);
+    }
+    t.print();
+
+    println!("\nreading: the centrosymmetric halving is free of decode machinery and");
+    println!("composes with pruning; Deep Compression compresses further but needs a");
+    println!("codebook lookup and a Huffman decoder in the critical path.");
+}
+
+/// Branch A: Deep Compression (prune + cluster + Huffman).
+fn deep_compression(
+    trainer: &Trainer,
+    train: &SyntheticImages,
+    test: &SyntheticImages,
+) -> Vec<Row> {
     let mut dc_net = models::convnet_s(4, 77);
-    let trainer = Trainer::new(config);
-    let _ = trainer.fit(&mut dc_net, &train, &test);
+    let _ = trainer.fit(&mut dc_net, train, test);
     for conv in dc_net.conv_layers_mut() {
         pruning::prune_conv(conv, 0.35);
     }
-    let _ = trainer.fit(&mut dc_net, &train, &test);
+    let _ = trainer.fit(&mut dc_net, train, test);
     let mut dense_bits = 0u64;
     let mut rle_bits = 0u64;
     let mut clustered_bits = 0u64;
@@ -47,12 +82,32 @@ fn main() {
         clustered_bits += r.clustered_bits;
         huffman_bits += r.huffman_total_bits;
     }
+    vec![
+        ("dense 16-bit", dense_bits, "-"),
+        ("DC: prune + RLE", rle_bits, "indices"),
+        (
+            "DC: + 256-entry codebook",
+            clustered_bits,
+            "indices + codebook",
+        ),
+        (
+            "DC: + Huffman",
+            huffman_bits,
+            "indices + codebook + decoder",
+        ),
+    ]
+}
 
-    // Branch B: CSCNN (+ pruning) half storage, no dual indices.
+/// Branch B: CSCNN (+ pruning) half storage, no dual indices.
+fn centrosymmetric_storage(
+    trainer: &Trainer,
+    train: &SyntheticImages,
+    test: &SyntheticImages,
+) -> Vec<Row> {
     let mut cs_net = models::convnet_s(4, 77);
-    let _ = trainer.fit(&mut cs_net, &train, &test);
+    let _ = trainer.fit(&mut cs_net, train, test);
     centrosymmetric::centrosymmetrize(&mut cs_net).expect("finite weights");
-    let _ = trainer.fit(&mut cs_net, &train, &test);
+    let _ = trainer.fit(&mut cs_net, train, test);
     let mut cs_unique_bits = 0u64;
     for conv in cs_net.conv_layers_mut() {
         let dims = conv.weight().value.shape().dims().to_vec();
@@ -64,7 +119,7 @@ fn main() {
     for conv in cs_net.conv_layers_mut() {
         pruning::prune_conv(conv, 0.5);
     }
-    let _ = trainer.fit(&mut cs_net, &train, &test);
+    let _ = trainer.fit(&mut cs_net, train, test);
     let mut cs_pruned_bits = 0u64;
     for conv in cs_net.conv_layers_mut() {
         let dims = conv.weight().value.shape().dims().to_vec();
@@ -83,45 +138,12 @@ fn main() {
         // 4-bit run); duals need no index at all.
         cs_pruned_bits += nnz * 20;
     }
-
-    let mut t = Table::new(&["representation", "bits", "vs dense", "machinery"]);
-    let row = |t: &mut Table, name: &str, bits: u64, machinery: &str| {
-        t.row(vec![
-            name.to_string(),
-            bits.to_string(),
-            format!("{:.2}x", dense_bits as f64 / bits as f64),
-            machinery.to_string(),
-        ]);
-    };
-    row(&mut t, "dense 16-bit", dense_bits, "-");
-    row(&mut t, "DC: prune + RLE", rle_bits, "indices");
-    row(
-        &mut t,
-        "DC: + 256-entry codebook",
-        clustered_bits,
-        "indices + codebook",
-    );
-    row(
-        &mut t,
-        "DC: + Huffman",
-        huffman_bits,
-        "indices + codebook + decoder",
-    );
-    row(
-        &mut t,
-        "CSCNN (unique half)",
-        cs_unique_bits,
-        "none (positional)",
-    );
-    row(
-        &mut t,
-        "CSCNN + pruning (RLE)",
-        cs_pruned_bits,
-        "indices (half as many)",
-    );
-    t.print();
-
-    println!("\nreading: the centrosymmetric halving is free of decode machinery and");
-    println!("composes with pruning; Deep Compression compresses further but needs a");
-    println!("codebook lookup and a Huffman decoder in the critical path.");
+    vec![
+        ("CSCNN (unique half)", cs_unique_bits, "none (positional)"),
+        (
+            "CSCNN + pruning (RLE)",
+            cs_pruned_bits,
+            "indices (half as many)",
+        ),
+    ]
 }

@@ -15,6 +15,7 @@ use cscnn::nn::datasets::SyntheticImages;
 use cscnn::nn::models;
 use cscnn::nn::pruning::PruneConfig;
 use cscnn::nn::trainer::TrainConfig;
+use cscnn::tensor::run_jobs;
 use cscnn::CompressionPipeline;
 use cscnn_bench::paper;
 use cscnn_bench::table::{fmt_factor, fmt_pct, Table};
@@ -78,37 +79,31 @@ fn proxy_training() {
         "kept",
         "mult red.",
     ]);
-    // The deeper VGG-S needs a gentler learning rate to converge.
-    type Case = (&'static str, f32, cscnn::nn::Network, Vec<(usize, usize)>);
-    let cases: Vec<Case> = vec![
-        (
-            "ConvNet-S",
-            0.05,
-            models::convnet_s(4, 1),
-            models::convnet_s_conv_inputs(),
-        ),
-        (
-            "VGG-S",
-            0.01,
-            models::vgg_s(4, 2),
-            models::vgg_s_conv_inputs(),
-        ),
-    ];
-    for (name, lr, net, conv_inputs) in cases {
+    // The deeper VGG-S needs a gentler learning rate to converge. The two
+    // proxies train independently: run them as jobs.
+    let proxies = [("ConvNet-S", 0.05), ("VGG-S", 0.01)];
+    let reports = run_jobs(proxies.len(), |job| {
+        let (net, conv_inputs) = if job == 0 {
+            (models::convnet_s(4, 1), models::convnet_s_conv_inputs())
+        } else {
+            (models::vgg_s(4, 2), models::vgg_s_conv_inputs())
+        };
         let config = TrainConfig {
             epochs: 8,
             batch_size: 32,
-            lr,
+            lr: proxies[job].1,
             ..Default::default()
         };
         let data = SyntheticImages::generate(3, 16, 16, 4, 80, 0.12, 9);
-        let report = CompressionPipeline::new(config)
+        CompressionPipeline::new(config)
             .with_pruning(PruneConfig {
                 conv_keep: 0.5,
                 fc_keep: 0.25,
             })
             .run(net, &data, &conv_inputs)
-            .expect("network lowers");
+            .expect("network lowers")
+    });
+    for ((name, _), report) in proxies.iter().zip(reports) {
         t.row(vec![
             name.to_string(),
             format!("{:.1} %", 100.0 * report.baseline_accuracy),

@@ -212,7 +212,6 @@ impl cscnn_json::ToJson for LayerNode {
                 kind(&mut obj, "pool");
                 let label = match pool {
                     PoolKind::Max => "max",
-                    PoolKind::Avg => "avg",
                 };
                 obj.push(("pool".into(), Value::Str(label.into())));
                 obj.push(("window".into(), Value::U64(*window as u64)));
@@ -226,14 +225,6 @@ impl cscnn_json::ToJson for LayerNode {
                 obj.push(("activation".into(), Value::Str(label.into())));
             }
             LayerNode::Flatten => kind(&mut obj, "flatten"),
-            LayerNode::Norm { channels } => {
-                kind(&mut obj, "norm");
-                obj.push(("channels".into(), Value::U64(*channels as u64)));
-            }
-            LayerNode::Dropout { p } => {
-                kind(&mut obj, "dropout");
-                obj.push(("p".into(), Value::F64(*p)));
-            }
             LayerNode::Add { name } => {
                 kind(&mut obj, "add");
                 obj.push(("name".into(), Value::Str(name.clone())));
@@ -335,12 +326,6 @@ impl NodeCx<'_> {
         self.field(field)?
             .as_bool()
             .ok_or_else(|| self.err(field, "expected a boolean"))
-    }
-
-    fn f64_field(&self, field: &'static str) -> Result<f64, ArtifactError> {
-        self.field(field)?
-            .as_f64()
-            .ok_or_else(|| self.err(field, "expected a number"))
     }
 
     fn density(&self, v: &Value, field: &'static str) -> Result<f64, ArtifactError> {
@@ -453,7 +438,6 @@ fn parse_node(index: usize, obj: &Value) -> Result<LayerNode, ArtifactError> {
         "pool" => {
             let pool = match cx.str_field("pool")?.as_str() {
                 "max" => PoolKind::Max,
-                "avg" => PoolKind::Avg,
                 other => {
                     return Err(cx.err("pool", format!("unknown pool kind `{other}`")));
                 }
@@ -471,16 +455,6 @@ fn parse_node(index: usize, obj: &Value) -> Result<LayerNode, ArtifactError> {
             other => Err(cx.err("activation", format!("unknown activation `{other}`"))),
         },
         "flatten" => Ok(LayerNode::Flatten),
-        "norm" => Ok(LayerNode::Norm {
-            channels: cx.positive_field("channels")?,
-        }),
-        "dropout" => {
-            let p = cx.f64_field("p")?;
-            if !(0.0..=1.0).contains(&p) {
-                return Err(cx.err("p", format!("probability {p} outside [0, 1]")));
-            }
-            Ok(LayerNode::Dropout { p })
-        }
         "add" => Ok(LayerNode::Add {
             name: cx.layer.clone().unwrap_or_default(),
         }),
@@ -629,8 +603,6 @@ mod tests {
                     kind: ActivationKind::Relu,
                 },
                 LayerNode::grouped("DW", 8, 8, 3, 3, 8, 8, 1, 1, 8),
-                LayerNode::Norm { channels: 8 },
-                LayerNode::Dropout { p: 0.5 },
                 LayerNode::Flatten,
                 LayerNode::fc("F1", 512, 10),
             ],
@@ -657,6 +629,40 @@ mod tests {
         let text = ir.to_json_string();
         assert!(text.contains("\"sparsity\":null"), "{text}");
         assert_eq!(ModelIr::from_json_str(&text), Ok(ir));
+    }
+
+    /// The node kinds the IR has no variant for — batch norm, dropout and
+    /// average pooling, which no training layer lowers to — are rejected
+    /// by name.
+    #[test]
+    fn kinds_without_a_variant_are_rejected() {
+        let text = annotated_ir().to_json_string();
+        assert!(text.contains(r#"{"kind":"flatten"}"#), "{text}");
+        for (node, kind) in [
+            (r#"{"kind":"norm","channels":8}"#, "norm"),
+            (r#"{"kind":"dropout","p":0.5}"#, "dropout"),
+        ] {
+            let bad = text.replace(r#"{"kind":"flatten"}"#, node);
+            assert_eq!(
+                ModelIr::from_json_str(&bad),
+                Err(ArtifactError::Node {
+                    index: 4,
+                    layer: None,
+                    field: "kind",
+                    reason: format!("unknown node kind `{kind}`"),
+                })
+            );
+        }
+        let bad = text.replace(r#""pool":"max""#, r#""pool":"avg""#);
+        assert_eq!(
+            ModelIr::from_json_str(&bad),
+            Err(ArtifactError::Node {
+                index: 1,
+                layer: None,
+                field: "pool",
+                reason: "unknown pool kind `avg`".into(),
+            })
+        );
     }
 
     #[test]

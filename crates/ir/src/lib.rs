@@ -170,8 +170,6 @@ pub struct SparsityAnnotation {
 pub enum PoolKind {
     /// Max pooling.
     Max,
-    /// Average pooling.
-    Avg,
 }
 
 /// Elementwise activation flavour.
@@ -225,7 +223,7 @@ pub enum LayerNode {
     },
     /// Spatial pooling.
     Pool {
-        /// Max or average.
+        /// Pooling flavour.
         kind: PoolKind,
         /// Square window side.
         window: usize,
@@ -239,16 +237,6 @@ pub enum LayerNode {
     },
     /// `[N, ...] → [N, features]` reshape.
     Flatten,
-    /// Channel-wise normalization (batch norm).
-    Norm {
-        /// Normalized channels.
-        channels: usize,
-    },
-    /// Dropout (identity at inference).
-    Dropout {
-        /// Drop probability.
-        p: f64,
-    },
     /// Elementwise addition join (residual merge). Requires at least two
     /// in-edges in a DAG-shaped IR.
     Add {
@@ -453,8 +441,6 @@ impl LayerNode {
             LayerNode::Pool { .. } => "pool",
             LayerNode::Activation { .. } => "activation",
             LayerNode::Flatten => "flatten",
-            LayerNode::Norm { .. } => "norm",
-            LayerNode::Dropout { .. } => "dropout",
             LayerNode::Add { .. } => "add",
             LayerNode::Concat { .. } => "concat",
         }
@@ -969,7 +955,6 @@ impl LayerNode {
                 h.write(4);
                 h.write(match kind {
                     PoolKind::Max => 0,
-                    PoolKind::Avg => 1,
                 });
                 h.write(*window as u64);
                 h.write(*stride as u64);
@@ -981,14 +966,6 @@ impl LayerNode {
                 });
             }
             LayerNode::Flatten => h.write(6),
-            LayerNode::Norm { channels } => {
-                h.write(7);
-                h.write(*channels as u64);
-            }
-            LayerNode::Dropout { p } => {
-                h.write(8);
-                h.write(p.to_bits());
-            }
             LayerNode::Add { name } => {
                 h.write(9);
                 h.write_str(name);

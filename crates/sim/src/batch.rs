@@ -262,10 +262,10 @@ impl BatchRunner {
     /// Creates a batched intake over `runner`, sized by
     /// [`crate::util::configured_workers`]: the validated
     /// `CSCNN_NUM_THREADS` environment variable when set (the variable
-    /// also sizes the tensor kernels; `cscnn_tensor::set_num_threads` does
-    /// not reach this pool), else one worker per available CPU (falling
-    /// back to 4 when parallelism cannot be queried). Results never depend
-    /// on the worker count.
+    /// also sizes `cscnn_tensor::run_jobs`; `cscnn_tensor::set_num_threads`
+    /// does not reach this pool), else one worker per available CPU
+    /// (falling back to 1 when parallelism cannot be queried). Results
+    /// never depend on the worker count.
     ///
     /// # Panics
     ///

@@ -169,11 +169,12 @@ fn u64_from_f64(x: f64, what: &str) -> u64 {
 
 /// Default worker-pool size for batched simulation: the validated
 /// `CSCNN_NUM_THREADS` environment variable when set (the same variable
-/// sizes the tensor kernels in `cscnn-tensor`), else the machine's
-/// available parallelism, else 4. The in-process kernel override
-/// `cscnn_tensor::set_num_threads` is not consulted: it sizes the kernels
-/// only. Worker counts never affect results — batching is bit-identical to
-/// sequential simulation by construction.
+/// sizes `cscnn_tensor::run_jobs`, which runs independent trainings),
+/// else the machine's available parallelism, else 1 — the fallbacks of
+/// `cscnn-tensor`'s thread budget. The in-process override
+/// `cscnn_tensor::set_num_threads` is not consulted: it sizes the
+/// training jobs only. Worker counts never affect results — batching is
+/// bit-identical to sequential simulation by construction.
 ///
 /// # Panics
 ///
@@ -196,7 +197,7 @@ pub fn configured_workers() -> usize {
         }
         Err(_) => std::thread::available_parallelism()
             .map(std::num::NonZeroUsize::get)
-            .unwrap_or(4),
+            .unwrap_or(1),
     }
 }
 

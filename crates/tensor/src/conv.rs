@@ -33,14 +33,11 @@
 //! (`copy_from_slice` at unit stride, a strided walk otherwise) and the
 //! padding is the buffer's zero fill. The backward `col2im` scatter-adds
 //! over the same segments, in the reference's `(ci, r, s)` order, through
-//! one `dCol` scratch per thread.
+//! one `dCol` scratch.
 //!
 //! The GEMMs themselves are the cache-blocked kernels in
-//! [`crate::kernels`]. Every route asks [`kernels::dispatch`] for its
-//! threads, from its multiply-accumulates and its `(item × group)` task
-//! count: whole tasks (whole output chunks) go to threads first, and any
-//! threads left over split each task's GEMM rows, so every output
-//! element has one writer.
+//! [`crate::kernels`]. Every route runs its `(item, group)` tasks in
+//! ascending order on the calling thread.
 //!
 //! # Direct kernels
 //!
@@ -49,12 +46,12 @@
 //! skip im2col and the GEMMs in both directions: each task's input planes
 //! are zero-padded once and every kernel tap is one flat multiply-add
 //! loop over them (see [`Direct`]). The forward and the narrow backward
-//! deal whole `(item, group)` tasks to threads, the depthwise backward
-//! whole items, whose channels it holds side by side.
+//! run `(item, group)` tasks, the depthwise backward whole items, whose
+//! channels it holds side by side.
 //!
 //! Results are **bit-identical** to the naive per-item / per-group
-//! reference implementations in [`crate::reference`] at every thread
-//! count; see `docs/kernels.md` for why the accumulation orders match.
+//! reference implementations in [`crate::reference`]; see
+//! `docs/kernels.md` for why the accumulation orders match.
 
 use crate::kernels::{self, Gemm, Lhs, Rhs};
 use crate::{reference, Tensor};
@@ -151,11 +148,6 @@ pub struct Conv2dGrads {
     pub bias: Tensor,
 }
 
-/// Cap on the per-task partial-gradient buffer (in f32 slots, 64 Mi ≈
-/// 256 MB) of the GEMM backward: its tasks run in blocks whose partials
-/// fit, one block at a time.
-const PART_BUDGET_FLOATS: usize = 1 << 26;
-
 /// The geometry of one convolution call, as [`check`] validated it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 struct Geometry {
@@ -194,12 +186,6 @@ impl Geometry {
     /// `(item, group)` tasks, `N·groups`.
     fn tasks(&self) -> usize {
         self.n * self.groups
-    }
-
-    /// Multiply-accumulates of the forward, and of each of the backward's
-    /// `dW` and `dX`: `N·K·C/g·R·S·H'·W'`.
-    fn macs(&self) -> usize {
-        self.n * self.k * self.rows_g() * self.cols_len()
     }
 
     /// Whether this is a depthwise convolution at unit stride: one filter
@@ -345,7 +331,6 @@ fn route_backward(
         weight,
         grad_out,
         d_input,
-        PART_BUDGET_FLOATS,
     )
 }
 
@@ -395,24 +380,18 @@ struct ConvLowering {
 
 impl ConvLowering {
     /// The column blocks of `input` at `geom`, lowered into the existing
-    /// buffer unless it already holds them. Each copied element counts as
-    /// one multiply-accumulate of work.
+    /// buffer unless it already holds them.
     fn lower(&mut self, geom: &Geometry, input: &Tensor) -> &[f32] {
         if self.geom != Some(*geom) {
             let block_len = geom.rows_g() * geom.cols_len();
-            let tasks = geom.tasks();
             self.cols.clear();
-            self.cols.resize(tasks * block_len, 0.0);
+            self.cols.resize(geom.tasks() * block_len, 0.0);
             // Task `ni·groups + g` reads the `C/g` input planes at flat
             // offset `task·C/g·H·W`.
-            let image = geom.cg() * geom.h * geom.w;
-            let src = input.as_slice();
-            kernels::deal(
-                self.cols.chunks_mut(block_len),
-                kernels::dispatch(tasks * block_len, tasks).task_threads,
-                || (),
-                |_, task, block| im2col_block(geom, &src[task * image..(task + 1) * image], block),
-            );
+            let (src, image) = (input.as_slice(), geom.cg() * geom.h * geom.w);
+            for (task, block) in self.cols.chunks_mut(block_len).enumerate() {
+                im2col_block(geom, &src[task * image..(task + 1) * image], block);
+            }
             self.geom = Some(*geom);
         }
         &self.cols
@@ -426,28 +405,19 @@ fn lowered_forward(geom: &Geometry, cols: &[f32], weight: &Tensor, bias: &Tensor
     let mut out = Tensor::zeros(&[geom.n, geom.k, geom.oh, geom.ow]);
     let (wv, bias_v) = (weight.as_slice(), bias.as_slice());
     let gemm = Gemm::new(Lhs::RowMajor, Rhs::RowMajor, kg, rows_g, cols_len);
-    let plan = kernels::dispatch(geom.macs(), geom.tasks());
     // Each (item, group) task owns the contiguous output chunk
     // [ni, g·kg..(g+1)·kg, :, :].
-    kernels::deal(
-        out.as_mut_slice().chunks_mut(kg * cols_len),
-        plan.task_threads,
-        || (),
-        |_, task, dst| {
-            let g = task % groups;
-            gemm.run(
-                &wv[g * kg * rows_g..(g + 1) * kg * rows_g],
-                &cols[task * rows_g * cols_len..(task + 1) * rows_g * cols_len],
-                dst,
-                plan.gemm_threads,
-            );
-            for (row, &b) in dst.chunks_mut(cols_len).zip(&bias_v[g * kg..(g + 1) * kg]) {
-                for d in row {
-                    *d += b;
-                }
+    let block = rows_g * cols_len;
+    for (task, dst) in out.as_mut_slice().chunks_mut(kg * cols_len).enumerate() {
+        let g = task % groups;
+        let col = &cols[task * block..(task + 1) * block];
+        gemm.run(&wv[g * kg * rows_g..(g + 1) * kg * rows_g], col, dst);
+        for (row, &b) in dst.chunks_mut(cols_len).zip(&bias_v[g * kg..(g + 1) * kg]) {
+            for d in row {
+                *d += b;
             }
-        },
-    );
+        }
+    }
     out
 }
 
@@ -467,69 +437,55 @@ fn input_grad_chunks(
 /// Backward convolution over lowered column blocks: `(dW, dBias)`, and
 /// `dX` into `d_input` (a zeroed `[N, C, H, W]` buffer) when given;
 /// without it the `dCol` GEMM and `col2im` do not run. Bit-identical to
-/// [`crate::reference::conv2d_grouped_backward`]: the tasks run in blocks
-/// whose per-task partial gradients fit `part_budget` floats, and each
-/// block's partials are reduced in ascending task order, which is
-/// ascending batch order within each group.
+/// [`crate::reference::conv2d_grouped_backward`]: each task's partial
+/// gradients are computed from `+0` and reduced in ascending task order,
+/// which is ascending batch order within each group.
 fn lowered_grads(
     geom: &Geometry,
     cols: &[f32],
     weight: &Tensor,
     grad_out: &Tensor,
     d_input: Option<&mut [f32]>,
-    part_budget: usize,
 ) -> (Tensor, Tensor) {
     let (groups, kg, rows_g, cols_len) = (geom.groups, geom.kg(), geom.rows_g(), geom.cols_len());
     let mut d_weight = vec![0.0f32; geom.k * rows_g];
     let mut d_bias = vec![0.0f32; geom.k];
     let (gov, wv) = (grad_out.as_slice(), weight.as_slice());
-    let tasks = geom.tasks();
-    // Per-task partials: a [kg, rows_g] dW block followed by kg dBias
-    // slots, kept out of the shared gradients until their block is done.
-    let part_len = kg * rows_g + kg;
-    let with_din = d_input.is_some();
-    let col_len = if with_din { rows_g * cols_len } else { 0 };
+    // One task's partials: a [kg, rows_g] dW block followed by kg dBias
+    // slots, kept out of the shared gradients until the task is done.
+    let mut part = vec![0.0f32; kg * rows_g + kg];
+    // A `[rows_g, cols_len]` scratch (empty without `din`).
+    let col_len = if d_input.is_some() {
+        rows_g * cols_len
+    } else {
+        0
+    };
+    let mut d_col = vec![0.0f32; col_len];
     // dW part = dOut · colᵀ (reference: matmul_bt(go, col)); dCol = Wᵀ ·
     // dOut (reference: matmul_at(w, go)).
     let dw = Gemm::new(Lhs::RowMajor, Rhs::Transposed, kg, cols_len, rows_g);
     let dcol = Gemm::new(Lhs::Transposed, Rhs::RowMajor, rows_g, kg, cols_len);
-    let plan = kernels::dispatch(geom.macs() * (1 + usize::from(with_din)), tasks);
-    let block = (part_budget / part_len).clamp(1, tasks);
-    let mut parts = vec![0.0f32; block * part_len];
-    let mut dins = input_grad_chunks(d_input, geom.cg() * geom.h * geom.w, tasks).into_iter();
-    for t0 in (0..tasks).step_by(block) {
-        let parts = &mut parts[..block.min(tasks - t0) * part_len];
-        parts.fill(0.0);
-        // `d_col` is a per-thread `[rows_g, cols_len]` scratch (empty
-        // without `din`).
-        kernels::deal(
-            dins.by_ref().take(block).zip(parts.chunks_mut(part_len)),
-            plan.task_threads,
-            || vec![0.0f32; col_len],
-            |d_col, i, (din, part)| {
-                let task = t0 + i;
-                let (dw_part, db_part) = part.split_at_mut(kg * rows_g);
-                // The task's dOut planes [ni, g·kg..(g+1)·kg] start at task·kg.
-                let goslab = &gov[task * kg * cols_len..(task + 1) * kg * cols_len];
-                let col = &cols[task * rows_g * cols_len..(task + 1) * rows_g * cols_len];
-                dw.run(goslab, col, dw_part, plan.gemm_threads);
-                // dCol is scattered back into this task's disjoint dX chunk.
-                if let Some(din) = din {
-                    let g = task % groups;
-                    let wg = &wv[g * kg * rows_g..(g + 1) * kg * rows_g];
-                    d_col.fill(0.0);
-                    dcol.run(wg, goslab, d_col, plan.gemm_threads);
-                    col2im_block(geom, d_col, din);
-                }
-                // dBias part = row sums of dOut, in the reference's order.
-                for (db, row) in db_part.iter_mut().zip(goslab.chunks(cols_len)) {
-                    *db = row.iter().sum();
-                }
-            },
-        );
-        for (i, part) in parts.chunks(part_len).enumerate() {
-            reduce_part(t0 + i, part, groups, kg, rows_g, &mut d_weight, &mut d_bias);
+    let dins = input_grad_chunks(d_input, geom.cg() * geom.h * geom.w, geom.tasks());
+    for (task, din) in dins.into_iter().enumerate() {
+        let (dw_part, db_part) = part.split_at_mut(kg * rows_g);
+        // The task's dOut planes [ni, g·kg..(g+1)·kg] start at task·kg.
+        let goslab = &gov[task * kg * cols_len..(task + 1) * kg * cols_len];
+        let col = &cols[task * rows_g * cols_len..(task + 1) * rows_g * cols_len];
+        dw_part.fill(0.0);
+        dw.run(goslab, col, dw_part);
+        // dCol is scattered back into this task's disjoint dX chunk.
+        if let Some(din) = din {
+            let g = task % groups;
+            let wg = &wv[g * kg * rows_g..(g + 1) * kg * rows_g];
+            d_col.fill(0.0);
+            dcol.run(wg, goslab, &mut d_col);
+            col2im_block(geom, &d_col, din);
         }
+        // dBias part = row sums of dOut, in the reference's order.
+        for (db, row) in db_part.iter_mut().zip(goslab.chunks(cols_len)) {
+            *db = row.iter().sum();
+        }
+        reduce_part(task, &part, groups, kg, rows_g, &mut d_weight, &mut d_bias);
     }
     let spec = geom.spec;
     (
@@ -738,9 +694,9 @@ const DIRECT_MAX_REDUCTION: usize = 32;
 /// runs faster on the GEMM.
 const DIRECT_MIN_PIXELS: usize = 3 * PIXELS;
 
-/// Per-thread buffers of the direct kernels, sized on first use. Every
-/// task of one call writes the same slots, so the slots none writes
-/// (padding, row gaps, unused lanes, tails) stay zero.
+/// Buffers of the direct kernels, sized on first use. Every task of one
+/// call writes the same slots, so the slots none writes (padding, row
+/// gaps, unused lanes, tails) stay zero.
 #[derive(Default)]
 struct PlaneBufs {
     /// The zero-padded input planes, `ph·pw` each, plus `PIXELS` slots of
@@ -1252,42 +1208,38 @@ fn channel_grads(lanes: &[[f32; LANES]], taps: &[(usize, [f32; LANES])], out: &m
 
 /// Direct forward (see [`Direct`]): `[N, K, H', W']`. Each `(item, group)`
 /// task pads its `C/g` input planes once and computes its `K/g` output
-/// planes from them; whole tasks are dealt to threads.
+/// planes from them.
 fn direct_forward(geom: &Geometry, input: &Tensor, weight: &Tensor, bias: &Tensor) -> Tensor {
     let direct = Direct::new(geom);
     let (cg, kg) = (geom.cg(), geom.kg());
     let (x_len, w_len) = (cg * geom.h * geom.w, kg * geom.rows_g());
     let mut out = Tensor::zeros(&[geom.n, geom.k, geom.oh, geom.ow]);
     let (x, wv, bv) = (input.as_slice(), weight.as_slice(), bias.as_slice());
-    kernels::deal(
-        out.as_mut_slice().chunks_mut(kg * geom.cols_len()),
-        kernels::dispatch(geom.macs(), geom.tasks()).task_threads,
-        || {
-            let mut buf = PlaneBufs::default();
-            direct.size_bufs(cg, &mut buf);
-            buf
-        },
-        |buf, task, dst| {
-            let g = task % geom.groups;
-            direct.forward_group(
-                &x[task * x_len..(task + 1) * x_len],
-                &wv[g * w_len..(g + 1) * w_len],
-                &bv[g * kg..(g + 1) * kg],
-                buf,
-                dst,
-            );
-        },
-    );
+    let mut buf = PlaneBufs::default();
+    direct.size_bufs(cg, &mut buf);
+    for (task, dst) in out
+        .as_mut_slice()
+        .chunks_mut(kg * geom.cols_len())
+        .enumerate()
+    {
+        let g = task % geom.groups;
+        direct.forward_group(
+            &x[task * x_len..(task + 1) * x_len],
+            &wv[g * w_len..(g + 1) * w_len],
+            &bv[g * kg..(g + 1) * kg],
+            &mut buf,
+            dst,
+        );
+    }
     out
 }
 
 /// Direct backward (see [`Direct`]): `(dW, dBias)`, and `dX` into
 /// `d_input` (a zeroed `[N, C, H, W]` buffer) when given. A depthwise
 /// convolution's units of work are whole items, their channels side by
-/// side; any other's are `(item, group)` tasks. Whole units are dealt to
-/// threads, and the per-task partials are reduced in ascending task
-/// order, i.e. ascending batch order per group, as the reference
-/// accumulates them.
+/// side; any other's are `(item, group)` tasks. The per-task partials
+/// are reduced in ascending task order, i.e. ascending batch order per
+/// group, as the reference accumulates them.
 fn direct_backward(
     geom: &Geometry,
     input: &Tensor,
@@ -1302,28 +1254,22 @@ fn direct_backward(
     let (go_len, w_len, part_len) = (unit * kg * geom.cols_len(), kg * rows, kg * rows + kg);
     let (x, go, wv) = (input.as_slice(), grad_out.as_slice(), weight.as_slice());
     let units = geom.tasks() / unit;
-    let macs = geom.macs() * (1 + usize::from(d_input.is_some()));
     let mut parts = vec![0.0f32; geom.tasks() * part_len];
-    kernels::deal(
-        input_grad_chunks(d_input, x_len, units)
-            .into_iter()
-            .zip(parts.chunks_mut(unit * part_len)),
-        kernels::dispatch(macs, units).task_threads,
-        PlaneBufs::default,
-        |buf, u, (din, part)| {
-            let (x, go) = (
-                &x[u * x_len..(u + 1) * x_len],
-                &go[u * go_len..(u + 1) * go_len],
-            );
-            if unit > 1 {
-                direct.backward_channels(x, go, wv, buf, din, part);
-            } else {
-                let g = u % groups;
-                let filters = &wv[g * w_len..(g + 1) * w_len];
-                direct.backward_group(x, go, filters, buf, din, part);
-            }
-        },
-    );
+    let mut buf = PlaneBufs::default();
+    let dins = input_grad_chunks(d_input, x_len, units).into_iter();
+    for (u, (din, part)) in dins.zip(parts.chunks_mut(unit * part_len)).enumerate() {
+        let (x, go) = (
+            &x[u * x_len..(u + 1) * x_len],
+            &go[u * go_len..(u + 1) * go_len],
+        );
+        if unit > 1 {
+            direct.backward_channels(x, go, wv, &mut buf, din, part);
+        } else {
+            let g = u % groups;
+            let filters = &wv[g * w_len..(g + 1) * w_len];
+            direct.backward_group(x, go, filters, &mut buf, din, part);
+        }
+    }
     let mut d_weight = vec![0.0f32; geom.k * rows];
     let mut d_bias = vec![0.0f32; geom.k];
     for (task, part) in parts.chunks(part_len).enumerate() {
@@ -1703,51 +1649,36 @@ mod tests {
         }
     }
 
-    /// A GEMM backward whose partials exceed its budget runs its tasks in
-    /// blocks, uneven ones here; the per-block reductions still add the
-    /// partials in the reference's order, with or without `dX`, at any
-    /// thread count. The shape has work enough for seven threads in the
-    /// backward and four in the forward, which is checked too.
+    /// Batches of 16 to 64 items on every route: a strided grouped
+    /// convolution on im2col and the GEMMs, whose backward runs with and
+    /// without `dX`, and a narrow and a depthwise convolution on the
+    /// direct kernels. Each task's partial gradients must be reduced in
+    /// the reference's order for `dW` and `dBias` to match.
     #[test]
-    fn lowered_grads_in_budgeted_blocks_bit_match_reference() {
+    fn large_batches_bit_match_reference_on_every_route() {
         let spec = ConvSpec::new(3, 3).with_stride(2).with_padding(1);
         let (input, weight) = (seq(&[16, 16, 32, 32], 0.13), seq(&[32, 8, 3, 3], 0.29));
         let go = Tensor::from_fn(&[16, 32, 16, 16], |i| ((i as f32) * 0.17).cos());
         let geom = check(&input, &weight, Operand::GradOut(&go), &spec, 2);
         assert!(!geom.direct_forward());
-        assert_eq!(
-            kernels::plan(2 * geom.macs(), geom.tasks(), 7).task_threads,
-            7
-        );
-        // Partials of three tasks fit: ten blocks of 3 tasks, then one of 2.
-        let budget = 3 * (geom.kg() * geom.rows_g() + geom.kg()) + 1;
         let want = reference::conv2d_grouped_backward(&input, &weight, &go, &spec, 2);
         let bias = seq(&[32], 0.7);
         let want_out = reference::conv2d_grouped(&input, &weight, &bias, &spec, 2);
+        assert_eq!(
+            bits(&conv2d_grouped(&input, &weight, &bias, &spec, 2)),
+            bits(&want_out)
+        );
         let mut lowering = ConvLowering::default();
-        for t in [1, 2, 7] {
-            crate::set_num_threads(t);
-            let out = conv2d_grouped(&input, &weight, &bias, &spec, 2);
-            assert_eq!(bits(&out), bits(&want_out), "t={t}");
-            let cols = lowering.lower(&geom, &input);
-            let mut din = Tensor::zeros(input.shape().dims());
-            let (dw, db) =
-                lowered_grads(&geom, cols, &weight, &go, Some(din.as_mut_slice()), budget);
-            assert_eq!(bits(&din), bits(&want.input), "t={t}");
-            assert_eq!(bits(&dw), bits(&want.weight), "t={t}");
-            assert_eq!(bits(&db), bits(&want.bias), "t={t}");
-            let (dw, db) = lowered_grads(&geom, cols, &weight, &go, None, budget);
-            assert_eq!(bits(&dw), bits(&want.weight), "t={t}");
-            assert_eq!(bits(&db), bits(&want.bias), "t={t}");
-        }
-        crate::reset_num_threads();
-    }
+        let cols = lowering.lower(&geom, &input);
+        let mut din = Tensor::zeros(input.shape().dims());
+        let (dw, db) = lowered_grads(&geom, cols, &weight, &go, Some(din.as_mut_slice()));
+        assert_eq!(bits(&din), bits(&want.input));
+        assert_eq!(bits(&dw), bits(&want.weight));
+        assert_eq!(bits(&db), bits(&want.bias));
+        let (dw, db) = lowered_grads(&geom, cols, &weight, &go, None);
+        assert_eq!(bits(&dw), bits(&want.weight));
+        assert_eq!(bits(&db), bits(&want.bias));
 
-    /// The direct kernels deal whole tasks (a depthwise backward: whole
-    /// items) to threads. A narrow and a depthwise convolution with work
-    /// for several threads match the reference at 1, 2 and 7 threads.
-    #[test]
-    fn direct_routes_split_across_threads_bit_match_reference() {
         let spec = ConvSpec::new(3, 3).with_padding(1);
         for (n, c, k, groups) in [(64, 3, 32, 1), (32, 64, 64, 64)] {
             let input = seq(&[n, c, 16, 16], 0.13);
@@ -1755,20 +1686,15 @@ mod tests {
             let (bias, go) = (seq(&[k], 0.7), seq(&[n, k, 16, 16], 0.31));
             let geom = check(&input, &weight, Operand::Bias(&bias), &spec, groups);
             assert!(geom.direct_forward());
-            assert!(kernels::plan(2 * geom.macs(), n, 7).task_threads > 2);
             let want = reference::conv2d_grouped(&input, &weight, &bias, &spec, groups);
             let grads = reference::conv2d_grouped_backward(&input, &weight, &go, &spec, groups);
-            for t in [1, 2, 7] {
-                crate::set_num_threads(t);
-                let out = conv2d_grouped(&input, &weight, &bias, &spec, groups);
-                assert_eq!(bits(&out), bits(&want), "c={c} t={t}");
-                let got = conv2d_grouped_backward(&input, &weight, &go, &spec, groups);
-                assert_eq!(bits(&got.input), bits(&grads.input), "c={c} t={t}");
-                assert_eq!(bits(&got.weight), bits(&grads.weight), "c={c} t={t}");
-                assert_eq!(bits(&got.bias), bits(&grads.bias), "c={c} t={t}");
-            }
+            let out = conv2d_grouped(&input, &weight, &bias, &spec, groups);
+            assert_eq!(bits(&out), bits(&want), "c={c}");
+            let got = conv2d_grouped_backward(&input, &weight, &go, &spec, groups);
+            assert_eq!(bits(&got.input), bits(&grads.input), "c={c}");
+            assert_eq!(bits(&got.weight), bits(&grads.weight), "c={c}");
+            assert_eq!(bits(&got.bias), bits(&grads.bias), "c={c}");
         }
-        crate::reset_num_threads();
     }
 
     /// Adds 1 to every element of the scratch's lowering: a backward that

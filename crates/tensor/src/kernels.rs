@@ -1,30 +1,17 @@
-//! Cache-blocked, register-tiled GEMM kernels, and the one rule that
-//! decides how every kernel call of this crate runs.
+//! Cache-blocked, register-tiled GEMM kernels.
 //!
 //! This is the workhorse under [`crate::matmul`]/[`crate::conv2d`]: a
 //! classic three-level blocked GEMM (Goto-style `NC`/`KC`/`MC` panels with
 //! packed operands and an `MR×NR` register microkernel), behind a direct
-//! loop nest for the shapes whose packing cannot pay off.
-//!
-//! # Dispatch
-//!
-//! * **Tier by shape.** `Gemm::small` picks the direct loop nest or the
-//!   packed nest from the product's shape alone; the thread count never
-//!   enters.
-//! * **Threads by work.** `dispatch` gives a call one thread per
-//!   `PARALLEL_MAC_FLOOR` multiply-accumulates, at least one and at
-//!   most [`threads::num_threads`], which it alone reads. The threads go
-//!   first to the call's independent tasks (a convolution's `(item,
-//!   group)` blocks), and the rest to each task's GEMM, which deals
-//!   `MR`-aligned row ranges of `C` to them.
-//! * **One spawner.** `deal` is the only code that starts threads.
+//! loop nest for the shapes whose packing cannot pay off. `Gemm::small`
+//! picks between the two from the product's shape alone. Every product
+//! runs on its calling thread.
 //!
 //! # Determinism contract
 //!
 //! Results are **bit-identical** to the naive kernels in
-//! [`crate::reference`] at any thread count:
+//! [`crate::reference`]:
 //!
-//! * every output element is produced by exactly one thread;
 //! * each element accumulates its `k` products in ascending-`p` order —
 //!   the `KC` blocks are visited in ascending order and the microkernel
 //!   loads the running value, appends the block's products in order, and
@@ -38,10 +25,8 @@
 //!   product and need no branch. Where the right operand holds an
 //!   infinity or a NaN, they skip the same products the reference skips.
 //!
-//! The partition (how many rows each thread gets) therefore changes
-//! scheduling only, never results. See `docs/kernels.md`.
+//! See `docs/kernels.md`.
 
-use crate::threads;
 use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Microkernel tile height (rows of `C` held in registers).
@@ -54,12 +39,6 @@ const MC: usize = 128;
 const KC: usize = 256;
 /// Column-panel width packed per `B` block (L2/L3-resident).
 const NC: usize = 512;
-/// Multiply-accumulates each thread of a call must have: [`dispatch`]
-/// gives a call one thread per this many, so a call below twice the
-/// floor runs inline on the calling thread. Chosen from measurements on
-/// a 2-core host (`docs/kernels.md`): below 4 Mi, a second thread did
-/// not pay for its start and for reading data from another core's cache.
-const PARALLEL_MAC_FLOOR: usize = 1 << 21;
 /// Below this many multiply-accumulates a GEMM skips packing entirely and
 /// runs the direct loop nest ([`small_gemm`]): at this size the operands
 /// fit in cache and pack-buffer allocation would dominate. Same
@@ -85,9 +64,9 @@ const COLS: usize = 32;
 static REFERENCE_MODE: AtomicBool = AtomicBool::new(false);
 
 /// Routes `matmul*`/`conv2d*` through the naive [`crate::reference`]
-/// kernels (`true`) or the blocked multithreaded kernels (`false`, the
-/// default). Intended for benchmarking the two stacks against each other
-/// and for bisecting kernel regressions; not a tuning knob.
+/// kernels (`true`) or the blocked kernels (`false`, the default).
+/// Intended for benchmarking the two stacks against each other and for
+/// bisecting kernel regressions; not a tuning knob.
 pub fn set_reference_mode(on: bool) {
     REFERENCE_MODE.store(on, Ordering::SeqCst);
 }
@@ -95,34 +74,6 @@ pub fn set_reference_mode(on: bool) {
 /// Whether [`set_reference_mode`] routed the kernels to the naive oracle.
 pub fn reference_mode() -> bool {
     REFERENCE_MODE.load(Ordering::SeqCst)
-}
-
-/// How one kernel call runs, as [`dispatch`] chose it.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) struct Plan {
-    /// Threads the call's independent tasks are dealt to.
-    pub(crate) task_threads: usize,
-    /// Threads each task's GEMMs deal their row ranges to.
-    pub(crate) gemm_threads: usize,
-}
-
-/// The thread split of a kernel call that performs `macs`
-/// multiply-accumulates over `tasks` independent tasks, at the
-/// configured thread count (see [`plan`]).
-pub(crate) fn dispatch(macs: usize, tasks: usize) -> Plan {
-    plan(macs, tasks, threads::num_threads())
-}
-
-/// [`dispatch`] at a thread budget: one thread per [`PARALLEL_MAC_FLOOR`]
-/// multiply-accumulates, at least one and at most `budget`, dealt first
-/// to the tasks and the rest to each task's GEMM rows.
-pub(crate) fn plan(macs: usize, tasks: usize, budget: usize) -> Plan {
-    let threads = (macs / PARALLEL_MAC_FLOOR).min(budget).max(1);
-    let task_threads = threads.min(tasks);
-    Plan {
-        task_threads,
-        gemm_threads: threads / task_threads,
-    }
 }
 
 /// Storage layout of the left GEMM operand.
@@ -162,7 +113,7 @@ impl Gemm {
     }
 
     /// The product's multiply-accumulates, `m·k·n`.
-    pub(crate) fn macs(&self) -> usize {
+    fn macs(&self) -> usize {
         self.m.saturating_mul(self.k).saturating_mul(self.n)
     }
 
@@ -179,9 +130,7 @@ impl Gemm {
             }
     }
 
-    /// `C = op(A) · op(B)` into `c`, whose `MR`-aligned row ranges are
-    /// dealt to `threads` threads (`threads ≥ 1`; one runs inline), each
-    /// running the tier [`Gemm::small`] picked.
+    /// `C = op(A) · op(B)` into `c`, on the tier [`Gemm::small`] picks.
     ///
     /// `c` must hold `m·n` elements, all `+0.0`; the products are
     /// accumulated into it. Starting from `+0` is what makes the
@@ -189,7 +138,7 @@ impl Gemm {
     /// under round-to-nearest (`+0 + −0` and `x + −x` are both `+0`), so
     /// adding the `±0` product of a zero `a` and a finite `b` never
     /// changes it.
-    pub(crate) fn run(&self, a: &[f32], b: &[f32], c: &mut [f32], threads: usize) {
+    pub(crate) fn run(&self, a: &[f32], b: &[f32], c: &mut [f32]) {
         let (m, k, n) = (self.m, self.k, self.n);
         assert_eq!(a.len(), m * k, "lhs buffer disagrees with m×k");
         assert_eq!(b.len(), k * n, "rhs buffer disagrees with k×n");
@@ -201,32 +150,19 @@ impl Gemm {
         if self.macs() == 0 {
             return;
         }
-        // Each element of `c` is written by exactly one thread and
-        // computed by the same loop nest, so the partition never affects
-        // results.
-        let rows = m.div_ceil(MR).div_ceil(threads) * MR;
-        let small = self.small();
-        deal(
-            c.chunks_mut(rows * n),
-            threads,
-            || (),
-            |_, i, c| {
-                if small {
-                    small_gemm(self, a, b, i * rows, c);
-                } else {
-                    gemm_range(self, a, b, i * rows, c);
-                }
-            },
-        );
+        if self.small() {
+            small_gemm(self, a, b, c);
+        } else {
+            gemm_blocked(self, a, b, c);
+        }
     }
 }
 
-/// Direct (unpacked) GEMM over the rows of `C` from `r0` that `c` holds,
-/// for the shapes [`Gemm::small`] admits. Accumulates each `C` element in
+/// Direct (unpacked) GEMM into `c`, for the shapes [`Gemm::small`]
+/// admits. Accumulates each `C` element in
 /// ascending-`p` order from `+0` — the exact sequence the blocked path
-/// and the naive reference produce, so all three are bit-identical. Each
-/// `C` element is written by this call alone, and `C` starts at `+0`, so
-/// no sum loads `C`.
+/// and the naive reference produce, so all three are bit-identical. `C`
+/// starts at `+0`, so no sum loads `C`.
 ///
 /// `A·B` sums each [`COLS`]-wide block of a `C` row in registers from the
 /// matching blocks of `B`'s rows, skipping the row of a zero `a` as the
@@ -237,7 +173,7 @@ impl Gemm {
 /// against it, `MR×NR` independent lanes. A panel found all finite while
 /// transposing runs without the zero skip (see [`Gemm::run`]); one
 /// holding an infinity or a NaN keeps it.
-fn small_gemm(g: &Gemm, a: &[f32], b: &[f32], r0: usize, c: &mut [f32]) {
+fn small_gemm(g: &Gemm, a: &[f32], b: &[f32], c: &mut [f32]) {
     let (m, k, n) = (g.m, g.k, g.n);
     let a_at = |i: usize, p: usize| match g.lhs {
         Lhs::RowMajor => a[i * k + p],
@@ -245,7 +181,7 @@ fn small_gemm(g: &Gemm, a: &[f32], b: &[f32], r0: usize, c: &mut [f32]) {
     };
     match g.rhs {
         Rhs::RowMajor => {
-            for (i, row) in (r0..).zip(c.chunks_mut(n)) {
+            for (i, row) in c.chunks_mut(n).enumerate() {
                 let (blocks, rest) = row.as_chunks_mut::<COLS>();
                 for (jb, dst) in blocks.iter_mut().enumerate() {
                     let mut acc = [0.0f32; COLS];
@@ -290,7 +226,7 @@ fn small_gemm(g: &Gemm, a: &[f32], b: &[f32], r0: usize, c: &mut [f32]) {
                         lanes[nr..].fill(0.0);
                     }
                 }
-                for (i0, rows) in (r0..).step_by(MR).zip(c.chunks_mut(MR * n)) {
+                for (i0, rows) in (0..).step_by(MR).zip(c.chunks_mut(MR * n)) {
                     let acc = panel_tile(g, a, i0, &panel, finite);
                     for (row, accr) in rows.chunks_mut(n).zip(&acc) {
                         row[j0..j0 + nr].copy_from_slice(&accr[..nr]);
@@ -336,15 +272,14 @@ fn panel_tile(
     acc
 }
 
-/// Blocked GEMM over the rows of `C` from `r0` that `c` holds.
-fn gemm_range(g: &Gemm, a: &[f32], b: &[f32], r0: usize, c: &mut [f32]) {
-    let (k, n) = (g.k, g.n);
-    let r1 = r0 + c.len() / n;
+/// Blocked GEMM into `c`.
+fn gemm_blocked(g: &Gemm, a: &[f32], b: &[f32], c: &mut [f32]) {
+    let (m, k, n) = (g.m, g.k, g.n);
     // Sized to the largest block this problem actually uses, not the
     // MC/KC/NC maxima — small problems must not pay for 640 KB of zeroed
     // scratch they never touch.
     let kc_max = KC.min(k);
-    let mut apack = vec![0.0f32; MC.min(r1 - r0).div_ceil(MR) * MR * kc_max];
+    let mut apack = vec![0.0f32; MC.min(m).div_ceil(MR) * MR * kc_max];
     let mut bpack = vec![0.0f32; NC.min(n).div_ceil(NR) * NR * kc_max];
     let mut jc = 0;
     while jc < n {
@@ -354,9 +289,9 @@ fn gemm_range(g: &Gemm, a: &[f32], b: &[f32], r0: usize, c: &mut [f32]) {
         while pc < k {
             let kc = KC.min(k - pc);
             let b_finite = pack_b(g, b, pc, kc, jc, nc, &mut bpack);
-            let mut ic = r0;
-            while ic < r1 {
-                let mc = MC.min(r1 - ic);
+            let mut ic = 0;
+            while ic < m {
+                let mc = MC.min(m - ic);
                 pack_a(g, a, ic, mc, pc, kc, &mut apack);
                 let a_panels = mc.div_ceil(MR);
                 for pj in 0..b_panels {
@@ -367,7 +302,7 @@ fn gemm_range(g: &Gemm, a: &[f32], b: &[f32], r0: usize, c: &mut [f32]) {
                         let ir = pi * MR;
                         let mr = MR.min(mc - ir);
                         let apanel = &apack[pi * kc * MR..(pi + 1) * kc * MR];
-                        let (row0, col0) = (ic - r0 + ir, jc + jr);
+                        let (row0, col0) = (ic + ir, jc + jr);
                         microkernel(apanel, bpanel, kc, b_finite, mr, nr, c, row0, n, col0);
                     }
                 }
@@ -479,7 +414,7 @@ pub(crate) fn all_finite(v: &[f32]) -> bool {
 /// `a == 0.0` are skipped exactly like the reference kernels skip them.
 ///
 /// `inline(never)` is deliberate and load-bearing: inlined into
-/// `gemm_range`'s loop nest, LLVM spills the accumulator tile to the stack
+/// `gemm_blocked`'s loop nest, LLVM spills the accumulator tile to the stack
 /// (~7× slower); as a standalone function the tile stays in registers.
 /// Full tiles load and store fixed-size rows: a copy of a runtime length
 /// `nr` compiles to a `memcpy` call per row, which dominates products with
@@ -540,48 +475,6 @@ fn microkernel(
     }
 }
 
-/// Runs `f(scratch, i, item_i)` over `items`, dealing item `i` to thread
-/// `i mod t` of `t = min(thread_budget, items)` threads (at least one).
-/// Thread 0 is the calling thread; the other `t − 1` are scoped threads
-/// started for this call. This is the crate's only spawner: every other
-/// kernel takes its thread budget from [`dispatch`] and runs its threads
-/// through this. Each thread builds one `scratch` with `init` and reuses
-/// it across its items in ascending `i`. Each item is visited exactly
-/// once by exactly one thread, so any `f` whose output for item `i`
-/// depends only on `i` and shared read-only state is deterministic at
-/// every thread count. Items are typically `chunks_mut` of an output
-/// buffer, or two such iterators zipped.
-pub(crate) fn deal<T, S, I, F>(
-    items: impl ExactSizeIterator<Item = T>,
-    thread_budget: usize,
-    init: I,
-    f: F,
-) where
-    T: Send,
-    I: Fn() -> S + Sync,
-    F: Fn(&mut S, usize, T) + Sync,
-{
-    let t = thread_budget.clamp(1, items.len().max(1));
-    let mut buckets: Vec<Vec<(usize, T)>> = (0..t).map(|_| Vec::new()).collect();
-    for (i, item) in items.enumerate() {
-        buckets[i % t].push((i, item));
-    }
-    let run = |bucket: Vec<(usize, T)>| {
-        let mut scratch = init();
-        for (i, item) in bucket {
-            f(&mut scratch, i, item);
-        }
-    };
-    let own = buckets.remove(0);
-    std::thread::scope(|scope| {
-        for bucket in buckets {
-            let run = &run;
-            scope.spawn(move || run(bucket));
-        }
-        run(own);
-    });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -627,15 +520,12 @@ mod tests {
             let a = fill(m * k, 0.13, 7);
             let b = fill(k * n, 0.29, 5);
             let want = reference_nn(&a, &b, m, k, n);
-            let g = Gemm::new(Lhs::RowMajor, Rhs::RowMajor, m, k, n);
-            for t in [1usize, 2, 5] {
-                let mut c = vec![0.0f32; m * n];
-                g.run(&a, &b, &mut c, t);
-                assert!(
-                    c.iter().zip(&want).all(|(x, y)| x.to_bits() == y.to_bits()),
-                    "m={m} k={k} n={n} t={t}"
-                );
-            }
+            let mut c = vec![0.0f32; m * n];
+            Gemm::new(Lhs::RowMajor, Rhs::RowMajor, m, k, n).run(&a, &b, &mut c);
+            assert!(
+                c.iter().zip(&want).all(|(x, y)| x.to_bits() == y.to_bits()),
+                "m={m} k={k} n={n}"
+            );
         }
     }
 
@@ -653,7 +543,7 @@ mod tests {
             }
         }
         let mut c = vec![0.0f32; m * n];
-        Gemm::new(Lhs::Transposed, Rhs::RowMajor, m, k, n).run(&at, &b, &mut c, 2);
+        Gemm::new(Lhs::Transposed, Rhs::RowMajor, m, k, n).run(&at, &b, &mut c);
         assert!(c.iter().zip(&want).all(|(x, y)| x.to_bits() == y.to_bits()));
         // Bᵀ layout: store B as [n, k].
         let mut bt = vec![0.0f32; k * n];
@@ -663,14 +553,14 @@ mod tests {
             }
         }
         let mut c = vec![0.0f32; m * n];
-        Gemm::new(Lhs::RowMajor, Rhs::Transposed, m, k, n).run(&a, &bt, &mut c, 2);
+        Gemm::new(Lhs::RowMajor, Rhs::Transposed, m, k, n).run(&a, &bt, &mut c);
         assert!(c.iter().zip(&want).all(|(x, y)| x.to_bits() == y.to_bits()));
     }
 
     #[test]
-    fn dispatch_tiers_by_shape_and_threads_by_work() {
+    fn gemm_tier_is_chosen_by_shape() {
         // `mobile_cnn`'s linear layer at batch 32: its forward and its two
-        // gradients, 320 Ki multiply-accumulates each.
+        // gradients, 320 Ki multiply-accumulates each, take the small tier.
         let linear = [
             (Lhs::RowMajor, Rhs::Transposed, 32, 1024, 10),
             (Lhs::Transposed, Rhs::RowMajor, 10, 32, 1024),
@@ -679,82 +569,10 @@ mod tests {
         for (lhs, rhs, m, k, n) in linear {
             let g = Gemm::new(lhs, rhs, m, k, n);
             assert!(g.small(), "{g:?}");
-            for budget in [1, 2, 7] {
-                assert_eq!(
-                    plan(g.macs(), 1, budget),
-                    Plan {
-                        task_threads: 1,
-                        gemm_threads: 1
-                    }
-                );
-            }
         }
         // A convolution's tall `dCol` GEMM keeps the packed tier.
         let dcol = Gemm::new(Lhs::Transposed, Rhs::RowMajor, 288, 32, 196);
         assert!(!dcol.small());
-        // Below the floor, one thread whatever the budget and tasks.
-        assert_eq!(
-            plan(2 * PARALLEL_MAC_FLOOR - 1, 64, 7),
-            Plan {
-                task_threads: 1,
-                gemm_threads: 1
-            }
-        );
-        // One thread per floor of work, tasks first, then GEMM rows.
-        let work = 6 * PARALLEL_MAC_FLOOR;
-        assert_eq!(
-            plan(work, 64, 7),
-            Plan {
-                task_threads: 6,
-                gemm_threads: 1
-            }
-        );
-        assert_eq!(
-            plan(work, 64, 4),
-            Plan {
-                task_threads: 4,
-                gemm_threads: 1
-            }
-        );
-        assert_eq!(
-            plan(work, 2, 7),
-            Plan {
-                task_threads: 2,
-                gemm_threads: 3
-            }
-        );
-        assert_eq!(
-            plan(work, 1, 7),
-            Plan {
-                task_threads: 1,
-                gemm_threads: 6
-            }
-        );
-        assert_eq!(
-            plan(usize::MAX, 1, 7),
-            Plan {
-                task_threads: 1,
-                gemm_threads: 7
-            }
-        );
-    }
-
-    #[test]
-    fn parallel_chunks_visits_every_chunk_once() {
-        let mut data = vec![0.0f32; 40];
-        deal(
-            data.chunks_mut(4),
-            3,
-            || (),
-            |_, i, ch| {
-                for v in ch.iter_mut() {
-                    *v += (i + 1) as f32;
-                }
-            },
-        );
-        for (i, ch) in data.chunks(4).enumerate() {
-            assert!(ch.iter().all(|&v| v == (i + 1) as f32));
-        }
     }
 
     #[test]

@@ -7,13 +7,15 @@
 //! matrix multiplication, 2-D convolution (forward and backward, via im2col),
 //! max pooling, and weight initialization.
 //!
-//! Matmul and convolution run on the cache-blocked, multithreaded GEMM in
-//! [`kernels`] (thread count via [`set_num_threads`] / `CSCNN_NUM_THREADS`),
+//! Matmul and convolution run on the cache-blocked GEMM in [`kernels`],
 //! with results **bit-identical** to the frozen naive kernels in
-//! [`mod@reference`] at any thread count — see `docs/kernels.md`. Convolutions
-//! share one im2col lowering between forward and backward through
-//! [`ConvScratch`]; depthwise ones at unit stride, and the forward of
-//! narrow ones, run direct per-plane kernels instead.
+//! [`mod@reference`] — see `docs/kernels.md`. Convolutions share one
+//! im2col lowering between forward and backward through [`ConvScratch`];
+//! depthwise ones at unit stride, and narrow ones, run direct per-plane
+//! kernels instead. Every kernel runs on its calling thread; the
+//! process's thread budget ([`set_num_threads`] / `CSCNN_NUM_THREADS`)
+//! goes to whole jobs, such as independent trainings, through
+//! [`run_jobs`].
 //!
 //! The library is deliberately *not* an autograd engine: each NN layer in
 //! [`cscnn-nn`](../cscnn_nn/index.html) implements its own backward pass on
@@ -56,4 +58,4 @@ pub use matmul::{matmul, matmul_at, matmul_bt};
 pub use pool::{max_pool2d, max_pool2d_backward, PoolSpec};
 pub use shape::Shape;
 pub use tensor::Tensor;
-pub use threads::{num_threads, reset_num_threads, set_num_threads, MAX_THREADS};
+pub use threads::{num_threads, reset_num_threads, run_jobs, set_num_threads, MAX_THREADS};

@@ -2,10 +2,10 @@
 //!
 //! Three variants cover every use in the NN stack without materializing
 //! transposes: `A·B`, `Aᵀ·B` (weight gradients), and `A·Bᵀ` (input
-//! gradients). All three dispatch to the cache-blocked, multithreaded
-//! GEMM in [`crate::kernels`]; results are **bit-identical** to the naive
-//! [`crate::reference`] kernels at any thread count (see `docs/kernels.md`
-//! for the determinism contract).
+//! gradients). All three dispatch to the cache-blocked GEMM in
+//! [`crate::kernels`]; results are **bit-identical** to the naive
+//! [`crate::reference`] kernels (see `docs/kernels.md` for the
+//! determinism contract).
 //!
 //! All variants return the reference's result, which skips products
 //! whose left-operand element is exactly `0.0` (so a `0·∞`/`0·NaN` term is
@@ -76,10 +76,8 @@ fn product(lhs: Lhs, rhs: Rhs, a: &Tensor, b: &Tensor, what: &str) -> Tensor {
         (Rhs::RowMajor, (k2, n)) | (Rhs::Transposed, (n, k2)) => (k2, n),
     };
     assert_eq!(k, k2, "inner dimension mismatch: {k} vs {k2}");
-    let g = Gemm::new(lhs, rhs, m, k, n);
     let mut out = vec![0.0f32; m * n];
-    let threads = kernels::dispatch(g.macs(), 1).gemm_threads;
-    g.run(a.as_slice(), b.as_slice(), &mut out, threads);
+    Gemm::new(lhs, rhs, m, k, n).run(a.as_slice(), b.as_slice(), &mut out);
     Tensor::from_vec(out, &[m, n])
 }
 

@@ -1,12 +1,12 @@
 //! Frozen naive reference kernels — the correctness oracle.
 //!
 //! These are the original triple-loop matmul and per-item im2col
-//! convolution kernels that shipped before the blocked/multithreaded
-//! [`crate::kernels`] layer existed. They are kept verbatim (modulo the
-//! documented zero-skip fix below) as the oracle that the fast kernels are
-//! **bit-identical** to: `tests/property_kernels.rs` compares the two
-//! stacks with `f32::to_bits` equality across random shapes, strides,
-//! paddings, groups and thread counts.
+//! convolution kernels that shipped before the blocked [`crate::kernels`]
+//! layer existed. They are kept verbatim (modulo the documented zero-skip
+//! fix below) as the oracle that the fast kernels are **bit-identical**
+//! to: `tests/property_kernels.rs` compares the two stacks with
+//! `f32::to_bits` equality across random shapes, strides, paddings,
+//! groups and sparsity.
 //!
 //! They are also reachable at runtime via
 //! [`crate::kernels::set_reference_mode`], which the `kernels` bench binary

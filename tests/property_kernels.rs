@@ -1,26 +1,17 @@
-//! Property suite for the blocked/threaded kernels' determinism contract:
+//! Property suite for the blocked kernels' determinism contract:
 //! `matmul*`/`conv2d*`/`ConvScratch` results must be **bit-identical** to
-//! the frozen naive oracles in `cscnn::tensor::reference` at every thread
-//! count, over randomized shapes, strides, paddings, groups and sparsity.
+//! the frozen naive oracles in `cscnn::tensor::reference`, over randomized
+//! shapes, strides, paddings, groups and sparsity.
 //!
 //! Seeded via `CSCNN_PROP_SEED` (default 1), like the other property
-//! suites; `ci.sh` runs this file under several seeds *and* several
-//! `CSCNN_NUM_THREADS` settings. [`set_num_threads`] is a process-wide
-//! knob, so tests in this binary race on it — which is itself part of the
-//! property: because every thread count computes identical bits, the races
-//! cannot change any expected value.
+//! suites; `ci.sh` runs this file under several seeds.
 
 use cscnn::tensor::{
     conv2d, conv2d_backward, conv2d_grouped, conv2d_grouped_backward, matmul, matmul_at, matmul_bt,
-    reference, reset_num_threads, set_num_threads, ConvScratch, ConvSpec, Tensor,
+    reference, ConvScratch, ConvSpec, Tensor,
 };
 use cscnn_rng::rngs::StdRng;
 use cscnn_rng::{Rng, SeedableRng};
-
-/// Thread counts every property is checked under: single-threaded, the
-/// smallest parallel count, and a prime that never divides the row blocks
-/// evenly (worst case for the partition arithmetic).
-const THREAD_COUNTS: [usize; 3] = [1, 2, 7];
 
 fn prop_seed() -> u64 {
     std::env::var("CSCNN_PROP_SEED")
@@ -49,24 +40,18 @@ fn bits(t: &Tensor) -> Vec<u32> {
     t.as_slice().iter().map(|v| v.to_bits()).collect()
 }
 
+/// The kernels never read the thread budget, so one run stands for every
+/// `CSCNN_NUM_THREADS` setting.
 #[test]
 fn matmul_variants_bit_match_reference_at_every_thread_count() {
     let seed = prop_seed();
-    for case in 0..8u64 {
+    for case in 0..7u64 {
         let mut rng = StdRng::seed_from_u64(seed ^ (0x5a10_0000 + case));
-        // Mix of sizes so every dispatch tier is hit: the direct small
-        // path, the inline blocked path, and (last case) a GEMM with work
-        // for two threads (4 Mi multiply-accumulates, twice the kernels'
-        // per-thread floor), whose row blocks split unevenly.
-        let (m, k, n) = if case == 7 {
-            (130, 200, 170)
-        } else {
-            (
-                rng.gen_range(1..24),
-                rng.gen_range(1..24),
-                rng.gen_range(1..24),
-            )
-        };
+        let (m, k, n) = (
+            rng.gen_range(1..24),
+            rng.gen_range(1..24),
+            rng.gen_range(1..24),
+        );
         let a = random_tensor(&mut rng, &[m, k], 0.3);
         let b = random_tensor(&mut rng, &[k, n], 0.3);
         let at = random_tensor(&mut rng, &[k, m], 0.3);
@@ -74,26 +59,22 @@ fn matmul_variants_bit_match_reference_at_every_thread_count() {
         let want = bits(&reference::matmul(&a, &b));
         let want_at = bits(&reference::matmul_at(&at, &b));
         let want_bt = bits(&reference::matmul_bt(&a, &bt));
-        for t in THREAD_COUNTS {
-            set_num_threads(t);
-            assert_eq!(
-                bits(&matmul(&a, &b)),
-                want,
-                "matmul {m}x{k}x{n} diverged at {t} threads (seed {seed}, case {case})"
-            );
-            assert_eq!(
-                bits(&matmul_at(&at, &b)),
-                want_at,
-                "matmul_at {m}x{k}x{n} diverged at {t} threads (seed {seed}, case {case})"
-            );
-            assert_eq!(
-                bits(&matmul_bt(&a, &bt)),
-                want_bt,
-                "matmul_bt {m}x{k}x{n} diverged at {t} threads (seed {seed}, case {case})"
-            );
-        }
+        assert_eq!(
+            bits(&matmul(&a, &b)),
+            want,
+            "matmul {m}x{k}x{n} diverged (seed {seed}, case {case})"
+        );
+        assert_eq!(
+            bits(&matmul_at(&at, &b)),
+            want_at,
+            "matmul_at {m}x{k}x{n} diverged (seed {seed}, case {case})"
+        );
+        assert_eq!(
+            bits(&matmul_bt(&a, &bt)),
+            want_bt,
+            "matmul_bt {m}x{k}x{n} diverged (seed {seed}, case {case})"
+        );
     }
-    reset_num_threads();
 }
 
 /// Random conv geometry: kernel, stride, padding, spatial dims that are
@@ -109,6 +90,8 @@ fn random_spec(rng: &mut StdRng) -> (ConvSpec, usize, usize) {
     (spec, h, w)
 }
 
+/// The kernels never read the thread budget, so one run stands for every
+/// `CSCNN_NUM_THREADS` setting.
 #[test]
 fn conv2d_forward_and_backward_bit_match_reference_at_every_thread_count() {
     let seed = prop_seed();
@@ -125,32 +108,28 @@ fn conv2d_forward_and_backward_bit_match_reference_at_every_thread_count() {
         let grad_out = random_tensor(&mut rng, &[n, k, oh, ow], 0.3);
         let want = bits(&reference::conv2d(&input, &weight, &bias, &spec));
         let want_grads = reference::conv2d_backward(&input, &weight, &grad_out, &spec);
-        for t in THREAD_COUNTS {
-            set_num_threads(t);
-            assert_eq!(
-                bits(&conv2d(&input, &weight, &bias, &spec)),
-                want,
-                "conv2d {spec:?} [{n},{c},{h},{w}] diverged at {t} threads (seed {seed}, case {case})"
-            );
-            let got = conv2d_backward(&input, &weight, &grad_out, &spec);
-            assert_eq!(
-                bits(&got.input),
-                bits(&want_grads.input),
-                "input grad, case {case}, {t} threads"
-            );
-            assert_eq!(
-                bits(&got.weight),
-                bits(&want_grads.weight),
-                "weight grad, case {case}, {t} threads"
-            );
-            assert_eq!(
-                bits(&got.bias),
-                bits(&want_grads.bias),
-                "bias grad, case {case}, {t} threads"
-            );
-        }
+        assert_eq!(
+            bits(&conv2d(&input, &weight, &bias, &spec)),
+            want,
+            "conv2d {spec:?} [{n},{c},{h},{w}] diverged (seed {seed}, case {case})"
+        );
+        let got = conv2d_backward(&input, &weight, &grad_out, &spec);
+        assert_eq!(
+            bits(&got.input),
+            bits(&want_grads.input),
+            "input grad, case {case}"
+        );
+        assert_eq!(
+            bits(&got.weight),
+            bits(&want_grads.weight),
+            "weight grad, case {case}"
+        );
+        assert_eq!(
+            bits(&got.bias),
+            bits(&want_grads.bias),
+            "bias grad, case {case}"
+        );
     }
-    reset_num_threads();
 }
 
 #[test]
@@ -162,10 +141,7 @@ fn grouped_fused_path_bit_matches_per_group_reference() {
         let groups = [1usize, 2, 4][rng.gen_range(0..3usize)];
         let c = groups * rng.gen_range(1..4usize);
         let k = groups * rng.gen_range(1..4usize);
-        // Up to twelve (batch × group) tasks. Shapes this small sit below
-        // the kernels' parallel floor and run on one thread at any count;
-        // the tensor crate's unit tests split convolutions with the work
-        // for several threads.
+        // Up to twelve (batch × group) tasks.
         let n = rng.gen_range(1..4);
         let input = random_tensor(&mut rng, &[n, c, h, w], 0.3);
         let weight = random_tensor(
@@ -183,37 +159,32 @@ fn grouped_fused_path_bit_matches_per_group_reference() {
         ));
         let want_grads =
             reference::conv2d_grouped_backward(&input, &weight, &grad_out, &spec, groups);
-        for t in THREAD_COUNTS {
-            set_num_threads(t);
-            assert_eq!(
-                bits(&conv2d_grouped(&input, &weight, &bias, &spec, groups)),
-                want,
-                "conv2d_grouped g={groups} diverged at {t} threads (seed {seed}, case {case})"
-            );
-            let got = conv2d_grouped_backward(&input, &weight, &grad_out, &spec, groups);
-            assert_eq!(
-                bits(&got.input),
-                bits(&want_grads.input),
-                "input grad, case {case}, {t} threads"
-            );
-            assert_eq!(
-                bits(&got.weight),
-                bits(&want_grads.weight),
-                "weight grad, case {case}, {t} threads"
-            );
-            assert_eq!(
-                bits(&got.bias),
-                bits(&want_grads.bias),
-                "bias grad, case {case}, {t} threads"
-            );
-        }
+        assert_eq!(
+            bits(&conv2d_grouped(&input, &weight, &bias, &spec, groups)),
+            want,
+            "conv2d_grouped g={groups} diverged (seed {seed}, case {case})"
+        );
+        let got = conv2d_grouped_backward(&input, &weight, &grad_out, &spec, groups);
+        assert_eq!(
+            bits(&got.input),
+            bits(&want_grads.input),
+            "input grad, case {case}"
+        );
+        assert_eq!(
+            bits(&got.weight),
+            bits(&want_grads.weight),
+            "weight grad, case {case}"
+        );
+        assert_eq!(
+            bits(&got.bias),
+            bits(&want_grads.bias),
+            "bias grad, case {case}"
+        );
     }
-    reset_num_threads();
 }
 
 /// Grouped forward and backward (input, weight and bias gradients) of one
-/// convolution, compared bit for bit with the reference at every entry of
-/// [`THREAD_COUNTS`].
+/// convolution, compared bit for bit with the reference.
 fn assert_conv_bits_match_reference(
     input: &Tensor,
     weight: &Tensor,
@@ -227,31 +198,27 @@ fn assert_conv_bits_match_reference(
         input, weight, bias, spec, groups,
     ));
     let want_grads = reference::conv2d_grouped_backward(input, weight, grad_out, spec, groups);
-    for t in THREAD_COUNTS {
-        set_num_threads(t);
-        assert_eq!(
-            bits(&conv2d_grouped(input, weight, bias, spec, groups)),
-            want,
-            "{what}: forward diverged at {t} threads"
-        );
-        let got = conv2d_grouped_backward(input, weight, grad_out, spec, groups);
-        assert_eq!(
-            bits(&got.input),
-            bits(&want_grads.input),
-            "{what}: input grad diverged at {t} threads"
-        );
-        assert_eq!(
-            bits(&got.weight),
-            bits(&want_grads.weight),
-            "{what}: weight grad diverged at {t} threads"
-        );
-        assert_eq!(
-            bits(&got.bias),
-            bits(&want_grads.bias),
-            "{what}: bias grad diverged at {t} threads"
-        );
-    }
-    reset_num_threads();
+    assert_eq!(
+        bits(&conv2d_grouped(input, weight, bias, spec, groups)),
+        want,
+        "{what}: forward diverged"
+    );
+    let got = conv2d_grouped_backward(input, weight, grad_out, spec, groups);
+    assert_eq!(
+        bits(&got.input),
+        bits(&want_grads.input),
+        "{what}: input grad diverged"
+    );
+    assert_eq!(
+        bits(&got.weight),
+        bits(&want_grads.weight),
+        "{what}: weight grad diverged"
+    );
+    assert_eq!(
+        bits(&got.bias),
+        bits(&want_grads.bias),
+        "{what}: bias grad diverged"
+    );
 }
 
 /// Random input, weight, bias and output gradient for an
@@ -274,7 +241,7 @@ fn check_random_conv(
 
 /// One [`ConvScratch`] forward→backward pair, then the input-free
 /// `backward_last` and `param_grads_last`, compared bit for bit with the
-/// reference at every entry of [`THREAD_COUNTS`].
+/// reference.
 fn assert_scratch_bits_match_reference(
     input: &Tensor,
     weight: &Tensor,
@@ -289,39 +256,34 @@ fn assert_scratch_bits_match_reference(
     ));
     let want_grads = reference::conv2d_grouped_backward(input, weight, grad_out, spec, groups);
     let mut scratch = ConvScratch::new();
-    for t in THREAD_COUNTS {
-        set_num_threads(t);
-        let out = scratch.forward(input, weight, bias, spec, groups);
-        assert_eq!(bits(&out), want, "{what}: scratch forward, {t} threads");
-        let got = scratch.backward(input, weight, grad_out, spec, groups);
-        let last = scratch.backward_last(weight, grad_out, spec, groups);
-        let (dw, db) = scratch.param_grads_last(weight, grad_out, spec, groups);
-        for (name, got, want) in [
-            ("input grad", &got.input, &want_grads.input),
-            ("weight grad", &got.weight, &want_grads.weight),
-            ("bias grad", &got.bias, &want_grads.bias),
-            ("backward_last input grad", &last.input, &want_grads.input),
-            (
-                "backward_last weight grad",
-                &last.weight,
-                &want_grads.weight,
-            ),
-            ("backward_last bias grad", &last.bias, &want_grads.bias),
-            ("param_grads_last weight grad", &dw, &want_grads.weight),
-            ("param_grads_last bias grad", &db, &want_grads.bias),
-        ] {
-            assert_eq!(bits(got), bits(want), "{what}: scratch {name}, {t} threads");
-        }
+    let out = scratch.forward(input, weight, bias, spec, groups);
+    assert_eq!(bits(&out), want, "{what}: scratch forward");
+    let got = scratch.backward(input, weight, grad_out, spec, groups);
+    let last = scratch.backward_last(weight, grad_out, spec, groups);
+    let (dw, db) = scratch.param_grads_last(weight, grad_out, spec, groups);
+    for (name, got, want) in [
+        ("input grad", &got.input, &want_grads.input),
+        ("weight grad", &got.weight, &want_grads.weight),
+        ("bias grad", &got.bias, &want_grads.bias),
+        ("backward_last input grad", &last.input, &want_grads.input),
+        (
+            "backward_last weight grad",
+            &last.weight,
+            &want_grads.weight,
+        ),
+        ("backward_last bias grad", &last.bias, &want_grads.bias),
+        ("param_grads_last weight grad", &dw, &want_grads.weight),
+        ("param_grads_last bias grad", &db, &want_grads.bias),
+    ] {
+        assert_eq!(bits(got), bits(want), "{what}: scratch {name}");
     }
-    reset_num_threads();
 }
 
 /// Depthwise convolutions (`groups == C == K`): kernels 1, 3 and 5 at
 /// every padding up to `k/2`, at stride 1 (the direct kernels) and 2 (the
 /// im2col fallback), over odd batches and up to 24 channels. Inputs and
 /// output gradients are ~40% exact zeros; the weights are ~30% zeros plus
-/// one all-zero filter. Free functions and a `ConvScratch` pair both run
-/// at every thread count.
+/// one all-zero filter. Free functions and a `ConvScratch` pair both run.
 #[test]
 fn depthwise_conv_bit_matches_reference() {
     let seed = prop_seed();
@@ -377,79 +339,6 @@ fn mobile_cnn_conv_shapes_bit_match_reference() {
     }
 }
 
-/// The kernels' per-thread work floor (`PARALLEL_MAC_FLOOR` in
-/// `cscnn::tensor::kernels`): a call runs on `t` threads only with at
-/// least `t` times this many multiply-accumulates and `t` tasks.
-const SPLIT_FLOOR_MACS: usize = 1 << 21;
-
-/// The shapes above sit far below [`SPLIT_FLOOR_MACS`], so every entry of
-/// [`THREAD_COUNTS`] runs them on one thread. These two have work for
-/// seven threads in both directions, so the kernels really deal them to
-/// each parallel count: an im2col convolution (`[8, 16, 32, 32]`, 16
-/// filters, 18 Mi multiply-accumulates per direction over 8 item tasks)
-/// and a direct depthwise one (`[8, 64, 64, 64]`, 18 Mi per direction over
-/// 512 `(item, channel)` forward tasks and 8 whole-item backward units).
-/// The forward, the backward with `dX` and a `ConvScratch` forward→backward
-/// pair each match the reference bit for bit at every count above one
-/// (one thread runs every shape inline, as the cases above do).
-#[test]
-fn convs_with_work_for_every_thread_count_bit_match_reference() {
-    let seed = prop_seed();
-    let spec = ConvSpec::new(3, 3).with_padding(1);
-    let most = THREAD_COUNTS.into_iter().max().unwrap_or(1);
-    for (case, &([n, c, h, w], k, groups)) in [([8, 16, 32, 32], 16, 1), ([8, 64, 64, 64], 64, 64)]
-        .iter()
-        .enumerate()
-    {
-        // Each direction has at least `n` tasks (the depthwise backward
-        // deals whole items) and `macs` multiply-accumulates.
-        let macs = n * k * (c / groups) * 9 * h * w;
-        assert!(macs >= most * SPLIT_FLOOR_MACS && n >= most, "case {case}");
-        let mut rng = StdRng::seed_from_u64(seed ^ (0x5b11_0000 + case as u64));
-        let input = random_tensor(&mut rng, &[n, c, h, w], 0.3);
-        let weight = random_tensor(&mut rng, &[k, c / groups, 3, 3], 0.3);
-        let bias = random_tensor(&mut rng, &[k], 0.0);
-        let grad_out = random_tensor(&mut rng, &[n, k, h, w], 0.3);
-        let want = bits(&reference::conv2d_grouped(
-            &input, &weight, &bias, &spec, groups,
-        ));
-        let want_grads =
-            reference::conv2d_grouped_backward(&input, &weight, &grad_out, &spec, groups);
-        for t in THREAD_COUNTS.into_iter().filter(|&t| t > 1) {
-            set_num_threads(t);
-            let what = format!("split conv {case} at {t} threads (seed {seed})");
-            let free = conv2d_grouped_backward(&input, &weight, &grad_out, &spec, groups);
-            let mut scratch = ConvScratch::new();
-            let out = scratch.forward(&input, &weight, &bias, &spec, groups);
-            let pair = scratch.backward(&input, &weight, &grad_out, &spec, groups);
-            assert_eq!(
-                bits(&conv2d_grouped(&input, &weight, &bias, &spec, groups)),
-                want,
-                "{what}: forward"
-            );
-            assert_eq!(bits(&out), want, "{what}: scratch forward");
-            for (name, got) in [("free", &free), ("scratch", &pair)] {
-                assert_eq!(
-                    bits(&got.input),
-                    bits(&want_grads.input),
-                    "{what}: {name} dX"
-                );
-                assert_eq!(
-                    bits(&got.weight),
-                    bits(&want_grads.weight),
-                    "{what}: {name} dW"
-                );
-                assert_eq!(
-                    bits(&got.bias),
-                    bits(&want_grads.bias),
-                    "{what}: {name} dBias"
-                );
-            }
-        }
-    }
-    reset_num_threads();
-}
-
 /// Geometries at the edges of the im2col/col2im row-segment ranges: stride
 /// 2 with padding on odd and even extents, taps that reach past both
 /// borders, a kernel column whose whole range is padding (1-wide input,
@@ -492,8 +381,8 @@ fn strided_padded_edges_bit_match_reference() {
 }
 
 /// Both entry points, the free functions and `ConvScratch`, reach every
-/// route of the conv routers and match the reference bit for bit there at
-/// every thread count: the direct narrow forward, the direct depthwise
+/// route of the conv routers and match the reference bit for bit there:
+/// the direct narrow forward, the direct depthwise
 /// kernels, the im2col route (dense and grouped, a short reduction over a
 /// small plane too), strided convolutions and a dense `C = K = 1` one,
 /// which is depthwise. Then random shapes through one scratch over two
@@ -561,22 +450,14 @@ fn conv_scratch_reuse_bit_matches_free_functions() {
             let grad_out = random_tensor(&mut rng_step, &[2, k, oh, ow], 0.3);
             let want = bits(&conv2d_grouped(&input, &weight, &bias, &spec, groups));
             let want_grads = conv2d_grouped_backward(&input, &weight, &grad_out, &spec, groups);
-            for t in THREAD_COUNTS {
-                set_num_threads(t);
-                let out = scratch.forward(&input, &weight, &bias, &spec, groups);
-                assert_eq!(
-                    bits(&out),
-                    want,
-                    "scratch forward, step {step}, {t} threads"
-                );
-                let got = scratch.backward(&input, &weight, &grad_out, &spec, groups);
-                assert_eq!(bits(&got.input), bits(&want_grads.input), "step {step}");
-                assert_eq!(bits(&got.weight), bits(&want_grads.weight), "step {step}");
-                assert_eq!(bits(&got.bias), bits(&want_grads.bias), "step {step}");
-            }
+            let out = scratch.forward(&input, &weight, &bias, &spec, groups);
+            assert_eq!(bits(&out), want, "scratch forward, step {step}");
+            let got = scratch.backward(&input, &weight, &grad_out, &spec, groups);
+            assert_eq!(bits(&got.input), bits(&want_grads.input), "step {step}");
+            assert_eq!(bits(&got.weight), bits(&want_grads.weight), "step {step}");
+            assert_eq!(bits(&got.bias), bits(&want_grads.bias), "step {step}");
         }
     }
-    reset_num_threads();
 }
 
 /// `ConvScratch::backward` after a forward on another input — one element
@@ -616,22 +497,17 @@ fn conv_scratch_backward_relowers_changed_input() {
             &input, &weight, &bias, &spec, groups,
         ));
         let mut scratch = ConvScratch::new();
-        for t in THREAD_COUNTS {
-            set_num_threads(t);
-            for (name, other) in [("same", &input), ("changed", &changed), ("-0.0", &flipped)] {
-                let what = format!("{name} input, {spec:?} g={groups}, case {case}, {t} threads");
-                let out = scratch.forward(&input, &weight, &bias, &spec, groups);
-                assert_eq!(bits(&out), forward_want, "{what}: forward");
-                let got = scratch.backward(other, &weight, &grad_out, &spec, groups);
-                let want =
-                    reference::conv2d_grouped_backward(other, &weight, &grad_out, &spec, groups);
-                assert_eq!(bits(&got.input), bits(&want.input), "{what}: input grad");
-                assert_eq!(bits(&got.weight), bits(&want.weight), "{what}: weight grad");
-                assert_eq!(bits(&got.bias), bits(&want.bias), "{what}: bias grad");
-            }
+        for (name, other) in [("same", &input), ("changed", &changed), ("-0.0", &flipped)] {
+            let what = format!("{name} input, {spec:?} g={groups}, case {case}");
+            let out = scratch.forward(&input, &weight, &bias, &spec, groups);
+            assert_eq!(bits(&out), forward_want, "{what}: forward");
+            let got = scratch.backward(other, &weight, &grad_out, &spec, groups);
+            let want = reference::conv2d_grouped_backward(other, &weight, &grad_out, &spec, groups);
+            assert_eq!(bits(&got.input), bits(&want.input), "{what}: input grad");
+            assert_eq!(bits(&got.weight), bits(&want.weight), "{what}: weight grad");
+            assert_eq!(bits(&got.bias), bits(&want.bias), "{what}: bias grad");
         }
     }
-    reset_num_threads();
 }
 
 /// Elements as training feeds them to the kernels: exact `0.0` with
@@ -679,7 +555,7 @@ fn poison(rng: &mut StdRng, t: &mut Tensor, count: usize) {
 #[test]
 fn matmul_zero_skip_paths_bit_match_reference() {
     let seed = prop_seed();
-    // The last three take the small tier by shape on one thread: `A·B`
+    // The last three take the small tier by shape: `A·B`
     // and `Aᵀ·B` with `k ≤ 32` into a wide `C` (the linear layer's
     // gradients, one with fringe columns), `A·Bᵀ` with at most 16 columns
     // (its forward).
@@ -706,23 +582,11 @@ fn matmul_zero_skip_paths_bit_match_reference() {
             let want_at = bits(&reference::matmul_at(&at, &b));
             let want_bt = bits(&reference::matmul_bt(&a, &bt));
             let what = format!("{m}x{k}x{n}, non-finite rhs {non_finite} (seed {seed})");
-            for t in THREAD_COUNTS {
-                set_num_threads(t);
-                assert_eq!(bits(&matmul(&a, &b)), want, "matmul {what}, {t} threads");
-                assert_eq!(
-                    bits(&matmul_at(&at, &b)),
-                    want_at,
-                    "matmul_at {what}, {t} threads"
-                );
-                assert_eq!(
-                    bits(&matmul_bt(&a, &bt)),
-                    want_bt,
-                    "matmul_bt {what}, {t} threads"
-                );
-            }
+            assert_eq!(bits(&matmul(&a, &b)), want, "matmul {what}");
+            assert_eq!(bits(&matmul_at(&at, &b)), want_at, "matmul_at {what}");
+            assert_eq!(bits(&matmul_bt(&a, &bt)), want_bt, "matmul_bt {what}");
         }
     }
-    reset_num_threads();
 }
 
 /// Where a direct backward case puts one non-finite element.
@@ -749,8 +613,7 @@ fn poison_one(rng: &mut StdRng, t: &mut Tensor, value: f32) {
 /// with half of `dOut` zero, clean and with one infinity or NaN in the
 /// input (the path `dW` takes on non-finite planes), in the weight or in
 /// `dOut` (the paths of `dX`). Free functions and a `ConvScratch` pair
-/// with `backward_last` and `param_grads_last` all run at every thread
-/// count.
+/// with `backward_last` and `param_grads_last` all run.
 #[test]
 fn direct_narrow_conv_bit_matches_reference() {
     let seed = prop_seed();
