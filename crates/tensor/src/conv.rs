@@ -1649,13 +1649,12 @@ mod tests {
         }
     }
 
-    /// Batches of 16 to 64 items on every route: a strided grouped
-    /// convolution on im2col and the GEMMs, whose backward runs with and
-    /// without `dX`, and a narrow and a depthwise convolution on the
-    /// direct kernels. Each task's partial gradients must be reduced in
-    /// the reference's order for `dW` and `dBias` to match.
+    /// A strided grouped convolution on a batch of 16 runs on im2col and
+    /// the GEMMs. The backward reduces each task's partial gradients in
+    /// the reference's order, with or without `dX`; the name is kept from
+    /// when those tasks also ran in budgeted blocks across threads.
     #[test]
-    fn large_batches_bit_match_reference_on_every_route() {
+    fn lowered_grads_in_budgeted_blocks_bit_match_reference() {
         let spec = ConvSpec::new(3, 3).with_stride(2).with_padding(1);
         let (input, weight) = (seq(&[16, 16, 32, 32], 0.13), seq(&[32, 8, 3, 3], 0.29));
         let go = Tensor::from_fn(&[16, 32, 16, 16], |i| ((i as f32) * 0.17).cos());
@@ -1678,7 +1677,14 @@ mod tests {
         let (dw, db) = lowered_grads(&geom, cols, &weight, &go, None);
         assert_eq!(bits(&dw), bits(&want.weight));
         assert_eq!(bits(&db), bits(&want.bias));
+    }
 
+    /// A narrow and a depthwise convolution on batches of 64 and 32 run on
+    /// the direct kernels and match the reference bit for bit, forward and
+    /// backward; the name is kept from when those kernels split their
+    /// tasks across threads.
+    #[test]
+    fn direct_routes_split_across_threads_bit_match_reference() {
         let spec = ConvSpec::new(3, 3).with_padding(1);
         for (n, c, k, groups) in [(64, 3, 32, 1), (32, 64, 64, 64)] {
             let input = seq(&[n, c, 16, 16], 0.13);
