@@ -89,8 +89,8 @@ for threads in 1 3; do
 done
 
 echo "== simulator job pool across worker counts"
-# run_suite sizes its pool from CSCNN_NUM_THREADS: 1 runs every group
-# serially, 4 exceeds the groups of the small suites the tests run.
+# run_suite sizes its pool from CSCNN_NUM_THREADS: 1 runs every layer unit
+# on the calling thread, 4 runs more threads than most hosts have cores.
 for threads in 1 4; do
     echo "-- CSCNN_NUM_THREADS=$threads"
     CSCNN_NUM_THREADS="$threads" cargo test -q -p cscnn-sim

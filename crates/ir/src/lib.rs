@@ -417,6 +417,56 @@ impl LayerNode {
         }
     }
 
+    /// Whether `self` and `other` are equal but for their annotations.
+    pub fn same_structure(&self, other: &LayerNode) -> bool {
+        use LayerNode::{Conv, Depthwise, FullyConnected};
+        match (self, other) {
+            (
+                Conv {
+                    name,
+                    geom,
+                    centrosymmetric,
+                    ..
+                },
+                Conv {
+                    name: name2,
+                    geom: geom2,
+                    centrosymmetric: centro2,
+                    ..
+                },
+            )
+            | (
+                Depthwise {
+                    name,
+                    geom,
+                    centrosymmetric,
+                    ..
+                },
+                Depthwise {
+                    name: name2,
+                    geom: geom2,
+                    centrosymmetric: centro2,
+                    ..
+                },
+            ) => name == name2 && geom == geom2 && centrosymmetric == centro2,
+            (
+                FullyConnected {
+                    name,
+                    inputs,
+                    outputs,
+                    ..
+                },
+                FullyConnected {
+                    name: name2,
+                    inputs: inputs2,
+                    outputs: outputs2,
+                    ..
+                },
+            ) => name == name2 && inputs == inputs2 && outputs == outputs2,
+            _ => self == other,
+        }
+    }
+
     /// Whether this node carries weights (and therefore lowers to a
     /// `LayerDesc` / `LayerWorkload`).
     pub fn is_weight_bearing(&self) -> bool {
@@ -679,6 +729,20 @@ impl ModelIr {
         }
         self.hash_topology(&mut h);
         h.0
+    }
+
+    /// Whether `self` and `other` have the same structure: what
+    /// [`ModelIr::structural_hash`] hashes (node kinds, layer names,
+    /// geometry, grouping, centrosymmetric flags and edges), compared
+    /// exactly. Model names and annotations are ignored.
+    pub fn same_structure(&self, other: &ModelIr) -> bool {
+        self.edges == other.edges
+            && self.nodes.len() == other.nodes.len()
+            && self
+                .nodes
+                .iter()
+                .zip(&other.nodes)
+                .all(|(a, b)| a.same_structure(b))
     }
 
     /// Feeds the edge list into the hash stream, so two IRs with the same
@@ -1197,6 +1261,7 @@ mod tests {
             });
         }
         assert_eq!(bare.structural_hash(), annotated.structural_hash());
+        assert!(bare.same_structure(&annotated));
         assert_ne!(bare.annotated_hash(), annotated.annotated_hash());
         // The annotated hash of equal IRs is equal (cache-probe soundness).
         assert_eq!(
@@ -1335,6 +1400,7 @@ mod tests {
             "same node multiset, different wiring"
         );
         assert_ne!(wired.annotated_hash(), flattened.annotated_hash());
+        assert!(!wired.same_structure(&flattened));
 
         let mut rewired = wired.clone();
         rewired.edges.swap(0, 1);
@@ -1343,6 +1409,7 @@ mod tests {
             rewired.structural_hash(),
             "edge order is part of the identity"
         );
+        assert!(!wired.same_structure(&rewired));
     }
 
     #[test]
@@ -1369,7 +1436,15 @@ mod tests {
             "m",
             vec![LayerNode::conv("c", 1, 4, 3, 3, 8, 8, 1, 1).with_centrosymmetric(true)],
         );
-        assert_ne!(base.structural_hash(), wider.structural_hash());
-        assert_ne!(base.structural_hash(), centro.structural_hash());
+        let renamed = ModelIr::new("m", vec![LayerNode::conv("d", 1, 4, 3, 3, 8, 8, 1, 1)]);
+        let fc = |outputs| ModelIr::new("m", vec![LayerNode::fc("f", 16, outputs)]);
+        for other in [&wider, &centro, &renamed] {
+            assert_ne!(base.structural_hash(), other.structural_hash());
+            assert!(!base.same_structure(other));
+        }
+        assert_ne!(fc(4).structural_hash(), fc(5).structural_hash());
+        assert!(!fc(4).same_structure(&fc(5)));
+        assert!(!fc(4).same_structure(&base));
+        assert!(fc(4).same_structure(&fc(4)));
     }
 }

@@ -136,7 +136,11 @@ impl CartesianAccelerator {
     /// often share a `k_set` (every PE under planar tiling, every PE of a
     /// sub-array under mixed tiling's planar inner split), so the vector
     /// is rebuilt only when the `k_set` changes: a layer costs
-    /// O(K·C/groups + C·PEs), not O(PEs·K·C).
+    /// O(K·C/groups + C·PEs), not O(PEs·K·C). Adjacent assignments also
+    /// often share an activation tile (every PE under output-channel
+    /// tiling, every PE of a sub-array under mixed tiling's channel
+    /// split), so each channel's tile count is queried once per tile, on
+    /// first use, and reused until the tile changes.
     fn run_conv_plan(
         &self,
         pe: &CartesianPe,
@@ -147,6 +151,8 @@ impl CartesianAccelerator {
         let k_per_group = wl.layer.k / wl.layer.groups;
         let mut weights = vec![0u64; wl.layer.c];
         let mut weights_of: Option<&[usize]> = None;
+        let mut acts: Vec<Option<u64>> = vec![None; wl.layer.c];
+        let mut acts_of: Option<(usize, usize)> = None;
         let mut results = Vec::with_capacity(plan.len());
         for assign in plan {
             if weights_of != Some(assign.k_set.as_slice()) {
@@ -159,19 +165,30 @@ impl CartesianAccelerator {
                 }
                 weights_of = Some(&assign.k_set);
             }
-            results.push(run_assignment(pe, wl, assign, &weights));
+            let tile = (assign.tile_id, assign.tile_pixels);
+            if acts_of != Some(tile) {
+                acts.fill(None);
+                acts_of = Some(tile);
+            }
+            let act = |c: usize| {
+                *acts[c].get_or_insert_with(|| u64::from(wl.act_tile_nnz(c, tile.0, tile.1)))
+            };
+            results.push(run_assignment(pe, wl, assign, &weights, act));
         }
         results
     }
 }
 
 /// Runs one PE assignment given its per-input-channel stored-weight
-/// non-zeros, including the stride phase decomposition and halo exchange.
+/// non-zeros and its tile's non-zero activations per channel (`act(c)`,
+/// asked only for channels with weights), including the stride phase
+/// decomposition and halo exchange.
 fn run_assignment(
     pe: &CartesianPe,
     wl: &LayerWorkload,
     assign: &tiling::PeAssignment,
     weights: &[u64],
+    mut act: impl FnMut(usize) -> u64,
 ) -> PeResult {
     let layer = &wl.layer;
     // Strided convolutions break the Cartesian product's premise that
@@ -189,7 +206,7 @@ fn run_assignment(
         if w == 0 {
             continue;
         }
-        let a = u64::from(wl.act_tile_nnz(c, assign.tile_id, assign.tile_pixels));
+        let a = act(c);
         if phases == 1 {
             channels.push((w, a));
         } else {
@@ -442,7 +459,8 @@ mod tests {
     /// The per-channel scan `run_conv_plan` replaced: for every input
     /// channel, filter the whole `k_set` down to the channel's conv group —
     /// O(C·|k_set|) per assignment. Kept as the oracle for the bucketed
-    /// sums.
+    /// sums; `reference_plan` also queries every activation tile afresh,
+    /// the oracle for the per-tile reuse.
     fn reference_channels(wl: &LayerWorkload, assign: &tiling::PeAssignment) -> Vec<u64> {
         let c_per_group = wl.c_per_group();
         let k_per_group = wl.layer.k / wl.layer.groups;
@@ -466,7 +484,10 @@ mod tests {
         plan: &[tiling::PeAssignment],
     ) -> Vec<PeResult> {
         plan.iter()
-            .map(|assign| run_assignment(pe, wl, assign, &reference_channels(wl, assign)))
+            .map(|assign| {
+                let act = |c| u64::from(wl.act_tile_nnz(c, assign.tile_id, assign.tile_pixels));
+                run_assignment(pe, wl, assign, &reference_channels(wl, assign), act)
+            })
             .collect()
     }
 

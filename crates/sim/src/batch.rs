@@ -5,32 +5,36 @@
 //! of network structures; re-synthesizing `LayerWorkload`s per request
 //! would dominate the run. [`BatchRunner`] groups requests by annotated IR
 //! (identical structure *and* identical annotations — the synthesized
-//! sparse structure depends on both) and runs each group as one task:
-//! every layer is synthesized **exactly once** per group, simulated for all
-//! of the group's requests, and dropped. Per-request results are
-//! bit-identical to sequential [`Runner::run_ir`] calls, independent of
-//! worker count and scheduling order, because the grouping key is exact
-//! (hash probe + full `==` confirmation) and `run_ir` is the same routine
-//! run for a group of one. [`Runner::run_suite`] runs on the same pool.
+//! sparse structure depends on both): every layer is synthesized **exactly
+//! once** per group, simulated for all of the group's requests, and
+//! dropped. Groups of one model structure and name share each layer's
+//! seeded draws, and the pool's unit of work is one layer of one
+//! structure. Per-request results are bit-identical to sequential
+//! [`Runner::run_ir`] calls, independent of worker count and scheduling
+//! order, because the grouping key is exact (hash probe + full `==`
+//! confirmation) and `run_ir` runs the same per-layer routine for a group
+//! of one. [`Runner::run_suite`] runs on the same pool.
 
 use std::collections::HashMap;
+use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 
 use cscnn_ir::{ModelIr, SparsityAnnotation};
+use cscnn_tensor::run_jobs_within;
 
 use crate::error::SimError;
 use crate::interface::Accelerator;
-use crate::report::RunStats;
-use crate::runner::Runner;
+use crate::report::{LayerStats, RunStats};
+use crate::runner::{Runner, Variant};
 use crate::util::{count_from_f64, det_sum, to_count, to_index};
 
 /// One simulation job: an accelerator and the annotated IR it runs.
 pub(crate) type Job<'a> = (&'a dyn Accelerator, &'a ModelIr);
 
-/// One task of the pool: a unique `(annotated IR, centro)` pair of a job
-/// list, the distinct accelerators that run it, and each of its jobs as
-/// `(job index, index into accs)`.
+/// A unique `(annotated IR, centro)` pair of a job list — a variant of its
+/// model structure — with the distinct accelerators that run it and each
+/// of its jobs as `(job index, index into accs)`.
 struct Group<'a> {
     ir: &'a ModelIr,
     centro: bool,
@@ -38,22 +42,43 @@ struct Group<'a> {
     jobs: Vec<(usize, usize)>,
 }
 
-/// Runs `jobs` on up to `workers` scoped threads — the pool behind both
-/// [`BatchRunner::run_batch`] and [`Runner::run_suite`].
+/// One task of the pool: the checked variants of one model structure under
+/// one model name (so sharing every layer's seed), as group indices and
+/// variants, and the range of the item list holding its timed nodes.
+struct Task<'v, 'a> {
+    groups: Vec<usize>,
+    variants: Vec<&'v Variant<'a>>,
+    items: Range<usize>,
+}
+
+/// Runs `jobs` on up to `workers` threads — the pool behind both
+/// [`BatchRunner::run_batch`] and [`Runner::run_suite`] (see
+/// `docs/batching.md`).
 ///
 /// Synthesized workloads depend on the annotated IR, the runner seed and
 /// the scheme's centrosymmetric flag, never on the accelerator, so jobs
-/// sharing `(annotated_hash, centro)` share their workloads. Before any
-/// thread starts, jobs are grouped by that key in a hash map, each match
-/// confirmed with full `ModelIr` equality so a hash collision can never
-/// alias two IRs. Workers then claim groups in order from a shared counter
-/// and run each with [`Runner::run_shared`], which synthesizes one layer at
-/// a time for all of the group's distinct accelerators; jobs repeating an
-/// accelerator object within a group get copies of its stats. `results[i]` is
-/// bit-identical to `runner.run_ir(jobs[i].0, jobs[i].1)` whatever the
-/// worker count or claim order; a panicking accelerator fails every job of
-/// its group, as [`SimError::WorkerPanicked`] naming the model. Also
-/// returns the number of groups (unique annotated IRs).
+/// sharing `(annotated_hash, centro)` form one *group* (a variant), each
+/// key match confirmed with full `ModelIr` equality so a hash collision
+/// can never alias two IRs. Each group is checked once and its on-chip
+/// chains planned ([`Variant::new`]); a group failing a check fails its
+/// jobs with that error. Groups of one structure and model name, keyed by
+/// `(structural_hash, name)` and confirmed with [`ModelIr::same_structure`],
+/// form one *task*, because they share every layer's geometry and seed.
+/// The pool's unit of work is one timed node of one task: workers claim
+/// these items in descending order of estimated work, and each runs
+/// [`Runner::run_layer`], which synthesizes the node for all of the task's
+/// variants (`LayerWorkload::synthesize_each`) and simulates it on every
+/// distinct accelerator. Per-layer stats are put together in node order once every
+/// thread has stopped; jobs repeating an accelerator object within a group
+/// get copies of its stats.
+///
+/// `results[i]` is bit-identical to `runner.run_ir(jobs[i].0, jobs[i].1)`
+/// whatever the worker count or claim order. A panicking accelerator fails
+/// the jobs of its own group only, as [`SimError::WorkerPanicked`] naming
+/// the model; items claimed after the panic skip that group, and the
+/// task's other variants finish. Also returns the number of groups (unique
+/// annotated IRs). The items run on [`run_jobs_within`], at most
+/// `min(workers, jobs, items)` threads, the calling thread among them.
 pub(crate) fn run_jobs(
     runner: &Runner,
     jobs: &[Job<'_>],
@@ -87,30 +112,80 @@ pub(crate) fn run_jobs(
         group.jobs.push((i, slot));
     }
 
-    let next = AtomicUsize::new(0);
-    let worker = || {
-        let mut done = Vec::new();
-        while let Some(group) = groups.get(next.fetch_add(1, Ordering::Relaxed)) {
-            // `None`: the group panicked; reported with lost groups below.
-            let runs = catch_unwind(AssertUnwindSafe(|| {
-                runner.run_shared(group.ir, group.centro, &group.accs)
-            }))
-            .ok();
-            done.push((group, runs));
+    let variants: Vec<Result<Variant<'_>, SimError>> = groups
+        .iter()
+        .map(|g| Variant::new(g.ir, g.centro, &g.accs))
+        .collect();
+    let mut by_structure: HashMap<(u64, &str), Vec<usize>> = HashMap::new();
+    let mut tasks: Vec<Task<'_, '_>> = Vec::new();
+    for (g, variant) in variants.iter().enumerate() {
+        let Ok(variant) = variant else { continue };
+        let ir = variant.ir;
+        let bucket = by_structure
+            .entry((ir.structural_hash(), ir.name.as_str()))
+            .or_default();
+        let same = |t: &usize| tasks[*t].variants[0].ir.same_structure(ir);
+        match bucket.iter().copied().find(same) {
+            Some(t) => {
+                tasks[t].groups.push(g);
+                tasks[t].variants.push(variant);
+            }
+            None => {
+                bucket.push(tasks.len());
+                tasks.push(Task {
+                    groups: vec![g],
+                    variants: vec![variant],
+                    items: 0..0,
+                });
+            }
         }
-        done
-    };
-    let done: Vec<_> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers.min(groups.len()))
-            .map(|_| scope.spawn(&worker))
+    }
+    // Items are (task, node) in task-then-node order; each task's items
+    // are a contiguous range, and `order` is the claim order.
+    let mut items: Vec<(usize, usize, u64)> = Vec::new();
+    for (t, task) in tasks.iter_mut().enumerate() {
+        let start = items.len();
+        for node in 0..task.variants[0].ir.nodes.len() {
+            let work: Option<u64> = task.variants.iter().map(|v| v.work(node)).sum();
+            if let Some(work) = work {
+                items.push((t, node, work));
+            }
+        }
+        task.items = start..items.len();
+    }
+    let mut order: Vec<usize> = (0..items.len()).collect();
+    order.sort_by_key(|&i| std::cmp::Reverse(items[i].2));
+
+    // One flag per group, set once its accelerator panics: later items
+    // skip the group, so a failing variant stops at its first bad layer.
+    let failed: Vec<AtomicBool> = groups.iter().map(|_| AtomicBool::new(false)).collect();
+    let done = run_jobs_within(workers.min(jobs.len()), order.len(), |k| {
+        let (t, node, _) = items[order[k]];
+        let task = &tasks[t];
+        let live: Vec<usize> = (0..task.variants.len())
+            .filter(|&v| !failed[task.groups[v]].load(Ordering::Relaxed))
             .collect();
-        // catch_unwind makes a failed join unreachable in practice; the
-        // groups such a worker lost are reported below.
-        handles
-            .into_iter()
-            .flat_map(|handle| handle.join().unwrap_or_default())
-            .collect()
+        let variants: Vec<&Variant<'_>> = live.iter().map(|&v| task.variants[v]).collect();
+        // `None`: the variant panicked, here or on an earlier item, and
+        // reports that below.
+        let runs: Vec<Option<Vec<LayerStats>>> =
+            catch_unwind(AssertUnwindSafe(|| runner.run_layer(&variants, node)))
+                .map(|runs| runs.into_iter().map(Result::ok).collect())
+                .unwrap_or_else(|_| vec![None; live.len()]);
+        let mut layers = vec![None; task.variants.len()];
+        for (&v, run) in live.iter().zip(runs) {
+            if run.is_none() {
+                failed[task.groups[v]].store(true, Ordering::Relaxed);
+            }
+            layers[v] = run;
+        }
+        layers
     });
+    let mut layers: Vec<Vec<Option<Vec<LayerStats>>>> = vec![Vec::new(); items.len()];
+    for (&item, runs) in order.iter().zip(done) {
+        layers[item] = runs;
+    }
+
     let mut results: Vec<Result<RunStats, SimError>> = jobs
         .iter()
         .map(|(_, ir)| {
@@ -119,13 +194,30 @@ pub(crate) fn run_jobs(
             })
         })
         .collect();
-    for (group, runs) in done {
-        let Some(runs) = runs else { continue };
-        for &(i, slot) in &group.jobs {
-            results[i] = match &runs {
-                Ok(runs) => Ok(runs[slot].clone()),
-                Err(e) => Err(e.clone()),
-            };
+    for (group, variant) in groups.iter().zip(&variants) {
+        if let Err(e) = variant {
+            for &(i, _) in &group.jobs {
+                results[i] = Err(e.clone());
+            }
+        }
+    }
+    for task in &tasks {
+        for (v, (&g, variant)) in task.groups.iter().zip(&task.variants).enumerate() {
+            let mut runs = variant.empty_runs();
+            let finished = task.items.clone().all(|item| match layers[item][v].take() {
+                Some(stats) => {
+                    for (run, layer) in runs.iter_mut().zip(stats) {
+                        run.layers.push(layer);
+                    }
+                    true
+                }
+                None => false,
+            });
+            if finished {
+                for &(i, slot) in &groups[g].jobs {
+                    results[i] = Ok(runs[slot].clone());
+                }
+            }
         }
     }
     (results, groups.len())
@@ -287,22 +379,27 @@ impl BatchRunner {
         &self.runner
     }
 
-    /// An upper bound on the scoped worker threads [`BatchRunner::run_batch`]
-    /// spawns for a batch of `requests` entries: `min(workers, requests)`,
-    /// so small batches (or an empty one) cannot create idle threads. The
-    /// pool runs one task per unique annotated IR, so it spawns
-    /// `min(workers, unique IRs)`, which a batch of repeats keeps lower.
+    /// An upper bound on the threads [`BatchRunner::run_batch`] runs for a
+    /// batch of `requests` entries: `min(workers, requests)`, so small
+    /// batches (or an empty one) cannot create idle threads. The pool's
+    /// units are the batch's timed layers (one per layer of each distinct
+    /// structure), and it runs `min(workers, requests, units)` threads, the
+    /// calling thread among them; an empty batch runs on the calling thread
+    /// alone.
     pub fn planned_workers(&self, requests: usize) -> usize {
         self.workers.min(requests)
     }
 
     /// Simulates every request of a batch on one accelerator.
     ///
-    /// Identical requests (same annotated IR) form one group, and each
-    /// worker claims the next unclaimed group, simulating it once, one
-    /// layer at a time, and giving every request of the group a copy of
-    /// the stats. `stats.runs[i]` is bit-identical to
-    /// `runner.run_ir(acc, &requests[i])`.
+    /// Identical requests (same annotated IR) form one group, simulated
+    /// once, and every request of the group gets a copy of the stats.
+    /// Groups of one structure and model name form one task, and workers
+    /// claim the tasks' layers largest first: each layer is synthesized
+    /// for all of its task's groups from one seeded stream (two groups
+    /// making the same exact trials share each draw) and simulated for
+    /// each. `stats.runs[i]` is
+    /// bit-identical to `runner.run_ir(acc, &requests[i])`.
     ///
     /// # Errors
     ///
@@ -314,8 +411,8 @@ impl BatchRunner {
     /// more than `u16::MAX` positions, [`SimError::BadGeometry`] for a layer
     /// whose geometry cannot run, [`SimError::WorkerPanicked`] naming the
     /// request's model when an accelerator model panics mid-simulation (a
-    /// panic fails every request of its group). Every worker is joined
-    /// before returning.
+    /// panic fails every request of its group, and no other group). Every
+    /// worker is joined before returning.
     pub fn run_batch(
         &self,
         acc: &dyn Accelerator,
@@ -377,6 +474,7 @@ mod tests {
     use super::*;
     use crate::CartesianAccelerator;
     use cscnn_models::{catalog, lower, ModelCompression};
+    use std::sync::atomic::AtomicUsize;
 
     fn annotated_ir(model: &cscnn_models::ModelDesc, acc: &dyn Accelerator) -> ModelIr {
         let mut ir = lower::to_ir(model);
@@ -803,5 +901,124 @@ mod tests {
                 model: "LeNet-5".into()
             }
         );
+    }
+
+    /// A CSCNN that panics on every layer, counting its calls.
+    struct Exploding(CartesianAccelerator, AtomicUsize);
+    impl Accelerator for Exploding {
+        fn name(&self) -> &'static str {
+            "Exploding"
+        }
+        fn scheme(&self) -> cscnn_models::CompressionScheme {
+            self.0.scheme()
+        }
+        fn characteristics(&self) -> crate::interface::Characteristics {
+            self.0.characteristics()
+        }
+        fn simulate_layer(&self, _ctx: &crate::LayerContext<'_>) -> crate::LayerStats {
+            self.1.fetch_add(1, Ordering::SeqCst);
+            panic!("injected fault")
+        }
+    }
+
+    #[test]
+    fn bad_variants_of_a_task_fail_only_their_own_jobs() {
+        // Four variants of LeNet-5's one structure and name, so one task:
+        // CSCNN's and SCNN's annotated IRs, a CSCNN IR whose accelerator
+        // panics (its jobs share a group with a sound CSCNN), and the
+        // unannotated IR, which fails its check.
+        let cscnn = CartesianAccelerator::cscnn();
+        let scnn = CartesianAccelerator::scnn();
+        let exploding = Exploding(CartesianAccelerator::cscnn(), AtomicUsize::new(0));
+        let model = catalog::lenet5();
+        let good = annotated_ir(&model, &cscnn);
+        let deep = annotated_ir(&model, &scnn);
+        let mut poisoned = good.clone();
+        for node in poisoned.weight_nodes_mut() {
+            let mut ann = node.sparsity().expect("annotated");
+            ann.weight_density *= 0.5;
+            node.set_sparsity(ann);
+        }
+        let bare = lower::to_ir(&model);
+        for ir in [&deep, &poisoned, &bare] {
+            assert!(ir.same_structure(&good));
+            assert_eq!(ir.structural_hash(), good.structural_hash());
+        }
+        let jobs: Vec<Job<'_>> = vec![
+            (&cscnn, &good),
+            (&exploding, &poisoned),
+            (&scnn, &deep),
+            (&cscnn, &bare),
+            (&cscnn, &poisoned),
+            (&cscnn, &good),
+        ];
+        let runner = Runner::new(42);
+        for workers in [1, 2, 4] {
+            exploding.1.store(0, Ordering::SeqCst);
+            let (results, groups) = run_jobs(&runner, &jobs, workers);
+            assert_eq!(groups, 4, "four (annotated IR, centro) variants");
+            // Once a thread sees the panic, no later item runs the group.
+            let calls = exploding.1.load(Ordering::SeqCst);
+            assert!(
+                calls <= workers,
+                "{calls} panicking calls at {workers} workers"
+            );
+            let panicked = SimError::WorkerPanicked {
+                model: "LeNet-5".into(),
+            };
+            for (i, (&(acc, ir), result)) in jobs.iter().zip(results).enumerate() {
+                let at = format!("job {i} at {workers} workers");
+                match i {
+                    1 | 4 => assert_eq!(result.err(), Some(panicked.clone()), "{at}"),
+                    3 => assert!(
+                        matches!(result, Err(SimError::MissingSparsity { .. })),
+                        "{at}: {result:?}"
+                    ),
+                    _ => {
+                        let alone = runner.run_ir(acc, ir).expect("annotated IR");
+                        let run = result.expect("a sound variant finishes");
+                        assert_eq!(format!("{run:?}"), format!("{alone:?}"), "{at}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn pool_matches_run_ir_at_any_worker_count() {
+        // A small multi-scheme suite: the nine evaluation accelerators
+        // (three compression schemes) on two chains and a DAG.
+        let accs = crate::baselines::evaluation_accelerators();
+        let mut irs = Vec::new();
+        for model in [catalog::lenet5(), catalog::convnet()] {
+            for acc in &accs {
+                irs.push(annotated_ir(&model, acc.as_ref()));
+            }
+        }
+        let resnet = catalog::resnet18_ir();
+        for acc in &accs {
+            let mut ir = resnet.clone();
+            let mc = ModelCompression::new(catalog::resnet18(), acc.scheme());
+            assert!(mc.profile.annotate(&mut ir));
+            irs.push(ir);
+        }
+        let jobs: Vec<Job<'_>> = irs
+            .iter()
+            .zip(accs.iter().cycle())
+            .map(|(ir, acc)| (acc.as_ref(), ir))
+            .collect();
+        let runner = Runner::new(17);
+        let alone: Vec<String> = jobs
+            .iter()
+            .map(|&(acc, ir)| format!("{:?}", runner.run_ir(acc, ir).expect("annotated IR")))
+            .collect();
+        for workers in [1, 2, 5] {
+            let (results, groups) = run_jobs(&runner, &jobs, workers);
+            assert_eq!(groups, 9, "three models under three schemes");
+            for (i, result) in results.into_iter().enumerate() {
+                let run = result.expect("annotated IR");
+                assert_eq!(format!("{run:?}"), alone[i], "job {i} at {workers} workers");
+            }
+        }
     }
 }

@@ -1,16 +1,19 @@
 //! Whole-network and suite simulation driver.
 
-use cscnn_ir::ModelIr;
-use cscnn_models::{lower, CompressionScheme, ModelCompression, ModelDesc};
+use std::panic::{catch_unwind, AssertUnwindSafe};
+
+use cscnn_ir::{ModelIr, SparsityAnnotation};
+use cscnn_models::{lower, CompressionScheme, LayerDesc, ModelCompression, ModelDesc};
 
 use crate::batch::{run_jobs, Job};
 use crate::dram::DramConfig;
 use crate::energy::EnergyTable;
 use crate::error::SimError;
 use crate::interface::{Accelerator, LayerContext};
-use crate::report::RunStats;
+use crate::report::{LayerStats, RunStats};
 use crate::util;
-use crate::workload::LayerWorkload;
+use crate::workload::{LayerWorkload, WorkloadSpec};
+use crate::ArchConfig;
 
 /// Drives layer-by-layer simulation of whole networks across accelerators.
 ///
@@ -61,6 +64,14 @@ impl Runner {
     /// layer *name* (not list position), so any valid topological
     /// reordering of a DAG's node list produces identical per-node results.
     ///
+    /// The IR is checked and its on-chip chain planned first
+    /// (`Variant::new`); then each node runs, in node order on the calling
+    /// thread, through the per-layer routine of the job pool
+    /// (`docs/batching.md`): its workload is synthesized (seeded by name),
+    /// simulated and dropped before the next node. Every layer simulates
+    /// against the default [`DramConfig`] and [`EnergyTable`]; untimed nodes
+    /// are left out of the layer list. A panicking accelerator panics here.
+    ///
     /// # Errors
     ///
     /// [`SimError::BadTopology`] if the IR's graph fails
@@ -72,127 +83,246 @@ impl Runner {
     /// positions; [`SimError::BadGeometry`] naming the first layer whose
     /// geometry cannot run. All are checked before any layer is simulated.
     pub fn run_ir(&self, acc: &dyn Accelerator, ir: &ModelIr) -> Result<RunStats, SimError> {
-        let centro = acc.scheme().uses_centrosymmetric();
-        Ok(self.run_shared(ir, centro, &[acc])?.remove(0))
-    }
-
-    /// Simulates one annotated IR on each of `accs` (`result[j]` belongs to
-    /// `accs[j]`), all sharing the workloads synthesized for `centro`: the
-    /// routine behind [`Runner::run_ir`] and each task of the job pool
-    /// (`docs/batching.md`). After checking the topology and every node
-    /// (so errors come before any simulation) it walks the IR layer-major:
-    /// each node's workload is synthesized (seeded by name), simulated on
-    /// every accelerator, and dropped before the next node. Every layer
-    /// shares one default [`DramConfig`] and [`EnergyTable`].
-    /// Untimed nodes are left out of the layer list. A layer's input is
-    /// on-chip when *every* graph predecessor's output fit in the global
-    /// buffer (untimed nodes pass their status through; for a linear chain
-    /// this is previous-layer chaining), tracked per accelerator because
-    /// configurations differ.
-    ///
-    /// # Errors
-    ///
-    /// Everything [`Runner::run_ir`] can return, for every accelerator.
-    pub(crate) fn run_shared(
-        &self,
-        ir: &ModelIr,
-        centro: bool,
-        accs: &[&dyn Accelerator],
-    ) -> Result<Vec<RunStats>, SimError> {
-        ir.validate().map_err(|error| SimError::BadTopology {
-            model: ir.name.clone(),
-            error,
-        })?;
-        let checked = ir
-            .nodes
-            .iter()
-            .map(LayerWorkload::check_node)
-            .collect::<Result<Vec<_>, _>>()?;
-        let mut runs: Vec<_> = accs
-            .iter()
-            .map(|acc| {
-                let stats = RunStats {
-                    accelerator: acc.name().to_string(),
-                    model: ir.name.clone(),
-                    ..Default::default()
-                };
-                // on_chip[i]: whether node i's output is resident in the
-                // global buffer for its consumers (false at a graph source
-                // — the model input streams from DRAM).
-                (acc.config(), stats, vec![false; ir.nodes.len()])
-            })
-            .collect();
-        let (dram, energy) = (DramConfig::default(), EnergyTable::default());
-        for (i, (node, checked)) in ir.nodes.iter().zip(checked).enumerate() {
-            let seed = workload_seed(self.seed, &ir.name, node.name().unwrap_or(""));
-            let workload = checked.map(|(desc, ann)| {
-                let (w, a) = (ann.weight_density, ann.activation_density);
-                LayerWorkload::synthesize(&desc, w, a, centro, seed)
-            });
-            let preds = ir.predecessors(i);
-            for (acc, (cfg, stats, on_chip)) in accs.iter().zip(&mut runs) {
-                let input_on_chip = !preds.is_empty() && preds.iter().all(|&p| on_chip[p]);
-                on_chip[i] = match &workload {
-                    Some(wl) => {
-                        let out_bytes =
-                            util::to_index(wl.layer.output_activations()) * cfg.word_bits / 8;
-                        let output_fits = out_bytes <= cfg.glb_bytes;
-                        let ctx = LayerContext {
-                            cfg,
-                            dram: &dram,
-                            energy: &energy,
-                            workload: wl,
-                            input_on_chip,
-                            output_fits_on_chip: output_fits,
-                        };
-                        stats.layers.push(acc.simulate_layer(&ctx));
-                        output_fits
-                    }
-                    None => input_on_chip,
-                };
+        let accs = [acc];
+        let variant = Variant::new(ir, acc.scheme().uses_centrosymmetric(), &accs)?;
+        let mut run = variant.empty_runs().swap_remove(0);
+        for node in 0..ir.nodes.len() {
+            for result in self.run_layer(&[&variant], node) {
+                let layer = result.unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+                run.layers.extend(layer);
             }
         }
-        Ok(runs.into_iter().map(|(_, stats, _)| stats).collect())
+        Ok(run)
+    }
+
+    /// Runs node `node` of every variant in `variants`, which must share
+    /// one model structure and model name (and so the node's geometry and
+    /// workload seed): the node's workloads are synthesized jointly
+    /// ([`LayerWorkload::synthesize_each`]), each simulated on its
+    /// variant's accelerators as soon as its draw plan is done, then
+    /// dropped. `result[v][j]` is the layer of `variants[v]`'s accelerator
+    /// `j` (no layer for an untimed node), or the panic one of the
+    /// variant's accelerators raised: a panic fails its own variant only.
+    pub(crate) fn run_layer(
+        &self,
+        variants: &[&Variant<'_>],
+        node: usize,
+    ) -> Vec<std::thread::Result<Vec<LayerStats>>> {
+        let Some(first) = variants.first() else {
+            return Vec::new();
+        };
+        let Some((layer, _)) = &first.layers[node] else {
+            return variants.iter().map(|_| Ok(Vec::new())).collect();
+        };
+        let specs: Vec<WorkloadSpec> = variants.iter().map(|v| v.spec(node)).collect();
+        let name = first.ir.nodes[node].name().unwrap_or("");
+        let seed = workload_seed(self.seed, &first.ir.name, name);
+        let (dram, energy) = (DramConfig::default(), EnergyTable::default());
+        let mut layers: Vec<Option<std::thread::Result<Vec<LayerStats>>>> =
+            variants.iter().map(|_| None).collect();
+        LayerWorkload::synthesize_each(layer, &specs, seed, |v, workload| {
+            layers[v] = Some(catch_unwind(AssertUnwindSafe(|| {
+                variants[v].simulate(node, &workload, &dram, &energy)
+            })));
+        });
+        let layers = layers.into_iter();
+        layers
+            .map(|layer| layer.expect("every variant is synthesized"))
+            .collect()
     }
 
     /// Simulates every (accelerator, model) pair, exactly as
-    /// [`Runner::run_model`] would, on the worker pool behind
+    /// [`Runner::run_model`] would, on the job pool behind
     /// [`crate::BatchRunner`] (sized by [`util::configured_workers`]).
-    /// The accelerators that run one model under one compression scheme
-    /// form one task, simulated layer by layer, so a layer is synthesized
-    /// once per scheme, not once per accelerator, and freed before the
-    /// next. Results are ordered `[model][accelerator]`.
+    /// Each model is calibrated once per compression scheme, and the
+    /// accelerators sharing a scheme share its annotated IR. The pool's
+    /// unit of work is one layer of one model with every scheme that runs
+    /// it: the layer is synthesized once per scheme (once in all for the
+    /// schemes whose draws coincide), simulated on every accelerator and
+    /// freed, and the largest layers are claimed first. Results are
+    /// ordered `[model][accelerator]`.
     ///
     /// # Errors
     ///
     /// The first failing (model, accelerator) pair in that order:
     /// [`SimError::WorkerPanicked`] naming the model when an accelerator
-    /// model panics (failing every accelerator that shares its task). Every
-    /// worker is joined before returning, so one poisoned model cannot
-    /// abort the others mid-simulation.
+    /// model panics (failing every accelerator that runs the model under
+    /// the same scheme). Every worker is joined before returning, so one
+    /// poisoned model cannot abort the others mid-simulation.
     pub fn run_suite(
         &self,
         accelerators: &[Box<dyn Accelerator>],
         models: &[ModelDesc],
     ) -> Result<Vec<Vec<RunStats>>, SimError> {
-        let irs: Vec<ModelIr> = models
+        let mut schemes: Vec<CompressionScheme> = Vec::new();
+        for acc in accelerators {
+            if !schemes.contains(&acc.scheme()) {
+                schemes.push(acc.scheme());
+            }
+        }
+        let irs: Vec<Vec<ModelIr>> = models
             .iter()
-            .flat_map(|model| {
-                accelerators
-                    .iter()
-                    .map(|acc| calibrated_ir(model, acc.scheme()))
+            .map(|model| {
+                let irs = schemes.iter().map(|&s| calibrated_ir(model, s));
+                irs.collect()
             })
             .collect();
         let jobs: Vec<Job<'_>> = irs
             .iter()
-            .zip(accelerators.iter().cycle())
-            .map(|(ir, acc)| (acc.as_ref(), ir))
+            .flat_map(|irs| {
+                accelerators.iter().map(|acc| {
+                    let scheme = schemes.iter().position(|&s| s == acc.scheme());
+                    (acc.as_ref(), &irs[scheme.unwrap_or(0)])
+                })
+            })
             .collect();
         let (results, _) = run_jobs(self, &jobs, util::configured_workers());
+
         let mut runs = results.into_iter();
         models
             .iter()
             .map(|_| runs.by_ref().take(accelerators.len()).collect())
+            .collect()
+    }
+}
+
+/// One annotated IR under one centrosymmetric flag, with the distinct
+/// accelerators that run it — a *variant* of its model structure. Built by
+/// [`Variant::new`], which checks every node and plans each accelerator's
+/// on-chip chain before any layer is simulated, so the variant's layers
+/// are independent units of work.
+pub(crate) struct Variant<'a> {
+    pub(crate) ir: &'a ModelIr,
+    centro: bool,
+    accs: &'a [&'a dyn Accelerator],
+    /// Per node: the lowered layer and its annotation, `None` when untimed.
+    layers: Vec<Option<(LayerDesc, SparsityAnnotation)>>,
+    /// Per accelerator: its configuration and, per node, whether the
+    /// node's input is on chip and whether its output fits on chip.
+    chains: Vec<(ArchConfig, Vec<(bool, bool)>)>,
+}
+
+impl<'a> Variant<'a> {
+    /// Checks `ir` (its topology, then every node) and plans the on-chip
+    /// chain of each of `accs`.
+    ///
+    /// A layer's input is on chip when *every* graph predecessor's output
+    /// fit in the global buffer (untimed nodes pass their status through;
+    /// for a linear chain this is previous-layer chaining, and a graph
+    /// source streams its input from DRAM). Whether an output fits depends
+    /// on the layer's geometry and the accelerator's configuration alone,
+    /// never on a simulated result, so the chain is known before any layer
+    /// runs. It is kept per accelerator because configurations differ.
+    ///
+    /// # Errors
+    ///
+    /// The errors of [`Runner::run_ir`].
+    pub(crate) fn new(
+        ir: &'a ModelIr,
+        centro: bool,
+        accs: &'a [&'a dyn Accelerator],
+    ) -> Result<Self, SimError> {
+        ir.validate().map_err(|error| SimError::BadTopology {
+            model: ir.name.clone(),
+            error,
+        })?;
+        let layers = ir
+            .nodes
+            .iter()
+            .map(LayerWorkload::check_node)
+            .collect::<Result<Vec<_>, _>>()?;
+        let preds: Vec<Vec<usize>> = (0..ir.nodes.len()).map(|i| ir.predecessors(i)).collect();
+        let chains = accs
+            .iter()
+            .map(|acc| {
+                let cfg = acc.config();
+                let mut on_chip = vec![false; layers.len()];
+                let chain = layers
+                    .iter()
+                    .zip(&preds)
+                    .enumerate()
+                    .map(|(i, (layer, preds))| {
+                        let input = !preds.is_empty() && preds.iter().all(|&p| on_chip[p]);
+                        on_chip[i] = match layer {
+                            Some((layer, _)) => {
+                                let out_bytes =
+                                    util::to_index(layer.output_activations()) * cfg.word_bits / 8;
+                                out_bytes <= cfg.glb_bytes
+                            }
+                            None => input,
+                        };
+                        (input, on_chip[i])
+                    })
+                    .collect();
+                (cfg, chain)
+            })
+            .collect();
+        Ok(Variant {
+            ir,
+            centro,
+            accs,
+            layers,
+            chains,
+        })
+    }
+
+    /// The synthesis inputs of timed node `node`.
+    fn spec(&self, node: usize) -> WorkloadSpec {
+        let (_, ann) = self.layers[node]
+            .as_ref()
+            .expect("variants of one structure time the same nodes");
+        WorkloadSpec {
+            weight_density: ann.weight_density,
+            act_density: ann.activation_density,
+            centro: self.centro,
+        }
+    }
+
+    /// An estimate of the work node `node` costs this variant, `None` when
+    /// the node is untimed: the layer's stored weight positions (the most
+    /// draws its synthesis can take) plus its input activations, once per
+    /// accelerator. Only the pool's claim order reads it.
+    pub(crate) fn work(&self, node: usize) -> Option<u64> {
+        self.layers[node].as_ref().map(|(layer, _)| {
+            let positions = layer.weights() + layer.input_activations();
+            positions * util::to_count(self.accs.len())
+        })
+    }
+
+    /// One empty [`RunStats`] per accelerator, to collect the layers in.
+    pub(crate) fn empty_runs(&self) -> Vec<RunStats> {
+        self.accs
+            .iter()
+            .map(|acc| RunStats {
+                accelerator: acc.name().to_string(),
+                model: self.ir.name.clone(),
+                ..Default::default()
+            })
+            .collect()
+    }
+
+    /// Simulates timed node `node`'s workload on every accelerator.
+    fn simulate(
+        &self,
+        node: usize,
+        workload: &LayerWorkload,
+        dram: &DramConfig,
+        energy: &EnergyTable,
+    ) -> Vec<LayerStats> {
+        self.accs
+            .iter()
+            .zip(&self.chains)
+            .map(|(acc, (cfg, chain))| {
+                let (input_on_chip, output_fits_on_chip) = chain[node];
+                acc.simulate_layer(&LayerContext {
+                    cfg,
+                    dram,
+                    energy,
+                    workload,
+                    input_on_chip,
+                    output_fits_on_chip,
+                })
+            })
             .collect()
     }
 }
@@ -478,6 +608,38 @@ mod tests {
         assert_eq!(results[0].len(), accs.len());
         assert_eq!(results[0][0].accelerator, "DCNN");
         assert_eq!(results[1][8].accelerator, "CSCNN");
+    }
+
+    #[test]
+    fn join_input_is_on_chip_only_when_every_branch_fits() {
+        use cscnn_ir::{IrBuilder, LayerNode, SparsityAnnotation};
+        // CSCNN's 1 MiB global buffer holds 512 Ki 16-bit activations: the
+        // wide branch's 4096·16·16 outputs do not fit, the narrow one's do.
+        let mut b = IrBuilder::new("fork");
+        let stem = b.push(LayerNode::conv("stem", 3, 8, 3, 3, 16, 16, 1, 1));
+        let wide = LayerNode::conv("wide", 8, 4096, 1, 1, 16, 16, 1, 0);
+        let wide = b.push_after(wide, &[stem]);
+        let narrow = LayerNode::conv("narrow", 8, 8, 3, 3, 16, 16, 1, 1);
+        let narrow = b.push_after(narrow, &[stem]);
+        let join = b.push_after(LayerNode::add("join"), &[wide, narrow]);
+        let tail = LayerNode::conv("tail", 8, 8, 3, 3, 16, 16, 1, 1);
+        let tail = b.push_after(tail, &[join]);
+        let mut ir = b.finish().expect("valid fork");
+        for node in ir.weight_nodes_mut() {
+            node.set_sparsity(SparsityAnnotation {
+                weight_density: 0.5,
+                activation_density: 0.5,
+            });
+        }
+        let acc = CartesianAccelerator::cscnn();
+        let accs: [&dyn Accelerator; 1] = [&acc];
+        let variant = Variant::new(&ir, true, &accs).expect("annotated fork");
+        let chain = &variant.chains[0].1;
+        assert_eq!(chain[stem], (false, true), "a source streams its input");
+        assert_eq!(chain[wide], (true, false));
+        assert_eq!(chain[narrow], (true, true));
+        assert_eq!(chain[join], (false, false), "one branch went to DRAM");
+        assert_eq!(chain[tail], (false, true));
     }
 
     #[test]

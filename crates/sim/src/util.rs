@@ -167,11 +167,11 @@ fn u64_from_f64(x: f64, what: &str) -> u64 {
     }
 }
 
-/// Default worker-pool size for batched simulation: the validated
-/// `CSCNN_NUM_THREADS` environment variable when set (the same variable
-/// sizes `cscnn_tensor::run_jobs`, which runs independent trainings),
-/// else the machine's available parallelism, else 1 — the fallbacks of
-/// `cscnn-tensor`'s thread budget. The in-process override
+/// Default worker-pool size for batched simulation:
+/// [`cscnn_tensor::env_num_threads`], the validated `CSCNN_NUM_THREADS`
+/// environment variable when set (the same variable sizes
+/// `cscnn_tensor::run_jobs`, which runs independent trainings), else the
+/// machine's available parallelism, else 1. The in-process override
 /// `cscnn_tensor::set_num_threads` is not consulted: it sizes the
 /// training jobs only. Worker counts never affect results — batching is
 /// bit-identical to sequential simulation by construction.
@@ -181,24 +181,7 @@ fn u64_from_f64(x: f64, what: &str) -> u64 {
 /// Panics if `CSCNN_NUM_THREADS` is set to anything other than an integer
 /// in `1..=512` (a typo should fail loudly, not silently serialize).
 pub fn configured_workers() -> usize {
-    const MAX_THREADS: usize = 512;
-    match std::env::var("CSCNN_NUM_THREADS") {
-        Ok(raw) => {
-            let parsed = raw
-                .trim()
-                .parse::<usize>()
-                .ok()
-                .filter(|n| (1..=MAX_THREADS).contains(n));
-            assert!(
-                parsed.is_some(),
-                "CSCNN_NUM_THREADS must be an integer in 1..={MAX_THREADS}, got `{raw}`"
-            );
-            parsed.unwrap_or(1)
-        }
-        Err(_) => std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1),
-    }
+    cscnn_tensor::env_num_threads()
 }
 
 /// Fixed-order compensated summation (Neumaier's variant of Kahan).

@@ -46,6 +46,18 @@ pub struct LayerWorkload {
     seed: u64,
 }
 
+/// What one synthesis of a layer depends on besides the layer and the seed:
+/// one variant of [`LayerWorkload::synthesize_each`].
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub(crate) struct WorkloadSpec {
+    /// Density of stored weights.
+    pub weight_density: f64,
+    /// Density of input activations.
+    pub act_density: f64,
+    /// The scheme's centrosymmetric flag (see [`LayerWorkload::synthesize`]).
+    pub centro: bool,
+}
+
 impl LayerWorkload {
     /// Synthesizes a workload.
     ///
@@ -65,58 +77,113 @@ impl LayerWorkload {
         centro: bool,
         seed: u64,
     ) -> Self {
-        assert!(
-            (0.0..=1.0).contains(&weight_density),
-            "weight density in [0,1]"
-        );
-        assert!((0.0..=1.0).contains(&act_density), "act density in [0,1]");
-        let effective_centro = centro && layer.centro_eligible();
-        let rs = layer.r * layer.s;
-        let stored_per_slice = if effective_centro { rs.div_ceil(2) } else { rs };
-        let mut rng = StdRng::seed_from_u64(seed ^ 0x5eed_cafe);
-        let (weight_nnz, fc_nnz, filter_nnz) =
-            if layer.kind == cscnn_models::LayerKind::FullyConnected {
-                let mut fc = vec![0; layer.k];
-                Binomial::new(layer.c, weight_density).fill(&mut rng, &mut fc, |x| x);
-                let per_neuron: Vec<u64> = fc.iter().map(|&x| u64::from(x)).collect();
-                (Vec::new(), fc, per_neuron)
-            } else {
-                let c_local = layer.c / layer.groups;
-                assert!(
-                    stored_per_slice <= usize::from(u16::MAX),
-                    "{}: {stored_per_slice} stored weights per slice exceed the u16 slice counts",
-                    layer.name
-                );
-                let slices = layer.k * c_local;
-                let (w, per_filter) = match Binomial::new(stored_per_slice, weight_density) {
-                    // A certain count: no draws, and every filter sums alike.
-                    Binomial::Const(c) => (
-                        vec![to_slice_nnz(c); slices],
-                        vec![u64::from(c) * to_count(c_local); layer.k],
-                    ),
-                    binomial => {
-                        let mut w = vec![0; slices];
-                        let per_filter = w
-                            .chunks_exact_mut(c_local)
-                            .map(|row| binomial.fill(&mut rng, row, to_slice_nnz))
-                            .collect();
-                        (w, per_filter)
-                    }
-                };
-                (w, Vec::new(), per_filter)
-            };
-        let total_weight_nnz = filter_nnz.iter().sum();
-        LayerWorkload {
-            layer: layer.clone(),
+        let spec = WorkloadSpec {
             weight_density,
             act_density,
-            centro: effective_centro,
-            stored_per_slice,
-            weight_nnz,
-            fc_nnz,
-            filter_nnz,
-            total_weight_nnz,
-            seed,
+            centro,
+        };
+        let mut one = None;
+        Self::synthesize_each(layer, &[spec], seed, |_, workload| one = Some(workload));
+        one.expect("one spec gives one workload")
+    }
+
+    /// Synthesizes `layer` under each of `specs` from one seed and hands
+    /// each workload to `visit` with its spec's index: the workload of
+    /// `specs[i]` equals [`LayerWorkload::synthesize`] of it bit for bit.
+    /// Every spec draws its slice counts from the same seeded stream, so
+    /// two specs of exact trials with equal `n` (`Binomial::pairs_with`)
+    /// share one slot-by-slot pass over it, each draw compared against
+    /// both thresholds: on the 1×1 layers that hold most of a suite's
+    /// draws, Deep Compression and CSCNN+Pruning pair this way. Every other
+    /// spec takes its own pass from a fresh generator, and constant counts
+    /// draw nothing. One plan's workloads are visited, in spec order,
+    /// before the next plan is drawn, so at most two workloads are alive
+    /// at a time.
+    ///
+    /// # Panics
+    ///
+    /// As [`LayerWorkload::synthesize`], for any spec.
+    pub(crate) fn synthesize_each(
+        layer: &LayerDesc,
+        specs: &[WorkloadSpec],
+        seed: u64,
+        mut visit: impl FnMut(usize, Self),
+    ) {
+        let fc = layer.kind == cscnn_models::LayerKind::FullyConnected;
+        let rs = layer.r * layer.s;
+        let c_local = layer.c / layer.groups;
+        let shapes: Vec<(bool, usize, Binomial)> = specs
+            .iter()
+            .map(|spec| {
+                assert!(
+                    (0.0..=1.0).contains(&spec.weight_density),
+                    "weight density in [0,1]"
+                );
+                assert!(
+                    (0.0..=1.0).contains(&spec.act_density),
+                    "act density in [0,1]"
+                );
+                let effective_centro = spec.centro && layer.centro_eligible();
+                let stored_per_slice = if effective_centro { rs.div_ceil(2) } else { rs };
+                let n = if fc {
+                    layer.c
+                } else {
+                    assert!(
+                        stored_per_slice <= usize::from(u16::MAX),
+                        "{}: {stored_per_slice} stored weights per slice exceed the u16 slice counts",
+                        layer.name
+                    );
+                    stored_per_slice
+                };
+                let binomial = Binomial::new(n, spec.weight_density);
+                (effective_centro, stored_per_slice, binomial)
+            })
+            .collect();
+        // Draw plans in spec order: two exact specs with equal `n` share
+        // one pass, and every other spec takes its own.
+        let mut plans: Vec<Vec<usize>> = Vec::new();
+        for (i, (_, _, b)) in shapes.iter().enumerate() {
+            let pairs = |p: &&mut Vec<usize>| p.len() == 1 && shapes[p[0]].2.pairs_with(b);
+            match plans.iter_mut().find(pairs) {
+                Some(plan) => plan.push(i),
+                None => plans.push(vec![i]),
+            }
+        }
+        for plan in plans {
+            let bins: Vec<Binomial> = plan.iter().map(|&i| shapes[i].2).collect();
+            let rng = StdRng::seed_from_u64(seed ^ 0x5eed_cafe);
+            // Per spec: slice counts (per output neuron for FC) and the
+            // per-filter sums.
+            let counts: Vec<(Vec<u16>, Vec<u32>, Vec<u64>)> = if fc {
+                let drawn = draw_rows(&bins, rng, layer.k, 1, |x| x);
+                drawn
+                    .into_iter()
+                    .map(|(fc, sums)| (Vec::new(), fc, sums))
+                    .collect()
+            } else {
+                let drawn = draw_rows(&bins, rng, layer.k, c_local, to_slice_nnz);
+                drawn
+                    .into_iter()
+                    .map(|(w, sums)| (w, Vec::new(), sums))
+                    .collect()
+            };
+            for (&i, (weight_nnz, fc_nnz, filter_nnz)) in plan.iter().zip(counts) {
+                let (centro, stored_per_slice, _) = shapes[i];
+                let spec = &specs[i];
+                let workload = LayerWorkload {
+                    layer: layer.clone(),
+                    weight_density: spec.weight_density,
+                    act_density: spec.act_density,
+                    centro,
+                    stored_per_slice,
+                    weight_nnz,
+                    fc_nnz,
+                    total_weight_nnz: filter_nnz.iter().sum(),
+                    filter_nnz,
+                    seed,
+                };
+                visit(i, workload);
+            }
         }
     }
 
@@ -245,9 +312,7 @@ impl LayerWorkload {
         let h = splitmix(self.seed ^ (to_count(c) << 32) ^ to_count(tile_id).wrapping_mul(0x9e37));
         let mut rng = StdRng::seed_from_u64(h);
         let sigma = 0.5 / (tile_len as f64 / 64.0).max(1.0).sqrt();
-        let u1: f64 = rng.gen_range(f64::EPSILON..1.0);
-        let u2: f64 = rng.gen_range(0.0..1.0);
-        let z = (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos();
+        let z = standard_normal(&mut rng);
         let factor = (1.0 + sigma * z).clamp(0.3, 1.7);
         let density = (self.act_density * factor).clamp(0.0, 1.0);
         Binomial::new(tile_len, density).sample(&mut rng)
@@ -318,6 +383,16 @@ impl Binomial {
         }
     }
 
+    /// Whether `self` and `other` can share each draw of one pass: both
+    /// exact with equal, non-zero `n`, so both take `n` draws per count
+    /// from the same stream and differ in their thresholds only.
+    fn pairs_with(&self, other: &Self) -> bool {
+        match (self, other) {
+            (Self::Exact { n: a, .. }, Self::Exact { n: b, .. }) => a == b && *a > 0,
+            _ => false,
+        }
+    }
+
     /// One count.
     #[inline]
     fn sample<R: Rng>(&self, rng: &mut R) -> u32 {
@@ -375,10 +450,102 @@ fn exact_count<R: Rng>(rng: &mut R, n: usize, threshold: u64) -> u32 {
 
 #[inline]
 fn normal_count<R: Rng>(rng: &mut R, n: f64, np: f64, sigma: f64) -> u32 {
+    let z = standard_normal(rng);
+    nnz_from_f64((np + sigma * z).round().clamp(0.0, n))
+}
+
+/// One Box–Muller standard normal from two uniform draws.
+#[inline]
+fn standard_normal<R: Rng>(rng: &mut R) -> f64 {
     let u1: f64 = rng.gen_range(f64::EPSILON..1.0);
     let u2: f64 = rng.gen_range(0.0..1.0);
-    let z = (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos();
-    nnz_from_f64((np + sigma * z).round().clamp(0.0, n))
+    (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
+}
+
+/// Draws `rows` rows of `row_len` counts for each binomial of one draw
+/// plan from `rng`'s stream, and returns each binomial's counts, passed
+/// through `convert`, with its per-row sums. A plan is a lone binomial,
+/// which fills row by row with `Binomial::fill` (a constant is written
+/// once, without draws), or two that
+/// `Binomial::pairs_with` each other, which share each draw in one fused
+/// loop.
+fn draw_rows<R: Rng, T: Copy>(
+    bins: &[Binomial],
+    mut rng: R,
+    rows: usize,
+    row_len: usize,
+    convert: impl Fn(u32) -> T + Copy,
+) -> Vec<(Vec<T>, Vec<u64>)> {
+    let slots = rows * row_len;
+    match *bins {
+        // A certain count: no draws, and every row sums alike.
+        [Binomial::Const(c)] => {
+            vec![(
+                vec![convert(c); slots],
+                vec![u64::from(c) * to_count(row_len); rows],
+            )]
+        }
+        [bin] => {
+            let mut out = vec![convert(0); slots];
+            let sums = out
+                .chunks_exact_mut(row_len)
+                .map(|row| bin.fill(&mut rng, row, convert))
+                .collect();
+            vec![(out, sums)]
+        }
+        [Binomial::Exact { n, threshold: t0 }, Binomial::Exact { threshold: t1, .. }] => {
+            let (mut out0, mut out1) = (vec![convert(0); slots], vec![convert(0); slots]);
+            let (mut sums0, mut sums1) = (Vec::with_capacity(rows), Vec::with_capacity(rows));
+            let rows0 = out0.chunks_exact_mut(row_len);
+            for (row0, row1) in rows0.zip(out1.chunks_exact_mut(row_len)) {
+                let (sum0, sum1) = count_pair(&mut rng, n, [t0, t1], row0, row1, convert);
+                sums0.push(sum0);
+                sums1.push(sum1);
+            }
+            vec![(out0, sums0), (out1, sums1)]
+        }
+        _ => unreachable!("a draw plan is one binomial or an exact pair"),
+    }
+}
+
+/// One row of exact counts for two thresholds, `n` trials a slot, each
+/// draw compared against both; returns the two row sums. The generator
+/// and the rows are separate `&mut` arguments, so the compiler knows they
+/// do not alias and keeps the generator's state in registers.
+fn count_pair<R: Rng, T>(
+    rng: &mut R,
+    n: usize,
+    [t0, t1]: [u64; 2],
+    row0: &mut [T],
+    row1: &mut [T],
+    convert: impl Fn(u32) -> T,
+) -> (u64, u64) {
+    let (mut sum0, mut sum1) = (0, 0);
+    let mut put = |slot0: &mut T, slot1: &mut T, (c0, c1): (u32, u32)| {
+        sum0 += u64::from(c0);
+        sum1 += u64::from(c1);
+        *slot0 = convert(c0);
+        *slot1 = convert(c1);
+    };
+    let slots = row0.iter_mut().zip(row1);
+    if n == 1 {
+        // The single trial of a 1×1 conv, most of all draws: no inner loop.
+        for (slot0, slot1) in slots {
+            let x = rng.next_u64() >> 11;
+            put(slot0, slot1, (u32::from(x < t0), u32::from(x < t1)));
+        }
+    } else {
+        for (slot0, slot1) in slots {
+            let (mut c0, mut c1) = (0, 0);
+            for _ in 0..n {
+                let x = rng.next_u64() >> 11;
+                c0 += u32::from(x < t0);
+                c1 += u32::from(x < t1);
+            }
+            put(slot0, slot1, (c0, c1));
+        }
+    }
+    (sum0, sum1)
 }
 
 /// SplitMix64 hash step for deterministic derived seeds.
@@ -765,6 +932,114 @@ mod tests {
             assert_eq!(path_name(&Binomial::new(n, density)), path, "{name}");
             let got = counts_hash(&w);
             assert_eq!(got, want, "{name}: counts hash {got:#018x}");
+        }
+    }
+
+    /// A seeded random layer for the joint-synthesis property: dense,
+    /// grouped and depthwise convs (1×1, 3×3, 5×5 and 11×11 kernels at
+    /// stride 1 or 2) and FC layers from 1 to 1200 inputs.
+    fn random_layer(rng: &mut StdRng) -> LayerDesc {
+        if rng.gen_bool(0.25) {
+            let inputs = [1, 5, 40, 200, 1200][rng.gen_range(0usize..5)];
+            return LayerDesc::fc("fc", inputs, rng.gen_range(1usize..=24));
+        }
+        let kernel = [1, 1, 3, 5, 11][rng.gen_range(0usize..5)];
+        let stride = 1 + usize::from(rng.gen_bool(0.3));
+        let groups = [1, 1, 2, 3][rng.gen_range(0usize..4)];
+        let (c, k) = if rng.gen_bool(0.2) {
+            let c = groups * rng.gen_range(2usize..=8);
+            (c, c)
+        } else {
+            let c = groups * rng.gen_range(1usize..=8);
+            (c, groups * rng.gen_range(1usize..=8))
+        };
+        let hw = kernel + rng.gen_range(0usize..8);
+        let groups = if c == k && rng.gen_bool(0.5) {
+            c
+        } else {
+            groups
+        };
+        LayerDesc::grouped("conv", c, k, kernel, kernel, hw, hw, stride, 0, groups)
+    }
+
+    #[test]
+    fn joint_synthesis_matches_solo_synthesis() {
+        // Densities that reach every path: constants (0 and 1), exact
+        // trials on either tail and in the middle, and normal draws on wide
+        // kernels and FC layers; repeats make exact specs pair up.
+        const DENSITIES: [f64; 8] = [0.0, 1.0, 0.02, 0.3, 0.35, 0.5, 0.9, 0.97];
+        let mut rng = StdRng::seed_from_u64(0x10_1775);
+        let mut seen = std::collections::HashSet::new();
+        for case in 0..400 {
+            let layer = random_layer(&mut rng);
+            let specs: Vec<WorkloadSpec> = (0..rng.gen_range(1usize..=4))
+                .map(|_| WorkloadSpec {
+                    weight_density: if rng.gen_bool(0.8) {
+                        DENSITIES[rng.gen_range(0usize..DENSITIES.len())]
+                    } else {
+                        rng.gen_range(0.0..=1.0)
+                    },
+                    act_density: rng.gen_range(0.0..=1.0),
+                    centro: rng.gen_bool(0.5),
+                })
+                .collect();
+            let seed = rng.gen_range(0u64..1 << 40);
+            let mut visits = vec![0; specs.len()];
+            LayerWorkload::synthesize_each(&layer, &specs, seed, |i, joint| {
+                visits[i] += 1;
+                let spec = specs[i];
+                let (w, a) = (spec.weight_density, spec.act_density);
+                let solo = LayerWorkload::synthesize(&layer, w, a, spec.centro, seed);
+                let at = format!("case {case}: spec {i} of {specs:?} on {layer:?}");
+                assert_eq!(joint.layer, solo.layer, "{at}");
+                assert_eq!(joint.weight_density.to_bits(), w.to_bits(), "{at}");
+                assert_eq!(joint.act_density.to_bits(), a.to_bits(), "{at}");
+                assert_eq!(joint.centro, solo.centro, "{at}");
+                assert_eq!(joint.stored_per_slice, solo.stored_per_slice, "{at}");
+                assert_eq!(joint.weight_nnz, solo.weight_nnz, "{at}");
+                assert_eq!(joint.fc_nnz, solo.fc_nnz, "{at}");
+                assert_eq!(joint.filter_nnz, solo.filter_nnz, "{at}");
+                assert_eq!(joint.total_weight_nnz, solo.total_weight_nnz, "{at}");
+                assert_eq!(joint.seed, solo.seed, "{at}");
+                let fc = layer.kind == cscnn_models::LayerKind::FullyConnected;
+                let binomial = |s: &WorkloadSpec| {
+                    let rs = layer.r * layer.s;
+                    let n = match (fc, s.centro && layer.centro_eligible()) {
+                        (true, _) => layer.c,
+                        (false, true) => rs.div_ceil(2),
+                        (false, false) => rs,
+                    };
+                    (n, Binomial::new(n, s.weight_density))
+                };
+                let (n, own) = binomial(&spec);
+                assert_eq!(n, if fc { layer.c } else { solo.stored_per_slice });
+                let path = path_name(&own);
+                let alike = specs
+                    .iter()
+                    .filter(|s| {
+                        let (m, other) = binomial(s);
+                        m == n && path_name(&other) == path
+                    })
+                    .count();
+                seen.insert((path, n == 1, alike.min(3)));
+            });
+            assert_eq!(visits, vec![1; specs.len()], "case {case}: each spec once");
+        }
+        // Every drawing path ran alone and beside specs of its own path and
+        // `n`: exact pairs share their draws, a third exact spec and every
+        // normal one take their own pass; single trials included.
+        for want in [
+            ("const", false, 1),
+            ("exact", false, 1),
+            ("exact", false, 2),
+            ("exact", false, 3),
+            ("exact", true, 1),
+            ("exact", true, 2),
+            ("exact", true, 3),
+            ("normal", false, 1),
+            ("normal", false, 2),
+        ] {
+            assert!(seen.contains(&want), "{want:?} not covered: {seen:?}");
         }
     }
 }

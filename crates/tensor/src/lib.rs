@@ -58,4 +58,7 @@ pub use matmul::{matmul, matmul_at, matmul_bt};
 pub use pool::{max_pool2d, max_pool2d_backward, PoolSpec};
 pub use shape::Shape;
 pub use tensor::Tensor;
-pub use threads::{num_threads, reset_num_threads, run_jobs, set_num_threads, MAX_THREADS};
+pub use threads::{
+    env_num_threads, num_threads, parse_num_threads, reset_num_threads, run_jobs, run_jobs_within,
+    set_num_threads, MAX_THREADS,
+};

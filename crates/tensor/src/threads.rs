@@ -2,8 +2,9 @@
 //!
 //! Every kernel of this crate runs on its calling thread. The budget goes
 //! to whole jobs instead: [`run_jobs`] runs independent jobs, such as the
-//! trainings of a paper harness, on up to [`num_threads`] threads. It is
-//! the only code in the crate that starts threads. Each job's result
+//! trainings of a paper harness, on up to [`num_threads`] threads. Its
+//! claim loop, [`run_jobs_within`], is the only code in the crate that
+//! starts threads, and `cscnn-sim`'s simulation pool runs on it too. Each job's result
 //! depends only on the job, so the budget affects wall-clock time only —
 //! results are **bit-identical** at any setting (see `docs/kernels.md`).
 //!
@@ -15,9 +16,10 @@
 //!    message rather than being silently ignored),
 //! 3. [`std::thread::available_parallelism`] (falling back to 1).
 //!
-//! `cscnn-sim`'s simulation worker pool (`BatchRunner`, `Runner::run_suite`)
-//! reads the same environment variable, so `CSCNN_NUM_THREADS` sizes both
-//! halves of the system. [`set_num_threads`] sizes the job runner only: it
+//! Steps 2 and 3 are [`env_num_threads`], which `cscnn-sim`'s simulation
+//! worker pool (`BatchRunner`, `Runner::run_suite`) calls too, so
+//! `CSCNN_NUM_THREADS` sizes both halves of the system through one parser,
+//! [`parse_num_threads`]. [`set_num_threads`] sizes the job runner only: it
 //! never reaches the simulation pool.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -66,31 +68,48 @@ pub fn reset_num_threads() {
 /// anything other than an integer in `1..=MAX_THREADS`.
 pub fn num_threads() -> usize {
     match OVERRIDE.load(Ordering::SeqCst) {
-        0 => *DEFAULT.get_or_init(env_or_available),
+        0 => *DEFAULT.get_or_init(env_num_threads),
         n => n,
     }
 }
 
-/// Resolves the default: validated `CSCNN_NUM_THREADS`, else the machine's
-/// available parallelism.
-fn env_or_available() -> usize {
+/// The thread count the environment asks for: the validated
+/// `CSCNN_NUM_THREADS` when set, else the machine's available parallelism,
+/// else 1. Both halves of the system read it: [`num_threads`] (once) and
+/// `cscnn-sim`'s simulation pool (`cscnn_sim::util::configured_workers`).
+///
+/// # Panics
+///
+/// Panics with [`parse_num_threads`]'s message if `CSCNN_NUM_THREADS` is
+/// set but invalid.
+pub fn env_num_threads() -> usize {
     match std::env::var("CSCNN_NUM_THREADS") {
         Ok(raw) => {
-            let parsed = raw
-                .trim()
-                .parse::<usize>()
-                .ok()
-                .filter(|n| (1..=MAX_THREADS).contains(n));
-            assert!(
-                parsed.is_some(),
-                "CSCNN_NUM_THREADS must be an integer in 1..={MAX_THREADS}, got `{raw}`"
-            );
+            let parsed = parse_num_threads(&raw);
+            let message = parsed.as_ref().err();
+            assert!(message.is_none(), "{}", message.map_or("", String::as_str));
             parsed.unwrap_or(1)
         }
         Err(_) => std::thread::available_parallelism()
             .map(std::num::NonZeroUsize::get)
             .unwrap_or(1),
     }
+}
+
+/// Parses a `CSCNN_NUM_THREADS` value: an integer in `1..=MAX_THREADS`,
+/// surrounding whitespace allowed.
+///
+/// # Errors
+///
+/// The message naming the accepted range and the rejected value.
+pub fn parse_num_threads(raw: &str) -> Result<usize, String> {
+    raw.trim()
+        .parse::<usize>()
+        .ok()
+        .filter(|n| (1..=MAX_THREADS).contains(n))
+        .ok_or_else(|| {
+            format!("CSCNN_NUM_THREADS must be an integer in 1..={MAX_THREADS}, got `{raw}`")
+        })
 }
 
 /// Runs `job(0)`, …, `job(jobs − 1)` on up to [`num_threads`] threads and
@@ -110,8 +129,10 @@ where
     run_jobs_within(num_threads(), jobs, job)
 }
 
-/// [`run_jobs`] on at most `budget` threads (at least one).
-fn run_jobs_within<T, F>(budget: usize, jobs: usize, job: F) -> Vec<T>
+/// [`run_jobs`] on at most `budget` threads (at least one), whatever
+/// [`num_threads`] says: the claim loop behind [`run_jobs`] and behind
+/// `cscnn-sim`'s simulation pool, which sizes itself.
+pub fn run_jobs_within<T, F>(budget: usize, jobs: usize, job: F) -> Vec<T>
 where
     T: Send,
     F: Fn(usize) -> T + Sync,
@@ -170,6 +191,22 @@ mod tests {
     #[should_panic(expected = "thread count must be in")]
     fn rejects_flood_threads() {
         set_num_threads(MAX_THREADS + 1);
+    }
+
+    #[test]
+    fn thread_counts_parse_in_range_and_name_the_bad_value() {
+        for (raw, want) in [("1", 1), ("3", 3), (" 4\n", 4), ("512", 512)] {
+            assert_eq!(parse_num_threads(raw), Ok(want), "{raw:?}");
+        }
+        for raw in ["0", "513", "10000", "-1", "2.5", "", " ", "four", "0x4"] {
+            assert_eq!(
+                parse_num_threads(raw),
+                Err(format!(
+                    "CSCNN_NUM_THREADS must be an integer in 1..=512, got `{raw}`"
+                )),
+                "{raw:?}"
+            );
+        }
     }
 
     #[test]
