@@ -96,6 +96,16 @@ for threads in 1 4; do
     CSCNN_NUM_THREADS="$threads" cargo test -q -p cscnn-sim
     CSCNN_NUM_THREADS="$threads" cargo test -q -p cscnn --test integration_batch
 done
+# The pool's claim order depends on the worker count; the printed figures
+# must not. fig11 runs every tiling strategy on both Cartesian machines.
+for threads in 1 3; do
+    for fig in fig7 fig11; do
+        echo "-- CSCNN_NUM_THREADS=$threads $fig"
+        CSCNN_NUM_THREADS="$threads" cargo run -q --release -p cscnn-bench --bin "$fig" \
+            > "target/snapshot_${fig}_$threads.txt"
+        diff -u "crates/bench/snapshots/$fig.txt" "target/snapshot_${fig}_$threads.txt"
+    done
+done
 
 echo "== kernels bench smoke run (schema and baseline merge check)"
 cargo run -q --release -p cscnn-bench --bin kernels -- --smoke

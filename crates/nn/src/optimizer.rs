@@ -25,15 +25,6 @@ pub struct LrSchedule {
 }
 
 impl LrSchedule {
-    /// Constant learning rate.
-    pub fn constant(lr: f32) -> Self {
-        LrSchedule {
-            initial: lr,
-            decay_factor: 1.0,
-            decay_every: usize::MAX,
-        }
-    }
-
     /// Decays the rate by `factor` every `every` epochs.
     ///
     /// # Panics
@@ -173,7 +164,5 @@ mod tests {
         let s = LrSchedule::step(0.01, 5.0, 5);
         assert!((s.lr_at(4) - 0.01).abs() < 1e-9);
         assert!((s.lr_at(29) - 0.01 / 5.0_f32.powi(5)).abs() < 1e-12);
-        let c = LrSchedule::constant(0.1);
-        assert_eq!(c.lr_at(0), c.lr_at(1000));
     }
 }

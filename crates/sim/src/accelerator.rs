@@ -33,7 +33,6 @@ pub struct CartesianAccelerator {
     tiling: TilingStrategy,
     dual: bool,
     balanced: bool,
-    mapper: bool,
     config: ArchConfig,
 }
 
@@ -47,7 +46,6 @@ impl CartesianAccelerator {
             tiling: TilingStrategy::Mixed,
             dual: true,
             balanced: true,
-            mapper: false,
             config: ArchConfig::paper(),
         }
     }
@@ -62,7 +60,6 @@ impl CartesianAccelerator {
             tiling: TilingStrategy::Planar,
             dual: false,
             balanced: true,
-            mapper: false,
             config: ArchConfig::paper_scnn(),
         }
     }
@@ -88,15 +85,6 @@ impl CartesianAccelerator {
     /// Overrides the architecture configuration (design-space sweeps).
     pub fn with_config(mut self, config: ArchConfig) -> Self {
         self.config = config;
-        self
-    }
-
-    /// Enables the per-layer mapping search: every conv layer is planned
-    /// under all three tiling strategies and the fastest plan wins — an
-    /// explicit version of the paper's omitted "tiling factor setting
-    /// mechanism" (§III-C).
-    pub fn with_mapper(mut self, mapper: bool) -> Self {
-        self.mapper = mapper;
         self
     }
 
@@ -136,11 +124,8 @@ impl CartesianAccelerator {
     /// often share a `k_set` (every PE under planar tiling, every PE of a
     /// sub-array under mixed tiling's planar inner split), so the vector
     /// is rebuilt only when the `k_set` changes: a layer costs
-    /// O(K·C/groups + C·PEs), not O(PEs·K·C). Adjacent assignments also
-    /// often share an activation tile (every PE under output-channel
-    /// tiling, every PE of a sub-array under mixed tiling's channel
-    /// split), so each channel's tile count is queried once per tile, on
-    /// first use, and reused until the tile changes.
+    /// O(K·C/groups + C·PEs), not O(PEs·K·C). Each assignment queries its
+    /// tile's activation count for every channel with weights.
     fn run_conv_plan(
         &self,
         pe: &CartesianPe,
@@ -151,8 +136,6 @@ impl CartesianAccelerator {
         let k_per_group = wl.layer.k / wl.layer.groups;
         let mut weights = vec![0u64; wl.layer.c];
         let mut weights_of: Option<&[usize]> = None;
-        let mut acts: Vec<Option<u64>> = vec![None; wl.layer.c];
-        let mut acts_of: Option<(usize, usize)> = None;
         let mut results = Vec::with_capacity(plan.len());
         for assign in plan {
             if weights_of != Some(assign.k_set.as_slice()) {
@@ -165,14 +148,7 @@ impl CartesianAccelerator {
                 }
                 weights_of = Some(&assign.k_set);
             }
-            let tile = (assign.tile_id, assign.tile_pixels);
-            if acts_of != Some(tile) {
-                acts.fill(None);
-                acts_of = Some(tile);
-            }
-            let act = |c: usize| {
-                *acts[c].get_or_insert_with(|| u64::from(wl.act_tile_nnz(c, tile.0, tile.1)))
-            };
+            let act = |c| u64::from(wl.act_tile_nnz(c, assign.tile_id, assign.tile_pixels));
             results.push(run_assignment(pe, wl, assign, &weights, act));
         }
         results
@@ -188,7 +164,7 @@ fn run_assignment(
     wl: &LayerWorkload,
     assign: &tiling::PeAssignment,
     weights: &[u64],
-    mut act: impl FnMut(usize) -> u64,
+    act: impl Fn(usize) -> u64,
 ) -> PeResult {
     let layer = &wl.layer;
     // Strided convolutions break the Cartesian product's premise that
@@ -274,26 +250,6 @@ impl Accelerator for CartesianAccelerator {
                 let w: u64 = g.iter().map(|&k| nnz[k]).sum();
                 results.push(pe.run_fc(w, wl.act_density, to_count(g.len())));
             }
-        } else if self.mapper {
-            // Mapping search: evaluate all strategies, keep the fastest.
-            let mut best: Option<Vec<PeResult>> = None;
-            for strategy in [
-                TilingStrategy::Planar,
-                TilingStrategy::OutputChannel,
-                TilingStrategy::Mixed,
-            ] {
-                let plan = tiling::plan(cfg, wl, strategy, self.balanced);
-                let candidate = self.run_conv_plan(&pe, wl, &plan);
-                let cycles = candidate.iter().map(|r| r.cycles).max().unwrap_or(0);
-                let best_cycles = best
-                    .as_ref()
-                    .map(|b| b.iter().map(|r| r.cycles).max().unwrap_or(0))
-                    .unwrap_or(u64::MAX);
-                if cycles < best_cycles {
-                    best = Some(candidate);
-                }
-            }
-            results = best.unwrap_or_default();
         } else {
             let plan = tiling::plan(cfg, wl, self.tiling, self.balanced);
             results = self.run_conv_plan(&pe, wl, &plan);
@@ -405,39 +361,6 @@ mod tests {
     }
 
     #[test]
-    fn mapper_never_loses_to_any_fixed_strategy() {
-        let dram = DramConfig::default();
-        let energy = EnergyTable::default();
-        for layer in [
-            LayerDesc::conv("small", 8, 6, 5, 5, 14, 14, 1, 2),
-            LayerDesc::conv("deep", 64, 64, 3, 3, 7, 7, 1, 1),
-            LayerDesc::conv("wide", 16, 128, 3, 3, 28, 28, 1, 1),
-        ] {
-            let wl = LayerWorkload::synthesize(&layer, 0.5, 0.5, true, 11);
-            let mapped_acc = CartesianAccelerator::cscnn().with_mapper(true);
-            let cfg = mapped_acc.config();
-            let mapped = mapped_acc
-                .simulate_layer(&context(&cfg, &dram, &energy, &wl))
-                .compute_cycles;
-            for strategy in [
-                TilingStrategy::Planar,
-                TilingStrategy::OutputChannel,
-                TilingStrategy::Mixed,
-            ] {
-                let fixed = CartesianAccelerator::cscnn()
-                    .with_tiling(strategy)
-                    .simulate_layer(&context(&cfg, &dram, &energy, &wl))
-                    .compute_cycles;
-                assert!(
-                    mapped <= fixed,
-                    "{}: mapper {mapped} vs {strategy:?} {fixed}",
-                    layer.name
-                );
-            }
-        }
-    }
-
-    #[test]
     fn mults_match_structural_expectation() {
         // Dense weights, dense acts, unit stride: products on SCNN must be
         // close to dense MACs (padding halos aside).
@@ -459,8 +382,7 @@ mod tests {
     /// The per-channel scan `run_conv_plan` replaced: for every input
     /// channel, filter the whole `k_set` down to the channel's conv group —
     /// O(C·|k_set|) per assignment. Kept as the oracle for the bucketed
-    /// sums; `reference_plan` also queries every activation tile afresh,
-    /// the oracle for the per-tile reuse.
+    /// sums.
     fn reference_channels(wl: &LayerWorkload, assign: &tiling::PeAssignment) -> Vec<u64> {
         let c_per_group = wl.c_per_group();
         let k_per_group = wl.layer.k / wl.layer.groups;
@@ -478,6 +400,9 @@ mod tests {
             .collect()
     }
 
+    /// The oracle `run_conv_plan` must match bit for bit: every
+    /// assignment of `plan` run on `reference_channels`' sums, with each
+    /// channel's activation count queried from `act_tile_nnz`.
     fn reference_plan(
         pe: &CartesianPe,
         wl: &LayerWorkload,
@@ -533,8 +458,6 @@ mod tests {
             TilingStrategy::OutputChannel,
             TilingStrategy::Mixed,
         ];
-        let dram = DramConfig::default();
-        let energy = EnergyTable::default();
         let mut rng = StdRng::seed_from_u64(0xc5c0);
         for case in 0..36 {
             let layer = random_layer(&mut rng, case);
@@ -547,34 +470,14 @@ mod tests {
                 let pe = base.pe(&cfg, &wl);
                 let at = format!("case {case}: {} {layer:?}", base.name());
                 for balanced in [false, true] {
-                    let acc = base.clone().with_balancing(balanced);
-                    let mut best: Option<Vec<PeResult>> = None;
                     for strategy in STRATEGIES {
                         let plan = tiling::plan(&cfg, &wl, strategy, balanced);
-                        let expected = reference_plan(&pe, &wl, &plan);
                         assert_eq!(
-                            acc.run_conv_plan(&pe, &wl, &plan),
-                            expected,
+                            base.run_conv_plan(&pe, &wl, &plan),
+                            reference_plan(&pe, &wl, &plan),
                             "{at}: {strategy:?}, balanced {balanced}"
                         );
-                        let cycles = |r: &[PeResult]| r.iter().map(|r| r.cycles).max();
-                        if best.as_ref().is_none_or(|b| cycles(&expected) < cycles(b)) {
-                            best = Some(expected);
-                        }
                     }
-                    // The mapper keeps the first fastest plan.
-                    let best = best.unwrap_or_default();
-                    let stats = acc
-                        .with_mapper(true)
-                        .simulate_layer(&context(&cfg, &dram, &energy, &wl));
-                    let mut counters = crate::energy::EnergyCounters::default();
-                    for r in &best {
-                        counters.merge(&r.counters);
-                    }
-                    counters.dram_bits = stats.counters.dram_bits;
-                    let cycles = best.iter().map(|r| r.cycles).max().unwrap_or(0);
-                    assert_eq!(stats.compute_cycles, cycles, "{at}: mapper");
-                    assert_eq!(stats.counters, counters, "{at}: mapper");
                 }
             }
         }

@@ -20,7 +20,7 @@ use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 
-use cscnn_ir::{ModelIr, SparsityAnnotation};
+use cscnn_ir::ModelIr;
 use cscnn_tensor::run_jobs_within;
 
 use crate::error::SimError;
@@ -427,46 +427,6 @@ impl BatchRunner {
             runs,
         })
     }
-
-    /// Simulates one shared IR under many per-request annotation vectors —
-    /// the "same network, different measured sparsity per request" shape of
-    /// serving traffic. Each vector must carry exactly one annotation per
-    /// weight-bearing node, in order; requests with identical vectors share
-    /// one workload synthesis.
-    ///
-    /// # Errors
-    ///
-    /// [`SimError::AnnotationCount`] naming the first request whose vector
-    /// length disagrees with the IR's weight-node count, plus everything
-    /// [`BatchRunner::run_batch`] can return.
-    pub fn run_batch_annotated(
-        &self,
-        acc: &dyn Accelerator,
-        ir: &ModelIr,
-        annotations: &[Vec<SparsityAnnotation>],
-    ) -> Result<BatchStats, SimError> {
-        let expected = ir.num_weight_nodes();
-        let requests = annotations
-            .iter()
-            .enumerate()
-            .map(|(request, anns)| {
-                if anns.len() != expected {
-                    return Err(SimError::AnnotationCount {
-                        model: ir.name.clone(),
-                        request,
-                        expected,
-                        got: anns.len(),
-                    });
-                }
-                let mut annotated = ir.clone();
-                for (node, ann) in annotated.weight_nodes_mut().zip(anns) {
-                    node.set_sparsity(*ann);
-                }
-                Ok(annotated)
-            })
-            .collect::<Result<Vec<_>, _>>()?;
-        self.run_batch(acc, &requests)
-    }
 }
 
 #[cfg(test)]
@@ -552,37 +512,6 @@ mod tests {
             .run_batch(&acc, &[good, bare])
             .expect_err("second request unannotated");
         assert!(matches!(err, SimError::MissingSparsity { .. }));
-    }
-
-    #[test]
-    fn annotation_vectors_expand_and_validate() {
-        let acc = CartesianAccelerator::cscnn();
-        let ir = annotated_ir(&catalog::lenet5(), &acc);
-        let n = ir.num_weight_nodes();
-        let anns: Vec<SparsityAnnotation> = (0..n)
-            .map(|i| SparsityAnnotation {
-                weight_density: 0.3 + 0.05 * i as f64,
-                activation_density: 0.9,
-            })
-            .collect();
-        let batch = BatchRunner::new(Runner::new(5)).with_workers(2);
-        let stats = batch
-            .run_batch_annotated(&acc, &ir, &[anns.clone(), anns.clone()])
-            .expect("matching annotation vectors");
-        assert_eq!(stats.requests(), 2);
-        assert_eq!(stats.cache_misses, 1, "identical vectors share synthesis");
-        let err = batch
-            .run_batch_annotated(&acc, &ir, &[anns[..n - 1].to_vec()])
-            .expect_err("short vector");
-        assert_eq!(
-            err,
-            SimError::AnnotationCount {
-                model: "LeNet-5".into(),
-                request: 0,
-                expected: n,
-                got: n - 1,
-            }
-        );
     }
 
     #[test]

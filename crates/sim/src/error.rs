@@ -75,19 +75,6 @@ pub enum SimError {
         /// The underlying diagnosis, naming the offending node or edge.
         error: cscnn_ir::TopologyError,
     },
-    /// A batched request's annotation vector disagrees with the shared
-    /// IR's weight-node count
-    /// ([`BatchRunner::run_batch_annotated`](crate::BatchRunner::run_batch_annotated)).
-    AnnotationCount {
-        /// The shared IR's model name.
-        model: String,
-        /// The offending request's index in the batch.
-        request: usize,
-        /// Weight-bearing nodes in the IR.
-        expected: usize,
-        /// Annotations the request supplied.
-        got: usize,
-    },
 }
 
 impl fmt::Display for SimError {
@@ -133,18 +120,6 @@ impl fmt::Display for SimError {
             }
             SimError::BadTopology { model, error } => {
                 write!(f, "model `{model}` has an invalid graph topology: {error}")
-            }
-            SimError::AnnotationCount {
-                model,
-                request,
-                expected,
-                got,
-            } => {
-                write!(
-                    f,
-                    "batch request {request} for model `{model}` carries {got} \
-                     annotations but the IR has {expected} weight-bearing nodes"
-                )
             }
         }
     }

@@ -13,12 +13,10 @@
 //! the detailed model is what gives the calibrated constants their
 //! grounding.
 
-use cscnn_sparse::SparseSlice;
-
 use crate::crossbar::bank_hash;
 use crate::energy::EnergyCounters;
 use crate::error::SimError;
-use crate::util::{to_coord, to_count, to_lane};
+use crate::util::to_count;
 
 /// FIFO depth per accumulator bank (matches [`crate::crossbar`]).
 const FIFO_DEPTH: usize = 6;
@@ -247,62 +245,64 @@ fn fiber_err(what: &'static str, got: usize, limit: usize) -> SimError {
     SimError::FiberOutOfRange { what, got, limit }
 }
 
-/// Builds [`ChannelFibers`] from per-channel sparse slices: one weight
-/// slice per `(k)` filter for this channel and the channel's activation
-/// tile.
-pub fn fibers_from_slices(weight_slices: &[SparseSlice], act_tile: &SparseSlice) -> ChannelFibers {
-    let mut weights = Vec::new();
-    for (k, slice) in weight_slices.iter().enumerate() {
-        for (r, s, v) in slice.iter() {
-            weights.push(WeightEntry {
-                k: to_lane(k),
-                r: to_coord(r),
-                s: to_coord(s),
-                value: v,
-            });
-        }
-    }
-    let acts = act_tile
-        .iter()
-        .map(|(x, y, v)| (to_lane(x), to_lane(y), v))
-        .collect();
-    ChannelFibers { weights, acts }
-}
-
-/// Reference full-mode convolution of one channel into halo-extended
-/// partial-sum planes — the functional ground truth the detailed PE must
-/// reproduce.
-pub fn reference_partial_sums(geo: &PeGeometry, channels: &[ChannelFibers]) -> Vec<Vec<f32>> {
-    let acc_len = geo.acc_h() * geo.acc_w();
-    let mut out = vec![vec![0.0f32; acc_len]; geo.k_count];
-    for fibers in channels {
-        for w in &fibers.weights {
-            let (r, s) = (usize::from(w.r), usize::from(w.s));
-            for &(x, y, a) in &fibers.acts {
-                let (xi, yi) = (usize::from(x), usize::from(y));
-                let ox = xi + geo.kernel_h - 1 - r;
-                let oy = yi + geo.kernel_w - 1 - s;
-                out[usize::from(w.k)][ox * geo.acc_w() + oy] += w.value * a;
-                if geo.dual {
-                    // The dual weight has the same value; its contribution
-                    // lands at the mirrored offset (Eq. 3) — unless this is
-                    // the self-dual center.
-                    let self_dual = r * 2 == geo.kernel_h - 1 && s * 2 == geo.kernel_w - 1;
-                    if !self_dual {
-                        out[usize::from(w.k)][(xi + r) * geo.acc_w() + (yi + s)] += w.value * a;
-                    }
-                }
-            }
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::pe::CartesianPe;
+    use crate::util::{to_coord, to_lane};
     use cscnn_sparse::sample;
+    use cscnn_sparse::SparseSlice;
+
+    /// Builds [`ChannelFibers`] from per-channel sparse slices: one weight
+    /// slice per `(k)` filter for this channel and the channel's activation
+    /// tile.
+    fn fibers_from_slices(weight_slices: &[SparseSlice], act_tile: &SparseSlice) -> ChannelFibers {
+        let mut weights = Vec::new();
+        for (k, slice) in weight_slices.iter().enumerate() {
+            for (r, s, v) in slice.iter() {
+                weights.push(WeightEntry {
+                    k: to_lane(k),
+                    r: to_coord(r),
+                    s: to_coord(s),
+                    value: v,
+                });
+            }
+        }
+        let acts = act_tile
+            .iter()
+            .map(|(x, y, v)| (to_lane(x), to_lane(y), v))
+            .collect();
+        ChannelFibers { weights, acts }
+    }
+
+    /// Reference full-mode convolution of one channel into halo-extended
+    /// partial-sum planes — the functional ground truth the detailed PE must
+    /// reproduce.
+    fn reference_partial_sums(geo: &PeGeometry, channels: &[ChannelFibers]) -> Vec<Vec<f32>> {
+        let acc_len = geo.acc_h() * geo.acc_w();
+        let mut out = vec![vec![0.0f32; acc_len]; geo.k_count];
+        for fibers in channels {
+            for w in &fibers.weights {
+                let (r, s) = (usize::from(w.r), usize::from(w.s));
+                for &(x, y, a) in &fibers.acts {
+                    let (xi, yi) = (usize::from(x), usize::from(y));
+                    let ox = xi + geo.kernel_h - 1 - r;
+                    let oy = yi + geo.kernel_w - 1 - s;
+                    out[usize::from(w.k)][ox * geo.acc_w() + oy] += w.value * a;
+                    if geo.dual {
+                        // The dual weight has the same value; its contribution
+                        // lands at the mirrored offset (Eq. 3) — unless this is
+                        // the self-dual center.
+                        let self_dual = r * 2 == geo.kernel_h - 1 && s * 2 == geo.kernel_w - 1;
+                        if !self_dual {
+                            out[usize::from(w.k)][(xi + r) * geo.acc_w() + (yi + s)] += w.value * a;
+                        }
+                    }
+                }
+            }
+        }
+        out
+    }
 
     fn geometry(dual: bool) -> PeGeometry {
         PeGeometry {

@@ -13,16 +13,10 @@
 //! casts (it is the allowlisted implementation of the rule).
 #![allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
 
-/// Converts an integer quantity into a `u64` cycle count.
+/// Converts an integer quantity into a `u64` byte count.
 ///
 /// Debug builds panic on out-of-range values; release builds saturate to
-/// `u64::MAX`, which keeps latency accounting monotone instead of wrapping.
-#[inline]
-pub fn to_cycles<T: TryInto<u64>>(x: T) -> u64 {
-    narrow_u64(x, "cycle count")
-}
-
-/// Converts an integer quantity into a `u64` byte count.
+/// `u64::MAX`, which keeps the accounting monotone instead of wrapping.
 #[inline]
 pub fn to_bytes<T: TryInto<u64>>(x: T) -> u64 {
     narrow_u64(x, "byte count")
@@ -114,12 +108,6 @@ fn narrow_u64<T: TryInto<u64>>(x: T, what: &str) -> u64 {
 #[inline]
 pub fn cycles_from_f64(x: f64) -> u64 {
     u64_from_f64(x, "cycle count")
-}
-
-/// Converts an already-rounded `f64` into a `u64` byte count.
-#[inline]
-pub fn bytes_from_f64(x: f64) -> u64 {
-    u64_from_f64(x, "byte count")
 }
 
 /// Converts an already-rounded `f64` into a `u64` event/work count.
@@ -216,7 +204,6 @@ mod tests {
 
     #[test]
     fn integer_narrowing_is_exact_in_range() {
-        assert_eq!(to_cycles(42usize), 42);
         assert_eq!(to_bytes(7u32), 7);
         assert_eq!(to_count(0usize), 0);
         assert_eq!(to_index(9u64), 9);
@@ -236,7 +223,6 @@ mod tests {
     fn float_conversions_are_exact_for_counts() {
         assert_eq!(cycles_from_f64(1234.0), 1234);
         assert_eq!(count_from_f64(0.0), 0);
-        assert_eq!(bytes_from_f64(8.0), 8);
         assert_eq!(nnz_from_f64(17.0), 17);
         // Truncation (callers round first; a stray fraction must not
         // change the integer part).

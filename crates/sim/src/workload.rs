@@ -32,11 +32,9 @@ pub struct LayerWorkload {
     /// Non-zero stored weights per `(k, c_local)` slice, row-major
     /// `k * c_per_group + c_local`. A slice holds at most
     /// `stored_per_slice ≤ R·S` weights, so `u16` suffices and halves the
-    /// workload. Empty for FC layers (see
-    /// [`LayerWorkload::fc_weight_nnz`]).
+    /// workload. Empty for FC layers, whose one row per output neuron is
+    /// [`LayerWorkload::filter_nnz`].
     weight_nnz: Vec<u16>,
-    /// For FC layers: non-zero weights per output neuron `k`.
-    fc_nnz: Vec<u32>,
     /// Non-zero stored weights per filter `k` (its `c_per_group` slices
     /// summed; per output neuron for FC), filled during synthesis so
     /// planning and traffic never rescan the slice counts.
@@ -152,22 +150,18 @@ impl LayerWorkload {
         for plan in plans {
             let bins: Vec<Binomial> = plan.iter().map(|&i| shapes[i].2).collect();
             let rng = StdRng::seed_from_u64(seed ^ 0x5eed_cafe);
-            // Per spec: slice counts (per output neuron for FC) and the
-            // per-filter sums.
-            let counts: Vec<(Vec<u16>, Vec<u32>, Vec<u64>)> = if fc {
-                let drawn = draw_rows(&bins, rng, layer.k, 1, |x| x);
+            // Per spec: slice counts and the per-filter sums. An FC row is
+            // one slot, the neuron's count, so its sum is all it keeps.
+            let counts = if fc {
+                let drawn = draw_rows(&bins, rng, layer.k, 1, |_| ());
                 drawn
                     .into_iter()
-                    .map(|(fc, sums)| (Vec::new(), fc, sums))
+                    .map(|(_, sums)| (Vec::new(), sums))
                     .collect()
             } else {
-                let drawn = draw_rows(&bins, rng, layer.k, c_local, to_slice_nnz);
-                drawn
-                    .into_iter()
-                    .map(|(w, sums)| (w, Vec::new(), sums))
-                    .collect()
+                draw_rows(&bins, rng, layer.k, c_local, to_slice_nnz)
             };
-            for (&i, (weight_nnz, fc_nnz, filter_nnz)) in plan.iter().zip(counts) {
+            for (&i, (weight_nnz, filter_nnz)) in plan.iter().zip(counts) {
                 let (centro, stored_per_slice, _) = shapes[i];
                 let spec = &specs[i];
                 let workload = LayerWorkload {
@@ -177,7 +171,6 @@ impl LayerWorkload {
                     centro,
                     stored_per_slice,
                     weight_nnz,
-                    fc_nnz,
                     total_weight_nnz: filter_nnz.iter().sum(),
                     filter_nnz,
                     seed,
@@ -276,18 +269,14 @@ impl LayerWorkload {
         u32::from(self.weight_nnz[k * self.c_per_group() + c_local])
     }
 
-    /// Non-zero stored weights feeding output neuron `k` of an FC layer.
-    pub fn fc_weight_nnz(&self, k: usize) -> u32 {
-        self.fc_nnz[k]
-    }
-
     /// Total non-zero stored weights in this layer.
     pub fn total_weight_nnz(&self) -> u64 {
         self.total_weight_nnz
     }
 
     /// Non-zero stored weights of filter `k` (summed over its input
-    /// channels) — the quantity density-sorted load balancing uses.
+    /// channels; those feeding output neuron `k` of an FC layer) — the
+    /// quantity density-sorted load balancing uses.
     pub fn filter_nnz(&self, k: usize) -> u64 {
         self.filter_nnz[k]
     }
@@ -596,14 +585,28 @@ mod tests {
         let a = w.act_tile_nnz(3, 1, 196);
         let b = w.act_tile_nnz(3, 1, 196);
         assert_eq!(a, b, "same query must reproduce");
-        let other = w.act_tile_nnz(4, 1, 196);
-        // Different channels almost surely differ.
         let mean: f64 = (0..64)
             .map(|c| w.act_tile_nnz(c, 0, 196) as f64)
             .sum::<f64>()
             / 64.0;
         assert!((mean - 98.0).abs() < 10.0, "mean={mean}");
-        let _ = other;
+        // One activation pattern per tile: workloads of one layer and seed
+        // that differ in weight density and centrosymmetric storage (as
+        // SCNN's and CSCNN's do) but share the activation density see the
+        // same count for every query, so the two machines compare on equal
+        // activations.
+        for (density, centro) in [(0.0, false), (0.35, true), (0.6, false), (1.0, true)] {
+            let other = LayerWorkload::synthesize(&conv_layer(), density, 0.5, centro, 4);
+            for c in 0..64 {
+                for (tile_id, tile_len) in [(0, 196), (1, 196), (3, 49), (17, 7), (0, 784)] {
+                    assert_eq!(
+                        other.act_tile_nnz(c, tile_id, tile_len),
+                        w.act_tile_nnz(c, tile_id, tile_len),
+                        "density {density}, centro {centro}: ({c}, {tile_id}, {tile_len})"
+                    );
+                }
+            }
+        }
     }
 
     #[test]
@@ -664,9 +667,9 @@ mod tests {
         let fc = LayerDesc::fc("fc", 1024, 256);
         let w = LayerWorkload::synthesize(&fc, 0.1, 0.5, true, 5);
         assert!(!w.centro, "FC is never centrosymmetric");
-        let mean: f64 = (0..256).map(|k| w.fc_weight_nnz(k) as f64).sum::<f64>() / 256.0;
+        let mean: f64 = (0..256).map(|k| w.filter_nnz(k) as f64).sum::<f64>() / 256.0;
         assert!((mean - 102.4).abs() < 10.0, "mean={mean}");
-        assert_eq!(w.filter_nnz(0), w.fc_weight_nnz(0) as u64);
+        assert!((0..256).all(|k| w.filter_nnz(k) <= 1024));
     }
 
     #[test]
@@ -841,38 +844,41 @@ mod tests {
                 let n = if fc { layer.c } else { w.stored_per_slice };
                 let name = &layer.name;
                 assert_eq!(path_name(&Binomial::new(n, *density)), *path, "{name}");
+                if fc {
+                    // An FC row is one slot: its filter total is its count.
+                    assert!(w.weight_nnz.is_empty(), "{name}");
+                    assert_eq!(w.filter_nnz_all().len(), layer.k, "{name}");
+                    let sum: u64 = w.filter_nnz_all().iter().sum();
+                    assert_eq!(w.total_weight_nnz(), sum, "{name} seed={seed}");
+                    continue;
+                }
                 let scanned: Vec<u64> = (0..layer.k)
                     .map(|k| {
-                        if fc {
-                            u64::from(w.fc_weight_nnz(k))
-                        } else {
-                            (0..w.c_per_group())
-                                .map(|c| u64::from(w.weight_nnz(k, c)))
-                                .sum()
-                        }
+                        (0..w.c_per_group())
+                            .map(|c| u64::from(w.weight_nnz(k, c)))
+                            .sum()
                     })
                     .collect();
                 assert_eq!(w.filter_nnz_all(), scanned, "{name} seed={seed}");
                 for (k, &want) in scanned.iter().enumerate() {
                     assert_eq!(w.filter_nnz(k), want, "{name} seed={seed} k={k}");
                 }
-                let slices: u64 = if fc {
-                    w.fc_nnz.iter().map(|&x| u64::from(x)).sum()
-                } else {
-                    w.weight_nnz.iter().map(|&x| u64::from(x)).sum()
-                };
+                let slices: u64 = w.weight_nnz.iter().map(|&x| u64::from(x)).sum();
                 assert_eq!(w.total_weight_nnz(), slices, "{name} seed={seed}");
             }
         }
     }
 
-    /// FNV-1a over a workload's per-slice and per-neuron counts.
+    /// FNV-1a over a workload's per-slice counts, or an FC layer's
+    /// per-neuron counts as `u32`s.
     fn counts_hash(w: &LayerWorkload) -> u64 {
+        let fc = w.layer.kind == cscnn_models::LayerKind::FullyConnected;
+        let per_neuron: &[u64] = if fc { &w.filter_nnz } else { &[] };
         let counts = w
             .weight_nnz
             .iter()
             .map(|&x| u32::from(x))
-            .chain(w.fc_nnz.iter().copied());
+            .chain(per_neuron.iter().map(|&x| to_nnz(x)));
         let mut h = 0xcbf2_9ce4_8422_2325u64;
         for byte in counts.flat_map(u32::to_le_bytes) {
             h = (h ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3);
@@ -924,10 +930,10 @@ mod tests {
         ];
         for (name, layer, density, centro, path, want) in cases {
             let w = LayerWorkload::synthesize(layer, density, 0.5, centro, 42);
-            let n = if w.fc_nnz.is_empty() {
-                w.stored_per_slice
-            } else {
+            let n = if layer.kind == cscnn_models::LayerKind::FullyConnected {
                 layer.c
+            } else {
+                w.stored_per_slice
             };
             assert_eq!(path_name(&Binomial::new(n, density)), path, "{name}");
             let got = counts_hash(&w);
@@ -997,7 +1003,6 @@ mod tests {
                 assert_eq!(joint.centro, solo.centro, "{at}");
                 assert_eq!(joint.stored_per_slice, solo.stored_per_slice, "{at}");
                 assert_eq!(joint.weight_nnz, solo.weight_nnz, "{at}");
-                assert_eq!(joint.fc_nnz, solo.fc_nnz, "{at}");
                 assert_eq!(joint.filter_nnz, solo.filter_nnz, "{at}");
                 assert_eq!(joint.total_weight_nnz, solo.total_weight_nnz, "{at}");
                 assert_eq!(joint.seed, solo.seed, "{at}");

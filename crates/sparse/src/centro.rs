@@ -21,12 +21,6 @@ pub fn dual(u: usize, v: usize, r: usize, s: usize) -> (usize, usize) {
     (r - 1 - u, s - 1 - v)
 }
 
-/// `true` when `(u, v)` is its own dual (the center of an odd-sized slice).
-#[inline]
-pub fn is_self_dual(u: usize, v: usize, r: usize, s: usize) -> bool {
-    dual(u, v, r, s) == (u, v)
-}
-
 /// Number of independent weights in a centrosymmetric `r × s` slice:
 /// `⌈r·s / 2⌉`.
 pub fn unique_weight_count(r: usize, s: usize) -> usize {
@@ -229,12 +223,12 @@ mod tests {
 
     #[test]
     fn center_of_odd_slice_is_self_dual() {
-        assert!(is_self_dual(1, 1, 3, 3));
-        assert!(!is_self_dual(0, 0, 3, 3));
+        assert_eq!(dual(1, 1, 3, 3), (1, 1));
+        assert_ne!(dual(0, 0, 3, 3), (0, 0));
         // Even slices have no self-dual position.
         for u in 0..2 {
             for v in 0..2 {
-                assert!(!is_self_dual(u, v, 2, 2));
+                assert_ne!(dual(u, v, 2, 2), (u, v));
             }
         }
     }

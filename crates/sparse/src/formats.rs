@@ -72,30 +72,6 @@ impl BitmaskVector {
             })
             .collect()
     }
-
-    /// The inner-join primitive SparTen builds on: positions where both
-    /// vectors are non-zero (AND of the bitmasks), as (self_idx, other_idx)
-    /// pairs into the packed value arrays.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the logical lengths differ.
-    pub fn inner_join(&self, other: &BitmaskVector) -> Vec<(usize, usize)> {
-        assert_eq!(self.len(), other.len(), "inner join needs equal lengths");
-        let mut pairs = Vec::new();
-        let mut si = 0;
-        let mut oi = 0;
-        for i in 0..self.mask.len() {
-            let a = self.mask[i];
-            let b = other.mask[i];
-            if a && b {
-                pairs.push((si, oi));
-            }
-            si += usize::from(a);
-            oi += usize::from(b);
-        }
-        pairs
-    }
 }
 
 /// EIE-style compressed storage: packed non-zero values with a bounded
@@ -230,15 +206,6 @@ mod tests {
         assert_eq!(csc.decode(), dense);
         assert_eq!(csc.nnz(), 2);
         assert!(csc.stored_entries() > 2, "padding inserted");
-    }
-
-    #[test]
-    fn inner_join_finds_matching_positions() {
-        let a = BitmaskVector::encode(&[1.0, 0.0, 2.0, 3.0, 0.0]);
-        let b = BitmaskVector::encode(&[0.0, 5.0, 6.0, 7.0, 8.0]);
-        let pairs = a.inner_join(&b);
-        // Matches at dense positions 2 and 3.
-        assert_eq!(pairs, vec![(1, 1), (2, 2)]);
     }
 
     #[test]

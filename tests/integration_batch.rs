@@ -94,47 +94,6 @@ fn mixed_batch_matches_sequential_per_request_and_dedups_per_structure() {
 }
 
 #[test]
-fn run_batch_annotated_equals_pre_annotated_requests() {
-    let acc = CartesianAccelerator::cscnn();
-    let base = lower::to_ir(&catalog::convnet());
-    let n = base.num_weight_nodes();
-    let vectors: Vec<Vec<SparsityAnnotation>> = (0..4)
-        .map(|r| {
-            (0..n)
-                .map(|i| SparsityAnnotation {
-                    weight_density: 0.25 + 0.1 * (r as f64) + 0.01 * (i as f64),
-                    activation_density: 0.8,
-                })
-                .collect()
-        })
-        .collect();
-
-    let batch = BatchRunner::new(Runner::new(11)).with_workers(2);
-    let by_vector = batch
-        .run_batch_annotated(&acc, &base, &vectors)
-        .expect("matching vectors");
-
-    let pre_annotated: Vec<ModelIr> = vectors
-        .iter()
-        .map(|anns| {
-            let mut ir = base.clone();
-            for (node, ann) in ir.weight_nodes_mut().zip(anns) {
-                node.set_sparsity(*ann);
-            }
-            ir
-        })
-        .collect();
-    let by_request = batch
-        .run_batch(&acc, &pre_annotated)
-        .expect("annotated batch");
-
-    assert_eq!(by_vector.requests(), by_request.requests());
-    for (a, b) in by_vector.runs.iter().zip(&by_request.runs) {
-        assert_eq!(stats_json(a), stats_json(b));
-    }
-}
-
-#[test]
 fn every_catalog_model_round_trips_through_json_losslessly() {
     let acc = CartesianAccelerator::cscnn();
     for model in all_catalog_models() {
