@@ -122,6 +122,24 @@ echo "== benchmark package: build and tests"
 # loop and compare it bit for bit with Runner::run_model and run_batch.
 cargo test --release --offline --manifest-path benchmark/Cargo.toml
 
+echo "== benchmark workloads: their own output checks"
+# Each workload checks what it ran against the library and reports on its
+# last stdout line; a run passes only when it was correct and no operation
+# failed.
+for workload in paper_suite batch_serving compress_pipeline; do
+    echo "-- $workload"
+    cargo run --release --quiet --offline --manifest-path benchmark/Cargo.toml -- \
+        --workload "$workload" --seed 42 --seconds 1 --trace 0 \
+        > "target/benchmark_$workload.txt"
+    tail -n 1 "target/benchmark_$workload.txt" > "target/benchmark_${workload}_last.txt"
+    if ! grep -q '"correct": true' "target/benchmark_${workload}_last.txt" ||
+        ! grep -q '"failed": 0,' "target/benchmark_${workload}_last.txt"; then
+        echo "$workload: checks failed:"
+        cat "target/benchmark_${workload}_last.txt"
+        exit 1
+    fi
+done
+
 echo "== cargo doc (warnings are errors)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q
 

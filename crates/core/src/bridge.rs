@@ -155,16 +155,16 @@ mod tests {
         let mut net = models::tiny_cnn(1, 16, 16, 4, 61);
         let desc = describe_network(&mut net, "tiny", (1, 16, 16)).expect("network lowers");
         assert_eq!(desc.layers.len(), 3); // 2 convs + 1 fc
-        assert_eq!(desc.layers[0].c, 1);
-        assert_eq!(desc.layers[0].k, 8);
-        assert_eq!((desc.layers[0].h, desc.layers[0].w), (16, 16));
+        assert_eq!(desc.layers[0].geom.c, 1);
+        assert_eq!(desc.layers[0].geom.k, 8);
+        assert_eq!((desc.layers[0].geom.h, desc.layers[0].geom.w), (16, 16));
         assert_eq!(
-            (desc.layers[1].h, desc.layers[1].w),
+            (desc.layers[1].geom.h, desc.layers[1].geom.w),
             (8, 8),
             "after pooling"
         );
         assert_eq!(desc.layers[2].kind, cscnn_models::LayerKind::FullyConnected);
-        assert_eq!(desc.layers[2].c, 16 * 4 * 4);
+        assert_eq!(desc.layers[2].geom.c, 16 * 4 * 4);
     }
 
     #[test]

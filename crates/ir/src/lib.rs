@@ -33,13 +33,21 @@
 //! to synthesize workloads once per unique annotated network
 //! (`docs/batching.md`).
 //!
-//! This crate depends only on the std-only `cscnn-json` document model, so
-//! every layer of the stack can speak IR without cycles.
+//! [`ConvGeom`] is the workspace's one layer-geometry type: the catalog's
+//! `cscnn_models::LayerDesc` is a name, a kind and a `ConvGeom`, and every
+//! shape count (output extent, weights, MACs, activations, centrosymmetric
+//! weights) is defined on it once.
+//!
+//! This crate depends only on the std-only `cscnn-json` document model and
+//! on `cscnn-sparse`'s centrosymmetric arithmetic (the §II-A eligibility
+//! rule and `⌈R·S/2⌉`, themselves on `cscnn-rng` alone), so every layer of
+//! the stack can speak IR without cycles.
 
 pub mod artifact;
 
 pub use artifact::{ArtifactError, MIN_SCHEMA_VERSION, SCHEMA_FORMAT, SCHEMA_VERSION};
 
+use cscnn_sparse::centro;
 use std::fmt;
 
 /// Geometry of a (possibly grouped) 2-D convolution, in the paper's
@@ -68,6 +76,41 @@ pub struct ConvGeom {
 }
 
 impl ConvGeom {
+    /// A (possibly grouped) convolution geometry.
+    ///
+    /// # Panics
+    ///
+    /// Panics on zero extents or when `c % groups != 0 || k % groups != 0`.
+    #[allow(clippy::too_many_arguments)]
+    pub fn new(
+        c: usize,
+        k: usize,
+        r: usize,
+        s: usize,
+        h: usize,
+        w: usize,
+        stride: usize,
+        padding: usize,
+        groups: usize,
+    ) -> Self {
+        assert!(c > 0 && k > 0 && r > 0 && s > 0 && h > 0 && w > 0 && stride > 0 && groups > 0);
+        assert!(
+            c.is_multiple_of(groups) && k.is_multiple_of(groups),
+            "channels must divide groups: c={c} k={k} groups={groups}"
+        );
+        ConvGeom {
+            c,
+            k,
+            r,
+            s,
+            h,
+            w,
+            stride,
+            padding,
+            groups,
+        }
+    }
+
     /// Checks that the geometry describes a convolution that can run: every
     /// extent but `padding` non-zero, `groups` dividing both `c` and `k`,
     /// and the kernel fitting the padded input. The artifact parser and the
@@ -121,12 +164,16 @@ impl ConvGeom {
     }
 
     /// Output spatial extent `(H', W')`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the kernel is larger than the padded input.
     pub fn output_dim(&self) -> (usize, usize) {
         let ph = self.h + 2 * self.padding;
         let pw = self.w + 2 * self.padding;
         assert!(
             ph >= self.r && pw >= self.s,
-            "padded input {ph}x{pw} smaller than kernel {}x{}",
+            "padded input smaller than kernel: {ph}x{pw} < {}x{}",
             self.r,
             self.s
         );
@@ -136,6 +183,12 @@ impl ConvGeom {
         )
     }
 
+    /// Number of output pixels `H'·W'`.
+    pub fn output_pixels(&self) -> u64 {
+        let (oh, ow) = self.output_dim();
+        (oh * ow) as u64
+    }
+
     /// Number of weights (grouping-aware): `K·(C/groups)·R·S`.
     pub fn weights(&self) -> u64 {
         (self.k * (self.c / self.groups) * self.r * self.s) as u64
@@ -143,14 +196,34 @@ impl ConvGeom {
 
     /// Dense multiply count per inference: `weights · H'·W'`.
     pub fn dense_mults(&self) -> u64 {
-        let (oh, ow) = self.output_dim();
-        self.weights() * (oh * ow) as u64
+        self.weights() * self.output_pixels()
     }
 
-    /// Whether the centrosymmetric constraint applies (paper §II-A):
-    /// unit stride and a multi-weight kernel.
+    /// Whether the centrosymmetric constraint applies
+    /// ([`cscnn_sparse::centro::is_eligible`]).
     pub fn centro_eligible(&self) -> bool {
-        self.stride == 1 && self.r * self.s > 1
+        centro::is_eligible(self.stride, self.r, self.s)
+    }
+
+    /// Number of independent weights under the centrosymmetric constraint:
+    /// [`cscnn_sparse::centro::unique_weight_count`] per kernel slice for
+    /// eligible layers, all weights otherwise.
+    pub fn centro_weights(&self) -> u64 {
+        if self.centro_eligible() {
+            (self.k * (self.c / self.groups) * centro::unique_weight_count(self.r, self.s)) as u64
+        } else {
+            self.weights()
+        }
+    }
+
+    /// Input activation element count `C·H·W`.
+    pub fn input_activations(&self) -> u64 {
+        (self.c * self.h * self.w) as u64
+    }
+
+    /// Output activation element count `K·H'·W'`.
+    pub fn output_activations(&self) -> u64 {
+        self.k as u64 * self.output_pixels()
     }
 }
 
@@ -291,22 +364,16 @@ impl LayerNode {
         padding: usize,
         groups: usize,
     ) -> Self {
-        assert!(c > 0 && k > 0 && r > 0 && s > 0 && h > 0 && w > 0 && stride > 0 && groups > 0);
-        assert!(
-            c % groups == 0 && k % groups == 0,
-            "channels must divide groups: c={c} k={k} groups={groups}"
-        );
-        let geom = ConvGeom {
-            c,
-            k,
-            r,
-            s,
-            h,
-            w,
-            stride,
-            padding,
-            groups,
-        };
+        Self::from_geom(
+            name,
+            ConvGeom::new(c, k, r, s, h, w, stride, padding, groups),
+        )
+    }
+
+    /// A convolution node over `geom`: the [`LayerNode::Depthwise`]
+    /// variant when [`ConvGeom::is_depthwise`], [`LayerNode::Conv`]
+    /// otherwise.
+    pub fn from_geom(name: &str, geom: ConvGeom) -> Self {
         if geom.is_depthwise() {
             LayerNode::Depthwise {
                 name: name.to_string(),

@@ -180,8 +180,8 @@ mod tests {
     fn alexnet_mac_count_is_canonical() {
         // Classic grouped AlexNet is ~0.66 GMACs conv + ~59 MMACs FC.
         let m = alexnet();
-        let conv: u64 = m.conv_layers().map(|l| l.dense_mults()).sum();
-        let fc: u64 = m.fc_layers().map(|l| l.dense_mults()).sum();
+        let conv: u64 = m.conv_layers().map(|l| l.geom.dense_mults()).sum();
+        let fc: u64 = m.fc_layers().map(|l| l.geom.dense_mults()).sum();
         assert!((580_000_000..780_000_000).contains(&conv), "conv={conv}");
         assert_eq!(fc, (9216 * 4096 + 4096 * 4096 + 4096 * 1000) as u64);
     }
@@ -189,7 +189,7 @@ mod tests {
     #[test]
     fn vgg16_mac_count_is_canonical() {
         // VGG-16 is ~15.3 GMACs of conv.
-        let conv: u64 = vgg16().conv_layers().map(|l| l.dense_mults()).sum();
+        let conv: u64 = vgg16().conv_layers().map(|l| l.geom.dense_mults()).sum();
         assert!(
             (14_500_000_000..16_000_000_000).contains(&conv),
             "conv={conv}"
@@ -200,7 +200,7 @@ mod tests {
     fn vgg16_weight_count_is_canonical() {
         // ~138 M parameters total, ~14.7 M of them convolutional.
         let m = vgg16();
-        let conv: u64 = m.conv_layers().map(|l| l.weights()).sum();
+        let conv: u64 = m.conv_layers().map(|l| l.geom.weights()).sum();
         assert!((14_000_000..15_500_000).contains(&conv), "conv={conv}");
         assert!((130_000_000..145_000_000).contains(&m.weights()));
     }
@@ -208,8 +208,8 @@ mod tests {
     #[test]
     fn lenet_layer_chain_is_consistent() {
         let m = lenet5();
-        assert_eq!(m.layers[0].output_dim(), (28, 28));
-        assert_eq!(m.layers[1].output_dim(), (10, 10));
+        assert_eq!(m.layers[0].geom.output_dim(), (28, 28));
+        assert_eq!(m.layers[1].geom.output_dim(), (10, 10));
     }
 
     #[test]
@@ -217,7 +217,7 @@ mod tests {
         let m = alexnet();
         let strided: Vec<_> = m
             .conv_layers()
-            .filter(|l| l.stride > 1)
+            .filter(|l| l.geom.stride > 1)
             .map(|l| l.name.clone())
             .collect();
         assert_eq!(strided, vec!["C1"]);

@@ -8,7 +8,7 @@
 //! in a `Concat` join.
 
 use crate::lower::to_model_desc;
-use crate::{IrBuilder, LayerNode, ModelDesc, ModelIr};
+use crate::{ConvGeom, IrBuilder, LayerNode, ModelDesc, ModelIr};
 
 /// Appends one Inception module: the four parallel branches of GoogLeNet
 /// (`1×1`, `1×1→3×3`, `1×1→5×5`, `pool→1×1`), fanning out from `prev` and
@@ -209,19 +209,9 @@ pub fn mobilenet_v1_ir() -> ModelIr {
         (1024, 1024, 1, 7),
     ];
     for (i, &(cin, cout, stride, hw)) in blocks.iter().enumerate() {
-        let out_hw = hw / stride;
-        nodes.push(LayerNode::grouped(
-            &format!("dw{}", i + 1),
-            cin,
-            cin,
-            3,
-            3,
-            hw,
-            hw,
-            stride,
-            1,
-            cin,
-        ));
+        let dw = ConvGeom::new(cin, cin, 3, 3, hw, hw, stride, 1, cin);
+        let (out_hw, _) = dw.output_dim();
+        nodes.push(LayerNode::from_geom(&format!("dw{}", i + 1), dw));
         nodes.push(LayerNode::conv(
             &format!("pw{}", i + 1),
             cin,
@@ -307,8 +297,8 @@ mod tests {
         let pw: u64 = m
             .layers
             .iter()
-            .filter(|l| l.r == 1 && l.s == 1)
-            .map(|l| l.dense_mults())
+            .filter(|l| l.geom.r == 1 && l.geom.s == 1)
+            .map(|l| l.geom.dense_mults())
             .sum();
         assert!(
             pw as f64 / m.dense_mults() as f64 > 0.9,

@@ -4,7 +4,7 @@
 //! `Ir → ModelDesc`.
 
 use crate::lower::to_model_desc;
-use crate::{LayerNode, ModelDesc, ModelIr};
+use crate::{ConvGeom, LayerNode, ModelDesc, ModelIr};
 
 /// Appends a SqueezeNet fire module: 1×1 squeeze, then parallel 1×1 and 3×3
 /// expands.
@@ -86,21 +86,11 @@ fn shuffle_stage(
     hw: usize,
 ) -> usize {
     let half = cout / 2;
-    let out_hw = hw / 2;
     let name = |u: usize, part: &str| format!("stage{stage}_{u}/{part}");
     // Downsample unit: two branches, both stride 2.
-    nodes.push(LayerNode::grouped(
-        &name(0, "b1_dw"),
-        cin,
-        cin,
-        3,
-        3,
-        hw,
-        hw,
-        2,
-        1,
-        cin,
-    ));
+    let b1_dw = ConvGeom::new(cin, cin, 3, 3, hw, hw, 2, 1, cin);
+    let (out_hw, _) = b1_dw.output_dim();
+    nodes.push(LayerNode::from_geom(&name(0, "b1_dw"), b1_dw));
     nodes.push(LayerNode::conv(
         &name(0, "b1_pw"),
         cin,
@@ -256,8 +246,7 @@ pub fn efficientnet_b7_ir() -> ModelIr {
                     0,
                 ));
             }
-            nodes.push(LayerNode::grouped(
-                &name("dw"),
+            let dw = ConvGeom::new(
                 expanded,
                 expanded,
                 k,
@@ -267,8 +256,9 @@ pub fn efficientnet_b7_ir() -> ModelIr {
                 stride,
                 (k - 1) / 2,
                 expanded,
-            ));
-            let out_hw = if stride == 2 { hw.div_ceil(2) } else { hw };
+            );
+            let (out_hw, _) = dw.output_dim();
+            nodes.push(LayerNode::from_geom(&name("dw"), dw));
             nodes.push(LayerNode::conv(
                 &name("project"),
                 expanded,
@@ -361,7 +351,7 @@ mod tests {
         assert_eq!(e1.len(), 8);
         assert_eq!(e3.len(), 8);
         for (a, b) in e1.iter().zip(&e3) {
-            assert_eq!(a.k, b.k, "expand widths match");
+            assert_eq!(a.geom.k, b.geom.k, "expand widths match");
         }
     }
 }

@@ -98,17 +98,17 @@ mod tests {
             for layer in model.conv_layers() {
                 if let Some((ph, pw)) = prev {
                     assert!(
-                        layer.h <= ph && layer.w <= pw,
+                        layer.geom.h <= ph && layer.geom.w <= pw,
                         "{}/{}: input {}x{} grew beyond previous output {}x{}",
                         model.name,
                         layer.name,
-                        layer.h,
-                        layer.w,
+                        layer.geom.h,
+                        layer.geom.w,
                         ph,
                         pw
                     );
                 }
-                prev = Some(layer.output_dim());
+                prev = Some(layer.geom.output_dim());
             }
         }
     }

@@ -9,7 +9,7 @@
 //! identical to the historical linear authoring.
 
 use crate::lower::to_model_desc;
-use crate::{IrBuilder, LayerNode, ModelDesc, ModelIr};
+use crate::{ConvGeom, IrBuilder, LayerNode, ModelDesc, ModelIr};
 
 /// Builds a basic-block stage (two 3×3 convs per block), wiring each
 /// block's skip edge into an `Add` join. Returns the join node index that
@@ -36,11 +36,9 @@ fn basic_stage(
     for b in 0..blocks {
         let s = if b == 0 { stride } else { 1 };
         let name = |part: &str| format!("conv{stage}_{b}_{part}");
-        let a = g.push_after(
-            LayerNode::conv(&name("a"), c, cout, 3, 3, hw, hw, s, 1),
-            &[tail],
-        );
-        let out_hw = hw / s;
+        let a = ConvGeom::new(c, cout, 3, 3, hw, hw, s, 1, 1);
+        let (out_hw, _) = a.output_dim();
+        let a = g.push_after(LayerNode::from_geom(&name("a"), a), &[tail]);
         let main = g.push_after(
             LayerNode::conv(&name("b"), cout, cout, 3, 3, out_hw, out_hw, 1, 1),
             &[a],
@@ -86,11 +84,9 @@ fn bottleneck_stage(
             LayerNode::conv(&name("1x1a"), c, width, 1, 1, hw, hw, 1, 0),
             &[tail],
         );
-        let mid = g.push_after(
-            LayerNode::grouped(&name("3x3"), width, width, 3, 3, hw, hw, s, 1, groups),
-            &[reduce],
-        );
-        let out_hw = hw / s;
+        let mid = ConvGeom::new(width, width, 3, 3, hw, hw, s, 1, groups);
+        let (out_hw, _) = mid.output_dim();
+        let mid = g.push_after(LayerNode::from_geom(&name("3x3"), mid), &[reduce]);
         let expand = g.push_after(
             LayerNode::conv(&name("1x1b"), width, cout, 1, 1, out_hw, out_hw, 1, 0),
             &[mid],
@@ -264,11 +260,14 @@ mod tests {
     #[test]
     fn resnext_groups_reduce_weights() {
         let rx = resnext101();
-        let grouped: Vec<_> = rx.layers.iter().filter(|l| l.groups == 32).collect();
+        let grouped: Vec<_> = rx.layers.iter().filter(|l| l.geom.groups == 32).collect();
         assert!(!grouped.is_empty());
         // A grouped 3x3 at width 128 has 128·4·9 weights, not 128·128·9.
         let first = grouped[0];
-        assert_eq!(first.weights(), (first.k * (first.c / 32) * 9) as u64);
+        assert_eq!(
+            first.geom.weights(),
+            (first.geom.k * (first.geom.c / 32) * 9) as u64
+        );
     }
 
     #[test]
@@ -315,7 +314,7 @@ mod tests {
                 .last()
                 .expect("model has conv layers")
                 .clone();
-            assert_eq!(last_conv.output_dim().0, 7, "{}", m.name);
+            assert_eq!(last_conv.geom.output_dim().0, 7, "{}", m.name);
         }
     }
 }

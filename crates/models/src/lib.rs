@@ -7,9 +7,10 @@
 //! reduction arithmetic behind the compression tables.
 //!
 //! Unlike `cscnn-nn`, nothing here is trainable: a [`ModelDesc`] is a pure
-//! description — layer geometry, stride, grouping — from which MAC counts,
-//! weight counts, centrosymmetric eligibility and simulator workloads are
-//! derived.
+//! description from which MAC counts, weight counts, centrosymmetric
+//! eligibility and simulator workloads are derived. Each [`LayerDesc`] is a
+//! name, a [`LayerKind`] and a [`ConvGeom`], `cscnn-ir`'s one
+//! layer-geometry type, which defines every shape count (`layer.geom.*`).
 //!
 //! [`ModelDesc`] is the *catalog-side entry point* of the workspace's
 //! lowering chain: [`lower::to_ir`] raises a descriptor into the typed
@@ -24,8 +25,8 @@
 //!
 //! let alexnet = catalog::alexnet();
 //! // AlexNet C1 has stride 4, so it is not centrosymmetric-eligible.
-//! assert!(!alexnet.layers[0].centro_eligible());
-//! assert!(alexnet.layers[1].centro_eligible());
+//! assert!(!alexnet.layers[0].geom.centro_eligible());
+//! assert!(alexnet.layers[1].geom.centro_eligible());
 //! ```
 
 pub mod catalog;
@@ -34,7 +35,7 @@ pub mod lower;
 pub mod mults;
 pub mod sparsity;
 
-pub use cscnn_ir::{IrBuilder, IrEdge, IrError, LayerNode, ModelIr, TopologyError};
+pub use cscnn_ir::{ConvGeom, IrBuilder, IrEdge, IrError, LayerNode, ModelIr, TopologyError};
 pub use layer::{LayerDesc, LayerKind, ModelDesc};
 pub use mults::{CompressionScheme, ModelCompression};
 pub use sparsity::SparsityProfile;

@@ -18,18 +18,7 @@ use crate::layer::{LayerDesc, LayerKind, ModelDesc};
 pub fn layer_desc(node: &LayerNode) -> Option<LayerDesc> {
     match node {
         LayerNode::Conv { name, geom, .. } | LayerNode::Depthwise { name, geom, .. } => {
-            Some(LayerDesc::grouped(
-                name,
-                geom.c,
-                geom.k,
-                geom.r,
-                geom.s,
-                geom.h,
-                geom.w,
-                geom.stride,
-                geom.padding,
-                geom.groups,
-            ))
+            Some(LayerDesc::from_geom(name, *geom))
         }
         LayerNode::FullyConnected {
             name,
@@ -72,10 +61,8 @@ pub fn to_ir(model: &ModelDesc) -> ModelIr {
         .layers
         .iter()
         .map(|l| match l.kind {
-            LayerKind::FullyConnected => LayerNode::fc(&l.name, l.c, l.k),
-            LayerKind::Conv | LayerKind::Depthwise => LayerNode::grouped(
-                &l.name, l.c, l.k, l.r, l.s, l.h, l.w, l.stride, l.padding, l.groups,
-            ),
+            LayerKind::FullyConnected => LayerNode::fc(&l.name, l.geom.c, l.geom.k),
+            LayerKind::Conv | LayerKind::Depthwise => LayerNode::from_geom(&l.name, l.geom),
         })
         .collect();
     ModelIr::new(&model.name, nodes)

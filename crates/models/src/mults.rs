@@ -75,9 +75,9 @@ impl ModelCompression {
     pub fn stored_weights(&self, i: usize) -> f64 {
         let l = &self.model.layers[i];
         let base = if self.scheme.uses_centrosymmetric() {
-            l.centro_weights() as f64
+            l.geom.centro_weights() as f64
         } else {
-            l.weights() as f64
+            l.geom.weights() as f64
         };
         base * self.profile.weight_density[i]
     }
@@ -85,7 +85,7 @@ impl ModelCompression {
     /// Multiplications required for layer `i` (zero-activation savings
     /// deliberately excluded, per the tables' footnote).
     pub fn layer_mults(&self, i: usize) -> f64 {
-        self.stored_weights(i) * self.model.layers[i].output_pixels() as f64
+        self.stored_weights(i) * self.model.layers[i].geom.output_pixels() as f64
     }
 
     /// Total multiplications for the model under this scheme.

@@ -146,18 +146,22 @@ fn calibrate(model: &ModelDesc, target: f64, centro: bool) -> Vec<f64> {
             .collect()
     };
     let reduction_at = |keeps: &[f64]| -> f64 {
-        let dense: f64 = model.layers.iter().map(|l| l.dense_mults() as f64).sum();
+        let dense: f64 = model
+            .layers
+            .iter()
+            .map(|l| l.geom.dense_mults() as f64)
+            .sum();
         let compressed: f64 = model
             .layers
             .iter()
             .zip(keeps)
             .map(|(l, &k)| {
                 let stored = if centro {
-                    l.centro_weights() as f64
+                    l.geom.centro_weights() as f64
                 } else {
-                    l.weights() as f64
+                    l.geom.weights() as f64
                 };
-                stored * k * l.output_pixels() as f64
+                stored * k * l.geom.output_pixels() as f64
             })
             .sum();
         dense / compressed
@@ -232,12 +236,16 @@ mod tests {
             (catalog::resnet18(), 2.0),
         ] {
             let p = SparsityProfile::deep_compression(&model, target);
-            let dense: f64 = model.layers.iter().map(|l| l.dense_mults() as f64).sum();
+            let dense: f64 = model
+                .layers
+                .iter()
+                .map(|l| l.geom.dense_mults() as f64)
+                .sum();
             let compressed: f64 = model
                 .layers
                 .iter()
                 .zip(&p.weight_density)
-                .map(|(l, &k)| l.weights() as f64 * k * l.output_pixels() as f64)
+                .map(|(l, &k)| l.geom.weights() as f64 * k * l.geom.output_pixels() as f64)
                 .sum();
             let red = dense / compressed;
             assert!(
@@ -252,12 +260,16 @@ mod tests {
     fn cscnn_pruned_hits_target_reduction() {
         let model = catalog::vgg16();
         let p = SparsityProfile::cscnn_pruned(&model, 4.3);
-        let dense: f64 = model.layers.iter().map(|l| l.dense_mults() as f64).sum();
+        let dense: f64 = model
+            .layers
+            .iter()
+            .map(|l| l.geom.dense_mults() as f64)
+            .sum();
         let compressed: f64 = model
             .layers
             .iter()
             .zip(&p.weight_density)
-            .map(|(l, &k)| l.centro_weights() as f64 * k * l.output_pixels() as f64)
+            .map(|(l, &k)| l.geom.centro_weights() as f64 * k * l.geom.output_pixels() as f64)
             .sum();
         let red = dense / compressed;
         assert!((red - 4.3).abs() / 4.3 < 0.02, "got {red:.3}");

@@ -18,12 +18,11 @@ use cscnn_tensor::Tensor;
 use crate::layers::Conv2d;
 use crate::Network;
 
-/// Whether a conv layer is eligible for the centrosymmetric constraint:
-/// unit stride and a kernel with more than one weight (a `1×1` kernel is
-/// trivially centrosymmetric — constraining it saves nothing).
+/// Whether a conv layer is eligible for the centrosymmetric constraint
+/// ([`centro::is_eligible`]: unit stride and a multi-weight kernel).
 pub fn is_eligible(conv: &Conv2d) -> bool {
     let spec = conv.spec();
-    spec.stride == 1 && spec.kernel_h * spec.kernel_w > 1
+    centro::is_eligible(spec.stride, spec.kernel_h, spec.kernel_w)
 }
 
 /// Projects one conv layer's filters with the Eq. 5 mean initialization and
@@ -152,13 +151,10 @@ pub fn count_multiplications(
             });
         };
         idx += 1;
-        let spec = *conv.spec();
-        let (oh, ow) = spec.output_dim(h, w);
-        let pixels = (oh * ow) as u64;
-        let dims = conv.weight().value.shape().dims().to_vec();
-        let (k, c, r, s) = (dims[0], dims[1], dims[2], dims[3]);
-        let weights = (k * c * r * s) as u64;
-        out.dense += weights * pixels;
+        let geom = conv.geom(h, w);
+        let pixels = geom.output_pixels();
+        out.dense += geom.dense_mults();
+        let (k, c, r, s) = (geom.k, geom.c / geom.groups, geom.r, geom.s);
         let eligible = conv.is_centrosymmetric();
         let unique_per_slice = if eligible {
             centro::unique_weight_count(r, s) as u64
@@ -208,6 +204,7 @@ mod tests {
         assert!(is_eligible(&conv(1, 3)));
         assert!(!is_eligible(&conv(2, 3)), "strided conv must be skipped");
         assert!(!is_eligible(&conv(1, 1)), "1x1 conv gains nothing");
+        assert!(is_eligible(&conv(1, 2)), "even kernels pair every weight");
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //!
 //! [`Network`]: crate::Network
 
-use cscnn_ir::{ActivationKind, DescribeError, LayerNode, PoolKind};
+use cscnn_ir::{ActivationKind, ConvGeom, DescribeError, LayerNode, PoolKind};
 use cscnn_rng::Rng;
 use cscnn_sparse::centro;
 use cscnn_tensor::{
@@ -213,6 +213,30 @@ impl Conv2d {
         &self.spec
     }
 
+    /// The layer's [`ConvGeom`] over an `h × w` input.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `h` or `w` is zero.
+    pub(crate) fn geom(&self, h: usize, w: usize) -> ConvGeom {
+        let wd = self.weight.value.shape().dims();
+        let (k, c_local, r, s) = (wd[0], wd[1], wd[2], wd[3]);
+        let ConvSpec {
+            stride, padding, ..
+        } = self.spec;
+        ConvGeom::new(
+            c_local * self.groups,
+            k,
+            r,
+            s,
+            h,
+            w,
+            stride,
+            padding,
+            self.groups,
+        )
+    }
+
     /// The number of convolution groups (1 = dense).
     pub fn groups(&self) -> usize {
         self.groups
@@ -310,28 +334,14 @@ impl Layer for Conv2d {
                 format!("expected rank-4 [N,C,H,W] input, got rank {}", input.len()),
             ));
         }
-        let wd = self.weight.value.shape().dims();
-        let (k, c_local, r, s) = (wd[0], wd[1], wd[2], wd[3]);
-        let c = c_local * self.groups;
-        if input[1] != c {
+        let geom = self.geom(input[2], input[3]);
+        if input[1] != geom.c {
             return Err(DescribeError::new(
                 "conv2d",
-                format!("input has {} channels, layer expects {c}", input[1]),
+                format!("input has {} channels, layer expects {}", input[1], geom.c),
             ));
         }
-        Ok(LayerNode::grouped(
-            self.name(),
-            c,
-            k,
-            r,
-            s,
-            input[2],
-            input[3],
-            self.spec.stride,
-            self.spec.padding,
-            self.groups,
-        )
-        .with_centrosymmetric(self.centrosymmetric))
+        Ok(LayerNode::from_geom(self.name(), geom).with_centrosymmetric(self.centrosymmetric))
     }
 
     fn weight_density(&self, eps: f32) -> Option<f64> {

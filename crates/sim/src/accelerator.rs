@@ -101,7 +101,7 @@ impl CartesianAccelerator {
     fn pe(&self, cfg: &ArchConfig, wl: &LayerWorkload) -> CartesianPe {
         let dual_here = self.dual && wl.centro;
         let buffers = if dual_here { 2 } else { 1 };
-        let self_dual_frac = if dual_here && (wl.layer.r * wl.layer.s) % 2 == 1 {
+        let self_dual_frac = if dual_here && (wl.layer.geom.r * wl.layer.geom.s) % 2 == 1 {
             1.0 / wl.stored_per_slice as f64
         } else {
             0.0
@@ -133,8 +133,8 @@ impl CartesianAccelerator {
         plan: &[tiling::PeAssignment],
     ) -> Vec<PeResult> {
         let c_per_group = wl.c_per_group();
-        let k_per_group = wl.layer.k / wl.layer.groups;
-        let mut weights = vec![0u64; wl.layer.c];
+        let k_per_group = wl.layer.geom.k / wl.layer.geom.groups;
+        let mut weights = vec![0u64; wl.layer.geom.c];
         let mut weights_of: Option<&[usize]> = None;
         let mut results = Vec::with_capacity(plan.len());
         for assign in plan {
@@ -175,9 +175,9 @@ fn run_assignment(
     // fragments) leave roughly half the fetched operand pairs useless —
     // the "unnecessary computations" the paper blames for SCNN/CSCNN
     // falling behind DCNN on AlexNet C1 (Fig. 8).
-    let phases = to_count(layer.stride * layer.stride);
+    let phases = to_count(layer.geom.stride * layer.geom.stride);
     const STRIDE_WASTE: f64 = 2.0;
-    let mut channels = Vec::with_capacity(layer.c * layer.stride * layer.stride);
+    let mut channels = Vec::with_capacity(layer.geom.c * layer.geom.stride * layer.geom.stride);
     for (c, &w) in weights.iter().enumerate() {
         if w == 0 {
             continue;
@@ -244,7 +244,7 @@ impl Accelerator for CartesianAccelerator {
             let groups = if self.balanced {
                 tiling::balance_groups(nnz, cfg.num_pes())
             } else {
-                tiling::naive_groups(layer.k, cfg.num_pes())
+                tiling::naive_groups(layer.geom.k, cfg.num_pes())
             };
             for g in groups {
                 let w: u64 = g.iter().map(|&k| nnz[k]).sum();
@@ -371,7 +371,7 @@ mod tests {
         let dram = DramConfig::default();
         let energy = EnergyTable::default();
         let stats = acc.simulate_layer(&context(&cfg, &dram, &energy, &wl));
-        let dense = layer.dense_mults() as f64;
+        let dense = layer.geom.dense_mults() as f64;
         let ratio = stats.effective_mults as f64 / dense;
         // Full-mode Cartesian product computes all pairs, and planar tiles
         // re-process halo activations: expect dense MACs inflated by the
@@ -385,8 +385,8 @@ mod tests {
     /// sums.
     fn reference_channels(wl: &LayerWorkload, assign: &tiling::PeAssignment) -> Vec<u64> {
         let c_per_group = wl.c_per_group();
-        let k_per_group = wl.layer.k / wl.layer.groups;
-        (0..wl.layer.c)
+        let k_per_group = wl.layer.geom.k / wl.layer.geom.groups;
+        (0..wl.layer.geom.c)
             .map(|c| {
                 let conv_group = c / c_per_group;
                 let c_local = c % c_per_group;

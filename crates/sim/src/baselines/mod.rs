@@ -117,7 +117,7 @@ impl Accelerator for AnalyticBaseline {
         let cfg = ctx.cfg;
         let wl = ctx.workload;
         let layer = &wl.layer;
-        let dense = layer.dense_mults() as f64;
+        let dense = layer.geom.dense_mults() as f64;
         let dw = if p.exploits_weight_sparsity {
             (wl.weight_density * p.weight_density_inflation).min(1.0)
         } else {
@@ -133,11 +133,11 @@ impl Accelerator for AnalyticBaseline {
         // their output neurons onto lanes (matrix-vector product), whatever
         // the conv dataflow fragments on.
         let frag_extent = if layer.kind == LayerKind::FullyConnected {
-            layer.k
+            layer.geom.k
         } else {
             match p.frag_dim {
-                FragDim::Pixels => to_index(layer.output_pixels()),
-                FragDim::OutputChannels => layer.k,
+                FragDim::Pixels => to_index(layer.geom.output_pixels()),
+                FragDim::OutputChannels => layer.geom.k,
             }
         };
         let lanes = p.lane_width.max(1);
@@ -159,7 +159,7 @@ impl Accelerator for AnalyticBaseline {
         c.ppu_ops = outputs;
         c.ccu_ops = count_from_f64((macs * p.others_ops_per_mac).round());
         let act_amplification = if p.im2col && layer.kind != LayerKind::FullyConnected {
-            (layer.r * layer.s) as f64 / (layer.stride * layer.stride) as f64
+            (layer.geom.r * layer.geom.s) as f64 / (layer.geom.stride * layer.geom.stride) as f64
         } else {
             1.0
         };

@@ -102,15 +102,15 @@ impl TrafficModel {
         let weight_bits = if self.compressed_weights {
             w.weight_storage_bytes(cfg.word_bits, cfg.index_bits) * 8
         } else {
-            let stored = util::to_count(w.layer.k)
-                * util::to_count(w.layer.c / w.layer.groups)
+            let stored = util::to_count(w.layer.geom.k)
+                * util::to_count(w.layer.geom.c / w.layer.geom.groups)
                 * util::to_count(w.stored_per_slice);
             stored * word
         };
         let act_bits_base = if self.compressed_acts {
             w.act_storage_bytes(cfg.word_bits, cfg.index_bits) * 8
         } else {
-            w.layer.input_activations() * word
+            w.layer.geom.input_activations() * word
         };
         let act_bits = if ctx.input_on_chip {
             0

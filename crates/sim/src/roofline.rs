@@ -112,16 +112,18 @@ mod tests {
         // FC: one MAC per weight, each weight read once → intensity ~0.5
         // MACs/byte at 16-bit.
         let fc = LayerDesc::fc("fc", 4096, 4096);
-        let fc_macs = fc.dense_mults() as f64;
-        let fc_bytes = fc.weights() as f64 * 2.0;
+        let fc_macs = fc.geom.dense_mults() as f64;
+        let fc_bytes = fc.geom.weights() as f64 * 2.0;
         let p = r.point(&fc, fc_macs, fc_bytes);
         assert!(p.memory_bound, "FC must be memory-bound");
         assert!(p.attainable_macs_per_s < r.peak_macs_per_s);
         // Conv: weights reused across the whole plane → intensity >> ridge.
         let conv = LayerDesc::conv("c", 64, 64, 3, 3, 56, 56, 1, 1);
-        let macs = conv.dense_mults() as f64;
-        let bytes =
-            (conv.weights() + conv.input_activations() + conv.output_activations()) as f64 * 2.0;
+        let macs = conv.geom.dense_mults() as f64;
+        let bytes = (conv.geom.weights()
+            + conv.geom.input_activations()
+            + conv.output_activations()) as f64
+            * 2.0;
         let p = r.point(&conv, macs, bytes);
         assert!(!p.memory_bound, "conv must be compute-bound");
         assert_eq!(p.attainable_macs_per_s, r.peak_macs_per_s);
@@ -134,8 +136,8 @@ mod tests {
         // accelerators inch toward memory-bound.
         let r = roofline();
         let conv = LayerDesc::conv("c", 64, 64, 3, 3, 14, 14, 1, 1);
-        let dense_macs = conv.dense_mults() as f64;
-        let bytes = (conv.weights() + conv.input_activations()) as f64 * 2.0;
+        let dense_macs = conv.geom.dense_mults() as f64;
+        let bytes = (conv.geom.weights() + conv.geom.input_activations()) as f64 * 2.0;
         let dense = r.point(&conv, dense_macs, bytes);
         let sparse = r.point(&conv, dense_macs * 0.2, bytes * 0.5);
         assert!(sparse.intensity < dense.intensity);

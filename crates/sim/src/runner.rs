@@ -284,7 +284,7 @@ impl<'a> Variant<'a> {
     /// accelerator. Only the pool's claim order reads it.
     pub(crate) fn work(&self, node: usize) -> Option<u64> {
         self.layers[node].as_ref().map(|(layer, _)| {
-            let positions = layer.weights() + layer.input_activations();
+            let positions = layer.geom.weights() + layer.geom.input_activations();
             positions * util::to_count(self.accs.len())
         })
     }

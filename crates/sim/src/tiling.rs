@@ -93,15 +93,15 @@ pub fn plan(
     balanced: bool,
 ) -> Vec<PeAssignment> {
     let n_pes = cfg.num_pes();
-    let layer = &workload.layer;
-    let (oh, ow) = layer.output_dim();
-    let all_k: Vec<usize> = (0..layer.k).collect();
+    let geom = &workload.layer.geom;
+    let (oh, ow) = geom.output_dim();
+    let all_k: Vec<usize> = (0..geom.k).collect();
     let filter_weights = workload.filter_nnz_all();
     let group_k = |groups: usize| -> Vec<Vec<usize>> {
         if balanced {
             balance_groups(filter_weights, groups)
         } else {
-            naive_groups(layer.k, groups)
+            naive_groups(geom.k, groups)
         }
     };
     // Splitting the plane gives each PE an *input* tile inflated by the
@@ -109,20 +109,20 @@ pub fn plan(
     // participates in that PE's products. This inflation is the structural
     // cost of planar tiling, and dominates when tiles shrink (deep layers /
     // many PEs) — the Fig. 11 effect.
-    let halo_h = layer.r.saturating_sub(1);
-    let halo_w = layer.s.saturating_sub(1);
+    let halo_h = geom.r.saturating_sub(1);
+    let halo_w = geom.s.saturating_sub(1);
     match strategy {
         TilingStrategy::Planar => {
             // Grid-split the input plane across all PEs; all K everywhere.
-            let rows = split(layer.h, cfg.pe_rows);
-            let cols = split(layer.w, cfg.pe_cols);
+            let rows = split(geom.h, cfg.pe_rows);
+            let cols = split(geom.w, cfg.pe_cols);
             let orows = split(oh, cfg.pe_rows);
             let ocols = split(ow, cfg.pe_cols);
             let mut out = Vec::with_capacity(n_pes);
             for (ri, &rh) in rows.iter().enumerate() {
                 for (ci, &cw) in cols.iter().enumerate() {
-                    let th = (rh + halo_h).min(layer.h);
-                    let tw = (cw + halo_w).min(layer.w);
+                    let th = (rh + halo_h).min(geom.h);
+                    let tw = (cw + halo_w).min(geom.w);
                     let core = orows[ri] * ocols[ci];
                     out.push(PeAssignment {
                         k_set: all_k.clone(),
@@ -142,7 +142,7 @@ pub fn plan(
                 .map(|k_set| PeAssignment {
                     k_set,
                     tile_id: 0,
-                    tile_pixels: layer.h * layer.w,
+                    tile_pixels: geom.h * geom.w,
                     out_pixels: oh * ow,
                     halo_out_pixels: 0,
                 })
@@ -158,27 +158,27 @@ pub fn plan(
             // and channel-splitting the filters (costs residual imbalance
             // and weight-vector fragmentation), whichever is estimated
             // cheaper for this layer's shape.
-            let rows_per_pe = (layer.h / pes_per_sub).max(1);
+            let rows_per_pe = (geom.h / pes_per_sub).max(1);
             let halo_cost = (rows_per_pe + halo_h) as f64 / rows_per_pe as f64;
             let k_split_cost = {
                 // Imbalance of splitting a sub-array's filter share across
                 // its PEs, approximated from the whole-layer filter weights.
-                let per_sub = layer.k.div_ceil(subarrays);
+                let per_sub = geom.k.div_ceil(subarrays);
                 let per_pe = (per_sub as f64 / pes_per_sub as f64).max(1e-9);
                 per_pe.ceil() / per_pe
             };
-            let halo_ok = halo_cost <= k_split_cost && layer.h >= pes_per_sub;
+            let halo_ok = halo_cost <= k_split_cost && geom.h >= pes_per_sub;
             let mut out = Vec::with_capacity(n_pes);
             if halo_ok && pes_per_sub > 1 {
-                let rows = split(layer.h, pes_per_sub);
+                let rows = split(geom.h, pes_per_sub);
                 let orows = split(oh, pes_per_sub);
                 for (sa, k_set) in k_groups.into_iter().enumerate() {
                     for (pi, &rh) in rows.iter().enumerate() {
-                        let th = (rh + halo_h).min(layer.h);
+                        let th = (rh + halo_h).min(geom.h);
                         out.push(PeAssignment {
                             k_set: k_set.clone(),
                             tile_id: sa * pes_per_sub + pi,
-                            tile_pixels: th * layer.w,
+                            tile_pixels: th * geom.w,
                             out_pixels: orows[pi] * ow,
                             halo_out_pixels: halo_h * ow,
                         });
@@ -198,7 +198,7 @@ pub fn plan(
                         out.push(PeAssignment {
                             k_set: idx_group.iter().map(|&i| k_set[i]).collect(),
                             tile_id: sa * pes_per_sub, // whole plane, shared per sub-array
-                            tile_pixels: layer.h * layer.w,
+                            tile_pixels: geom.h * geom.w,
                             out_pixels: oh * ow,
                             halo_out_pixels: 0,
                         });

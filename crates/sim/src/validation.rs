@@ -53,8 +53,9 @@ pub fn simulate_layer_detailed(
     seed: u64,
 ) -> Result<DetailedLayerResult, SimError> {
     let layer = &workload.layer;
-    assert_eq!(layer.stride, 1, "validation covers unit-stride layers");
-    assert_eq!(layer.groups, 1, "validation covers ungrouped layers");
+    let geom = &layer.geom;
+    assert_eq!(geom.stride, 1, "validation covers unit-stride layers");
+    assert_eq!(geom.groups, 1, "validation covers ungrouped layers");
     assert_ne!(
         layer.kind,
         cscnn_models::LayerKind::FullyConnected,
@@ -66,10 +67,10 @@ pub fn simulate_layer_detailed(
     // Candidate weight positions: the canonical half when storing
     // centrosymmetric-compressed, all positions otherwise.
     let positions: Vec<(usize, usize)> = if dual_here {
-        unique_positions(layer.r, layer.s)
+        unique_positions(geom.r, geom.s)
     } else {
-        (0..layer.r)
-            .flat_map(|r| (0..layer.s).map(move |s| (r, s)))
+        (0..geom.r)
+            .flat_map(|r| (0..geom.s).map(move |s| (r, s)))
             .collect()
     };
     let mut max_cycles = 0u64;
@@ -78,15 +79,15 @@ pub fn simulate_layer_detailed(
         let geo = PeGeometry {
             px: cfg.mult_px,
             py: cfg.mult_py,
-            kernel_h: layer.r,
-            kernel_w: layer.s,
-            tile_h: layer.h,
-            tile_w: layer.w,
+            kernel_h: geom.r,
+            kernel_w: geom.s,
+            tile_h: geom.h,
+            tile_w: geom.w,
             k_count: assign.k_set.len(),
             dual: dual_here,
         };
-        let mut channels = Vec::with_capacity(layer.c);
-        for c in 0..layer.c {
+        let mut channels = Vec::with_capacity(geom.c);
+        for c in 0..geom.c {
             // Weights: for each assigned filter, draw exactly the
             // workload's nnz positions for this (k, c) slice.
             let mut weights = Vec::new();
@@ -107,8 +108,8 @@ pub fn simulate_layer_detailed(
             weights.sort_by_key(|w| (w.k, w.r, w.s));
             // Activations: exactly the workload's tile nnz.
             let a_nnz = to_index(workload.act_tile_nnz(c, assign.tile_id, assign.tile_pixels));
-            let mut act_pos: Vec<(u16, u16)> = (0..layer.h)
-                .flat_map(|y| (0..layer.w).map(move |x| (to_lane(y), to_lane(x))))
+            let mut act_pos: Vec<(u16, u16)> = (0..geom.h)
+                .flat_map(|y| (0..geom.w).map(move |x| (to_lane(y), to_lane(x))))
                 .collect();
             act_pos.shuffle(&mut rng);
             let acts = act_pos

@@ -12,6 +12,7 @@ use cscnn_ir::{LayerNode, SparsityAnnotation};
 use cscnn_models::LayerDesc;
 use cscnn_rng::rngs::StdRng;
 use cscnn_rng::{Rng, SeedableRng};
+use cscnn_sparse::centro;
 
 use crate::util::{count_from_f64, nnz_from_f64, to_count, to_nnz, to_slice_nnz};
 
@@ -108,8 +109,9 @@ impl LayerWorkload {
         mut visit: impl FnMut(usize, Self),
     ) {
         let fc = layer.kind == cscnn_models::LayerKind::FullyConnected;
-        let rs = layer.r * layer.s;
-        let c_local = layer.c / layer.groups;
+        let geom = &layer.geom;
+        let rs = geom.r * geom.s;
+        let c_local = geom.c / geom.groups;
         let shapes: Vec<(bool, usize, Binomial)> = specs
             .iter()
             .map(|spec| {
@@ -121,10 +123,14 @@ impl LayerWorkload {
                     (0.0..=1.0).contains(&spec.act_density),
                     "act density in [0,1]"
                 );
-                let effective_centro = spec.centro && layer.centro_eligible();
-                let stored_per_slice = if effective_centro { rs.div_ceil(2) } else { rs };
+                let effective_centro = spec.centro && geom.centro_eligible();
+                let stored_per_slice = if effective_centro {
+                    centro::unique_weight_count(geom.r, geom.s)
+                } else {
+                    rs
+                };
                 let n = if fc {
-                    layer.c
+                    geom.c
                 } else {
                     assert!(
                         stored_per_slice <= usize::from(u16::MAX),
@@ -153,13 +159,13 @@ impl LayerWorkload {
             // Per spec: slice counts and the per-filter sums. An FC row is
             // one slot, the neuron's count, so its sum is all it keeps.
             let counts = if fc {
-                let drawn = draw_rows(&bins, rng, layer.k, 1, |_| ());
+                let drawn = draw_rows(&bins, rng, geom.k, 1, |_| ());
                 drawn
                     .into_iter()
                     .map(|(_, sums)| (Vec::new(), sums))
                     .collect()
             } else {
-                draw_rows(&bins, rng, layer.k, c_local, to_slice_nnz)
+                draw_rows(&bins, rng, geom.k, c_local, to_slice_nnz)
             };
             for (&i, (weight_nnz, filter_nnz)) in plan.iter().zip(counts) {
                 let (centro, stored_per_slice, _) = shapes[i];
@@ -245,7 +251,7 @@ impl LayerWorkload {
                 });
             }
         }
-        let positions = desc.r * desc.s;
+        let positions = desc.geom.r * desc.geom.s;
         if positions > usize::from(u16::MAX) {
             return Err(crate::SimError::KernelTooLarge {
                 layer: layer(),
@@ -257,7 +263,7 @@ impl LayerWorkload {
 
     /// Input channels per convolution group.
     pub fn c_per_group(&self) -> usize {
-        self.layer.c / self.layer.groups
+        self.layer.geom.c / self.layer.geom.groups
     }
 
     /// Non-zero stored weights in the `(k, c_local)` slice.
@@ -309,7 +315,7 @@ impl LayerWorkload {
 
     /// Total non-zero input activations (expected value, used for traffic).
     pub fn total_act_nnz(&self) -> u64 {
-        count_from_f64((self.layer.input_activations() as f64 * self.act_density).round())
+        count_from_f64((self.layer.geom.input_activations() as f64 * self.act_density).round())
     }
 
     /// Bytes of stored weights including run-length index metadata.
@@ -563,6 +569,16 @@ mod tests {
         let ws = LayerWorkload::synthesize(&strided, 1.0, 0.5, true, 1);
         assert_eq!(ws.stored_per_slice, 121, "strided layers stay full");
         assert!(!ws.centro);
+        // Even kernels have no self-dual center: 2 of 4 positions stored.
+        let even = LayerDesc::conv("e", 8, 16, 2, 2, 14, 14, 1, 0);
+        let we = LayerWorkload::synthesize(&even, 1.0, 0.5, true, 1);
+        assert_eq!(we.stored_per_slice, 2);
+        assert!(we.centro);
+        // A 1×1 kernel is its own dual: not centro, its one weight stored.
+        let pointwise = LayerDesc::conv("p", 8, 16, 1, 1, 14, 14, 1, 0);
+        let wp = LayerWorkload::synthesize(&pointwise, 1.0, 0.5, true, 1);
+        assert_eq!(wp.stored_per_slice, 1);
+        assert!(!wp.centro, "1x1 layers gain nothing");
     }
 
     #[test]
@@ -841,18 +857,18 @@ mod tests {
             let fc = layer.kind == cscnn_models::LayerKind::FullyConnected;
             for seed in [1, 7, 42, 1234] {
                 let w = LayerWorkload::synthesize(layer, *density, 0.5, *centro, seed);
-                let n = if fc { layer.c } else { w.stored_per_slice };
+                let n = if fc { layer.geom.c } else { w.stored_per_slice };
                 let name = &layer.name;
                 assert_eq!(path_name(&Binomial::new(n, *density)), *path, "{name}");
                 if fc {
                     // An FC row is one slot: its filter total is its count.
                     assert!(w.weight_nnz.is_empty(), "{name}");
-                    assert_eq!(w.filter_nnz_all().len(), layer.k, "{name}");
+                    assert_eq!(w.filter_nnz_all().len(), layer.geom.k, "{name}");
                     let sum: u64 = w.filter_nnz_all().iter().sum();
                     assert_eq!(w.total_weight_nnz(), sum, "{name} seed={seed}");
                     continue;
                 }
-                let scanned: Vec<u64> = (0..layer.k)
+                let scanned: Vec<u64> = (0..layer.geom.k)
                     .map(|k| {
                         (0..w.c_per_group())
                             .map(|c| u64::from(w.weight_nnz(k, c)))
@@ -931,7 +947,7 @@ mod tests {
         for (name, layer, density, centro, path, want) in cases {
             let w = LayerWorkload::synthesize(layer, density, 0.5, centro, 42);
             let n = if layer.kind == cscnn_models::LayerKind::FullyConnected {
-                layer.c
+                layer.geom.c
             } else {
                 w.stored_per_slice
             };
@@ -1008,16 +1024,23 @@ mod tests {
                 assert_eq!(joint.seed, solo.seed, "{at}");
                 let fc = layer.kind == cscnn_models::LayerKind::FullyConnected;
                 let binomial = |s: &WorkloadSpec| {
-                    let rs = layer.r * layer.s;
-                    let n = match (fc, s.centro && layer.centro_eligible()) {
-                        (true, _) => layer.c,
+                    let rs = layer.geom.r * layer.geom.s;
+                    let n = match (fc, s.centro && layer.geom.centro_eligible()) {
+                        (true, _) => layer.geom.c,
                         (false, true) => rs.div_ceil(2),
                         (false, false) => rs,
                     };
                     (n, Binomial::new(n, s.weight_density))
                 };
                 let (n, own) = binomial(&spec);
-                assert_eq!(n, if fc { layer.c } else { solo.stored_per_slice });
+                assert_eq!(
+                    n,
+                    if fc {
+                        layer.geom.c
+                    } else {
+                        solo.stored_per_slice
+                    }
+                );
                 let path = path_name(&own);
                 let alike = specs
                     .iter()

@@ -27,6 +27,14 @@ pub fn unique_weight_count(r: usize, s: usize) -> usize {
     (r * s).div_ceil(2)
 }
 
+/// Whether the centrosymmetric constraint applies to an `r × s` kernel at
+/// `stride` (paper §II-A): unit stride and a multi-weight kernel. Strided
+/// convolutions are excluded because the structured reuse does not apply;
+/// a `1×1` kernel (and so an FC layer) is its own dual and saves nothing.
+pub fn is_eligible(stride: usize, r: usize, s: usize) -> bool {
+    stride == 1 && r * s > 1
+}
+
 /// Enumerates the canonical half of an `r × s` slice: every position whose
 /// row-major linear index is ≤ its dual's. The list has
 /// [`unique_weight_count`] entries and is in row-major order.

@@ -108,11 +108,6 @@ impl Tensor {
     pub fn density(&self, eps: f32) -> f64 {
         1.0 - self.count_near_zero(eps) as f64 / self.len() as f64
     }
-
-    /// Frobenius norm (L2 norm of the flattened tensor).
-    pub fn norm(&self) -> f32 {
-        self.as_slice().iter().map(|x| x * x).sum::<f32>().sqrt()
-    }
 }
 
 #[cfg(test)]
@@ -153,11 +148,5 @@ mod tests {
         let a = Tensor::zeros(&[2]);
         let b = Tensor::zeros(&[3]);
         let _ = a.zip(&b, |x, _| x);
-    }
-
-    #[test]
-    fn norm_is_euclidean() {
-        let a = Tensor::from_vec(vec![3.0, 4.0], &[2]);
-        assert!((a.norm() - 5.0).abs() < 1e-6);
     }
 }

@@ -57,10 +57,11 @@ fn main() {
         "layer", "shape (KxCxRxS @ HxW)", "w density", "a density"
     );
     for (i, l) in desc.layers.iter().enumerate() {
+        let g = &l.geom;
         println!(
             "      {:8} {:>24} {:>11.1} % {:>11.1} %",
             l.name,
-            format!("{}x{}x{}x{} @ {}x{}", l.k, l.c, l.r, l.s, l.h, l.w),
+            format!("{}x{}x{}x{} @ {}x{}", g.k, g.c, g.r, g.s, g.h, g.w),
             100.0 * profile.weight_density[i],
             100.0 * profile.activation_density[i],
         );

@@ -122,7 +122,7 @@ fn workload_rejects_out_of_range_density() {
 #[should_panic(expected = "padded input smaller than kernel")]
 fn layer_desc_rejects_impossible_geometry() {
     let l = LayerDesc::conv("imp", 1, 1, 7, 7, 3, 3, 1, 0);
-    let _ = l.output_dim();
+    let _ = l.geom.output_dim();
 }
 
 #[test]

@@ -80,8 +80,8 @@ fn scheme_reductions_are_ordered_for_every_model() {
         let eligible_frac = model
             .layers
             .iter()
-            .filter(|l| l.centro_eligible())
-            .map(|l| l.dense_mults() as f64)
+            .filter(|l| l.geom.centro_eligible())
+            .map(|l| l.geom.dense_mults() as f64)
             .sum::<f64>()
             / model.dense_mults() as f64;
         let expected_floor = 1.0 + 0.35 * eligible_frac; // conservative bound

@@ -121,7 +121,7 @@ fn depthwise_network_flows_end_to_end_through_ir() {
     for node in &ir.nodes {
         if let LayerNode::Conv { geom, .. } | LayerNode::Depthwise { geom, .. } = node {
             let desc = lower::layer_desc(node).expect("conv nodes lower");
-            assert_eq!(geom.dense_mults(), desc.dense_mults(), "{:?}", node.name());
+            assert_eq!(desc.geom, *geom, "{:?}", node.name());
             ir_dense_total += geom.dense_mults();
         }
     }
